@@ -197,6 +197,7 @@ func run(args []string) error {
 	log.Printf("maintaining shard %d/%d every %v (%d workers, %d repair slots per depot)",
 		*shardIndex, *shardCount, *interval, *workers, *maxPerDepot)
 	d.Run(stop)
+	qc.Close()
 
 	c := d.Counters()
 	log.Printf("done: %d sweeps, %d passes (%d failed), %d refreshed, %d trimmed, %d replicas added, %d conflicts",

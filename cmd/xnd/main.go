@@ -68,6 +68,9 @@ var (
 	sloEngine     *slo.Engine
 	logger        *slog.Logger
 	lastTools     *core.Tools
+	// quorum is the replica-group client of this invocation, if it built
+	// one; main hangs up its parked sessions on the way out.
+	quorum *registry.QuorumClient
 )
 
 func main() {
@@ -121,6 +124,9 @@ func main() {
 		err = cmdSlo(args)
 	default:
 		usage()
+	}
+	if quorum != nil {
+		quorum.Close()
 	}
 	dumpTrace()
 	if err != nil {
@@ -327,6 +333,7 @@ func (c *commonFlags) tools() (*core.Tools, error) {
 			qc := registry.NewQuorumClient(*c.lbone,
 				registry.WithTimeouts(5*time.Second, *c.timeout),
 				registry.WithObserver(slo.ObserveRegistry(sloEngine)))
+			quorum = qc
 			t.LBone = qc
 			t.Directory = registry.NewDirectory(qc)
 		} else {
@@ -425,6 +432,7 @@ func cmdDir(args []string) error {
 	qc := registry.NewQuorumClient(*lboneAddr,
 		registry.WithTimeouts(5*time.Second, *timeout),
 		registry.WithObserver(slo.ObserveRegistry(sloEngine)))
+	quorum = qc
 	dir := registry.NewDirectory(qc)
 	switch sub {
 	case "put":

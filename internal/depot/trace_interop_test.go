@@ -189,7 +189,13 @@ func TestTraceEndToEndServerSpans(t *testing.T) {
 
 	// Depot side: spans retained under the trace ID, parented to the
 	// client op spans, measuring queue wait and backend time.
+	// (A handler retains its span after it has answered, so the last one
+	// lands a moment after the client's Load returns.)
 	spans := d.SpansForTrace(root.TraceID)
+	for deadline := time.Now().Add(5 * time.Second); len(spans) < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		spans = d.SpansForTrace(root.TraceID)
+	}
 	if len(spans) != 3 {
 		t.Fatalf("depot retained %d spans, want 3: %+v", len(spans), spans)
 	}
@@ -211,7 +217,11 @@ func TestTraceEndToEndServerSpans(t *testing.T) {
 			t.Errorf("%s span unexpectedly failed: %+v", sp.Verb, sp)
 		}
 	}
-	if loadSpan := spans[len(spans)-1]; loadSpan.Verb != ibp.OpLoad || loadSpan.SpanID != loadEv.Server.SpanID {
-		t.Errorf("last depot span = %+v, want the LOAD matching client-held span %s", loadSpan, loadEv.Server.SpanID)
+	// Each op ran on its own connection, so the handlers retain their
+	// spans in whatever order they finish: look the LOAD up by verb.
+	for _, sp := range spans {
+		if sp.Verb == ibp.OpLoad && sp.SpanID != loadEv.Server.SpanID {
+			t.Errorf("depot LOAD span = %+v, want the one the client holds, %s", sp, loadEv.Server.SpanID)
+		}
 	}
 }

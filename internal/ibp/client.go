@@ -22,7 +22,7 @@ type Client struct {
 	clock       vclock.Clock
 	dialTimeout time.Duration
 	opTimeout   time.Duration
-	pool        *connPool
+	pool        *wire.Pool
 	health      *health.Scoreboard
 	obs         obs.Observer
 	span        obs.SpanContext // parent span for this client's operations

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -14,103 +13,26 @@ import (
 // so a client may reuse connections across operations instead of dialing
 // per call (the original library's model, and this client's default).
 // Pooling is opt-in via WithPooling: benchmarks show when the dial round
-// trip matters.
-
-// defaultMaxIdleAge is how long a parked connection stays reusable. A
-// depot restart leaves every pooled conn to it stale; without an age
-// limit each subsequent operation would burn a round trip discovering
-// that via the retry-on-reuse path.
-const defaultMaxIdleAge = 90 * time.Second
-
-// idleConn is a parked connection stamped with its park time.
-type idleConn struct {
-	conn   *wire.Conn
-	parked time.Time
-}
-
-// connPool keeps idle framed connections per depot address.
-type connPool struct {
-	mu         sync.Mutex
-	idle       map[string][]idleConn
-	maxIdle    int
-	maxIdleAge time.Duration
-	now        func() time.Time // wall clock; swappable in tests
-	closed     bool
-}
-
-func newConnPool(maxIdle int) *connPool {
-	return &connPool{
-		idle:       make(map[string][]idleConn),
-		maxIdle:    maxIdle,
-		maxIdleAge: defaultMaxIdleAge,
-		now:        time.Now,
-	}
-}
-
-// get returns an idle connection to addr, or nil. Connections parked
-// longer than maxIdleAge are dropped rather than returned: their peer has
-// likely closed or restarted, and handing them out would force every
-// caller through the stale-conn retry path.
-func (p *connPool) get(addr string) *wire.Conn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	conns := p.idle[addr]
-	cutoff := p.now().Add(-p.maxIdleAge)
-	for len(conns) > 0 {
-		ic := conns[len(conns)-1]
-		conns = conns[:len(conns)-1]
-		p.idle[addr] = conns
-		if p.maxIdleAge > 0 && ic.parked.Before(cutoff) {
-			ic.conn.Close()
-			continue
-		}
-		return ic.conn
-	}
-	return nil
-}
-
-// put parks a healthy connection for reuse; overflow closes it.
-func (p *connPool) put(addr string, conn *wire.Conn) {
-	p.mu.Lock()
-	if p.closed || len(p.idle[addr]) >= p.maxIdle {
-		p.mu.Unlock()
-		conn.Close()
-		return
-	}
-	p.idle[addr] = append(p.idle[addr], idleConn{conn: conn, parked: p.now()})
-	p.mu.Unlock()
-}
-
-// closeAll drops every idle connection.
-func (p *connPool) closeAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	for addr, conns := range p.idle {
-		for _, ic := range conns {
-			ic.conn.Close()
-		}
-		delete(p.idle, addr)
-	}
-}
+// trip matters. The parking lot itself is wire.Pool, shared with the
+// registry's quorum client.
 
 // WithPooling enables connection reuse with up to maxIdle parked
 // connections per depot. Close the client when done to release them.
 func WithPooling(maxIdle int) Option {
 	return func(c *Client) {
 		if maxIdle > 0 {
-			c.pool = newConnPool(maxIdle)
+			c.pool = wire.NewPool(maxIdle)
 		}
 	}
 }
 
 // WithPoolIdleAge bounds how long a pooled connection may sit idle before
-// get drops it (default 90s; <=0 disables the age check). Apply after
+// the pool drops it (default 90s; <=0 disables the age check). Apply after
 // WithPooling.
 func WithPoolIdleAge(d time.Duration) Option {
 	return func(c *Client) {
 		if c.pool != nil {
-			c.pool.maxIdleAge = d
+			c.pool.SetMaxIdleAge(d)
 		}
 	}
 }
@@ -119,7 +41,7 @@ func WithPoolIdleAge(d time.Duration) Option {
 // Close.
 func (c *Client) Close() error {
 	if c.pool != nil {
-		c.pool.closeAll()
+		c.pool.Close()
 	}
 	return nil
 }
@@ -128,7 +50,7 @@ func (c *Client) Close() error {
 // dialed otherwise — with the operation deadline applied.
 func (c *Client) acquire(addr string) (*wire.Conn, bool, error) {
 	if c.pool != nil {
-		if conn := c.pool.get(addr); conn != nil {
+		if conn := c.pool.Get(addr); conn != nil {
 			if err := c.applyDeadline(conn); err == nil {
 				return conn, true, nil
 			}
@@ -146,7 +68,7 @@ func (c *Client) release(addr string, conn *wire.Conn, err error) {
 		conn.Close()
 		return
 	}
-	c.pool.put(addr, conn)
+	c.pool.Put(addr, conn)
 }
 
 // isConnReuseError reports whether err plausibly came from a stale pooled

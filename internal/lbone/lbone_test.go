@@ -218,6 +218,39 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// A client that keeps its connection open between requests (the quorum
+// client's parked sessions) must not hold up shutdown: the handler is
+// blocked reading the next request line, which never comes, so Close has
+// to sever the connection itself.
+func TestServerCloseSeversIdleConnections(t *testing.T) {
+	s, _ := startServer(t, ServerConfig{})
+	conn, err := dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// One exchange proves the handler is up before the connection idles.
+	if err := conn.WriteLine(opList); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.ReadStatus(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close still waiting on an idle client connection after 1s")
+	}
+	if _, err := conn.ReadLine(); err == nil {
+		t.Fatal("client connection still open after server Close")
+	}
+}
+
 func dial(addr string) (*wire.Conn, error) {
 	raw, err := netxDial(addr)
 	if err != nil {

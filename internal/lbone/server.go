@@ -91,6 +91,7 @@ type Server struct {
 	wg       sync.WaitGroup
 	shutdown chan struct{}
 	closed   bool
+	conns    map[net.Conn]struct{} // live client connections, severed by Close
 	stats    ServerStats
 }
 
@@ -112,6 +113,7 @@ func ServeRegistry(addr string, cfg ServerConfig) (*Server, error) {
 		cfg:      cfg,
 		started:  cfg.Clock.Now(),
 		shutdown: make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -138,7 +140,10 @@ func (s *Server) StartPoller(client *ibp.Client, interval time.Duration) *Poller
 	return p
 }
 
-// Close stops the server.
+// Close stops the listener, severs open client connections (a quorum
+// client's parked session never sends another line, so its handler would
+// otherwise block shutdown forever), and waits for the handler
+// goroutines.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -147,10 +152,42 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	close(s.shutdown)
+	for conn := range s.conns {
+		conn.Close()
+	}
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
 	return err
+}
+
+// track registers a live connection; it reports false when the server is
+// already shutting down.
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+func (s *Server) untrack(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+}
+
+// closing reports whether Close has begun (a handler's read error is then
+// the server's own doing, not the client's).
+func (s *Server) closing() bool {
+	select {
+	case <-s.shutdown:
+		return true
+	default:
+		return false
+	}
 }
 
 func (s *Server) log() *slog.Logger {
@@ -165,9 +202,7 @@ func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			select {
-			case <-s.shutdown:
-			default:
+			if !s.closing() {
 				s.log().Error("accept failed", "err", err)
 			}
 			return
@@ -186,13 +221,18 @@ func (s *Server) acceptLoop() {
 }
 
 func (s *Server) serveConn(raw net.Conn) {
+	if !s.track(raw) {
+		raw.Close()
+		return
+	}
+	defer s.untrack(raw)
 	s.stats.Connects.Add(1)
 	conn := wire.NewConn(raw)
 	defer conn.Close()
 	for {
 		toks, err := conn.ReadLine()
 		if err != nil {
-			if err != io.EOF {
+			if err != io.EOF && !s.closing() {
 				s.log().Warn("read failed", "err", err)
 			}
 			return

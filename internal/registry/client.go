@@ -26,11 +26,17 @@ type ClientStats struct {
 	StaleRetries atomic.Int64 // ops retried after a STALE_VIEW refresh
 	MajorityLost atomic.Int64 // ops failed fast with ErrMajorityLost
 	Repairs      atomic.Int64 // read-repair writes pushed to lagging replicas
+	Dials        atomic.Int64 // connections dialed to replicas (attempts, failed ones included)
+	Reused       atomic.Int64 // exchanges that rode a parked session instead of a dial
 }
 
 // QuorumClient drives majority-quorum operations against a replicated
-// registry view. Safe for concurrent use; each replica exchange opens
-// its own connection.
+// registry view. Safe for concurrent use. Each replica exchange rides a
+// session — a framed connection kept parked between operations (see
+// exchange) — so a steady client dials each replica once, not once per
+// verb. Close releases the parked sessions; a client that is never
+// closed only leaves them to the idle-age limit and the replicas' own
+// shutdown.
 //
 // Writes go to every member and need a strict majority of acks; reads
 // need a strict majority of answers and merge the freshest. A STALE_VIEW
@@ -53,8 +59,15 @@ type QuorumClient struct {
 	view     View
 	haveView bool
 
-	stats ClientStats
+	sessions *wire.Pool
+	stats    ClientStats
 }
+
+// maxIdleSessions caps the sessions parked per replica. An operation
+// visits the replicas one after another, so a client holds at most one
+// session per replica per concurrent caller; callers beyond the cap
+// still work, their sessions are just closed instead of parked.
+const maxIdleSessions = 4
 
 // QuorumOption configures a QuorumClient.
 type QuorumOption func(*QuorumClient)
@@ -67,7 +80,8 @@ func WithClock(ck vclock.Clock) QuorumOption { return func(c *QuorumClient) { c.
 
 // WithTimeouts sets dial and per-operation timeouts. These bound the
 // fail-fast budget: a majority-loss verdict takes at most one dial
-// timeout per unreachable member per pass.
+// timeout per unreachable member per pass (one operation timeout, once,
+// for a member that vanished without closing a parked session).
 func WithTimeouts(dial, op time.Duration) QuorumOption {
 	return func(c *QuorumClient) { c.dialTimeout, c.opTimeout = dial, op }
 }
@@ -87,11 +101,20 @@ func NewQuorumClient(addrs string, opts ...QuorumOption) *QuorumClient {
 		clock:       vclock.Real(),
 		dialTimeout: 5 * time.Second,
 		opTimeout:   15 * time.Second,
+		sessions:    wire.NewPool(maxIdleSessions),
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
+}
+
+// Close drops the parked sessions. The client stays usable — later
+// operations dial and hang up per exchange — so daemons call it last on
+// their shutdown path.
+func (c *QuorumClient) Close() error {
+	c.sessions.Close()
+	return nil
 }
 
 // Stats exposes the live counters.
@@ -104,6 +127,7 @@ func (c *QuorumClient) observe(replica string, ok bool) {
 }
 
 func (c *QuorumClient) connect(addr string) (*wire.Conn, error) {
+	c.stats.Dials.Add(1)
 	raw, err := c.dialer.Dial("tcp", addr, c.dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("registry: dial %s: %w", addr, err)
@@ -115,13 +139,54 @@ func (c *QuorumClient) connect(addr string) (*wire.Conn, error) {
 	return wire.NewConn(raw), nil
 }
 
+// checkout returns a session to addr with the operation deadline set: a
+// parked one that passes the idle check, else a fresh dial. A session
+// whose replica closed it while it was parked (a restart, a shutdown) is
+// discarded here, before any request is written to it.
+func (c *QuorumClient) checkout(addr string) (*wire.Conn, error) {
+	for conn := c.sessions.Get(addr); conn != nil; conn = c.sessions.Get(addr) {
+		if conn.CheckIdle() == nil &&
+			netx.SetOpDeadline(conn.NetConn(), c.clock.Now(), c.opTimeout) == nil {
+			c.stats.Reused.Add(1)
+			return conn, nil
+		}
+		conn.Close()
+	}
+	return c.connect(addr)
+}
+
+// exchange runs one request/response turn against addr on a session and
+// parks the session again if the turn was clean. Nothing is ever sent
+// twice: once op has a session, its error is final — the request may
+// have reached the replica — so the session is closed (its framing is
+// unknown; a DPUT rejected early leaves its blob unread) and the caller
+// counts a replica failure. That is why a retried put can never meet its
+// own first attempt as a CONFLICT.
+func (c *QuorumClient) exchange(addr string, op func(conn *wire.Conn) error) error {
+	conn, err := c.checkout(addr)
+	if err != nil {
+		return err
+	}
+	if err := op(conn); err != nil {
+		conn.Close()
+		return err
+	}
+	c.sessions.Put(addr, conn)
+	return nil
+}
+
 // fetchView asks one replica for its installed view.
 func (c *QuorumClient) fetchView(addr string) (View, error) {
-	conn, err := c.connect(addr)
-	if err != nil {
-		return View{}, err
-	}
-	defer conn.Close()
+	var v View
+	err := c.exchange(addr, func(conn *wire.Conn) (err error) {
+		v, err = readView(conn)
+		return err
+	})
+	return v, err
+}
+
+// readView runs one VIEW exchange.
+func readView(conn *wire.Conn) (View, error) {
 	if err := conn.WriteLine(opView); err != nil {
 		return View{}, err
 	}
@@ -221,11 +286,7 @@ type replicaOp func(conn *wire.Conn, viewSeq int64, addr string) error
 // any member answered STALE_VIEW, and the per-replica errors.
 func (c *QuorumClient) quorumPass(v View, op replicaOp) (acks int, stale bool, errs []error) {
 	for _, addr := range v.Members {
-		conn, err := c.connect(addr)
-		if err == nil {
-			err = op(conn, v.Seq, addr)
-			conn.Close()
-		}
+		err := c.exchange(addr, func(conn *wire.Conn) error { return op(conn, v.Seq, addr) })
 		if err == nil {
 			c.observe(addr, true)
 			acks++
@@ -486,13 +547,9 @@ func (c *QuorumClient) getReplica(conn *wire.Conn, seq int64, shard int, name st
 // replica; failures are ignored (the replica is repaired on a later read
 // or write instead).
 func (c *QuorumClient) repairReplica(addr string, seq int64, shard int, name string, version int64, blob []byte) bool {
-	conn, err := c.connect(addr)
-	if err != nil {
-		return false
-	}
-	defer conn.Close()
-	err = c.putReplica(conn, seq, shard, name, version, blob)
-	return err == nil
+	return c.exchange(addr, func(conn *wire.Conn) error {
+		return c.putReplica(conn, seq, shard, name, version, blob)
+	}) == nil
 }
 
 // putReplica runs one DPUT exchange.

@@ -66,5 +66,7 @@ func (c *QuorumClient) Metrics() []obs.Metric {
 		counter("registry_client_stale_retries_total", "Ops retried after a STALE_VIEW view refresh.", c.stats.StaleRetries.Load()),
 		counter("registry_client_majority_lost_total", "Ops failed fast on majority loss (detected).", c.stats.MajorityLost.Load()),
 		counter("registry_client_repairs_total", "Read-repair writes pushed to lagging replicas.", c.stats.Repairs.Load()),
+		counter("registry_client_dials_total", "Connections dialed to replicas, failed dials included.", c.stats.Dials.Load()),
+		counter("registry_client_conn_reused_total", "Replica exchanges that rode a parked session.", c.stats.Reused.Load()),
 	}
 }
