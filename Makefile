@@ -1,7 +1,9 @@
 # Tier-1 verification: build, vet (+staticcheck when installed), full test
 # suite, then race-detector runs of the concurrency-heavy packages
 # (parallel transfers in core, connection pool + shared health scoreboard
-# in ibp, depot metric counters, lbone registry, the obs collector).
+# in ibp, depot metric counters, lbone registry, the obs collector, and
+# wire — its Pool and Conn.CheckIdle carry every registry exchange as well
+# as pooled IBP).
 .PHONY: tier1 build vet staticcheck test race bench-module bench bench-check stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race bench-module
@@ -29,7 +31,7 @@ race:
 		repro/internal/depot repro/internal/lbone repro/internal/obs \
 		repro/internal/transfer repro/internal/faultnet repro/internal/stackmon \
 		repro/internal/slo repro/internal/registry repro/internal/repaird \
-		repro/internal/obsfleet repro/internal/tsdb
+		repro/internal/obsfleet repro/internal/tsdb repro/internal/wire
 
 # stackbench (bench/, the benchmark BENCHMARK.json declares) is a nested
 # module, so the root's ./... never compiles it: without this an internal/

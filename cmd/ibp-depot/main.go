@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -24,6 +22,7 @@ import (
 	"repro/internal/ibp"
 	"repro/internal/lbone"
 	"repro/internal/obs"
+	"repro/internal/registry"
 )
 
 func main() {
@@ -36,10 +35,10 @@ func main() {
 		backendKind = flag.String("backend", "", "storage backend: memory, file, or pack (default: file when -dir is set, else memory)")
 		bundleCap   = flag.Int64("bundle-cap", depot.DefaultBundleCap, "pack backend: max reserved bytes per bundle file")
 		secretFile  = flag.String("secret-file", "", "file holding the capability-signing secret (default: random per run)")
-		lboneAddr   = flag.String("lbone", "", "L-Bone server to register with (optional)")
+		lboneAddr   = flag.String("lbone", "", "L-Bone server, or comma-separated replica group, to register with (optional)")
 		name        = flag.String("name", "depot", "depot display name for the L-Bone")
 		site        = flag.String("site", "UTK", "site name for proximity resolution (see internal/geo)")
-		heartbeat   = flag.Duration("heartbeat", time.Minute, "L-Bone heartbeat interval")
+		heartbeat   = flag.Duration("heartbeat", time.Minute, "L-Bone re-registration interval")
 		reapEvery   = flag.Duration("reap", time.Minute, "expired-allocation sweep interval")
 		metricsAddr = flag.String("metrics-listen", "", "serve /metrics, /healthz, /trace/<id>, and /postmortem/<trace> over HTTP on this address (e.g. :9714; empty = off)")
 		pprofOn     = flag.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
@@ -107,27 +106,9 @@ func main() {
 	}
 	logger.Info("serving", "capacity_bytes", *capacity, "addr", d.Addr(), "advertised", d.Advertised())
 
-	controlAddr := ""
-	if *metricsAddr != "" {
-		mux := d.ObsMux()
-		if *pprofOn {
-			obs.AttachPprof(mux)
-		}
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fatal("metrics listener", err)
-		}
-		controlAddr = lbone.AdvertisedControlAddr(ln.Addr().String())
-		go func() {
-			logger.Info("metrics listening", "url", "http://"+controlAddr+"/metrics")
-			if err := http.Serve(ln, mux); err != nil {
-				logger.Error("metrics listener", "err", err)
-			}
-		}()
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	stop := make(chan struct{})
 
 	// Periodic expired-allocation sweep.
 	go func() {
@@ -140,45 +121,44 @@ func main() {
 		}
 	}()
 
-	// Optional L-Bone registration + heartbeat.
+	// Optional L-Bone registration, kept alive every -heartbeat and taken
+	// back on shutdown.
+	var qc *registry.QuorumClient
 	if *lboneAddr != "" {
 		siteInfo, ok := geo.LookupSite(*site)
 		if !ok {
 			fatal("unknown site", fmt.Errorf("%q", *site))
 		}
-		client := lbone.NewClient(*lboneAddr)
-		info := lbone.DepotInfo{
+		qc = registry.NewQuorumClient(*lboneAddr)
+		err := qc.AnnounceDepot(lbone.DepotInfo{
 			Addr:        d.Advertised(),
 			Name:        *name,
 			Site:        siteInfo.Name,
 			Loc:         siteInfo.Loc,
 			Capacity:    *capacity,
 			MaxDuration: *maxDuration,
-		}
-		if err := client.Register(info); err != nil {
+		}, *heartbeat, logger, stop)
+		if err != nil {
 			fatal("registering with L-Bone", err)
 		}
 		logger.Info("registered with L-Bone", "lbone", *lboneAddr, "name", *name, "site", siteInfo.Name)
-		go func() {
-			t := time.NewTicker(*heartbeat)
-			defer t.Stop()
-			for range t.C {
-				if err := client.Heartbeat(info.Addr); err != nil {
-					logger.Warn("heartbeat failed", "err", err)
-				}
-			}
-		}()
-		// Announce the control endpoint too, so the obsd aggregator
-		// discovers this depot's scrape surface through the same registry.
-		if controlAddr != "" {
-			go client.AnnounceControl(lbone.ControlInfo{
-				Addr: controlAddr, Component: "ibp-depot", Name: *name,
-			}, *heartbeat, logger, nil)
+	}
+	// The control endpoint is announced too, so the obsd aggregator
+	// discovers this depot's scrape surface through the same registry.
+	if *metricsAddr != "" {
+		_, err := registry.ServeControl(qc, d.ObsMux(), *metricsAddr, *pprofOn,
+			lbone.ControlInfo{Component: "ibp-depot", Name: *name}, *heartbeat, logger, stop)
+		if err != nil {
+			fatal("metrics listener", err)
 		}
 	}
 
-	<-stop
+	<-sigs
 	logger.Info("shutting down")
+	close(stop)
+	if qc != nil {
+		qc.Close()
+	}
 	if err := d.Close(); err != nil {
 		fatal("close", err)
 	}

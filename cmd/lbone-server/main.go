@@ -6,21 +6,22 @@
 //
 //	lbone-server -listen :6767 -ttl 5m
 //
-// With -replicas the server joins a statically-configured replica group:
-// it installs the listed view (every member runs with the same -replicas,
-// -view-seq and -shards values) and additionally serves the quorum verbs
-// — view-stamped registration, depot queries and the sharded exNode
-// directory — alongside the classic single-registry protocol.
+// The server is always one member of a replica group (DESIGN §9): beside
+// the classic single-registry protocol it serves the quorum verbs —
+// view-stamped registration, depot queries and the sharded exNode
+// directory. Without -replicas the group is the server alone, a view of
+// one; with it the server installs the listed view (every member runs
+// with the same -replicas, -view-seq and -shards values). Clients cannot
+// tell the two apart except by the size of the view.
 //
 //	lbone-server -listen :6767 -replicas host1:6767,host2:6767,host3:6767
 package main
 
 import (
 	"flag"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -38,66 +39,40 @@ func main() {
 		metricsAddr = flag.String("metrics-listen", "", "serve /metrics and /healthz over HTTP on this address (e.g. :9767; empty = off)")
 		pprofOn     = flag.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
 		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
-		replicas    = flag.String("replicas", "", "comma-separated replica group membership (including this member); empty = classic single registry")
+		replicas    = flag.String("replicas", "", "comma-separated replica group membership (including this member); empty = this server alone")
 		viewSeq     = flag.Int64("view-seq", 1, "view sequence number of the static -replicas membership")
 		shards      = flag.Int("shards", registry.DefaultShards, "exNode directory shard count (must match across the group)")
 	)
 	flag.Parse()
 
 	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "lbone-server"})
-	var s *lbone.Server
-	var err error
-	if *replicas != "" {
-		var rep *registry.Replica
-		s, rep, err = registry.Serve(*listen, registry.Config{
-			Members: lbone.SplitAddrs(*replicas),
-			Seq:     *viewSeq,
-			Shards:  *shards,
-			TTL:     *ttl,
-			Logger:  logger,
-		})
-		if err == nil {
-			v := rep.View()
-			logger.Info("replica group", "seq", v.Seq, "members", len(v.Members), "shards", v.Shards)
-		}
-	} else {
-		s, err = lbone.ServeRegistry(*listen, lbone.ServerConfig{
-			TTL:    *ttl,
-			Logger: logger,
-		})
-	}
+	s, rep, err := registry.Serve(*listen, registry.Config{
+		Members: lbone.SplitAddrs(*replicas),
+		Seq:     *viewSeq,
+		Shards:  *shards,
+		TTL:     *ttl,
+		Logger:  logger,
+	})
 	if err != nil {
 		logger.Error("serve", "err", err)
 		os.Exit(1)
 	}
+	v := rep.View()
 	logger.Info("listening", "addr", s.Addr(), "ttl", *ttl)
+	logger.Info("replica group", "seq", v.Seq, "members", len(v.Members), "shards", v.Shards)
+
 	if *metricsAddr != "" {
-		mux := s.ObsMux()
-		if *pprofOn {
-			obs.AttachPprof(mux)
-		}
-		ln, lerr := net.Listen("tcp", *metricsAddr)
-		if lerr != nil {
-			logger.Error("metrics listener", "err", lerr)
+		// Self-register the control endpoint in the group's control table,
+		// so the obsd aggregator scrapes the registry tier alongside the
+		// depots. Never deregistered: the entry outlives this member in its
+		// peers' tables by at most the TTL, and shutdown stays immediate.
+		self := registry.NewQuorumClient(strings.Join(v.Members, ","))
+		_, err := registry.ServeControl(self, s.ObsMux(), *metricsAddr, *pprofOn,
+			lbone.ControlInfo{Component: "lbone-server", Name: s.Addr()}, *ttl/2, logger, nil)
+		if err != nil {
+			logger.Error("metrics listener", "err", err)
 			os.Exit(1)
 		}
-		controlAddr := lbone.AdvertisedControlAddr(ln.Addr().String())
-		go func() {
-			logger.Info("metrics listening", "url", "http://"+controlAddr+"/metrics")
-			if err := http.Serve(ln, mux); err != nil {
-				logger.Error("metrics listener", "err", err)
-			}
-		}()
-		// Self-register the control endpoint in this registry's own
-		// control table (and, with -replicas, its peers'), so the obsd
-		// aggregator scrapes the registry tier alongside the depots.
-		self := lbone.NewClient(s.Addr())
-		if *replicas != "" {
-			self = lbone.NewClient(*replicas)
-		}
-		go self.AnnounceControl(lbone.ControlInfo{
-			Addr: controlAddr, Component: "lbone-server", Name: s.Addr(),
-		}, *ttl/2, logger, nil)
 	}
 	if *poll > 0 {
 		p := s.StartPoller(ibp.NewClient(), *poll)

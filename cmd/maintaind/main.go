@@ -24,8 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -55,7 +53,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("maintaind", flag.ExitOnError)
 	var (
-		lboneAddr    = fs.String("lbone", os.Getenv("XND_LBONE"), "registry replica set, comma-separated (or $XND_LBONE); directory walks and depot discovery go through majority quorums")
+		lboneAddr    = fs.String("lbone", os.Getenv("XND_LBONE"), "registry server or replica set, comma-separated (or $XND_LBONE); directory walks and depot discovery go through majority quorums")
 		siteName     = fs.String("site", "UTK", "this daemon's site for NWS series and proximity placement")
 		shardIndex   = fs.Int("shard-index", 0, "this daemon's shard (0-based)")
 		shardCount   = fs.Int("shard-count", 1, "total daemons partitioning the namespace")
@@ -171,27 +169,14 @@ func run(args []string) error {
 	}
 
 	if *metricsAddr != "" {
-		mux := d.ObsMux()
-		if *pprofOn {
-			obs.AttachPprof(mux)
-		}
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return err
-		}
-		controlAddr := lbone.AdvertisedControlAddr(ln.Addr().String())
-		go func() {
-			log.Printf("metrics on http://%s/metrics", controlAddr)
-			if err := http.Serve(ln, mux); err != nil {
-				log.Printf("metrics listener: %v", err)
-			}
-		}()
 		// Announce the control endpoint so obsd discovers this shard.
-		go lbone.NewClient(*lboneAddr).AnnounceControl(lbone.ControlInfo{
-			Addr:      controlAddr,
+		_, err := registry.ServeControl(qc, d.ObsMux(), *metricsAddr, *pprofOn, lbone.ControlInfo{
 			Component: "maintaind",
 			Name:      fmt.Sprintf("maintaind-%d", *shardIndex),
 		}, *probeEvery, logger, stop)
+		if err != nil {
+			return err
+		}
 	}
 
 	log.Printf("maintaining shard %d/%d every %v (%d workers, %d repair slots per depot)",

@@ -38,8 +38,6 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -49,6 +47,7 @@ import (
 	"repro/internal/lbone"
 	"repro/internal/obs"
 	"repro/internal/obsfleet"
+	"repro/internal/registry"
 )
 
 func main() {
@@ -62,7 +61,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("obsd", flag.ExitOnError)
 	var (
-		lboneAddr     = fs.String("lbone", os.Getenv("XND_LBONE"), "registry replica set, comma-separated (or $XND_LBONE); the control table there is the member source")
+		lboneAddr     = fs.String("lbone", os.Getenv("XND_LBONE"), "registry server or replica set, comma-separated (or $XND_LBONE); the control table there is the member source")
 		staticMembers = fs.String("static", "", "additional members as comma-separated host:port control addresses (scraped even without a registry)")
 		listen        = fs.String("listen", ":9790", "serve the fleet view on this address")
 		interval      = fs.Duration("interval", 15*time.Second, "sweep cadence")
@@ -87,9 +86,9 @@ func run(args []string) error {
 		CPUProfileSeconds: *cpuSeconds,
 		Logger:            logger,
 	}
-	var ctl *lbone.Client
+	var ctl *registry.QuorumClient
 	if *lboneAddr != "" {
-		ctl = lbone.NewClient(*lboneAddr)
+		ctl = registry.NewQuorumClient(*lboneAddr)
 		cfg.Source = ctl
 	}
 	for _, addr := range strings.Split(*staticMembers, ",") {
@@ -103,22 +102,6 @@ func run(args []string) error {
 		return errors.New("no member source: set -lbone (control-table discovery) or -static")
 	}
 
-	agg := obsfleet.New(cfg)
-	mux := agg.Mux()
-	if *pprofOn {
-		obs.AttachPprof(mux)
-	}
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	go func() {
-		log.Printf("fleet view on http://%s/fleet/report", ln.Addr())
-		if err := http.Serve(ln, mux); err != nil && !errors.Is(err, net.ErrClosed) {
-			log.Printf("listener: %v", err)
-		}
-	}()
-
 	stop := make(chan struct{})
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -128,19 +111,20 @@ func run(args []string) error {
 		close(stop)
 	}()
 
-	// obsd is a fleet member too: announce its own control endpoint so a
-	// peer aggregator (or a fleet of one pane each) can scrape it.
-	selfAddr := lbone.AdvertisedControlAddr(ln.Addr().String())
-	if ctl != nil {
-		go ctl.AnnounceControl(lbone.ControlInfo{
-			Addr: selfAddr, Component: "obsd", Name: "obsd",
-		}, *interval, logger, stop)
+	// obsd is a fleet member too: it announces its own control endpoint so
+	// a peer aggregator (or a fleet of one pane each) can scrape it.
+	agg := obsfleet.New(cfg)
+	selfAddr, err := registry.ServeControl(ctl, agg.Mux(), *listen, *pprofOn,
+		lbone.ControlInfo{Component: "obsd", Name: "obsd"}, *interval, logger, stop)
+	if err != nil {
+		return err
 	}
+	log.Printf("fleet view on http://%s/fleet/report", selfAddr)
 
 	log.Printf("sweeping every %v (retention %v)", *interval, *retention)
 	agg.Run(stop)
 
-	// Graceful shutdown: flush the shutdown artifacts, deregister, close.
+	// Graceful shutdown: flush the shutdown artifacts, then deregister.
 	if *budgetOut != "" {
 		if err := agg.WriteBudget(*budgetOut); err != nil {
 			log.Printf("budget flush: %v", err)
@@ -156,11 +140,8 @@ func run(args []string) error {
 		}
 	}
 	if ctl != nil {
-		if err := ctl.DeregisterControl(selfAddr); err != nil {
-			log.Printf("deregister: %v", err)
-		}
+		ctl.Close()
 	}
-	ln.Close()
 	return nil
 }
 

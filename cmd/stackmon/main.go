@@ -19,8 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -31,6 +29,7 @@ import (
 	"repro/internal/ibp"
 	"repro/internal/lbone"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/slo"
 	"repro/internal/stackmon"
 )
@@ -104,10 +103,12 @@ func cmdRun(args []string) error {
 			}
 		}
 	}
+	var qc *registry.QuorumClient
 	if *lboneAddr != "" {
-		lb := lbone.NewClient(*lboneAddr)
+		qc = registry.NewQuorumClient(*lboneAddr, registry.WithTimeouts(5*time.Second, *opTimeout))
+		defer qc.Close()
 		cfg.Discover = func() []string {
-			infos, err := lb.List()
+			infos, err := qc.Query(lbone.Requirements{})
 			if err != nil {
 				log.Printf("L-Bone discovery: %v", err)
 				return nil
@@ -133,27 +134,13 @@ func cmdRun(args []string) error {
 	}()
 
 	if *metricsAddr != "" {
-		mux := mon.ObsMux()
-		if *pprofOn {
-			obs.AttachPprof(mux)
-		}
-		ln, err := net.Listen("tcp", *metricsAddr)
+		// Announce the control endpoint so obsd discovers the monitor.
+		addr, err := registry.ServeControl(qc, mon.ObsMux(), *metricsAddr, *pprofOn,
+			lbone.ControlInfo{Component: "stackmon", Name: "stackmon"}, *interval, nil, stop)
 		if err != nil {
 			return err
 		}
-		controlAddr := lbone.AdvertisedControlAddr(ln.Addr().String())
-		go func() {
-			log.Printf("metrics on http://%s/metrics", controlAddr)
-			if err := http.Serve(ln, mux); err != nil {
-				log.Printf("metrics listener: %v", err)
-			}
-		}()
-		// Announce the control endpoint so obsd discovers the monitor.
-		if *lboneAddr != "" {
-			go lbone.NewClient(*lboneAddr).AnnounceControl(lbone.ControlInfo{
-				Addr: controlAddr, Component: "stackmon", Name: "stackmon",
-			}, *interval, nil, stop)
-		}
+		log.Printf("metrics on http://%s/metrics", addr)
 	}
 
 	log.Printf("monitoring every %v (payload %d bytes)", *interval, *payload)

@@ -68,8 +68,8 @@ var (
 	sloEngine     *slo.Engine
 	logger        *slog.Logger
 	lastTools     *core.Tools
-	// quorum is the replica-group client of this invocation, if it built
-	// one; main hangs up its parked sessions on the way out.
+	// quorum is the registry client of this invocation, if it built one;
+	// main hangs up its parked sessions on the way out.
 	quorum *registry.QuorumClient
 )
 
@@ -269,7 +269,7 @@ func newFlags(name string) *commonFlags {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	return &commonFlags{
 		fs:          fs,
-		lbone:       fs.String("lbone", os.Getenv("XND_LBONE"), "L-Bone server address (or $XND_LBONE)"),
+		lbone:       fs.String("lbone", os.Getenv("XND_LBONE"), "L-Bone server, or comma-separated replica group (or $XND_LBONE)"),
 		site:        fs.String("site", envOr("XND_SITE", "UTK"), "client site name for proximity/NWS (or $XND_SITE)"),
 		timeout:     fs.Duration("timeout", 30*time.Second, "per-operation timeout"),
 		useNWS:      fs.Bool("nws", true, "keep a local NWS to guide downloads"),
@@ -326,19 +326,12 @@ func (c *commonFlags) tools() (*core.Tools, error) {
 	}
 	lastTools = t
 	if *c.lbone != "" {
-		if addrs := lbone.SplitAddrs(*c.lbone); len(addrs) > 1 {
-			// A comma-separated -lbone is a replica group: discovery and
-			// the exNode directory go through majority quorums, and every
-			// per-replica outcome feeds the registry-availability SLI.
-			qc := registry.NewQuorumClient(*c.lbone,
-				registry.WithTimeouts(5*time.Second, *c.timeout),
-				registry.WithObserver(slo.ObserveRegistry(sloEngine)))
-			quorum = qc
-			t.LBone = qc
-			t.Directory = registry.NewDirectory(qc)
-		} else {
-			t.LBone = lbone.NewClient(*c.lbone)
-		}
+		// One server or a comma-separated replica group, -lbone names a
+		// view: discovery and the exNode directory go through its majority,
+		// and every per-replica outcome feeds the registry-availability SLI.
+		quorum = newQuorum(*c.lbone, *c.timeout)
+		t.LBone = quorum
+		t.Directory = registry.NewDirectory(quorum)
 	}
 	switch {
 	case *c.nwsServer != "":
@@ -374,7 +367,11 @@ func (c *commonFlags) tools() (*core.Tools, error) {
 			}
 			ms = append(ms, forecasts.Metrics()...)
 			ms = append(ms, sloEngine.Metrics()...)
-			return append(ms, obs.RuntimeMetrics()...)
+			ms = append(ms, obs.RuntimeMetrics()...)
+			if quorum != nil {
+				ms = append(ms, quorum.Metrics()...)
+			}
+			return ms
 		}))
 		mux.Handle("/slo", sloEngine.Handler())
 		mux.Handle("/postmortem/", obs.PostmortemHandler(recorder, "xnd", time.Now))
@@ -388,6 +385,13 @@ func (c *commonFlags) tools() (*core.Tools, error) {
 		}()
 	}
 	return t, nil
+}
+
+// newQuorum builds the invocation's one registry client.
+func newQuorum(addrs string, timeout time.Duration) *registry.QuorumClient {
+	return registry.NewQuorumClient(addrs,
+		registry.WithTimeouts(5*time.Second, timeout),
+		registry.WithObserver(slo.ObserveRegistry(sloEngine)))
 }
 
 func readExnode(path string) (*exnode.ExNode, error) {
@@ -412,28 +416,23 @@ func writeExnode(path string, x *exnode.ExNode) error {
 
 // cmdDir manipulates the replicated exNode directory: put publishes an
 // exnode file under a name, get fetches it back, ls lists names with
-// their current versions. It always speaks the quorum protocol, so
-// -lbone must point at lbone-server(s) started with -replicas (a single
-// address is a legal one-member group).
+// their current versions.
 func cmdDir(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: xnd dir put|get|ls [flags]")
 	}
 	sub, args := args[0], args[1:]
 	fs := flag.NewFlagSet("dir "+sub, flag.ExitOnError)
-	lboneAddr := fs.String("lbone", os.Getenv("XND_LBONE"), "replica group addresses, comma-separated (or $XND_LBONE)")
+	lboneAddr := fs.String("lbone", os.Getenv("XND_LBONE"), "L-Bone server, or comma-separated replica group (or $XND_LBONE)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-operation timeout")
 	prev := fs.Int64("prev", 0, "put: version being replaced (0 = new name; pass the version get printed)")
 	out := fs.String("o", "-", "get: output exnode path (- = stdout)")
 	fs.Parse(args)
 	if *lboneAddr == "" {
-		return fmt.Errorf("dir needs -lbone (or $XND_LBONE) pointing at a replica group")
+		return fmt.Errorf("dir needs -lbone (or $XND_LBONE)")
 	}
-	qc := registry.NewQuorumClient(*lboneAddr,
-		registry.WithTimeouts(5*time.Second, *timeout),
-		registry.WithObserver(slo.ObserveRegistry(sloEngine)))
-	quorum = qc
-	dir := registry.NewDirectory(qc)
+	quorum = newQuorum(*lboneAddr, *timeout)
+	dir := registry.NewDirectory(quorum)
 	switch sub {
 	case "put":
 		if fs.NArg() != 2 {

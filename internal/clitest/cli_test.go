@@ -213,6 +213,37 @@ func TestCLIFullWorkflow(t *testing.T) {
 	if !strings.Contains(out, "bytes used") || !strings.Contains(out, "ops:") {
 		t.Fatalf("status output: %s", out)
 	}
+
+	// The exNode directory, on the same lone lbone-server (started with no
+	// -replicas): publish by name, list, fetch back, download the fetched
+	// exNode, and lose a stale-version put.
+	out = run(t, "xnd", "dir", "put", "-lbone", lboneAddr, "files/src", xnd)
+	if !strings.Contains(out, "files/src v1") {
+		t.Fatalf("dir put output: %s", out)
+	}
+	out = run(t, "xnd", "dir", "ls", "-lbone", lboneAddr)
+	if !strings.Contains(out, "files/src") || !strings.Contains(out, "v1") {
+		t.Fatalf("dir ls output: %s", out)
+	}
+	fetched := filepath.Join(work, "fetched.xnd")
+	run(t, "xnd", "dir", "get", "-lbone", lboneAddr, "-o", fetched, "files/src")
+	run(t, "xnd", "download", "-o", dst, fetched)
+	got, _ = os.ReadFile(dst)
+	if !bytes.Equal(got, data) {
+		t.Fatal("download of the directory's exnode mismatch")
+	}
+	stale, err := exec.Command(bin("xnd"), "dir", "put", "-lbone", lboneAddr, "files/src", xnd).CombinedOutput()
+	if err == nil || !strings.Contains(string(stale), "version conflict") {
+		t.Fatalf("stale dir put: err %v, output: %s", err, stale)
+	}
+	out = run(t, "xnd", "dir", "put", "-lbone", lboneAddr, "-prev", "1", "files/src", xnd)
+	if !strings.Contains(out, "files/src v2") {
+		t.Fatalf("dir put -prev output: %s", out)
+	}
+	out = run(t, "xnd", "health", "-lbone", lboneAddr)
+	if !strings.Contains(out, "depot health scoreboard (2 depots)") {
+		t.Fatalf("health -lbone output: %s", out)
+	}
 }
 
 func TestCLIUsageAndErrors(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 func TestUploadDeadRegistryIsDetectedFailure(t *testing.T) {
 	tl := &Tools{
 		IBP:   ibp.NewClient(),
-		LBone: lbone.NewClient("127.0.0.1:1", lbone.WithTimeouts(200*time.Millisecond, time.Second)),
+		LBone: registry.NewQuorumClient("127.0.0.1:1", registry.WithTimeouts(200*time.Millisecond, time.Second)),
 		Loc:   geo.UTK.Loc,
 	}
 	_, err := tl.Upload("doomed", payload(1024), UploadOptions{})

@@ -29,8 +29,9 @@ import (
 )
 
 // DepotSource abstracts the L-Bone: anything that can answer depot
-// queries. *lbone.Client satisfies it over the network; *lbone.Registry
-// can be adapted in-process via RegistrySource.
+// queries. *registry.QuorumClient satisfies it over the network, for a
+// lone lbone-server and a replica group alike; *lbone.Registry can be
+// adapted in-process via RegistrySource.
 type DepotSource interface {
 	Query(req lbone.Requirements) ([]lbone.DepotInfo, error)
 }

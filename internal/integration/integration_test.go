@@ -1,7 +1,7 @@
 // Package integration exercises the production path end-to-end: real depot
-// daemons and a real L-Bone server on loopback TCP, the network L-Bone
-// client, system dialer and real clock — the exact configuration the
-// cmd/ binaries run, with no simulation layers.
+// daemons and a real L-Bone server (a lone one: a view of one member) on
+// loopback TCP, the registry client, system dialer and real clock — the
+// exact configuration the cmd/ binaries run, with no simulation layers.
 package integration
 
 import (
@@ -16,26 +16,28 @@ import (
 	"repro/internal/ibp"
 	"repro/internal/lbone"
 	"repro/internal/nws"
+	"repro/internal/registry"
 	"repro/internal/sealing"
 )
 
 // stack is a full production-path deployment on loopback.
 type stack struct {
 	lboneServer *lbone.Server
-	lboneClient *lbone.Client
+	lboneClient *registry.QuorumClient
 	depots      []*depot.Depot
 }
 
 func startStack(t *testing.T, depotSites []geo.Site) *stack {
 	t.Helper()
 	s := &stack{}
-	srv, err := lbone.ServeRegistry("127.0.0.1:0", lbone.ServerConfig{TTL: time.Minute})
+	srv, _, err := registry.Serve("127.0.0.1:0", registry.Config{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	s.lboneServer = srv
-	s.lboneClient = lbone.NewClient(srv.Addr())
+	s.lboneClient = registry.NewQuorumClient(srv.Addr())
+	t.Cleanup(func() { s.lboneClient.Close() })
 
 	for i, site := range depotSites {
 		d, err := depot.Serve("127.0.0.1:0", depot.Config{
@@ -47,7 +49,7 @@ func startStack(t *testing.T, depotSites []geo.Site) *stack {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
-		err = s.lboneClient.Register(lbone.DepotInfo{
+		err = s.lboneClient.RegisterDepot(lbone.DepotInfo{
 			Addr:        d.Addr(),
 			Name:        site.Name + "-depot",
 			Site:        site.Name,
@@ -127,15 +129,16 @@ func TestFullStackLBoneDiscovery(t *testing.T) {
 	if len(got) != 2 || got[0].Site != "UCSD" || got[1].Site != "UCSB" {
 		t.Fatalf("proximity query: %+v", got)
 	}
-	// Heartbeats keep entries live.
-	if err := s.lboneClient.Heartbeat(got[0].Addr); err != nil {
+	// Re-registration (what a depot does every heartbeat interval) is
+	// idempotent.
+	if err := s.lboneClient.RegisterDepot(got[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Deregistered depots disappear.
-	if err := s.lboneClient.Deregister(got[0].Addr); err != nil {
+	if err := s.lboneClient.DeregisterDepot(got[0].Addr); err != nil {
 		t.Fatal(err)
 	}
-	rest, err := s.lboneClient.List()
+	rest, err := s.lboneClient.Query(lbone.Requirements{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,9 @@ package lbone
 // hand-maintain scrape lists. The L-Bone already solves discovery for
 // depots (paper §2.2), so the same registry carries a second, additive
 // table of control endpoints. Daemons self-register their ObsMux address
-// here and the obsd aggregator (internal/obsfleet) discovers every
-// scrape target through the registry it already knows.
+// here (registry.QuorumClient.AnnounceControl) and the obsd aggregator
+// (internal/obsfleet) discovers every scrape target through the registry
+// it already knows.
 //
 // The wire verbs are additive (CREGISTER/CHEARTBEAT/CDEREGISTER/CLIST)
 // so old clients and replicas interoperate unchanged; the 6-token DEPOT
@@ -16,7 +17,6 @@ package lbone
 
 import (
 	"fmt"
-	"log/slog"
 	"net"
 	"os"
 	"time"
@@ -26,10 +26,10 @@ import (
 
 // Control-plane protocol verbs.
 const (
-	opCRegister   = "CREGISTER"
-	opCHeartbeat  = "CHEARTBEAT"
-	opCDeregister = "CDEREGISTER"
-	opCList       = "CLIST"
+	OpCRegister   = "CREGISTER"
+	OpCHeartbeat  = "CHEARTBEAT"
+	OpCDeregister = "CDEREGISTER"
+	OpCList       = "CLIST"
 )
 
 // ControlInfo is one registered control endpoint: where a daemon's
@@ -153,46 +153,12 @@ func (s *Server) handleCList(conn *wire.Conn) error {
 	return nil
 }
 
-// RegisterControl announces a daemon's control HTTP endpoint to the
-// L-Bone so the fleet aggregator can discover it. Like depot writes it
-// broadcasts to every replica and succeeds on a majority.
-func (c *Client) RegisterControl(ci ControlInfo) error {
-	return c.broadcastMajority(func(conn *wire.Conn) error {
-		err := conn.WriteLine(append([]string{opCRegister}, ControlTokens(ci)...)...)
-		if err != nil {
-			return err
-		}
-		_, err = conn.ReadStatus()
-		return err
-	})
-}
-
-// HeartbeatControl refreshes a control endpoint's liveness window.
-func (c *Client) HeartbeatControl(addr string) error {
-	return c.broadcastMajority(func(conn *wire.Conn) error {
-		if err := conn.WriteLine(opCHeartbeat, addr); err != nil {
-			return err
-		}
-		_, err := conn.ReadStatus()
-		return err
-	})
-}
-
-// DeregisterControl removes a control endpoint from the registry.
-func (c *Client) DeregisterControl(addr string) error {
-	return c.broadcastMajority(func(conn *wire.Conn) error {
-		if err := conn.WriteLine(opCDeregister, addr); err != nil {
-			return err
-		}
-		_, err := conn.ReadStatus()
-		return err
-	})
-}
-
 // AdvertisedControlAddr rewrites a listener's address into one peers can
 // dial: a wildcard or unspecified host becomes the machine's hostname,
 // falling back to the loopback address. Daemons pass their metrics
-// listener's Addr() through this before self-registering.
+// listener's Addr() through this before self-registering, and a registry
+// started without a member list names itself in its one-member view the
+// same way.
 func AdvertisedControlAddr(listen string) string {
 	host, port, err := net.SplitHostPort(listen)
 	if err != nil {
@@ -205,81 +171,4 @@ func AdvertisedControlAddr(listen string) string {
 		return net.JoinHostPort(hn, port)
 	}
 	return net.JoinHostPort("127.0.0.1", port)
-}
-
-// AnnounceControl registers ci and re-announces it every interval until
-// stop closes, then deregisters. Failures are logged and retried on the
-// next tick, never fatal: observability registration must not take a
-// serving daemon down. Blocks; callers run it in a goroutine.
-func (c *Client) AnnounceControl(ci ControlInfo, interval time.Duration, logger *slog.Logger, stop <-chan struct{}) {
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
-	}
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	announce := func() {
-		if err := c.RegisterControl(ci); err != nil {
-			logger.Warn("control registration failed", "addr", ci.Addr, "err", err)
-		}
-	}
-	announce()
-	for {
-		select {
-		case <-stop:
-			if err := c.DeregisterControl(ci.Addr); err != nil {
-				logger.Warn("control deregistration failed", "addr", ci.Addr, "err", err)
-			}
-			return
-		case <-c.clock.After(interval):
-			// Re-register rather than heartbeat: idempotent, and it heals
-			// replicas that missed the original write or restarted since.
-			announce()
-		}
-	}
-}
-
-// ListControls returns every live control endpoint. Reads fail over to
-// the first replica that answers; because registrations broadcast to a
-// majority, any single live replica may miss a minority of entries —
-// the aggregator re-lists every sweep, so a briefly-stale view heals on
-// the next interval.
-func (c *Client) ListControls() ([]ControlInfo, error) {
-	var out []ControlInfo
-	err := c.eachUntil(func(conn *wire.Conn) error {
-		if err := conn.WriteLine(opCList); err != nil {
-			return err
-		}
-		toks, err := conn.ReadStatus()
-		if err != nil {
-			return err
-		}
-		if len(toks) != 1 {
-			return errShortResponse
-		}
-		n, err := wire.ParseInt("count", toks[0])
-		if err != nil {
-			return err
-		}
-		out = make([]ControlInfo, 0, n)
-		for i := int64(0); i < n; i++ {
-			line, err := conn.ReadLine()
-			if err != nil {
-				return err
-			}
-			if len(line) != 4 || line[0] != "CTRL" {
-				return fmt.Errorf("lbone: malformed control line %v", line)
-			}
-			ci, err := ParseControlTokens(line[1:])
-			if err != nil {
-				return err
-			}
-			out = append(out, ci)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package lbone
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -67,74 +66,6 @@ func TestRegistryRestorePreservesLastSeen(t *testing.T) {
 	r.Restore(z)
 	if r.LiveLen() != 2 {
 		t.Fatal("zero-stamp Restore should register as live")
-	}
-}
-
-// Regression: an unreachable registry is an error, never a silent empty
-// depot list (which would place uploads on zero depots).
-func TestClientUnreachableRegistryIsError(t *testing.T) {
-	c := NewClient("127.0.0.1:1,127.0.0.1:2", WithTimeouts(200*time.Millisecond, time.Second))
-	got, err := c.Query(Requirements{})
-	if err == nil {
-		t.Fatalf("Query against dead replicas returned nil error with %d depots", len(got))
-	}
-	if !errors.Is(err, ErrNoRegistry) {
-		t.Fatalf("err = %v, want ErrNoRegistry", err)
-	}
-	if got != nil {
-		t.Fatalf("depots = %v on error, want nil", got)
-	}
-	if _, err := c.List(); !errors.Is(err, ErrNoRegistry) {
-		t.Fatalf("List err = %v, want ErrNoRegistry", err)
-	}
-	if err := c.Register(depotAt("UTK1", geo.UTK, 1, time.Hour)); !errors.Is(err, ErrNoRegistry) {
-		t.Fatalf("Register err = %v, want ErrNoRegistry", err)
-	}
-
-	// Degenerate empty address list too.
-	if _, err := NewClient("").Query(Requirements{}); !errors.Is(err, ErrNoRegistry) {
-		t.Fatalf("empty-addr Query err = %v, want ErrNoRegistry", err)
-	}
-}
-
-// Reads fail over past dead replicas; writes land on a majority.
-func TestClientReplicaFailover(t *testing.T) {
-	s1, _ := startServer(t, ServerConfig{})
-	s2, _ := startServer(t, ServerConfig{})
-	dead := "127.0.0.1:1"
-
-	c := NewClient(dead+","+s1.Addr()+","+s2.Addr(),
-		WithTimeouts(200*time.Millisecond, 2*time.Second))
-	d := depotAt("UTK1", geo.UTK, 1, time.Hour)
-	if err := c.Register(d); err != nil {
-		t.Fatalf("register with 2/3 replicas up: %v", err)
-	}
-	// Both live replicas have the entry (broadcast, not single-target).
-	for i, s := range []*Server{s1, s2} {
-		s.WithRegistry(func(r *Registry) {
-			if r.Len() != 1 {
-				t.Errorf("replica %d has %d entries, want 1", i+1, r.Len())
-			}
-		})
-	}
-	got, err := c.Query(Requirements{})
-	if err != nil {
-		t.Fatalf("query with dead first replica: %v", err)
-	}
-	if len(got) != 1 || got[0].Name != "UTK1" {
-		t.Fatalf("failover query = %v", names(got))
-	}
-
-	// Majority down: writes must fail even though one replica remains.
-	s2.Close()
-	cMinority := NewClient(dead+","+dead+","+s1.Addr(),
-		WithTimeouts(200*time.Millisecond, 2*time.Second))
-	if err := cMinority.Register(d); !errors.Is(err, ErrNoRegistry) {
-		t.Fatalf("register with 1/3 replicas = %v, want ErrNoRegistry", err)
-	}
-	// Reads still serve from the surviving replica.
-	if _, err := cMinority.Query(Requirements{}); err != nil {
-		t.Fatalf("read from lone survivor: %v", err)
 	}
 }
 

@@ -9,6 +9,8 @@
 package lbone
 
 import (
+	"errors"
+	"strings"
 	"time"
 
 	"repro/internal/geo"
@@ -37,6 +39,24 @@ type Requirements struct {
 	MinDuration time.Duration // minimum allocation duration (0 = any)
 	Near        *geo.Point    // order results by distance from here
 	Max         int           // cap on result count (0 = all)
+}
+
+// ErrNoRegistry reports that no configured L-Bone replica answered. It is
+// deliberately an error, not an empty depot list: a client that cannot
+// reach its registry has a *detected* failure (freestore taxonomy, DESIGN
+// §9) and must say so, never silently plan uploads onto zero depots.
+var ErrNoRegistry = errors.New("lbone: no registry replica reachable")
+
+// SplitAddrs parses a comma-separated replica list, dropping empty
+// entries.
+func SplitAddrs(addr string) []string {
+	var out []string
+	for _, a := range strings.Split(addr, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // Registry is the in-memory depot table shared by the server and by

@@ -1,7 +1,6 @@
 package lbone
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -264,16 +263,16 @@ func (s *Server) dispatch(conn *wire.Conn, op string, args []string) bool {
 	case opList:
 		s.stats.Queries.Add(1)
 		err = s.handleQuery(conn, []string{"0", "0", "-", "0"})
-	case opCRegister:
+	case OpCRegister:
 		s.stats.ControlOps.Add(1)
 		err = s.handleCRegister(conn, args)
-	case opCHeartbeat:
+	case OpCHeartbeat:
 		s.stats.ControlOps.Add(1)
 		err = s.handleCHeartbeat(conn, args)
-	case opCDeregister:
+	case OpCDeregister:
 		s.stats.ControlOps.Add(1)
 		err = s.handleCDeregister(conn, args)
-	case opCList:
+	case OpCList:
 		s.stats.ControlOps.Add(1)
 		err = s.handleCList(conn)
 	case opQuit:
@@ -298,28 +297,9 @@ func (s *Server) dispatch(conn *wire.Conn, op string, args []string) bool {
 
 // REGISTER <addr> <name> <site> <lat,lon> <capacity> <maxDurSec>
 func (s *Server) handleRegister(conn *wire.Conn, args []string) error {
-	if len(args) != 6 {
-		return conn.WriteErr(wire.CodeBadRequest, "REGISTER wants 6 fields, got %d", len(args))
-	}
-	loc, err := geo.ParsePoint(args[3])
+	d, err := ParseDepotTokens(args)
 	if err != nil {
-		return conn.WriteErr(wire.CodeBadRequest, "bad location %q", args[3])
-	}
-	capacity, err := wire.ParseInt("capacity", args[4])
-	if err != nil || capacity < 0 {
-		return conn.WriteErr(wire.CodeBadRequest, "bad capacity %q", args[4])
-	}
-	durSec, err := wire.ParseInt("maxduration", args[5])
-	if err != nil || durSec < 0 {
-		return conn.WriteErr(wire.CodeBadRequest, "bad duration %q", args[5])
-	}
-	d := DepotInfo{
-		Addr:        args[0],
-		Name:        args[1],
-		Site:        args[2],
-		Loc:         loc,
-		Capacity:    capacity,
-		MaxDuration: time.Duration(durSec) * time.Second,
+		return conn.WriteErr(wire.CodeBadRequest, "REGISTER: %v", err)
 	}
 	s.mu.Lock()
 	s.reg.Register(d)
@@ -352,33 +332,10 @@ func (s *Server) handleDeregister(conn *wire.Conn, args []string) error {
 
 // QUERY <minCapacity> <minDurSec> <lat,lon|-> <max>
 func (s *Server) handleQuery(conn *wire.Conn, args []string) error {
-	if len(args) != 4 {
-		return conn.WriteErr(wire.CodeBadRequest, "QUERY wants 4 fields, got %d", len(args))
-	}
-	var req Requirements
-	minCap, err := wire.ParseInt("mincapacity", args[0])
+	req, err := ParseQueryArgs(args)
 	if err != nil {
-		return conn.WriteErr(wire.CodeBadRequest, "bad capacity %q", args[0])
+		return conn.WriteErr(wire.CodeBadRequest, "QUERY: %v", err)
 	}
-	req.MinCapacity = minCap
-	durSec, err := wire.ParseInt("minduration", args[1])
-	if err != nil {
-		return conn.WriteErr(wire.CodeBadRequest, "bad duration %q", args[1])
-	}
-	req.MinDuration = time.Duration(durSec) * time.Second
-	if args[2] != "-" {
-		p, err := geo.ParsePoint(args[2])
-		if err != nil {
-			return conn.WriteErr(wire.CodeBadRequest, "bad location %q", args[2])
-		}
-		req.Near = &p
-	}
-	maxN, err := wire.ParseInt("max", args[3])
-	if err != nil || maxN < 0 {
-		return conn.WriteErr(wire.CodeBadRequest, "bad max %q", args[3])
-	}
-	req.Max = int(maxN)
-
 	s.mu.Lock()
 	res := s.reg.Query(req)
 	s.mu.Unlock()
@@ -395,16 +352,49 @@ func (s *Server) handleQuery(conn *wire.Conn, args []string) error {
 	return nil
 }
 
+// ParseQueryArgs parses <minCapacity> <minDurSec> <lat,lon|-> <max>, the
+// argument grammar QUERY and the replicated registry's VQUERY share.
+func ParseQueryArgs(args []string) (Requirements, error) {
+	var req Requirements
+	if len(args) != 4 {
+		return req, fmt.Errorf("lbone: query wants 4 fields, got %d", len(args))
+	}
+	var err error
+	if req.MinCapacity, err = wire.ParseInt("mincapacity", args[0]); err != nil {
+		return req, err
+	}
+	durSec, err := wire.ParseInt("minduration", args[1])
+	if err != nil {
+		return req, err
+	}
+	req.MinDuration = time.Duration(durSec) * time.Second
+	if args[2] != "-" {
+		p, err := geo.ParsePoint(args[2])
+		if err != nil {
+			return req, err
+		}
+		req.Near = &p
+	}
+	maxN, err := wire.ParseInt("max", args[3])
+	if err != nil || maxN < 0 {
+		return req, fmt.Errorf("lbone: bad max %q", args[3])
+	}
+	req.Max = int(maxN)
+	return req, nil
+}
+
 // DepotTokens renders d as the wire tokens of a DEPOT line (without the
 // leading "DEPOT" tag): addr name site loc capacity maxDurSec. Shared by
-// the core QUERY response and the replicated registry's VQUERY (which
-// appends a liveness stamp after these).
+// the core QUERY response and the replicated registry's VREGISTER and
+// VQUERY (which append a liveness stamp after these).
 func DepotTokens(d DepotInfo) []string {
 	return []string{d.Addr, d.Name, d.Site, d.Loc.String(),
 		wire.Itoa(d.Capacity), wire.Itoa(int64(d.MaxDuration.Seconds()))}
 }
 
-// ParseDepotTokens is the inverse of DepotTokens.
+// ParseDepotTokens is the inverse of DepotTokens: the one parser of a
+// depot record, whether it arrives as REGISTER's arguments, VREGISTER's,
+// or a query response line.
 func ParseDepotTokens(toks []string) (DepotInfo, error) {
 	if len(toks) != 6 {
 		return DepotInfo{}, fmt.Errorf("lbone: depot record wants 6 tokens, got %d", len(toks))
@@ -414,12 +404,12 @@ func ParseDepotTokens(toks []string) (DepotInfo, error) {
 		return DepotInfo{}, err
 	}
 	capacity, err := wire.ParseInt("capacity", toks[4])
-	if err != nil {
-		return DepotInfo{}, err
+	if err != nil || capacity < 0 {
+		return DepotInfo{}, fmt.Errorf("lbone: bad capacity %q", toks[4])
 	}
 	durSec, err := wire.ParseInt("maxduration", toks[5])
-	if err != nil {
-		return DepotInfo{}, err
+	if err != nil || durSec < 0 {
+		return DepotInfo{}, fmt.Errorf("lbone: bad duration %q", toks[5])
 	}
 	return DepotInfo{
 		Addr:        toks[0],
@@ -430,26 +420,3 @@ func ParseDepotTokens(toks []string) (DepotInfo, error) {
 		MaxDuration: time.Duration(durSec) * time.Second,
 	}, nil
 }
-
-// readDepotLines parses the n DEPOT lines of a query response; shared with
-// the client.
-func readDepotLines(conn *wire.Conn, n int64) ([]DepotInfo, error) {
-	out := make([]DepotInfo, 0, n)
-	for i := int64(0); i < n; i++ {
-		toks, err := conn.ReadLine()
-		if err != nil {
-			return nil, err
-		}
-		if len(toks) != 7 || toks[0] != "DEPOT" {
-			return nil, fmt.Errorf("lbone: malformed depot line %v", toks)
-		}
-		d, err := ParseDepotTokens(toks[1:])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-var errShortResponse = errors.New("lbone: short response")

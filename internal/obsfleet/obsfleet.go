@@ -38,7 +38,7 @@ import (
 )
 
 // ControlSource lists the fleet's registered control endpoints.
-// *lbone.Client satisfies it.
+// *registry.QuorumClient satisfies it.
 type ControlSource interface {
 	ListControls() ([]lbone.ControlInfo, error)
 }

@@ -109,7 +109,8 @@ func TestObsdFleetSmoke(t *testing.T) {
 	// The control-plane client: real clock and real network, because the
 	// registry replicas and the scrape muxes live on real loopback
 	// sockets. (Only data-plane clients ride faultnet's virtual WAN.)
-	ctl := lbone.NewClient(strings.Join(addrs, ","))
+	ctl := registry.NewQuorumClient(strings.Join(addrs, ","))
+	t.Cleanup(func() { ctl.Close() })
 
 	// announce serves mux on loopback HTTP and self-registers the control
 	// endpoint in the L-Bone, the way every daemon's main() does.

@@ -59,8 +59,9 @@ type QuorumClient struct {
 	view     View
 	haveView bool
 
-	sessions *wire.Pool
-	stats    ClientStats
+	sessions   *wire.Pool
+	announcing sync.WaitGroup // background announce loops (announce.go)
+	stats      ClientStats
 }
 
 // maxIdleSessions caps the sessions parked per replica. An operation
@@ -109,10 +110,12 @@ func NewQuorumClient(addrs string, opts ...QuorumOption) *QuorumClient {
 	return c
 }
 
-// Close drops the parked sessions. The client stays usable — later
-// operations dial and hang up per exchange — so daemons call it last on
-// their shutdown path.
+// Close waits for the client's announce loops to deregister — close their
+// stop channels first — and drops the parked sessions. The client stays
+// usable — later operations dial and hang up per exchange — so daemons
+// call it last on their shutdown path.
 func (c *QuorumClient) Close() error {
+	c.announcing.Wait()
 	c.sessions.Close()
 	return nil
 }
@@ -340,41 +343,35 @@ func (c *QuorumClient) quorum(opName string, op replicaOp) error {
 
 // ---- replicated depot registry ----
 
-// RegisterDepot announces a depot through the quorum, stamping liveness
-// with the client's clock so all replicas install the same LastSeen.
-func (c *QuorumClient) RegisterDepot(d lbone.DepotInfo) error {
-	stamp := wire.Itoa(c.clock.Now().UnixNano())
-	return c.quorum("register", func(conn *wire.Conn, seq int64, _ string) error {
-		toks := append([]string{opVRegister, wire.Itoa(seq)}, lbone.DepotTokens(d)...)
-		toks = append(toks, stamp)
-		if err := conn.WriteLine(toks...); err != nil {
+// ackOp is the replicaOp of a write that is one request line answered by
+// a bare status. The V* verbs carry the view stamp as their first
+// argument; the C* verbs predate views and go out as written.
+func ackOp(stamped bool, verb string, args ...string) replicaOp {
+	return func(conn *wire.Conn, seq int64, _ string) error {
+		line := append(make([]string, 0, 2+len(args)), verb)
+		if stamped {
+			line = append(line, wire.Itoa(seq))
+		}
+		if err := conn.WriteLine(append(line, args...)...); err != nil {
 			return err
 		}
 		_, err := conn.ReadStatus()
 		return err
-	})
+	}
 }
 
-// HeartbeatDepot refreshes a depot's liveness through the quorum.
-func (c *QuorumClient) HeartbeatDepot(addr string) error {
-	return c.quorum("heartbeat", func(conn *wire.Conn, seq int64, _ string) error {
-		if err := conn.WriteLine(opVHeartbeat, wire.Itoa(seq), addr); err != nil {
-			return err
-		}
-		_, err := conn.ReadStatus()
-		return err
-	})
+// RegisterDepot announces a depot through the quorum, stamping liveness
+// with the client's clock so all replicas install the same LastSeen.
+// Registering again is also how a depot refreshes its liveness (there is
+// no quorum heartbeat: a restarted replica would answer it NOT_FOUND).
+func (c *QuorumClient) RegisterDepot(d lbone.DepotInfo) error {
+	stamp := wire.Itoa(c.clock.Now().UnixNano())
+	return c.quorum("register", ackOp(true, opVRegister, append(lbone.DepotTokens(d), stamp)...))
 }
 
 // DeregisterDepot removes a depot through the quorum.
 func (c *QuorumClient) DeregisterDepot(addr string) error {
-	return c.quorum("deregister", func(conn *wire.Conn, seq int64, _ string) error {
-		if err := conn.WriteLine(opVDeregister, wire.Itoa(seq), addr); err != nil {
-			return err
-		}
-		_, err := conn.ReadStatus()
-		return err
-	})
+	return c.quorum("deregister", ackOp(true, opVDeregister, addr))
 }
 
 // Query implements core.DepotSource: a quorum read of the depot table.
@@ -418,36 +415,45 @@ func (c *QuorumClient) queryReplica(conn *wire.Conn, seq int64, req lbone.Requir
 	if err != nil {
 		return nil, err
 	}
+	return readList(conn, "RDEPOT", 7, func(f []string) (lbone.DepotInfo, error) {
+		d, err := lbone.ParseDepotTokens(f[:6])
+		if err != nil {
+			return d, err
+		}
+		nanos, err := wire.ParseInt("lastseen", f[6])
+		d.LastSeen = time.Unix(0, nanos)
+		return d, err
+	})
+}
+
+// readList reads a counted list response: "OK <n>", then n lines of tag
+// followed by exactly fields tokens, which parse turns into one item.
+func readList[T any](conn *wire.Conn, tag string, fields int, parse func(f []string) (T, error)) ([]T, error) {
 	toks, err := conn.ReadStatus()
 	if err != nil {
 		return nil, err
 	}
 	if len(toks) != 1 {
-		return nil, fmt.Errorf("registry: malformed VQUERY status %v", toks)
+		return nil, fmt.Errorf("registry: malformed %s list status %v", tag, toks)
 	}
 	n, err := wire.ParseInt("count", toks[0])
 	if err != nil {
 		return nil, err
 	}
-	out := make([]lbone.DepotInfo, 0, n)
+	out := make([]T, 0, n)
 	for i := int64(0); i < n; i++ {
 		line, err := conn.ReadLine()
 		if err != nil {
 			return nil, err
 		}
-		if len(line) != 8 || line[0] != "RDEPOT" {
-			return nil, fmt.Errorf("registry: malformed depot line %v", line)
+		if len(line) != 1+fields || line[0] != tag {
+			return nil, fmt.Errorf("registry: malformed %s line %v", tag, line)
 		}
-		d, err := lbone.ParseDepotTokens(line[1:7])
+		item, err := parse(line[1:])
 		if err != nil {
 			return nil, err
 		}
-		nanos, err := wire.ParseInt("lastseen", line[7])
-		if err != nil {
-			return nil, err
-		}
-		d.LastSeen = time.Unix(0, nanos)
-		out = append(out, d)
+		out = append(out, item)
 	}
 	return out, nil
 }
@@ -647,37 +653,14 @@ func (c *QuorumClient) listReplica(conn *wire.Conn, seq int64, shard int) ([]Dir
 	if err := conn.WriteLine(opDirList, wire.Itoa(seq), wire.Itoa(int64(shard))); err != nil {
 		return nil, err
 	}
-	toks, err := conn.ReadStatus()
-	if err != nil {
-		return nil, err
-	}
-	if len(toks) != 1 {
-		return nil, fmt.Errorf("registry: malformed DLIST status %v", toks)
-	}
-	n, err := wire.ParseInt("count", toks[0])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]DirEntry, 0, n)
-	for i := int64(0); i < n; i++ {
-		line, err := conn.ReadLine()
+	return readList(conn, "ENTRY", 2, func(f []string) (DirEntry, error) {
+		name, err := wire.Unquote(f[0])
 		if err != nil {
-			return nil, err
+			return DirEntry{}, err
 		}
-		if len(line) != 3 || line[0] != "ENTRY" {
-			return nil, fmt.Errorf("registry: malformed entry line %v", line)
-		}
-		name, err := wire.Unquote(line[1])
-		if err != nil {
-			return nil, err
-		}
-		version, err := wire.ParseInt("version", line[2])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, DirEntry{Name: name, Version: version})
-	}
-	return out, nil
+		version, err := wire.ParseInt("version", f[1])
+		return DirEntry{Name: name, Version: version}, err
+	})
 }
 
 func sortEntries(es []DirEntry) {

@@ -106,19 +106,7 @@ func TestQuorumRegisterAndQuery(t *testing.T) {
 	if len(got) != 1 || got[0].Name != "UTK1" {
 		t.Fatalf("query = %v", got)
 	}
-	// Legacy single-registry verbs still work against any one replica.
-	legacy := lbone.NewClient(addrs[1])
-	all, err := legacy.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 1 {
-		t.Fatalf("legacy list = %d entries", len(all))
-	}
-	// Heartbeat and deregister ride the same quorum.
-	if err := c.HeartbeatDepot(testDepot("UTK1").Addr); err != nil {
-		t.Fatal(err)
-	}
+	// Deregistration rides the same quorum.
 	if err := c.DeregisterDepot(testDepot("UTK1").Addr); err != nil {
 		t.Fatal(err)
 	}

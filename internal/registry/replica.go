@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/lbone"
 	"repro/internal/obs"
 	"repro/internal/vclock"
@@ -20,7 +19,6 @@ import (
 const (
 	opView        = "VIEW"
 	opVRegister   = "VREGISTER"
-	opVHeartbeat  = "VHEARTBEAT"
 	opVDeregister = "VDEREGISTER"
 	opVQuery      = "VQUERY"
 	opDirPut      = "DPUT"
@@ -31,7 +29,7 @@ const (
 // ReplicaStats counts quorum traffic for the registry_* metrics.
 type ReplicaStats struct {
 	ViewRequests atomic.Int64 // VIEW fetches served
-	QuorumWrites atomic.Int64 // VREGISTER+VHEARTBEAT+VDEREGISTER applied
+	QuorumWrites atomic.Int64 // VREGISTER+VDEREGISTER applied
 	QuorumReads  atomic.Int64 // VQUERY resolutions served
 	DirPuts      atomic.Int64 // directory entries written
 	DirGets      atomic.Int64 // directory reads served
@@ -77,13 +75,19 @@ type Replica struct {
 	stats  ReplicaStats
 }
 
-// NewReplica builds a replica for the given static view.
+// NewReplica builds a replica for the given static view. A view with no
+// members is a lone replica: its one member is its own address, which
+// Bind fills in once the server is listening.
 func NewReplica(view View, clock vclock.Clock, logger *slog.Logger) (*Replica, error) {
 	if view.Shards == 0 {
 		view.Shards = DefaultShards
 	}
 	view.Members = NormalizeMembers(view.Members)
-	if err := view.Validate(); err != nil {
+	check := view
+	if len(check.Members) == 0 {
+		check.Members = []string{"self"}
+	}
+	if err := check.Validate(); err != nil {
 		return nil, err
 	}
 	if clock == nil {
@@ -102,10 +106,15 @@ func NewReplica(view View, clock vclock.Clock, logger *slog.Logger) (*Replica, e
 
 // Bind attaches the L-Bone server whose depot table this replica serves.
 // Until bound, quorum verbs answer UNAVAILABLE (the window between
-// ServeRegistry accepting connections and Serve finishing wiring).
+// ServeRegistry accepting connections and Serve finishing wiring). A
+// lone replica learns its one member here: the server's bound address,
+// with a wildcard host rewritten to one peers can dial.
 func (r *Replica) Bind(srv *lbone.Server) {
 	r.mu.Lock()
 	r.srv = srv
+	if len(r.view.Members) == 0 {
+		r.view.Members = []string{lbone.AdvertisedControlAddr(srv.Addr())}
+	}
 	r.mu.Unlock()
 }
 
@@ -149,7 +158,7 @@ func (r *Replica) Reconfigure(v View) error {
 // verbs and leaves everything else to the core dispatch.
 func (r *Replica) Handle(conn *wire.Conn, op string, args []string) (bool, error) {
 	switch op {
-	case opView, opVRegister, opVHeartbeat, opVDeregister, opVQuery,
+	case opView, opVRegister, opVDeregister, opVQuery,
 		opDirPut, opDirGet, opDirList:
 	default:
 		return false, nil
@@ -165,8 +174,6 @@ func (r *Replica) Handle(conn *wire.Conn, op string, args []string) (bool, error
 		return true, r.handleView(conn)
 	case opVRegister:
 		return true, r.handleVRegister(conn, args)
-	case opVHeartbeat:
-		return true, r.handleVHeartbeat(conn, args)
 	case opVDeregister:
 		return true, r.handleVDeregister(conn, args)
 	case opVQuery:
@@ -237,24 +244,6 @@ func (r *Replica) handleVRegister(conn *wire.Conn, args []string) error {
 	return conn.WriteOK()
 }
 
-// VHEARTBEAT <seq> <addr>
-func (r *Replica) handleVHeartbeat(conn *wire.Conn, args []string) error {
-	if len(args) != 2 {
-		return conn.WriteErr(wire.CodeBadRequest, "VHEARTBEAT wants <seq> <addr>")
-	}
-	ok, err := r.checkSeq(conn, args[0])
-	if !ok {
-		return err
-	}
-	r.stats.QuorumWrites.Add(1)
-	var found bool
-	r.srv.WithRegistry(func(reg *lbone.Registry) { found = reg.Heartbeat(args[1]) })
-	if !found {
-		return conn.WriteErr(wire.CodeNotFound, "depot %s not registered", args[1])
-	}
-	return conn.WriteOK()
-}
-
 // VDEREGISTER <seq> <addr>
 func (r *Replica) handleVDeregister(conn *wire.Conn, args []string) error {
 	if len(args) != 2 {
@@ -280,9 +269,9 @@ func (r *Replica) handleVQuery(conn *wire.Conn, args []string) error {
 	if !ok {
 		return err
 	}
-	req, perr := parseQueryArgs(args[1:])
+	req, perr := lbone.ParseQueryArgs(args[1:])
 	if perr != nil {
-		return conn.WriteErr(wire.CodeBadRequest, "%v", perr)
+		return conn.WriteErr(wire.CodeBadRequest, "VQUERY: %v", perr)
 	}
 	r.stats.QuorumReads.Add(1)
 	var res []lbone.DepotInfo
@@ -298,35 +287,6 @@ func (r *Replica) handleVQuery(conn *wire.Conn, args []string) error {
 		}
 	}
 	return nil
-}
-
-// parseQueryArgs parses <minCap> <minDurSec> <lat,lon|-> <max>, the same
-// grammar as the core QUERY verb.
-func parseQueryArgs(args []string) (lbone.Requirements, error) {
-	var req lbone.Requirements
-	minCap, err := wire.ParseInt("mincapacity", args[0])
-	if err != nil {
-		return req, err
-	}
-	req.MinCapacity = minCap
-	durSec, err := wire.ParseInt("minduration", args[1])
-	if err != nil {
-		return req, err
-	}
-	req.MinDuration = time.Duration(durSec) * time.Second
-	if args[2] != "-" {
-		p, err := geo.ParsePoint(args[2])
-		if err != nil {
-			return req, err
-		}
-		req.Near = &p
-	}
-	maxN, err := wire.ParseInt("max", args[3])
-	if err != nil || maxN < 0 {
-		return req, fmt.Errorf("bad max %q", args[3])
-	}
-	req.Max = int(maxN)
-	return req, nil
 }
 
 // DPUT <seq> <shard> <qname> <version> <len>, then the exNode blob.

@@ -11,7 +11,8 @@ import (
 // Config parameterizes one replica of the replicated registry.
 type Config struct {
 	// Members is the static view's replica address list (including this
-	// replica's public address).
+	// replica's public address). Empty means a lone server: a one-member
+	// view of the address Serve binds.
 	Members []string
 	// Seq is the view sequence number (default 1).
 	Seq int64
@@ -27,9 +28,9 @@ type Config struct {
 }
 
 // Serve starts one replica: a full L-Bone server on addr (plain REGISTER
-// / QUERY verbs included, so legacy clients keep working against any
-// single replica) with the quorum verbs mounted on its extension hook.
-// Close the returned server to stop the replica.
+// / QUERY verbs included, DESIGN §9.5) with the quorum verbs mounted on
+// its extension hook. A lone lbone-server is the same thing with a view
+// of one. Close the returned server to stop the replica.
 func Serve(addr string, cfg Config) (*lbone.Server, *Replica, error) {
 	if cfg.Seq == 0 {
 		cfg.Seq = 1
