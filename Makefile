@@ -4,7 +4,7 @@
 # in ibp, depot metric counters, lbone registry, the obs collector, and
 # wire — its Pool and Conn.CheckIdle carry every registry exchange as well
 # as pooled IBP).
-.PHONY: tier1 build vet staticcheck test race bench-module bench bench-check stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
+.PHONY: tier1 build vet staticcheck test race bench-module bench-smoke bench bench-check stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race bench-module
 
@@ -38,6 +38,28 @@ race:
 # API change can break the repo's one benchmark and tier-1 stays green.
 bench-module:
 	cd bench && go vet ./... && go test ./...
+
+# Runs stackbench exactly as the PR driver does — one short untraced run
+# per workload BENCHMARK.json declares — and fails unless each exits 0 and
+# its result (the last stdout line) verified every byte with no failed
+# operation. bench-module only compiles and unit-tests the benchmark; this
+# is the check that the command the driver runs still completes.
+bench-smoke:
+	@for w in bulk_bare small_named degraded_full repair_foreground; do \
+		echo "bench-smoke: $$w"; \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0) \
+			|| { echo "bench-smoke: $$w: exited nonzero"; exit 1; }; \
+		out=$$(printf '%s\n' "$$out" | tail -n 1); \
+		case "$$out" in \
+			*'"correct":true'*) ;; \
+			*) echo "bench-smoke: $$w: result not verified correct: $$out"; exit 1;; \
+		esac; \
+		case "$$out" in \
+			*'"failed":0'[,}]*) ;; \
+			*) echo "bench-smoke: $$w: failed operations: $$out"; exit 1;; \
+		esac; \
+	done
+	@echo "bench-smoke: four workloads ran, verified, 0 failed operations"
 
 # End-to-end transfer benchmarks → BENCH_upload_download.json
 # (ns/op and MB/s per bench; raw bench log stays on stderr), plus the

@@ -75,20 +75,13 @@ func (t *Tools) uploadCodingGroup(name string, data []byte, blocks, parity [][]b
 	if opts.Reliability == "" {
 		opts.Reliability = ibp.Hard
 	}
-	depots := opts.Depots
-	if depots == nil {
-		if t.LBone == nil {
-			return nil, errors.New("core: coded upload needs explicit depots or an L-Bone")
-		}
-		var err error
-		depots, err = t.LBone.Query(lbone.Requirements{MinDuration: opts.Duration, Near: &t.Loc})
-		if err != nil {
-			return nil, discoveryErr("depot discovery", err)
-		}
+	depots, err := t.placementDepots("coded upload", opts.Depots, opts.Duration, nil)
+	if err != nil {
+		return nil, err
 	}
-	if len(depots) == 0 {
-		return nil, errors.New("core: no depots available for coded upload")
-	}
+	// A coded block has one depot and no failover: keep open-circuit depots
+	// for the blocks the healthy ones cannot cover.
+	depots = t.preferHealthy(depots)
 	k, m := len(blocks), len(parity)
 	blockSize := int64(len(blocks[0]))
 	group := codingGroupID(name, 0)

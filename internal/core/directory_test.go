@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/ibp"
 	"repro/internal/lbone"
 	"repro/internal/registry"
+	"repro/internal/vclock"
 )
 
 // Regression: a dead registry must surface as a *detected* discovery
@@ -38,11 +41,10 @@ func TestUploadDeadRegistryIsDetectedFailure(t *testing.T) {
 	}
 }
 
-// The quorum client is a DepotSource and the directory stores exNodes:
-// upload discovers depots through the replica group, publishes the
-// exNode by name, and a different client downloads it by name alone.
-func TestUploadStoreDownloadByNameThroughQuorum(t *testing.T) {
-	// Three registry replicas.
+// quorumFleet brings up three registry replicas and two real depots on
+// loopback, registered through the returned quorum client.
+func quorumFleet(t *testing.T, opts ...registry.QuorumOption) *registry.QuorumClient {
+	t.Helper()
 	addrs := make([]string, 3)
 	reps := make([]*registry.Replica, 3)
 	for i := range addrs {
@@ -61,10 +63,10 @@ func TestUploadStoreDownloadByNameThroughQuorum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	qc := registry.NewQuorumClient(addrs[0]+","+addrs[1]+","+addrs[2],
-		registry.WithTimeouts(time.Second, 5*time.Second))
+	qc := registry.NewQuorumClient(strings.Join(addrs, ","),
+		append([]registry.QuorumOption{registry.WithTimeouts(time.Second, 5*time.Second)}, opts...)...)
+	t.Cleanup(func() { qc.Close() })
 
-	// Two real depots, registered through the quorum.
 	for _, name := range []string{"D1", "D2"} {
 		d, err := depot.Serve("127.0.0.1:0", depot.Config{
 			Secret: []byte("dir-test-" + name), Capacity: 64 << 20,
@@ -81,7 +83,14 @@ func TestUploadStoreDownloadByNameThroughQuorum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return qc
+}
 
+// The quorum client is a DepotSource and the directory stores exNodes:
+// upload discovers depots through the replica group, publishes the
+// exNode by name, and a different client downloads it by name alone.
+func TestUploadStoreDownloadByNameThroughQuorum(t *testing.T) {
+	qc := quorumFleet(t)
 	tl := &Tools{
 		IBP:       ibp.NewClient(),
 		LBone:     qc,
@@ -128,5 +137,51 @@ func TestUploadStoreDownloadByNameThroughQuorum(t *testing.T) {
 	bare := &Tools{IBP: ibp.NewClient()}
 	if _, _, err := bare.LoadExNode("x"); !errors.Is(err, ErrNoDirectory) {
 		t.Fatalf("bare load err = %v", err)
+	}
+}
+
+// The by-name exchange budget, as a count (DESIGN §9.6): inside one
+// snapshot TTL a download by name is one quorum operation — its DGET — and
+// an upload published by name is one — its DPUT; the depot table both of
+// them consult is answered from the client's snapshot. Reading the L-Bone
+// afresh on each call made this 200.
+func TestByNameExchangeBudget(t *testing.T) {
+	// The client's clock stands still: the whole run is inside one TTL.
+	qc := quorumFleet(t, registry.WithClock(vclock.NewVirtual(time.Date(2002, 1, 22, 0, 0, 0, 0, time.UTC))))
+	tl := &Tools{IBP: ibp.NewClient(), LBone: qc, Loc: geo.UTK.Loc, Directory: registry.NewDirectory(qc)}
+	data := payload(4096)
+	put := func(name string, near geo.Point) {
+		t.Helper()
+		x, err := tl.Upload(name, data, UploadOptions{Near: &near})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tl.StoreExNode(name, x, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(name string) {
+		t.Helper()
+		got, _, err := tl.DownloadByName(name, DownloadOptions{})
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("download %s: %d bytes, %v", name, len(got), err)
+		}
+	}
+	put("files/warm", geo.UTK.Loc)
+	get("files/warm")
+
+	st := qc.Stats()
+	ops, hits := st.Ops.Load(), st.SnapshotHits.Load()
+	sites := []geo.Site{geo.UTK, geo.UCSD, geo.Harvard, geo.Turin}
+	for i := 0; i < 50; i++ {
+		name := fmt.Sprintf("files/f%02d", i)
+		put(name, sites[i%len(sites)].Loc)
+		get(name)
+	}
+	if got := st.Ops.Load() - ops; got != 100 {
+		t.Errorf("50 downloads by name + 50 published uploads cost %d quorum operations, want 100 (one DGET or one DPUT each)", got)
+	}
+	if got := st.SnapshotHits.Load() - hits; got != 100 {
+		t.Errorf("snapshot hits = %d, want 100 (one depot-table lookup per operation)", got)
 	}
 }

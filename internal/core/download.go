@@ -12,6 +12,7 @@ import (
 	"repro/internal/exnode"
 	"repro/internal/geo"
 	"repro/internal/integrity"
+	"repro/internal/lbone"
 	"repro/internal/nws"
 	"repro/internal/obs"
 	"repro/internal/sealing"
@@ -256,16 +257,25 @@ func (t *Tools) unsealRange(x *exnode.ExNode, buf []byte, offset int64, opts Dow
 	return plain, nil
 }
 
-// staticDirectoryIfNeeded resolves the L-Bone directory only when static
-// ranking can be consulted.
+// staticDirectoryIfNeeded resolves depot locations through the L-Bone only
+// when static ranking can be consulted. A missing or failing L-Bone yields
+// an empty directory: a download holds its exNode and goes on without
+// proximity.
 func (t *Tools) staticDirectoryIfNeeded(x *exnode.ExNode, opts DownloadOptions) map[string]geo.Point {
-	strat := t.effectiveStrategy(opts.Strategy)
-	if strat == StrategyRandom {
+	if t.effectiveStrategy(opts.Strategy) == StrategyRandom {
 		return nil
 	}
 	out := map[string]geo.Point{}
-	for addr, info := range t.depotDirectory() {
-		out[addr] = info.Loc
+	if t.LBone == nil {
+		return out
+	}
+	depots, err := t.LBone.Query(lbone.Requirements{})
+	if err != nil {
+		t.logf("core: lbone query failed: %v", err)
+		return out
+	}
+	for _, d := range depots {
+		out[d.Addr] = d.Loc
 	}
 	return out
 }

@@ -142,3 +142,55 @@ func TestUploadPlacementAvoidsOpenCircuit(t *testing.T) {
 		}
 	}
 }
+
+// Coded uploads and third-party augment place each block on exactly one
+// depot, with no failover behind it — so they most of all must keep off a
+// depot whose circuit is open while healthy ones can take the block.
+func TestCodedAndThirdPartyPlacementAvoidOpenCircuit(t *testing.T) {
+	e := newEnv(t)
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	for i, n := range names {
+		e.addDepot(n, geo.KnownSites()[i], nil)
+	}
+	sb := health.New(health.Config{
+		FailureThreshold: 1,
+		BaseBackoff:      10 * time.Minute,
+		Clock:            e.clk,
+		Seed:             1,
+	})
+	tl := e.healthTools(geo.UTK, sb)
+	aAddr := e.depots["a"].Addr()
+	sb.Report(aAddr, health.Timeout, 2*time.Second)
+	if st, _ := sb.State(aAddr); st != health.StateOpen {
+		t.Fatalf("state = %v, want open", st)
+	}
+
+	data := payload(96 << 10)
+	x, err := tl.UploadRS("coded.dat", data, CodedOptions{
+		DataBlocks: 3, ParityBlocks: 2, Depots: e.infosFor(names...),
+	})
+	if err != nil {
+		t.Fatalf("RS 3+2 over six depots, one circuit open: %v", err)
+	}
+	used := map[string]bool{}
+	for _, m := range x.Mappings {
+		used[m.Depot] = true
+	}
+	if len(used) != 5 || used["a"] {
+		t.Fatalf("blocks placed on %v, want one on each of the five healthy depots", used)
+	}
+
+	src, err := tl.Upload("plain.dat", data, UploadOptions{Fragments: 2, Depots: e.infosFor("b", "c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aug, err := tl.Augment(src, AugmentOptions{ThirdParty: true, Depots: e.infosFor("a", "d", "e")})
+	if err != nil {
+		t.Fatalf("third-party augment with the first target's circuit open: %v", err)
+	}
+	for _, m := range aug.ReplicaMappings(1) {
+		if m.Depot == "a" {
+			t.Fatalf("copy target %s has an open circuit", m.Depot)
+		}
+	}
+}

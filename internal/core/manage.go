@@ -163,24 +163,11 @@ func (t *Tools) augmentThirdParty(x *exnode.ExNode, opts AugmentOptions) (*exnod
 	if duration <= 0 {
 		duration = DefaultDuration
 	}
-	targets := opts.Depots
-	if targets == nil {
-		if t.LBone == nil {
-			return nil, errors.New("core: third-party augment needs explicit depots or an L-Bone")
-		}
-		near := opts.Near
-		if near == nil {
-			near = &t.Loc
-		}
-		var err error
-		targets, err = t.LBone.Query(lbone.Requirements{MinDuration: duration, Near: near})
-		if err != nil {
-			return nil, discoveryErr("depot discovery", err)
-		}
+	targets, err := t.placementDepots("third-party augment", opts.Depots, duration, opts.Near)
+	if err != nil {
+		return nil, err
 	}
-	if len(targets) == 0 {
-		return nil, errors.New("core: no depots available for third-party augment")
-	}
+	targets = t.preferHealthy(targets) // a copy target has no failover either
 	source, err := t.pickAvailableReplica(x)
 	if err != nil {
 		return nil, fmt.Errorf("core: third-party augment: %w", err)

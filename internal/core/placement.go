@@ -1,11 +1,40 @@
 package core
 
 import (
+	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/exnode"
+	"repro/internal/geo"
 	"repro/internal/lbone"
 )
+
+// placementDepots returns the depots op may place new data on: the
+// caller's explicit list when it gave one, else the L-Bone's depots that
+// grant duration, nearest first to near (default: the client's own
+// location). An L-Bone that cannot answer is a classified discovery error,
+// never an empty list.
+func (t *Tools) placementDepots(op string, explicit []lbone.DepotInfo, duration time.Duration, near *geo.Point) ([]lbone.DepotInfo, error) {
+	depots := explicit
+	if depots == nil {
+		if t.LBone == nil {
+			return nil, fmt.Errorf("core: %s needs explicit depots or an L-Bone", op)
+		}
+		if near == nil {
+			near = &t.Loc
+		}
+		var err error
+		depots, err = t.LBone.Query(lbone.Requirements{MinDuration: duration, Near: near})
+		if err != nil {
+			return nil, discoveryErr("depot discovery", err)
+		}
+	}
+	if len(depots) == 0 {
+		return nil, fmt.Errorf("core: no depots available for %s", op)
+	}
+	return depots, nil
+}
 
 // Placement selects the depot-assignment policy for uploads — a first
 // concrete instance of the replication-strategy research the paper

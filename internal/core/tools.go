@@ -136,24 +136,6 @@ func (t *Tools) preferHealthy(depots []lbone.DepotInfo) []lbone.DepotInfo {
 	return append(healthy, blocked...)
 }
 
-// depotDirectory returns the current L-Bone view keyed by depot address,
-// for static proximity ranking. Missing L-Bone yields an empty directory.
-func (t *Tools) depotDirectory() map[string]lbone.DepotInfo {
-	out := map[string]lbone.DepotInfo{}
-	if t.LBone == nil {
-		return out
-	}
-	depots, err := t.LBone.Query(lbone.Requirements{})
-	if err != nil {
-		t.logf("core: lbone query failed: %v", err)
-		return out
-	}
-	for _, d := range depots {
-		out[d.Addr] = d
-	}
-	return out
-}
-
 // DefaultDuration is the allocation lifetime used when options leave it
 // zero (the paper's tests allocated for days and refreshed).
 const DefaultDuration = 10 * 24 * time.Hour

@@ -87,31 +87,14 @@ func (t *Tools) Upload(name string, data []byte, opts UploadOptions) (*exnode.Ex
 	if opts.Reliability == "" {
 		opts.Reliability = ibp.Hard
 	}
-	depots := opts.Depots
-	if depots == nil {
-		if t.LBone == nil {
-			return nil, errors.New("core: upload needs explicit depots or an L-Bone")
-		}
-		near := opts.Near
-		if near == nil {
-			near = &t.Loc
-		}
-		var err error
-		depots, err = t.LBone.Query(lbone.Requirements{
-			MinDuration: opts.Duration,
-			Near:        near,
-		})
-		if err != nil {
-			return nil, discoveryErr("depot discovery", err)
-		}
-	}
-	if len(depots) == 0 {
-		return nil, errors.New("core: no depots available for upload")
+	depots, err := t.placementDepots("upload", opts.Depots, opts.Duration, opts.Near)
+	if err != nil {
+		return nil, err
 	}
 
 	x := exnode.New(name, int64(len(data)))
 	x.Created = t.clock().Now()
-	data, err := t.sealIfRequested(x, data, opts.EncryptionKey)
+	data, err = t.sealIfRequested(x, data, opts.EncryptionKey)
 	if err != nil {
 		return nil, err
 	}

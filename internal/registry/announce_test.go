@@ -31,8 +31,12 @@ func TestDepotReappearsAfterRegistryRestart(t *testing.T) {
 	depot := NewQuorumClient(addr, WithClock(clk), WithTimeouts(time.Second, 2*time.Second))
 	reader := NewQuorumClient(addr, WithClock(clk), WithTimeouts(time.Second, 2*time.Second))
 	defer reader.Close()
+	// The reader is a second client: what the depot's client writes reaches
+	// it when its depot-table snapshot expires, so every look is taken one
+	// snapshot TTL after the last.
 	listed := func() int {
 		t.Helper()
+		clk.Advance(depotSnapshotTTL)
 		got, err := reader.Query(lbone.Requirements{})
 		if err != nil {
 			t.Fatal(err)

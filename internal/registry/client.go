@@ -28,6 +28,7 @@ type ClientStats struct {
 	Repairs      atomic.Int64 // read-repair writes pushed to lagging replicas
 	Dials        atomic.Int64 // connections dialed to replicas (attempts, failed ones included)
 	Reused       atomic.Int64 // exchanges that rode a parked session instead of a dial
+	SnapshotHits atomic.Int64 // Query calls answered from the depot-table snapshot (no quorum op ran)
 }
 
 // QuorumClient drives majority-quorum operations against a replicated
@@ -39,12 +40,14 @@ type ClientStats struct {
 // shutdown.
 //
 // Writes go to every member and need a strict majority of acks; reads
-// need a strict majority of answers and merge the freshest. A STALE_VIEW
-// rejection refreshes the cached view (highest sequence any reachable
-// replica reports) and retries the operation once. Fewer than a majority
-// of answers is ErrMajorityLost — a *detected* failure (DESIGN §9): the
-// client fails fast rather than serving a minority's possibly-stale
-// world view.
+// need a strict majority of answers and merge the freshest. The merged
+// depot table is kept for depotSnapshotTTL and answers Query in that
+// window (see depotSnapshot); every other read visits the replicas. A
+// STALE_VIEW rejection refreshes the cached view (highest sequence any
+// reachable replica reports) and retries the operation once. Fewer than a
+// majority of answers is ErrMajorityLost — a *detected* failure (DESIGN
+// §9): the client fails fast rather than serving a minority's
+// possibly-stale world view.
 type QuorumClient struct {
 	seeds       []string
 	dialer      netx.Dialer
@@ -55,13 +58,35 @@ type QuorumClient struct {
 	// (the replica-health SLI feed).
 	observer func(replica string, ok bool)
 
-	mu       sync.Mutex
-	view     View
-	haveView bool
+	mu          sync.Mutex
+	view        View
+	haveView    bool
+	snapshot    *depotSnapshot // nil: the next Query reads a majority
+	snapshotGen int64          // bumped by every invalidation
 
 	sessions   *wire.Pool
 	announcing sync.WaitGroup // background announce loops (announce.go)
 	stats      ClientStats
+}
+
+// depotSnapshotTTL is how long Query answers from the last majority read
+// of the depot table. Which depots exist moves on the depots' announce
+// interval (a minute by default, this is a sixtieth of it) and the
+// servers' five-minute liveness window, so a second adds nothing a reader
+// of that table could not already see — and a constant, not an option:
+// every caller in the repo wants the same answer.
+const depotSnapshotTTL = time.Second
+
+// depotSnapshot is one majority-merged depot table and the client-clock
+// time its read began. The table is frozen once published — Query only
+// reads it, and lbone.Registry.Query returns a fresh slice per call — so
+// any number of callers may use it without a lock. It is dropped by the
+// client's own RegisterDepot/DeregisterDepot (read-your-writes), by a view
+// change, and by a refresh that misses its majority; it is never served
+// once depotSnapshotTTL old.
+type depotSnapshot struct {
+	table *lbone.Registry
+	read  time.Time
 }
 
 // maxIdleSessions caps the sessions parked per replica. An operation
@@ -262,6 +287,9 @@ func (c *QuorumClient) RefreshView() (View, error) {
 	}
 	c.mu.Lock()
 	if !c.haveView || best.Seq >= c.view.Seq {
+		if c.haveView && best.Seq != c.view.Seq {
+			c.dropSnapshotLocked() // another view's table
+		}
 		c.view, c.haveView = best, true
 	}
 	best = c.view
@@ -365,26 +393,51 @@ func ackOp(stamped bool, verb string, args ...string) replicaOp {
 // Registering again is also how a depot refreshes its liveness (there is
 // no quorum heartbeat: a restarted replica would answer it NOT_FOUND).
 func (c *QuorumClient) RegisterDepot(d lbone.DepotInfo) error {
+	defer c.dropSnapshot() // even a failed write may have reached a replica
 	stamp := wire.Itoa(c.clock.Now().UnixNano())
 	return c.quorum("register", ackOp(true, opVRegister, append(lbone.DepotTokens(d), stamp)...))
 }
 
 // DeregisterDepot removes a depot through the quorum.
 func (c *QuorumClient) DeregisterDepot(addr string) error {
+	defer c.dropSnapshot()
 	return c.quorum("deregister", ackOp(true, opVDeregister, addr))
 }
 
-// Query implements core.DepotSource: a quorum read of the depot table.
-// Each answering replica returns its live view; the merge keeps the
-// freshest record per depot address, then re-applies the requirements so
-// ordering and Max are computed over the merged set.
+func (c *QuorumClient) dropSnapshot() {
+	c.mu.Lock()
+	c.dropSnapshotLocked()
+	c.mu.Unlock()
+}
+
+// dropSnapshotLocked discards the snapshot and, by moving the generation,
+// any table a Query in flight read before this point.
+func (c *QuorumClient) dropSnapshotLocked() {
+	c.snapshot = nil
+	c.snapshotGen++
+}
+
+// Query implements core.DepotSource. Within depotSnapshotTTL of a majority
+// read it filters, orders and caps that read's table locally — no
+// exchange, no quorum operation, counted in SnapshotHits. Otherwise it
+// reads the whole table from a majority (each answering replica returns
+// its live entries; the merge keeps the freshest record per depot
+// address), answers from the merge, and keeps it as the next snapshot. A
+// read that misses its majority returns the detected error and leaves no
+// snapshot behind.
 func (c *QuorumClient) Query(req lbone.Requirements) ([]lbone.DepotInfo, error) {
+	now := c.clock.Now()
+	c.mu.Lock()
+	snap, gen := c.snapshot, c.snapshotGen
+	c.mu.Unlock()
+	if snap != nil && now.Sub(snap.read) < depotSnapshotTTL {
+		c.stats.SnapshotHits.Add(1)
+		return snap.table.Query(req), nil
+	}
 	merged := lbone.NewRegistryClock(0, c.clock)
 	var mu sync.Mutex
-	perReplica := req
-	perReplica.Max = 0 // Max applies after the merge, not per replica
 	err := c.quorum("query", func(conn *wire.Conn, seq int64, _ string) error {
-		depots, err := c.queryReplica(conn, seq, perReplica)
+		depots, err := queryReplica(conn, seq)
 		if err != nil {
 			return err
 		}
@@ -395,24 +448,24 @@ func (c *QuorumClient) Query(req lbone.Requirements) ([]lbone.DepotInfo, error) 
 		mu.Unlock()
 		return nil
 	})
+	c.mu.Lock()
+	if err != nil {
+		c.snapshot = nil
+	} else if c.snapshotGen == gen { // else invalidated while we read: answer once, keep nothing
+		c.snapshot = &depotSnapshot{table: merged, read: now}
+	}
+	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	return merged.Query(req), nil
 }
 
-// queryReplica runs one VQUERY exchange.
-func (c *QuorumClient) queryReplica(conn *wire.Conn, seq int64, req lbone.Requirements) ([]lbone.DepotInfo, error) {
-	near := "-"
-	if req.Near != nil {
-		near = req.Near.String()
-	}
-	err := conn.WriteLine(opVQuery, wire.Itoa(seq),
-		wire.Itoa(req.MinCapacity),
-		wire.Itoa(int64(req.MinDuration.Seconds())),
-		near,
-		wire.Itoa(int64(req.Max)))
-	if err != nil {
+// queryReplica runs one VQUERY exchange for the replica's whole live
+// table: requirements are applied to the merge, so one read answers every
+// Requirements a caller brings within the snapshot's lifetime.
+func queryReplica(conn *wire.Conn, seq int64) ([]lbone.DepotInfo, error) {
+	if err := conn.WriteLine(opVQuery, wire.Itoa(seq), "0", "0", "-", "0"); err != nil {
 		return nil, err
 	}
 	return readList(conn, "RDEPOT", 7, func(f []string) (lbone.DepotInfo, error) {

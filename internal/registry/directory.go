@@ -68,5 +68,6 @@ func (c *QuorumClient) Metrics() []obs.Metric {
 		counter("registry_client_repairs_total", "Read-repair writes pushed to lagging replicas.", c.stats.Repairs.Load()),
 		counter("registry_client_dials_total", "Connections dialed to replicas, failed dials included.", c.stats.Dials.Load()),
 		counter("registry_client_conn_reused_total", "Replica exchanges that rode a parked session.", c.stats.Reused.Load()),
+		counter("registry_client_query_snapshot_hits_total", "Depot queries answered from the depot-table snapshot, no quorum operation.", c.stats.SnapshotHits.Load()),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/lbone"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -84,22 +85,30 @@ func TestLoneServerIsAOneMemberView(t *testing.T) {
 
 // DESIGN §9.3, detected row: no registry reachable at all. A dead lone
 // server is lbone.ErrNoRegistry, classified detected, within one dial
-// timeout — whether the client never learned the view or learned it and
-// then lost the server.
+// timeout. A client that never learned the view says so at once; one that
+// read the depot table and then lost the server says so as soon as that
+// read's snapshot has expired (inside the TTL the read still answers:
+// tolerated).
 func TestDeadLoneServerIsDetected(t *testing.T) {
 	srv, _, err := Serve("127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := quorumClient([]string{srv.Addr()})
+	const dialTimeout = 300 * time.Millisecond
+	clk := vclock.NewVirtual(time.Date(2002, 1, 22, 0, 0, 0, 0, time.UTC))
+	warm := NewQuorumClient(srv.Addr(), WithClock(clk), WithTimeouts(dialTimeout, 2*time.Second))
 	defer warm.Close()
 	if _, err := warm.Query(lbone.Requirements{}); err != nil {
 		t.Fatal(err)
 	}
-	cold := quorumClient([]string{srv.Addr()})
+	cold := quorumClient([]string{srv.Addr()}) // same timeouts
 	srv.Close()
 
-	const dialTimeout = 300 * time.Millisecond // quorumClient's
+	clk.Advance(depotSnapshotTTL - time.Nanosecond)
+	if _, err := warm.Query(lbone.Requirements{}); Classify(err) != ClassTolerated {
+		t.Errorf("lost the server, inside the snapshot TTL: %v, want the warm read's answer", err)
+	}
+	clk.Advance(time.Nanosecond)
 	for name, c := range map[string]*QuorumClient{"never saw the view": cold, "lost the server": warm} {
 		begin := time.Now()
 		_, err := c.Query(lbone.Requirements{})

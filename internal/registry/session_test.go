@@ -31,7 +31,10 @@ func (d *countingDialer) Dial(network, addr string, timeout time.Duration) (net.
 func TestSessionsReusedAcrossOperations(t *testing.T) {
 	_, _, addrs := startGroup(t, 3)
 	dialer := &countingDialer{}
-	c := NewQuorumClient(strings.Join(addrs, ","), WithDialer(dialer),
+	// A clock that stands still: every query after the first falls inside
+	// the depot-table snapshot's TTL, however slowly the test runs.
+	clk := vclock.NewVirtual(time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC))
+	c := NewQuorumClient(strings.Join(addrs, ","), WithDialer(dialer), WithClock(clk),
 		WithTimeouts(300*time.Millisecond, 2*time.Second))
 	defer c.Close()
 
@@ -62,9 +65,14 @@ func TestSessionsReusedAcrossOperations(t *testing.T) {
 	if st.Dials.Load() != dialer.n.Load() {
 		t.Fatalf("Dials = %d, dialer saw %d", st.Dials.Load(), dialer.n.Load())
 	}
-	// 101 quorum ops and one view fetch, three exchanges each, three of
+	// Of the 33 queries the first reads a majority and the other 32 are
+	// answered from its snapshot: 1 register + 33 puts + 34 gets + 1 query
+	// = 69 quorum ops, and one view fetch, three exchanges each, three of
 	// them on fresh dials.
-	if want := int64(3*102 - 3); st.Reused.Load() != want {
+	if st.Ops.Load() != 69 || st.SnapshotHits.Load() != 32 {
+		t.Fatalf("Ops = %d, SnapshotHits = %d, want 69 and 32", st.Ops.Load(), st.SnapshotHits.Load())
+	}
+	if want := int64(3*70 - 3); st.Reused.Load() != want {
 		t.Fatalf("Reused = %d, want %d", st.Reused.Load(), want)
 	}
 	if st.ReplicaFails.Load() != 0 {
@@ -108,6 +116,9 @@ registry_client_dials_total 3
 # HELP registry_client_conn_reused_total Replica exchanges that rode a parked session.
 # TYPE registry_client_conn_reused_total counter
 registry_client_conn_reused_total 3
+# HELP registry_client_query_snapshot_hits_total Depot queries answered from the depot-table snapshot, no quorum operation.
+# TYPE registry_client_query_snapshot_hits_total counter
+registry_client_query_snapshot_hits_total 0
 `
 	if b.String() != want {
 		t.Errorf("client exposition drifted.\ngot:\n%s\nwant:\n%s", b.String(), want)
