@@ -4,7 +4,7 @@
 # in ibp, depot metric counters, lbone registry, the obs collector, and
 # wire — its Pool and Conn.CheckIdle carry every registry exchange as well
 # as pooled IBP).
-.PHONY: tier1 build vet staticcheck test race bench-module bench-smoke bench bench-check stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
+.PHONY: tier1 build vet staticcheck test race bench-module bench-smoke stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race bench-module
 
@@ -60,46 +60,6 @@ bench-smoke:
 		esac; \
 	done
 	@echo "bench-smoke: four workloads ran, verified, 0 failed operations"
-
-# End-to-end transfer benchmarks → BENCH_upload_download.json
-# (ns/op and MB/s per bench; raw bench log stays on stderr), plus the
-# hedged-vs-unhedged slow-depot comparison → BENCH_transfer.json
-# (simulated p50/p99 seconds per download with and without hedging; a
-# fixed iteration count keeps the percentiles comparable across runs),
-# plus the pack-engine small-object latency curve → BENCH_smallobject.json
-# (p50/p99 store and load ns at 10k/100k/1M live allocations; the fixed
-# iteration count keeps the percentile estimators comparable).
-#
-# The upload/download run is also gated against the committed baseline:
-# benchjson -check fails (and the mv is skipped, preserving the baseline)
-# if download allocs/op regressed more than 20%. New output lands in .tmp
-# first — a shell '>' straight onto the baseline would truncate it before
-# benchjson gets to read it.
-bench:
-	go test -run '^$$' -bench 'BenchmarkUploadDownload|BenchmarkIBPRoundTrip' -benchmem . \
-		| go run ./cmd/benchjson \
-			-check BENCH_upload_download.json -name UploadDownload/download \
-			-metric allocs_per_op -max-regress 0.20 \
-			> BENCH_upload_download.json.tmp \
-		&& mv BENCH_upload_download.json.tmp BENCH_upload_download.json
-	@echo "wrote BENCH_upload_download.json"
-	go test -run '^$$' -bench 'BenchmarkTransferSlowDepot' -benchtime 20x . \
-		| go run ./cmd/benchjson > BENCH_transfer.json
-	@echo "wrote BENCH_transfer.json"
-	go test -run '^$$' -bench 'BenchmarkSmallObject' -benchtime 20000x -count=3 . \
-		| go run ./cmd/benchjson > BENCH_smallobject.json
-	@echo "wrote BENCH_smallobject.json"
-
-# Allocation regression gate only, without rewriting any baseline: a short
-# download run compared against the committed BENCH_upload_download.json.
-# allocs/op is a deterministic count at steady state, so a small -benchtime
-# is enough; CI runs this on every push.
-bench-check:
-	go test -run '^$$' -bench 'BenchmarkUploadDownload/download' -benchmem -benchtime 20x . \
-		| go run ./cmd/benchjson \
-			-check BENCH_upload_download.json -name UploadDownload/download \
-			-metric allocs_per_op -max-regress 0.20 \
-			> /dev/null
 
 # Availability-study smoke: a 24h virtual-clock stackmon simulation over
 # faultnet (finishes in seconds of wall time) with two scripted outages,

@@ -68,7 +68,7 @@ func (t *Tools) UploadXOR(name string, data []byte, opts CodedOptions) (*exnode.
 	return t.uploadCodingGroup(name, data, blocks, [][]byte{parity}, exnode.FuncRSData, exnode.FuncParity, opts)
 }
 
-func (t *Tools) uploadCodingGroup(name string, data []byte, blocks, parity [][]byte, dataFn, parityFn exnode.Function, opts CodedOptions) (*exnode.ExNode, error) {
+func (t *Tools) uploadCodingGroup(name string, data []byte, blocks, parity [][]byte, dataFn, parityFn exnode.Function, opts CodedOptions) (_ *exnode.ExNode, err error) {
 	if opts.Duration <= 0 {
 		opts.Duration = DefaultDuration
 	}
@@ -88,14 +88,22 @@ func (t *Tools) uploadCodingGroup(name string, data []byte, blocks, parity [][]b
 	x := exnode.New(name, int64(len(data)))
 	x.Created = t.clock().Now()
 	all := append(append([][]byte{}, blocks...), parity...)
+	// Any error below fails the whole group, and every allocation made so
+	// far — the failing block's included — goes back to its depot.
+	var created []ibp.Cap
+	defer func() {
+		if err != nil {
+			t.release("coded upload", created)
+		}
+	}()
 	for i, blk := range all {
 		depot := depots[i%len(depots)]
 		set, err := t.IBP.Allocate(depot.Addr, blockSize, opts.Duration, opts.Reliability)
 		if err != nil {
 			return nil, fmt.Errorf("core: coded upload block %d on %s: %w", i, depot.Name, err)
 		}
+		created = append(created, set.Manage)
 		if _, err := t.IBP.Store(set.Write, blk); err != nil {
-			t.IBP.Delete(set.Manage)
 			return nil, fmt.Errorf("core: coded upload block %d on %s: %w", i, depot.Name, err)
 		}
 		fn := dataFn

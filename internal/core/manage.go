@@ -182,16 +182,10 @@ func (t *Tools) augmentThirdParty(x *exnode.ExNode, opts AugmentOptions) (*exnod
 	}
 	now := t.clock().Now()
 	// Every allocation made across the r/j loops, so a mid-loop failure
-	// can release all of them — not just the one that failed. The depots
-	// would eventually reap the orphans at expiry, but a repair daemon
-	// retrying a flaky augment would leak capacity for days at a time.
+	// can release all of them — not just the one that failed.
 	var created []ibp.Cap
 	abort := func(err error) (*exnode.ExNode, error) {
-		for _, c := range created {
-			if _, derr := t.IBP.Delete(c); derr != nil {
-				t.logf("core: third-party augment: releasing %s: %v", c.Addr, derr)
-			}
-		}
+		t.release("third-party augment", created)
 		return nil, err
 	}
 	for r := 0; r < opts.Replicas; r++ {

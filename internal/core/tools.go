@@ -110,6 +110,23 @@ func (t *Tools) logf(format string, args ...any) {
 	}
 }
 
+// release deletes the allocations a failed multi-block operation already
+// made, so depots are not left holding bytes nothing references until the
+// leases run out (a repair daemon retrying a flaky operation would leak
+// capacity for days at a time). Best effort: a depot that cannot be reached
+// reaps the orphan at expiry. It returns how many were deleted.
+func (t *Tools) release(op string, caps []ibp.Cap) int {
+	n := 0
+	for _, c := range caps {
+		if _, err := t.IBP.Delete(c); err != nil {
+			t.logf("core: %s: releasing %s: %v", op, c.Addr, err)
+		} else {
+			n++
+		}
+	}
+	return n
+}
+
 // healthBlocked reports whether requests to addr would currently fail fast
 // at the IBP layer because the depot's circuit is open. Without a
 // scoreboard nothing is ever blocked.

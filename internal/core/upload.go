@@ -229,16 +229,13 @@ func (t *Tools) Upload(name string, data []byte, opts UploadOptions) (*exnode.Ex
 	if firstErr != nil {
 		// The upload failed: reclaim every allocation that did succeed so
 		// depots are not left holding fragments nothing references.
+		var stored []ibp.Cap
 		for _, m := range results {
-			if m == nil {
-				continue
-			}
-			if _, err := t.IBP.Delete(m.Manage); err != nil {
-				t.logf("core: upload %q: cleanup of %s: %v", name, m.Manage.Addr, err)
-			} else {
-				rep.Cleaned++
+			if m != nil {
+				stored = append(stored, m.Manage)
 			}
 		}
+		rep.Cleaned += t.release("upload", stored)
 		rep.Duration = t.clock().Since(t0)
 		rep.Bytes = int64(len(data))
 		return nil, firstErr
@@ -337,7 +334,7 @@ type FragmentSpec struct {
 type Layout [][]FragmentSpec
 
 // UploadLayout stores data according to an explicit layout.
-func (t *Tools) UploadLayout(name string, data []byte, layout Layout, opts UploadOptions) (*exnode.ExNode, error) {
+func (t *Tools) UploadLayout(name string, data []byte, layout Layout, opts UploadOptions) (_ *exnode.ExNode, err error) {
 	if opts.Duration <= 0 {
 		opts.Duration = DefaultDuration
 	}
@@ -346,10 +343,18 @@ func (t *Tools) UploadLayout(name string, data []byte, layout Layout, opts Uploa
 	}
 	x := exnode.New(name, int64(len(data)))
 	x.Created = t.clock().Now()
-	data, err := t.sealIfRequested(x, data, opts.EncryptionKey)
+	data, err = t.sealIfRequested(x, data, opts.EncryptionKey)
 	if err != nil {
 		return nil, err
 	}
+	// A layout names one depot per fragment, so there is no failover: any
+	// error below fails the upload, and what it already stored goes back.
+	var stored []ibp.Cap
+	defer func() {
+		if err != nil {
+			t.release("layout upload", stored)
+		}
+	}()
 	for r, frags := range layout {
 		for _, f := range frags {
 			ext := exnode.Extent{Start: f.Offset, End: f.Offset + f.Length}
@@ -361,6 +366,7 @@ func (t *Tools) UploadLayout(name string, data []byte, layout Layout, opts Uploa
 			if err != nil {
 				return nil, err
 			}
+			stored = append(stored, m.Manage)
 			x.Add(m)
 		}
 	}

@@ -170,3 +170,51 @@ func TestDownloadReportTimeline(t *testing.T) {
 		t.Fatalf("timeline text:\n%s", rep.Timeline())
 	}
 }
+
+// TestCodedAndLayoutUploadsReclaimOnFailure is the same audit for the two
+// upload paths that place each block on exactly one depot: when a later
+// block cannot be stored, the blocks already stored must be deleted, not
+// left on the surviving depots until their leases run out.
+func TestCodedAndLayoutUploadsReclaimOnFailure(t *testing.T) {
+	e := newEnv(t)
+	names := []string{"D0", "D1", "D2", "D3", "D4"}
+	for _, n := range names {
+		e.addDepot(n, geo.UTK, nil)
+	}
+	tl := e.tools(geo.UTK, false)
+	requireEmpty := func(what, closed string) {
+		t.Helper()
+		for _, n := range names {
+			if n == closed {
+				continue
+			}
+			if c := e.depots[n].AllocationCount(); c != 0 {
+				t.Errorf("%s: depot %s holds %d leaked allocations", what, n, c)
+			}
+		}
+	}
+
+	// A three-fragment layout whose last depot is closed.
+	e.depots["D4"].Close()
+	infos := e.infosFor("D0", "D1", "D4")
+	layout := Layout{{
+		{Depot: infos[0], Offset: 0, Length: 10 << 10},
+		{Depot: infos[1], Offset: 10 << 10, Length: 10 << 10},
+		{Depot: infos[2], Offset: 20 << 10, Length: 10 << 10},
+	}}
+	if _, err := tl.UploadLayout("l", payload(30<<10), layout, UploadOptions{}); err == nil {
+		t.Fatal("layout upload onto a closed depot should fail")
+	}
+	requireEmpty("layout", "D4")
+
+	// RS 3+2 over five depots with the fourth closed: blocks 0-2 land, block
+	// 3 has nowhere to go (a coded block has one depot and no failover).
+	e.depots["D3"].Close()
+	_, err := tl.UploadRS("c", payload(30<<10), CodedOptions{
+		DataBlocks: 3, ParityBlocks: 2, Depots: e.infosFor(names...),
+	})
+	if err == nil {
+		t.Fatal("coded upload onto a closed depot should fail")
+	}
+	requireEmpty("coded", "D3")
+}

@@ -11,17 +11,17 @@ func TestGFFieldAxioms(t *testing.T) {
 	// Exhaustive checks of the small-field structure.
 	for a := 0; a < 256; a++ {
 		x := byte(a)
-		if Mul(x, 1) != x {
+		if mul(x, 1) != x {
 			t.Fatalf("%d * 1 != %d", a, a)
 		}
-		if Mul(x, 0) != 0 {
+		if mul(x, 0) != 0 {
 			t.Fatalf("%d * 0 != 0", a)
 		}
 		if Add(x, x) != 0 {
 			t.Fatalf("%d + %d != 0 (char 2)", a, a)
 		}
 		if a != 0 {
-			if Mul(x, Inv(x)) != 1 {
+			if mul(x, Inv(x)) != 1 {
 				t.Fatalf("%d * inv(%d) != 1", a, a)
 			}
 			if Div(x, x) != 1 {
@@ -34,13 +34,13 @@ func TestGFFieldAxioms(t *testing.T) {
 		for b := 0; b < 256; b += 11 {
 			for c := 0; c < 256; c += 13 {
 				x, y, z := byte(a), byte(b), byte(c)
-				if Mul(x, y) != Mul(y, x) {
+				if mul(x, y) != mul(y, x) {
 					t.Fatal("multiplication not commutative")
 				}
-				if Mul(Mul(x, y), z) != Mul(x, Mul(y, z)) {
+				if mul(mul(x, y), z) != mul(x, mul(y, z)) {
 					t.Fatal("multiplication not associative")
 				}
-				if Mul(x, Add(y, z)) != Add(Mul(x, y), Mul(x, z)) {
+				if mul(x, Add(y, z)) != Add(mul(x, y), mul(x, z)) {
 					t.Fatal("distributivity fails")
 				}
 			}

@@ -13,7 +13,7 @@ const gfPoly = 0x11D
 
 // Log/antilog tables for GF(2^8).
 var (
-	gfExp [512]byte // doubled to avoid mod-255 in Mul
+	gfExp [512]byte // doubled to avoid mod-255 in mul
 	gfLog [256]byte
 )
 
@@ -35,8 +35,8 @@ func init() {
 // Add returns a+b in GF(2^8) (XOR; identical to subtraction).
 func Add(a, b byte) byte { return a ^ b }
 
-// Mul returns a*b in GF(2^8).
-func Mul(a, b byte) byte {
+// mul returns a*b in GF(2^8).
+func mul(a, b byte) byte {
 	if a == 0 || b == 0 {
 		return 0
 	}

@@ -37,7 +37,7 @@ func vandermonde(rows, cols int) matrix {
 		elt := byte(r)
 		for c := 0; c < cols; c++ {
 			m.set(r, c, v)
-			v = Mul(v, elt)
+			v = mul(v, elt)
 		}
 	}
 	return m
@@ -100,7 +100,7 @@ func (m matrix) invert() (matrix, error) {
 			inv := Inv(v)
 			row := work.row(col)
 			for i := range row {
-				row[i] = Mul(row[i], inv)
+				row[i] = mul(row[i], inv)
 			}
 		}
 		// Eliminate the column elsewhere.

@@ -26,7 +26,7 @@ func TestTest1LayoutShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	layout, err := tb.Test1Layout(1_000_000)
+	layout, err := tb.test1Layout(1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestTest2LayoutShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	layout, err := tb.Test2Layout(3_000_000)
+	layout, err := tb.test2Layout(3_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,11 @@ func (tb *Testbed) buildLayout(size int64, copies [][]fragSpec) (core.Layout, er
 	return layout, nil
 }
 
-// Test1Layout reconstructs the Test 1 exnode (paper Figure 5): a 1 MB file
+// test1Layout reconstructs the Test 1 exnode (paper Figure 5): a 1 MB file
 // with five replicas partitioned into 2+4+5+7+9 = 27 segments across ten
 // machines at UTK, UCSD, UCSB and Harvard, weighted toward Tennessee the
 // way the paper's Figure 7 listing is.
-func (tb *Testbed) Test1Layout(size int64) (core.Layout, error) {
+func (tb *Testbed) test1Layout(size int64) (core.Layout, error) {
 	copies := [][]fragSpec{
 		// copy 0: 2 fragments, east coast + Santa Barbara.
 		{{"HARVARD", 0, 1, 2}, {"UCSB1", 1, 2, 2}},
@@ -81,19 +81,19 @@ var test2Copies = [][]fragSpec{
 	{{"HARVARD", 0, 10, 60}, {"UNC", 10, 35, 60}, {"UCSB3", 35, 60, 60}},
 }
 
-// Test2Layout reconstructs the Test 2 exnode.
-func (tb *Testbed) Test2Layout(size int64) (core.Layout, error) {
+// test2Layout reconstructs the Test 2 exnode.
+func (tb *Testbed) test2Layout(size int64) (core.Layout, error) {
 	return tb.buildLayout(size, test2Copies)
 }
 
-// Test3DeleteIndices returns the 12 (of 21) mapping indices deleted for
+// test3DeleteIndices returns the 12 (of 21) mapping indices deleted for
 // Test 3 (paper Figure 15): 33-67 % of each replica eliminated, leaving
 // the first sixth of the file available only on UCSB3 and HARVARD, and
 // every extent still reachable from at least two locations.
 //
 // Indices follow the mapping order produced by UploadLayout over
 // test2Copies (copy 0 first, fragments in order).
-func Test3DeleteIndices() []int {
+func test3DeleteIndices() []int {
 	return []int{
 		0, 1, 2, // copy 0: UTK1, UTK2, UTK3 (keep UTK4[30,48), UTK5[48,60))
 		5, 8, 9, // copy 1: UTK5, UTK1, UTK2 (keep UTK6[10,30), UTK3[30,45))

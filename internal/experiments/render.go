@@ -29,7 +29,7 @@ func (r *Test2Result) layoutSegments() (int64, []stats.Segment) {
 
 func (r *Test3Result) layoutSegments() (int64, []stats.Segment) {
 	deleted := map[int]bool{}
-	for _, i := range Test3DeleteIndices() {
+	for _, i := range test3DeleteIndices() {
 		deleted[i] = true
 	}
 	return r.Full.Size, LayoutSegments(r.Full, deleted)

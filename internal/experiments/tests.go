@@ -119,7 +119,7 @@ type Test1Result struct {
 func RunTest1(tb *Testbed, cfg Config) (*Test1Result, error) {
 	cfg = cfg.withDefaults(1_000_000, 12440, 20*time.Second)
 	tools := tb.Tools(geo.UTK, cfg.UseNWS)
-	layout, err := tb.Test1Layout(cfg.FileSize)
+	layout, err := tb.test1Layout(cfg.FileSize)
 	if err != nil {
 		return nil, err
 	}
@@ -162,11 +162,9 @@ func anyUnavailable(entries []core.ListEntry) bool {
 // refresh approximates that at far lower simulation cost).
 const probeEvery = 12
 
-// ProbeNWS sweeps bandwidth/latency sensors across every depot for one
-// vantage point; depots that are down simply contribute no sample. The
-// benchmark harness also uses it to prime forecasts before timing
-// downloads.
-func (tb *Testbed) ProbeNWS(tools *core.Tools) {
+// nwsProbe sweeps bandwidth/latency sensors across every depot for one
+// vantage point; depots that are down simply contribute no sample.
+func (tb *Testbed) nwsProbe(tools *core.Tools) {
 	if tools.NWS == nil {
 		return
 	}
@@ -175,9 +173,6 @@ func (tb *Testbed) ProbeNWS(tools *core.Tools) {
 		_ = sensor.ProbeDepot(tb.Infos[spec.Name].Addr)
 	}
 }
-
-// nwsProbe is the internal alias used by the run loops.
-func (tb *Testbed) nwsProbe(tools *core.Tools) { tb.ProbeNWS(tools) }
 
 // advanceTo moves the virtual clock forward to t (no-op if already past —
 // a slow simulated download can overrun a round boundary, exactly like a
@@ -265,7 +260,7 @@ func Test2HarvardIncident(total time.Duration) faultnet.Availability {
 func RunTest2(tb *Testbed, cfg Config) (*Test2Result, error) {
 	cfg = cfg.withDefaults(3_000_000, 860, 5*time.Minute)
 	uploader := tb.Tools(geo.UTK, false)
-	layout, err := tb.Test2Layout(cfg.FileSize)
+	layout, err := tb.test2Layout(cfg.FileSize)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +362,7 @@ func Test3FailWindow(cfg Config) (failFrom, end time.Time) {
 func RunTest3(tb *Testbed, cfg Config) (*Test3Result, error) {
 	cfg = cfg.withDefaults(3_000_000, 1225, 150*time.Second)
 	uploader := tb.Tools(geo.UTK, false)
-	layout, err := tb.Test2Layout(cfg.FileSize)
+	layout, err := tb.test2Layout(cfg.FileSize)
 	if err != nil {
 		return nil, err
 	}
@@ -379,7 +374,7 @@ func RunTest3(tb *Testbed, cfg Config) (*Test3Result, error) {
 	// Delete 12 of the 21 byte arrays from their depots (paper: "we
 	// deleted 12 of the 21 byte-arrays from their IBP depots").
 	trimmed, err := uploader.Trim(x, core.TrimOptions{
-		Indices:       Test3DeleteIndices(),
+		Indices:       test3DeleteIndices(),
 		DeleteFromIBP: true,
 	})
 	if err != nil {
@@ -393,7 +388,7 @@ func RunTest3(tb *Testbed, cfg Config) (*Test3Result, error) {
 		Run:        run,
 		FirstFail:  -1,
 		Rounds:     cfg.Rounds,
-		DeletedIBP: len(Test3DeleteIndices()),
+		DeletedIBP: len(test3DeleteIndices()),
 	}
 	roundStart := tb.Clock.Now()
 	for round := 0; round < cfg.Rounds; round++ {

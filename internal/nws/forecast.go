@@ -136,8 +136,8 @@ type member struct {
 	votes  int // predictions scored
 }
 
-// NewBattery builds the default forecaster battery.
-func NewBattery() *Battery {
+// newBattery builds the default forecaster battery.
+func newBattery() *Battery {
 	fs := []Forecaster{
 		&lastValue{},
 		&runningMean{},

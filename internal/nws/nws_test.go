@@ -12,7 +12,7 @@ import (
 )
 
 func TestForecastersWarmup(t *testing.T) {
-	b := NewBattery()
+	b := newBattery()
 	if _, ok := b.Forecast(); ok {
 		t.Fatal("empty battery should not forecast")
 	}
@@ -27,7 +27,7 @@ func TestForecastersWarmup(t *testing.T) {
 }
 
 func TestBatteryConstantSeries(t *testing.T) {
-	b := NewBattery()
+	b := newBattery()
 	for i := 0; i < 50; i++ {
 		b.Observe(42)
 	}
@@ -40,7 +40,7 @@ func TestBatteryConstantSeries(t *testing.T) {
 func TestBatteryPicksLastValueForTrend(t *testing.T) {
 	// On a steadily rising series, last-value tracks far better than the
 	// running mean; selection should not pick the running mean.
-	b := NewBattery()
+	b := newBattery()
 	for i := 0; i < 200; i++ {
 		b.Observe(float64(i))
 	}
@@ -61,7 +61,7 @@ func TestBatteryMedianResistsOutliers(t *testing.T) {
 	// A series that is 10 with occasional spikes to 1000: the median
 	// forecaster should have the lowest error and the forecast should stay
 	// near 10, not near the mean (~43).
-	b := NewBattery()
+	b := newBattery()
 	for i := 0; i < 90; i++ {
 		if i%30 == 29 {
 			b.Observe(1000)
@@ -85,7 +85,7 @@ func TestBatteryForecastWithinRangeProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		b := NewBattery()
+		b := newBattery()
 		min, max := math.Inf(1), math.Inf(-1)
 		for _, r := range raw {
 			v := float64(r)
@@ -204,7 +204,7 @@ func TestSensorProbeAllContinuesPastFailures(t *testing.T) {
 }
 
 func TestBestRMSE(t *testing.T) {
-	b := NewBattery()
+	b := newBattery()
 	if _, ok := b.BestRMSE(); ok {
 		t.Fatal("no RMSE before scoring")
 	}
@@ -216,7 +216,7 @@ func TestBestRMSE(t *testing.T) {
 		t.Fatalf("constant series RMSE = %v, %v", rmse, ok)
 	}
 	// A noisy series has nonzero error.
-	n := NewBattery()
+	n := newBattery()
 	for i := 0; i < 40; i++ {
 		n.Observe(float64(100 + (i%2)*50))
 	}

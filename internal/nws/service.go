@@ -68,7 +68,7 @@ func (s *Service) Record(src, dst string, res Resource, value float64) {
 	k := seriesKey{src, dst, res}
 	sr, ok := s.series[k]
 	if !ok {
-		sr = &series{battery: NewBattery()}
+		sr = &series{battery: newBattery()}
 		s.series[k] = sr
 	}
 	sr.battery.Observe(value)
