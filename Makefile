@@ -3,8 +3,9 @@
 # (parallel transfers in core, connection pool + shared health scoreboard
 # in ibp, depot metric counters, lbone registry, the obs collector, and
 # wire — its Pool and Conn.CheckIdle carry every registry exchange as well
-# as pooled IBP).
-.PHONY: tier1 build vet staticcheck test race bench-module bench-smoke stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
+# as pooled IBP). placer-determinism reruns the tests of core's one
+# placement loop often enough to catch an order-dependent placement.
+.PHONY: tier1 build vet staticcheck test race bench-module bench-smoke placer-determinism stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race bench-module
 
@@ -60,6 +61,15 @@ bench-smoke:
 		esac; \
 	done
 	@echo "bench-smoke: four workloads ran, verified, 0 failed operations"
+
+# Every write path places through core's one placer (placeAll), whose
+# parallel mode claims depots under a lock. Twenty runs on one P, where
+# goroutines interleave least, then five under the race detector: the same
+# tests must pick disjoint depots every time (ROADMAP item 1's determinism
+# acceptance).
+placer-determinism:
+	GOMAXPROCS=1 go test -count=20 -run 'Place|Upload|Coded|Augment|Maintain' repro/internal/core
+	go test -race -count=5 -run 'Place|Upload|Coded|Augment|Maintain' repro/internal/core
 
 # Availability-study smoke: a 24h virtual-clock stackmon simulation over
 # faultnet (finishes in seconds of wall time) with two scripted outages,

@@ -50,7 +50,7 @@ func (t *Tools) UploadRS(name string, data []byte, opts CodedOptions) (*exnode.E
 	if err != nil {
 		return nil, err
 	}
-	return t.uploadCodingGroup(name, data, blocks, parity, exnode.FuncRSData, exnode.FuncRSParity, opts)
+	return t.uploadCodingGroup(name, data, blocks, parity, exnode.FuncRSParity, opts)
 }
 
 // UploadXOR stores data as k data blocks plus one XOR parity block — the
@@ -65,75 +65,42 @@ func (t *Tools) UploadXOR(name string, data []byte, opts CodedOptions) (*exnode.
 	if err != nil {
 		return nil, err
 	}
-	return t.uploadCodingGroup(name, data, blocks, [][]byte{parity}, exnode.FuncRSData, exnode.FuncParity, opts)
+	return t.uploadCodingGroup(name, data, blocks, [][]byte{parity}, exnode.FuncParity, opts)
 }
 
-func (t *Tools) uploadCodingGroup(name string, data []byte, blocks, parity [][]byte, dataFn, parityFn exnode.Function, opts CodedOptions) (_ *exnode.ExNode, err error) {
-	if opts.Duration <= 0 {
-		opts.Duration = DefaultDuration
-	}
-	if opts.Reliability == "" {
-		opts.Reliability = ibp.Hard
-	}
+// uploadCodingGroup places the k+m blocks of one coding group. Every block
+// protects the whole file, so the placer keeps all of them on different
+// depots: block i starts at depots[i%len] and fails over round the list.
+func (t *Tools) uploadCodingGroup(name string, data []byte, blocks, parity [][]byte, parityFn exnode.Function, opts CodedOptions) (*exnode.ExNode, error) {
 	depots, err := t.placementDepots("coded upload", opts.Depots, opts.Duration, nil)
 	if err != nil {
 		return nil, err
 	}
-	// A coded block has one depot and no failover: keep open-circuit depots
-	// for the blocks the healthy ones cannot cover.
-	depots = t.preferHealthy(depots)
 	k, m := len(blocks), len(parity)
-	blockSize := int64(len(blocks[0]))
 	group := codingGroupID(name, 0)
 	x := exnode.New(name, int64(len(data)))
 	x.Created = t.clock().Now()
 	all := append(append([][]byte{}, blocks...), parity...)
-	// Any error below fails the whole group, and every allocation made so
-	// far — the failing block's included — goes back to its depot.
-	var created []ibp.Cap
-	defer func() {
-		if err != nil {
-			t.release("coded upload", created)
-		}
-	}()
-	for i, blk := range all {
-		depot := depots[i%len(depots)]
-		set, err := t.IBP.Allocate(depot.Addr, blockSize, opts.Duration, opts.Reliability)
-		if err != nil {
-			return nil, fmt.Errorf("core: coded upload block %d on %s: %w", i, depot.Name, err)
-		}
-		created = append(created, set.Manage)
-		if _, err := t.IBP.Store(set.Write, blk); err != nil {
-			return nil, fmt.Errorf("core: coded upload block %d on %s: %w", i, depot.Name, err)
-		}
-		fn := dataFn
+	plan := make([]planJob, len(all))
+	for i := range plan {
+		plan[i] = planJob{j: i, ext: exnode.Extent{End: x.Size}}
+	}
+	jobs := placeJobs(plan, depots, PlacementRotate)
+	for i := range jobs {
+		jobs[i].payload = all[i]
+	}
+	x.Mappings, err = t.placeAll(fmt.Sprintf("coded upload %q", name), jobs, nil, UploadOptions{
+		Duration: opts.Duration, Reliability: opts.Reliability, Checksum: opts.Checksum,
+	})
+	for i, mp := range x.Mappings {
+		mp.Function = exnode.FuncRSData
 		if i >= k {
-			fn = parityFn
+			mp.Function = parityFn
 		}
-		mp := &exnode.Mapping{
-			Offset:       0,
-			Length:       int64(len(data)),
-			Read:         set.Read,
-			Write:        set.Write,
-			Manage:       set.Manage,
-			Function:     fn,
-			Group:        group,
-			BlockIndex:   i,
-			DataBlocks:   k,
-			ParityBlocks: m,
-			BlockSize:    blockSize,
-			Depot:        depot.Name,
-			Expires:      t.clock().Now().Add(opts.Duration),
-		}
-		if opts.Checksum {
-			mp.Checksum = integrity.Sum(blk)
-		}
-		x.Add(mp)
+		mp.Group, mp.BlockIndex = group, i
+		mp.DataBlocks, mp.ParityBlocks, mp.BlockSize = k, m, int64(len(all[i]))
 	}
-	if err := x.Validate(); err != nil {
-		return nil, err
-	}
-	return x, nil
+	return validated(x, err)
 }
 
 func codingGroupID(name string, n int) string {

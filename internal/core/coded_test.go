@@ -205,8 +205,4 @@ func TestHybridReplicaPlusParity(t *testing.T) {
 	if !rep2.Extents[0].Coded {
 		t.Fatal("recovery should be marked coded")
 	}
-	// With coding disabled the same download fails.
-	if _, _, err := tl.Download(hybrid, DownloadOptions{DisableCoding: true}); err == nil {
-		t.Fatal("DisableCoding should forgo recovery")
-	}
 }

@@ -52,9 +52,6 @@ type DownloadOptions struct {
 	SkipVerify bool
 	// Seed makes StrategyRandom deterministic.
 	Seed int64
-	// DisableCoding skips parity/Reed-Solomon recovery when replicas
-	// fail (for ablation benches).
-	DisableCoding bool
 	// DecryptionKey unseals an encrypted exNode after retrieval. Required
 	// when the exNode records a cipher, unless Raw is set.
 	DecryptionKey []byte
@@ -153,57 +150,22 @@ func (t *Tools) DownloadRange(x *exnode.ExNode, offset, length int64, opts Downl
 	overBudget := func() bool {
 		return opts.Budget > 0 && t.clock().Since(start) > opts.Budget
 	}
-	workers := opts.Parallelism
-	if workers <= 1 {
-		for i, ext := range exts {
-			if overBudget() {
-				report.Extents[i] = ExtentReport{Start: ext.Start, End: ext.End, Err: ErrBudgetExceeded}
-				continue
-			}
-			er := t.fetchExtent(x, ext, buf[ext.Start-offset:ext.End-offset], opts, dir, i)
-			report.Extents[i] = er
-			report.Failovers += er.Attempts
-			if er.Err == nil && er.Attempts > 0 {
-				report.Failovers-- // the successful attempt is not a failover
-			}
+	// The deadline is checked before each extent is fetched (the clock
+	// serializes reads, so workers cannot race it into a stale answer):
+	// skipped extents report ErrBudgetExceeded rather than pretending no
+	// budget was set.
+	forEach(len(exts), opts.Parallelism, func(i int) {
+		ext := exts[i]
+		if overBudget() {
+			report.Extents[i] = ExtentReport{Start: ext.Start, End: ext.End, Err: ErrBudgetExceeded}
+			return
 		}
-	} else {
-		type job struct {
-			idx int
-			ext exnode.Extent
-		}
-		jobs := make(chan job)
-		done := make(chan struct{})
-		for w := 0; w < workers; w++ {
-			go func() {
-				for j := range jobs {
-					// The deadline is checked before each job is fetched
-					// (the clock serializes reads, so workers cannot race
-					// it into a stale answer): skipped extents report
-					// ErrBudgetExceeded rather than pretending no budget
-					// was set.
-					if overBudget() {
-						report.Extents[j.idx] = ExtentReport{Start: j.ext.Start, End: j.ext.End, Err: ErrBudgetExceeded}
-						continue
-					}
-					er := t.fetchExtent(x, j.ext, buf[j.ext.Start-offset:j.ext.End-offset], opts, dir, j.idx)
-					report.Extents[j.idx] = er
-				}
-				done <- struct{}{}
-			}()
-		}
-		for i, ext := range exts {
-			jobs <- job{i, ext}
-		}
-		close(jobs)
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		for _, er := range report.Extents {
-			report.Failovers += er.Attempts
-			if er.Err == nil && er.Attempts > 0 {
-				report.Failovers--
-			}
+		report.Extents[i] = t.fetchExtent(x, ext, buf[ext.Start-offset:ext.End-offset], opts, dir, i)
+	})
+	for _, er := range report.Extents {
+		report.Failovers += er.Attempts
+		if er.Err == nil && er.Attempts > 0 {
+			report.Failovers-- // the successful attempt is not a failover
 		}
 	}
 
@@ -333,27 +295,22 @@ func (t *Tools) fetchExtent(x *exnode.ExNode, ext exnode.Extent, dst []byte, opt
 		return er
 	}
 	// Every replica failed (or none existed): try coded recovery.
-	if !opts.DisableCoding {
-		t0 := t.clock().Now()
-		depot, err := t.recoverFromCoding(x, ext, dst, opts)
-		a := Attempt{Depot: depot, Coded: true, Start: t0, Duration: t.clock().Since(t0)}
-		if err == nil {
-			a.Bytes = ext.Len()
-			er.Trail = append(er.Trail, a)
-			er.Depot = depot
-			er.Coded = true
-			er.Err = nil
-			return er
-		}
-		a.Err = err.Error()
+	t0 := t.clock().Now()
+	depot, err := t.recoverFromCoding(x, ext, dst, opts)
+	a := Attempt{Depot: depot, Coded: true, Start: t0, Duration: t.clock().Since(t0)}
+	if err == nil {
+		a.Bytes = ext.Len()
 		er.Trail = append(er.Trail, a)
-		t.logf("core: extent [%d,%d): coded recovery failed: %v", ext.Start, ext.End, err)
-		if er.Err == nil {
-			er.Err = err
-		}
+		er.Depot = depot
+		er.Coded = true
+		er.Err = nil
+		return er
 	}
+	a.Err = err.Error()
+	er.Trail = append(er.Trail, a)
+	t.logf("core: extent [%d,%d): coded recovery failed: %v", ext.Start, ext.End, err)
 	if er.Err == nil {
-		er.Err = exnode.ErrNoCoverage
+		er.Err = err
 	}
 	return er
 }

@@ -24,12 +24,11 @@ func TestMaxAttemptsPerExtentBoundsFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.clk.Advance(2 * time.Hour) // A is now down; static prefers A.
-	// With one attempt allowed and coding disabled, the download must
-	// fail rather than fall over to B.
+	// With one attempt allowed, the download must fail rather than fall
+	// over to B.
 	_, rep, err := tl.Download(x, DownloadOptions{
 		Strategy:             StrategyStatic,
 		MaxAttemptsPerExtent: 1,
-		DisableCoding:        true,
 	})
 	if err == nil {
 		t.Fatal("bounded failover should give up")

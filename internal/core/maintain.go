@@ -119,25 +119,26 @@ func (t *Tools) Maintain(x *exnode.ExNode, opts MaintainOptions) (*exnode.ExNode
 
 	// 4. Measure worst-extent coverage counting only currently-available
 	//    mappings, and repair if below the floor.
-	coverage := t.worstCoverage(out)
+	avail := t.reachable(out)
+	coverage := worstCoverage(out, avail)
 	if coverage < opts.MinCoverage {
 		add := opts.MinCoverage - coverage
 		rep.event("repair", "coverage %d below floor %d: adding %d replica(s)", coverage, opts.MinCoverage, add)
-		aug, err := t.Augment(out, AugmentOptions{
+		aug, err := t.augment(out, AugmentOptions{
 			Replicas: add,
 			Near:     opts.Near,
 			Depots:   opts.Depots,
 			Duration: opts.RefreshTo,
 			Checksum: true,
 			Download: opts.Download,
-		})
+		}, avail)
 		if err != nil {
 			return out, rep, fmt.Errorf("core: maintain: repair: %w", err)
 		}
 		out = aug
 		rep.AddedReplicas = add
 	}
-	rep.MinCoverage = t.worstCoverage(out)
+	rep.MinCoverage = worstCoverage(out, t.reachable(out))
 	return out, rep, nil
 }
 
@@ -162,29 +163,15 @@ func (t *Tools) allocationGone(m *exnode.Mapping) bool {
 }
 
 // worstCoverage returns the minimum, over extents of the file, of the
-// effective redundancy covering the extent: the number of currently-
-// available replica mappings, plus what the coding groups contribute. A
+// effective redundancy covering the extent: the number of replica mappings
+// in avail (Tools.reachable), plus what the coding groups contribute. A
 // k+m group with a >= k blocks reachable can lose a-k more blocks and
 // still rebuild, so it counts as a-k+1 independent copies of the extent
 // it protects; an unrecoverable group (a < k) counts nothing. Counting
 // only replicas here made every coded-only file report coverage 0, so
 // Maintain stacked fresh replicas onto perfectly healthy coding groups
 // on every single pass.
-func (t *Tools) worstCoverage(x *exnode.ExNode) int {
-	avail := map[*exnode.Mapping]bool{}
-	for _, m := range x.Mappings {
-		if m.Manage.IsZero() {
-			// Read-only share: nothing to probe, assume nothing.
-			continue
-		}
-		if t.healthBlocked(m.Manage.Addr) {
-			// Open circuit counts as unavailable without paying the probe.
-			continue
-		}
-		if _, err := t.IBP.Probe(m.Manage); err == nil {
-			avail[m] = true
-		}
-	}
+func worstCoverage(x *exnode.ExNode, avail occupancy) int {
 	type groupCover struct {
 		ext exnode.Extent
 		eff int // effective copies the group contributes to its extent
@@ -226,6 +213,22 @@ func (t *Tools) worstCoverage(x *exnode.ExNode) int {
 		return 0
 	}
 	return min
+}
+
+// reachable probes x's mappings and returns the set whose allocations
+// answered. A read-only share (no manage capability) has nothing to probe
+// and an open circuit is not worth the probe: both count as unreachable.
+func (t *Tools) reachable(x *exnode.ExNode) occupancy {
+	avail := occupancy{}
+	for _, m := range x.Mappings {
+		if m.Manage.IsZero() || t.healthBlocked(m.Manage.Addr) {
+			continue
+		}
+		if _, err := t.IBP.Probe(m.Manage); err == nil {
+			avail[m] = true
+		}
+	}
+	return avail
 }
 
 // isGoneError reports whether an IBP error means the allocation is

@@ -109,137 +109,106 @@ type AugmentOptions struct {
 
 // Augment adds replicas to the exNode and returns an updated copy: it
 // downloads the file's current contents, uploads the new copies, and
-// merges the mappings (paper §2.3).
+// merges the mappings (paper §2.3). The new copies keep off every depot
+// that already holds a reachable block of the same byte range.
 func (t *Tools) Augment(x *exnode.ExNode, opts AugmentOptions) (*exnode.ExNode, error) {
+	return t.augment(x, opts, t.reachable(x))
+}
+
+// augment is Augment for a caller (Maintain) that has already probed x:
+// held is the set of x's mappings that answered.
+func (t *Tools) augment(x *exnode.ExNode, opts AugmentOptions, held occupancy) (*exnode.ExNode, error) {
+	if err := x.Validate(); err != nil {
+		return nil, err
+	}
 	if opts.Replicas <= 0 {
 		opts.Replicas = 1
 	}
-	if opts.ThirdParty {
-		return t.augmentThirdParty(x, opts)
-	}
-	dlOpts := opts.Download
-	if x.Encrypted() && dlOpts.DecryptionKey == nil {
-		// Replicate the sealed bytes verbatim: augment never needs the key.
-		dlOpts.Raw = true
-	}
-	data, _, err := t.Download(x, dlOpts)
-	if err != nil {
-		return nil, fmt.Errorf("core: augment: fetching current contents: %w", err)
-	}
-	addition, err := t.Upload(x.Name, data, UploadOptions{
-		Replicas:  opts.Replicas,
-		Fragments: opts.Fragments,
-		Near:      opts.Near,
-		Depots:    opts.Depots,
-		Duration:  opts.Duration,
-		Checksum:  opts.Checksum,
-	})
-	// Download's result is pool-backed and Upload does not retain it past
-	// return; release it on every path before looking at the error.
-	bufpool.Put(data)
-	if err != nil {
-		return nil, fmt.Errorf("core: augment: %w", err)
-	}
-	out := x.Clone()
+	// New copies number on from the highest replica index in use.
 	base := 0
-	for _, m := range out.Mappings {
+	for _, m := range x.Mappings {
 		if m.IsReplica() && m.Replica+1 > base {
 			base = m.Replica + 1
 		}
 	}
-	for _, m := range addition.Mappings {
-		mm := *m
-		mm.Replica += base
-		out.Add(&mm)
+	var added []*exnode.Mapping
+	if opts.ThirdParty {
+		var err error
+		if added, err = t.augmentThirdParty(x, opts, held); err != nil {
+			return nil, err
+		}
+	} else {
+		dlOpts := opts.Download
+		if x.Encrypted() && dlOpts.DecryptionKey == nil {
+			// Replicate the sealed bytes verbatim: augment never needs the key.
+			dlOpts.Raw = true
+		}
+		data, _, err := t.Download(x, dlOpts)
+		if err != nil {
+			return nil, fmt.Errorf("core: augment: fetching current contents: %w", err)
+		}
+		addition, err := t.upload(x.Name, data, UploadOptions{
+			Replicas:  opts.Replicas,
+			Fragments: opts.Fragments,
+			Near:      opts.Near,
+			Depots:    opts.Depots,
+			Duration:  opts.Duration,
+			Checksum:  opts.Checksum,
+		}, held)
+		// Download's result is pool-backed and upload does not retain it past
+		// return; release it on every path before looking at the error.
+		bufpool.Put(data)
+		if err != nil {
+			return nil, fmt.Errorf("core: augment: %w", err)
+		}
+		added = addition.Mappings
+	}
+	out := x.Clone()
+	for _, m := range added {
+		m.Replica += base
+		out.Add(m)
 	}
 	return out, out.Validate()
 }
 
-// augmentThirdParty adds replicas with depot-to-depot COPY: for each
-// fragment of a fully-available source replica, it allocates space on a
-// target depot and asks the source depot to push the bytes directly.
-func (t *Tools) augmentThirdParty(x *exnode.ExNode, opts AugmentOptions) (*exnode.ExNode, error) {
-	duration := opts.Duration
-	if duration <= 0 {
-		duration = DefaultDuration
-	}
-	targets, err := t.placementDepots("third-party augment", opts.Depots, duration, opts.Near)
+// augmentThirdParty makes the new replicas' fragments with depot-to-depot
+// COPY: each fragment of a fully-available source replica is allocated on
+// a target depot and pushed there by the depot that holds it.
+func (t *Tools) augmentThirdParty(x *exnode.ExNode, opts AugmentOptions, held occupancy) ([]*exnode.Mapping, error) {
+	targets, err := t.placementDepots("third-party augment", opts.Depots, opts.Duration, opts.Near)
 	if err != nil {
 		return nil, err
 	}
-	targets = t.preferHealthy(targets) // a copy target has no failover either
-	source, err := t.pickAvailableReplica(x)
+	source, err := t.pickAvailableReplica(x, held)
 	if err != nil {
 		return nil, fmt.Errorf("core: third-party augment: %w", err)
 	}
-
-	out := x.Clone()
-	base := 0
-	for _, m := range out.Mappings {
-		if m.IsReplica() && m.Replica+1 > base {
-			base = m.Replica + 1
-		}
-	}
-	now := t.clock().Now()
-	// Every allocation made across the r/j loops, so a mid-loop failure
-	// can release all of them — not just the one that failed.
-	var created []ibp.Cap
-	abort := func(err error) (*exnode.ExNode, error) {
-		t.release("third-party augment", created)
-		return nil, err
-	}
+	plan := make([]planJob, 0, opts.Replicas*len(source))
 	for r := 0; r < opts.Replicas; r++ {
 		for j, src := range source {
-			target := targets[(j+r)%len(targets)]
-			set, err := t.IBP.Allocate(target.Addr, src.Length, duration, ibp.Hard)
-			if err != nil {
-				return abort(fmt.Errorf("core: third-party augment on %s: %w", target.Name, err))
-			}
-			created = append(created, set.Manage)
-			if _, err := t.IBP.Copy(src.Read, 0, src.Length, set.Write); err != nil {
-				return abort(fmt.Errorf("core: third-party copy %s -> %s: %w", src.Depot, target.Name, err))
-			}
-			out.Add(&exnode.Mapping{
-				Offset:   src.Offset,
-				Length:   src.Length,
-				Read:     set.Read,
-				Write:    set.Write,
-				Manage:   set.Manage,
-				Replica:  base + r,
-				Depot:    target.Name,
-				Expires:  now.Add(duration),
-				Checksum: src.Checksum, // same bytes, same digest
-			})
+			plan = append(plan, planJob{r, j, exnode.Extent{Start: src.Offset, End: src.End()}})
 		}
 	}
-	if err := out.Validate(); err != nil {
-		return abort(fmt.Errorf("core: third-party augment: %w", err))
+	jobs := placeJobs(plan, targets, PlacementRotate)
+	for i := range jobs {
+		jobs[i].src = source[jobs[i].j]
 	}
-	return out, nil
+	return t.placeAll("third-party augment", jobs, held, UploadOptions{Duration: opts.Duration})
 }
 
 // pickAvailableReplica returns the fragments of a replica that fully
-// covers the file with every fragment currently reachable.
-func (t *Tools) pickAvailableReplica(x *exnode.ExNode) ([]*exnode.Mapping, error) {
+// covers the file with every fragment in reachable.
+func (t *Tools) pickAvailableReplica(x *exnode.ExNode, reachable occupancy) ([]*exnode.Mapping, error) {
 	for _, r := range t.rankReplicas(x) {
 		ms := x.ReplicaMappings(r)
-		if len(ms) == 0 {
-			continue
-		}
-		complete := true
+		complete := len(ms) > 0
 		var pos int64
 		for _, m := range ms {
-			if m.Offset > pos {
+			if m.Offset > pos || !reachable[m] {
 				complete = false
 				break
 			}
-			if m.End() > pos {
-				pos = m.End()
-			}
-			if _, err := t.IBP.Probe(m.Manage); err != nil {
-				complete = false
-				break
-			}
+			pos = max(pos, m.End())
 		}
 		if complete && pos >= x.Size {
 			return ms, nil

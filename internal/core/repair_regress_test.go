@@ -18,10 +18,11 @@ import (
 // that were not idempotent under churn.
 
 func TestAugmentThirdPartyCleansUpOnPartialFailure(t *testing.T) {
-	// Source replica has two fragments; the target rotation sends fragment
-	// 0 to DST1 (up) and fragment 1 to DST2 (down for the whole test). The
-	// augment must fail — and must not leave the fragment-0 allocation
-	// orphaned on DST1.
+	// Source replica has two fragments; the targets are DST1 (up) and DST2
+	// (down for the whole test). One new copy fits on DST1 alone, its second
+	// fragment failing over from DST2; a second copy then has no depot that
+	// does not already hold the same bytes. That augment must fail — and
+	// must not leave the first copy's allocations orphaned on DST1.
 	e := newEnv(t)
 	e.addDepot("SRC1", geo.UTK, nil)
 	e.addDepot("SRC2", geo.UTK, nil)
@@ -36,8 +37,17 @@ func TestAugmentThirdPartyCleansUpOnPartialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One copy is the case that used to fail: third-party had no failover.
+	one, err := tl.Augment(x, AugmentOptions{ThirdParty: true, Depots: e.infosFor("DST1", "DST2")})
+	if err != nil {
+		t.Fatalf("one copy should fail over onto DST1: %v", err)
+	}
+	added := 1
+	if _, err := tl.Trim(one, TrimOptions{Replica: &added, DeleteFromIBP: true}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := tl.Augment(x, AugmentOptions{
-		Replicas:   1,
+		Replicas:   2,
 		ThirdParty: true,
 		Depots:     e.infosFor("DST1", "DST2"),
 	}); err == nil {

@@ -16,8 +16,10 @@ package core
 import (
 	"fmt"
 	"log/slog"
+	"sync"
 	"time"
 
+	"repro/internal/exnode"
 	"repro/internal/geo"
 	"repro/internal/health"
 	"repro/internal/ibp"
@@ -110,16 +112,20 @@ func (t *Tools) logf(format string, args ...any) {
 	}
 }
 
-// release deletes the allocations a failed multi-block operation already
-// made, so depots are not left holding bytes nothing references until the
-// leases run out (a repair daemon retrying a flaky operation would leak
-// capacity for days at a time). Best effort: a depot that cannot be reached
-// reaps the orphan at expiry. It returns how many were deleted.
-func (t *Tools) release(op string, caps []ibp.Cap) int {
+// release deletes the blocks a failed write already stored (ms may hold
+// nils for those it did not), so depots are not left holding bytes nothing
+// references until the leases run out (a repair daemon retrying a flaky
+// operation would leak capacity for days at a time). Best effort: a depot
+// that cannot be reached reaps the orphan at expiry. It returns how many
+// were deleted.
+func (t *Tools) release(op string, ms []*exnode.Mapping) int {
 	n := 0
-	for _, c := range caps {
-		if _, err := t.IBP.Delete(c); err != nil {
-			t.logf("core: %s: releasing %s: %v", op, c.Addr, err)
+	for _, m := range ms {
+		if m == nil {
+			continue
+		}
+		if _, err := t.IBP.Delete(m.Manage); err != nil {
+			t.logf("core: %s: releasing %s: %v", op, m.Manage.Addr, err)
 		} else {
 			n++
 		}
@@ -151,6 +157,34 @@ func (t *Tools) preferHealthy(depots []lbone.DepotInfo) []lbone.DepotInfo {
 		}
 	}
 	return append(healthy, blocked...)
+}
+
+// forEach calls fn(0) … fn(n-1): in order on the caller's goroutine when
+// workers <= 1, otherwise spread over that many goroutines, returning once
+// every call has.
+func forEach(n, workers int, fn func(i int)) {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 }
 
 // DefaultDuration is the allocation lifetime used when options leave it

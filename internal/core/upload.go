@@ -3,13 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/exnode"
 	"repro/internal/geo"
 	"repro/internal/ibp"
-	"repro/internal/integrity"
 	"repro/internal/lbone"
 	"repro/internal/sealing"
 )
@@ -76,16 +74,18 @@ func (o *UploadOptions) fragmentsFor(replica int) int {
 // Upload stores data into the network and returns an exNode describing it.
 // Fragments are placed round-robin over the chosen depots, with each
 // replica's placement rotated so copies of the same extent land on
-// different depots when enough exist.
+// different depots; the placer (placeAll) fails a fragment over to the
+// next depot when one refuses or is down, and keeps it off any depot that
+// already holds an overlapping one.
 func (t *Tools) Upload(name string, data []byte, opts UploadOptions) (*exnode.ExNode, error) {
+	return t.upload(name, data, opts, nil)
+}
+
+// upload is Upload onto depots some of which already hold blocks of the
+// file (held), which Augment passes so a new copy keeps off them.
+func (t *Tools) upload(name string, data []byte, opts UploadOptions, held occupancy) (*exnode.ExNode, error) {
 	if opts.Replicas <= 0 {
 		opts.Replicas = 1
-	}
-	if opts.Duration <= 0 {
-		opts.Duration = DefaultDuration
-	}
-	if opts.Reliability == "" {
-		opts.Reliability = ibp.Hard
 	}
 	depots, err := t.placementDepots("upload", opts.Depots, opts.Duration, opts.Near)
 	if err != nil {
@@ -98,188 +98,30 @@ func (t *Tools) Upload(name string, data []byte, opts UploadOptions) (*exnode.Ex
 	if err != nil {
 		return nil, err
 	}
-	// Build the fragment job list, then place each fragment — rotating
-	// each replica's starting depot so copies of the same extent land on
-	// different depots whenever enough exist, and failing over to the next
-	// depot when one refuses or is down.
-	var jobs []planJob
+	var plan []planJob
 	for r := 0; r < opts.Replicas; r++ {
 		for j, ext := range splitUniform(int64(len(data)), opts.fragmentsFor(r)) {
-			jobs = append(jobs, planJob{r, j, ext})
+			plan = append(plan, planJob{r, j, ext})
 		}
 	}
-	candidates := planPlacements(jobs, depots, opts.Placement)
-	rep := opts.Report
-	if rep == nil {
-		rep = &UploadReport{}
-	}
-	t0 := t.clock().Now()
-	rep.Fragments = make([]FragmentReport, len(jobs))
-	for i, jb := range jobs {
-		rep.Fragments[i] = FragmentReport{Replica: jb.replica, Start: jb.ext.Start, End: jb.ext.End}
-	}
-
-	// First-error abort: once any fragment exhausts its candidates, siblings
-	// stop starting new placement attempts — there is no point filling
-	// depots with fragments of an upload that cannot complete.
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	aborted := func() bool {
-		select {
-		case <-abort:
-			return true
-		default:
-			return false
-		}
-	}
-	results := make([]*exnode.Mapping, len(jobs))
-	errs := make([]error, len(jobs))
-	place := func(i int) (*exnode.Mapping, error) {
-		jb := jobs[i]
-		fr := &rep.Fragments[i]
-		var lastErr error
-		for _, depot := range t.preferHealthy(candidates[i]) {
-			if aborted() {
-				if lastErr == nil {
-					lastErr = ErrUploadAborted
-				}
-				return nil, lastErr
-			}
-			a0 := t.clock().Now()
-			m, err := t.uploadFragment(name, data, jb.ext, depot, jb.replica, opts)
-			a := Attempt{Depot: depot.Name, Addr: depot.Addr, Start: a0, Duration: t.clock().Since(a0)}
-			if err == nil {
-				a.Bytes = jb.ext.Len()
-				fr.Trail = append(fr.Trail, a)
-				fr.Depot = depot.Name
-				fr.Addr = depot.Addr
-				return m, nil
-			}
-			a.Err = err.Error()
-			fr.Trail = append(fr.Trail, a)
-			lastErr = err
-			t.logf("core: upload %q fragment [%d,%d): %v; trying next depot",
-				name, jb.ext.Start, jb.ext.End, err)
-		}
-		if lastErr == nil {
-			lastErr = errors.New("core: no candidate depots for fragment")
-		}
-		return nil, lastErr
-	}
-	run := func(i int) {
-		if aborted() {
-			errs[i] = ErrUploadAborted
-			return
-		}
-		results[i], errs[i] = place(i)
-		if errs[i] != nil && !errors.Is(errs[i], ErrUploadAborted) {
-			abortOnce.Do(func() { close(abort) })
-		}
-	}
-	if opts.Parallelism <= 1 {
-		for i := range jobs {
-			run(i)
-		}
-	} else {
-		idx := make(chan int)
-		done := make(chan struct{})
-		for w := 0; w < opts.Parallelism; w++ {
-			go func() {
-				for i := range idx {
-					run(i)
-				}
-				done <- struct{}{}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		for w := 0; w < opts.Parallelism; w++ {
-			<-done
-		}
-	}
-
-	var firstErr error
-	for i, err := range errs {
-		rep.Fragments[i].Err = err
-		if err != nil && firstErr == nil && !errors.Is(err, ErrUploadAborted) {
-			firstErr = err
-		}
-		if err != nil {
-			if errors.Is(err, ErrUploadAborted) && len(rep.Fragments[i].Trail) == 0 {
-				rep.Aborted++
-			} else {
-				rep.Failovers += len(rep.Fragments[i].Trail)
-			}
-		} else {
-			rep.Failovers += len(rep.Fragments[i].Trail) - 1
-		}
-	}
-	if firstErr == nil {
-		// All placement errors were abort markers — should not happen, but
-		// never return nil with a failed upload.
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		// The upload failed: reclaim every allocation that did succeed so
-		// depots are not left holding fragments nothing references.
-		var stored []ibp.Cap
-		for _, m := range results {
-			if m != nil {
-				stored = append(stored, m.Manage)
-			}
-		}
-		rep.Cleaned += t.release("upload", stored)
-		rep.Duration = t.clock().Since(t0)
-		rep.Bytes = int64(len(data))
-		return nil, firstErr
-	}
+	jobs := placeJobs(plan, depots, opts.Placement)
 	for i := range jobs {
-		x.Add(results[i])
+		jobs[i].payload = data[jobs[i].ext.Start:jobs[i].ext.End]
 	}
-	rep.Duration = t.clock().Since(t0)
-	rep.Bytes = int64(len(data))
-	if err := x.Validate(); err != nil {
+	x.Mappings, err = t.placeAll(fmt.Sprintf("upload %q", name), jobs, held, opts)
+	return validated(x, err)
+}
+
+// validated returns the exNode a write built, once the placement succeeded
+// and the mappings hold together.
+func validated(x *exnode.ExNode, err error) (*exnode.ExNode, error) {
+	if err == nil {
+		err = x.Validate()
+	}
+	if err != nil {
 		return nil, err
 	}
 	return x, nil
-}
-
-// uploadFragment stores one extent of data on one depot and returns its
-// mapping. The allocate and store run as one pipelined BATCH round trip
-// (falling back to sequential verbs against depots that predate BATCH).
-func (t *Tools) uploadFragment(name string, data []byte, ext exnode.Extent, depot lbone.DepotInfo, replica int, opts UploadOptions) (*exnode.Mapping, error) {
-	payload := data[ext.Start:ext.End]
-	set, err := t.IBP.AllocateStore(depot.Addr, ext.Len(), opts.Duration, opts.Reliability, payload)
-	if err != nil {
-		if !set.Manage.IsZero() {
-			// The allocation succeeded but the store did not: best-effort
-			// cleanup of the stranded byte array.
-			t.IBP.Delete(set.Manage)
-		}
-		return nil, fmt.Errorf("core: upload %q fragment [%d,%d) on %s: %w",
-			name, ext.Start, ext.End, depot.Name, err)
-	}
-	m := &exnode.Mapping{
-		Offset:  ext.Start,
-		Length:  ext.Len(),
-		Read:    set.Read,
-		Write:   set.Write,
-		Manage:  set.Manage,
-		Replica: replica,
-		Depot:   depot.Name,
-		Expires: t.clock().Now().Add(opts.Duration),
-	}
-	if opts.Checksum {
-		m.Checksum = integrity.Sum(payload)
-	}
-	return m, nil
 }
 
 // sealIfRequested encrypts data for upload when a key is given, recording
@@ -333,45 +175,32 @@ type FragmentSpec struct {
 // Layout is a full explicit placement: one fragment list per replica.
 type Layout [][]FragmentSpec
 
-// UploadLayout stores data according to an explicit layout.
-func (t *Tools) UploadLayout(name string, data []byte, layout Layout, opts UploadOptions) (_ *exnode.ExNode, err error) {
-	if opts.Duration <= 0 {
-		opts.Duration = DefaultDuration
-	}
-	if opts.Reliability == "" {
-		opts.Reliability = ibp.Hard
-	}
+// UploadLayout stores data according to an explicit layout. A layout names
+// one depot per fragment, so there is no failover, and that single
+// candidate is also what exempts it from the placer's overlap rule: the
+// experiment harness's figures co-locate on purpose.
+func (t *Tools) UploadLayout(name string, data []byte, layout Layout, opts UploadOptions) (*exnode.ExNode, error) {
 	x := exnode.New(name, int64(len(data)))
 	x.Created = t.clock().Now()
-	data, err = t.sealIfRequested(x, data, opts.EncryptionKey)
+	data, err := t.sealIfRequested(x, data, opts.EncryptionKey)
 	if err != nil {
 		return nil, err
 	}
-	// A layout names one depot per fragment, so there is no failover: any
-	// error below fails the upload, and what it already stored goes back.
-	var stored []ibp.Cap
-	defer func() {
-		if err != nil {
-			t.release("layout upload", stored)
-		}
-	}()
+	var jobs []placeJob
 	for r, frags := range layout {
-		for _, f := range frags {
+		for j, f := range frags {
 			ext := exnode.Extent{Start: f.Offset, End: f.Offset + f.Length}
 			if ext.Start < 0 || ext.End > int64(len(data)) || ext.Len() <= 0 {
 				return nil, fmt.Errorf("core: layout fragment [%d,%d) outside data of %d bytes",
 					ext.Start, ext.End, len(data))
 			}
-			m, err := t.uploadFragment(name, data, ext, f.Depot, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			stored = append(stored, m.Manage)
-			x.Add(m)
+			jobs = append(jobs, placeJob{
+				planJob:    planJob{r, j, ext},
+				candidates: []lbone.DepotInfo{f.Depot},
+				payload:    data[ext.Start:ext.End],
+			})
 		}
 	}
-	if err := x.Validate(); err != nil {
-		return nil, err
-	}
-	return x, nil
+	x.Mappings, err = t.placeAll(fmt.Sprintf("layout upload %q", name), jobs, nil, opts)
+	return validated(x, err)
 }
