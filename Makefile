@@ -63,13 +63,15 @@ bench-smoke:
 	@echo "bench-smoke: four workloads ran, verified, 0 failed operations"
 
 # Every write path places through core's one placer (placeAll), whose
-# parallel mode claims depots under a lock. Twenty runs on one P, where
-# goroutines interleave least, then five under the race detector: the same
-# tests must pick disjoint depots every time (ROADMAP item 1's determinism
-# acceptance).
+# parallel mode claims depots under a lock; the read side's hedging and
+# slow-replica ranking tests race live transfers under wall pacing. Twenty
+# runs on one P, where goroutines interleave least, then five under the
+# race detector: the write tests must pick disjoint depots and the read
+# tests must rank, hedge and demote the same way every time.
+DETERMINISM_RUN = 'Place|Upload|Coded|Augment|Maintain|Hedge|Rank|Slow'
 placer-determinism:
-	GOMAXPROCS=1 go test -count=20 -run 'Place|Upload|Coded|Augment|Maintain' repro/internal/core
-	go test -race -count=5 -run 'Place|Upload|Coded|Augment|Maintain' repro/internal/core
+	GOMAXPROCS=1 go test -count=20 -run $(DETERMINISM_RUN) repro/internal/core
+	go test -race -count=5 -run $(DETERMINISM_RUN) repro/internal/core
 
 # Availability-study smoke: a 24h virtual-clock stackmon simulation over
 # faultnet (finishes in seconds of wall time) with two scripted outages,

@@ -466,26 +466,33 @@ func (t *Tools) attemptLoad(m *exnode.Mapping, ext exnode.Extent, dst []byte, op
 	return nil
 }
 
-// rankCandidates orders mappings per the strategy, then demotes depots
-// whose health circuit is open below every healthy candidate: they stay in
-// the list as last-resort fallbacks (where the breaker fails them fast),
-// but no extent pays a dial timeout against a known-dead depot while a
-// healthy replica exists.
+// rankCandidates orders mappings per the strategy, then stably splits them
+// into three tiers: healthy, then measured-slow (the transfer engine's
+// Slow), then open-circuit. Demotion only reorders: a slow depot still
+// serves when nothing faster is healthy and still backs up a hedge, and an
+// open-circuit one stays a last resort the breaker fails fast — but no
+// extent waits out a hedge delay on a depot known to be slow, or a dial
+// timeout on one known to be dead, while a healthy replica exists. Without
+// a scoreboard the strategy order stands; without an engine nothing is
+// slow.
 func (t *Tools) rankCandidates(cands []*exnode.Mapping, opts DownloadOptions, dir map[string]geo.Point, seedMix int) []*exnode.Mapping {
 	out := t.rankByStrategy(cands, opts, dir, seedMix)
 	if t.Health == nil {
 		return out
 	}
-	healthy := make([]*exnode.Mapping, 0, len(out))
-	var blocked []*exnode.Mapping
+	var slow, blocked []*exnode.Mapping
+	healthy := out[:0] // out is our own copy: compact it in place
 	for _, m := range out {
-		if t.healthBlocked(m.Read.Addr) {
+		switch addr := m.Read.Addr; {
+		case t.healthBlocked(addr):
 			blocked = append(blocked, m)
-		} else {
+		case t.Transfer != nil && t.Transfer.Slow(addr):
+			slow = append(slow, m)
+		default:
 			healthy = append(healthy, m)
 		}
 	}
-	return append(healthy, blocked...)
+	return append(append(healthy, slow...), blocked...)
 }
 
 // rankByStrategy orders mappings per the strategy alone.

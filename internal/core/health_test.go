@@ -5,10 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exnode"
 	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/health"
 	"repro/internal/ibp"
+	"repro/internal/transfer"
 )
 
 // healthTools builds a Tools client at the given site with a shared health
@@ -192,5 +194,73 @@ func TestCodedAndThirdPartyPlacementAvoidOpenCircuit(t *testing.T) {
 		if m.Depot == "a" {
 			t.Fatalf("copy target %s has an open circuit", m.Depot)
 		}
+	}
+}
+
+// TestRankCandidatesOrder pins download ranking's three tiers — healthy,
+// then measured-slow, then open-circuit — each kept in strategy order. The
+// strategy here is static proximity: a is nearest, d farthest, and the
+// exNode lists them backwards.
+func TestRankCandidatesOrder(t *testing.T) {
+	names := []string{"a", "b", "c", "d"}
+	dir := map[string]geo.Point{}
+	var cands []*exnode.Mapping
+	for i := len(names) - 1; i >= 0; i-- {
+		addr := names[i] + ":6714"
+		dir[addr] = geo.Point{Lat: float64(i + 1)}
+		cands = append(cands, &exnode.Mapping{Depot: names[i], Read: ibp.Cap{Addr: addr}})
+	}
+	// Samples against the engine's fixed 10ms base threshold.
+	slow := []time.Duration{time.Second, time.Second, time.Second}
+	cases := []struct {
+		name     string
+		samples  map[string][]time.Duration
+		blocked  []string
+		noEngine bool
+		noHealth bool
+		want     string
+	}{
+		{name: "unknown depots are not slow", want: "abcd"},
+		{name: "fewer than 3 samples is not slow",
+			samples: map[string][]time.Duration{"a": slow[:2]}, want: "abcd"},
+		{name: "median under the threshold is not slow",
+			samples: map[string][]time.Duration{"a": {time.Millisecond, time.Millisecond, time.Second}}, want: "abcd"},
+		{name: "slow goes behind the healthy",
+			samples: map[string][]time.Duration{"a": slow, "c": slow}, want: "bdac"},
+		{name: "slow and blocked: blocked wins",
+			samples: map[string][]time.Duration{"a": slow, "b": slow}, blocked: []string{"a"}, want: "cdba"},
+		{name: "every candidate slow keeps strategy order",
+			samples: map[string][]time.Duration{"a": slow, "b": slow, "c": slow, "d": slow}, want: "abcd"},
+		{name: "no engine: only blocked is demoted",
+			samples: map[string][]time.Duration{"a": slow}, blocked: []string{"b"}, noEngine: true, want: "acdb"},
+		{name: "no scoreboard: strategy order",
+			samples: map[string][]time.Duration{"a": slow}, blocked: []string{"b"}, noHealth: true, want: "abcd"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sb := health.New(health.Config{FailureThreshold: 1, BaseBackoff: time.Hour, Seed: 1})
+			for name, ds := range tc.samples {
+				for _, d := range ds {
+					sb.Report(name+":6714", health.Success, d)
+				}
+			}
+			for _, name := range tc.blocked {
+				sb.Report(name+":6714", health.Timeout, 0)
+			}
+			tl := &Tools{Health: sb, Transfer: transfer.New(transfer.Config{Hedge: true, HedgeAfter: 10 * time.Millisecond, Health: sb})}
+			if tc.noEngine {
+				tl.Transfer = nil
+			}
+			if tc.noHealth {
+				tl.Health = nil
+			}
+			got := ""
+			for _, m := range tl.rankCandidates(cands, DownloadOptions{Strategy: StrategyStatic}, dir, 0) {
+				got += m.Depot
+			}
+			if got != tc.want {
+				t.Fatalf("order %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

@@ -90,8 +90,9 @@ type Tools struct {
 	// Transfer is the adaptive transfer engine. When set, extent fetches
 	// run through its per-depot concurrency limiter, may hedge a slow
 	// attempt against the next-ranked replica, and concurrent decodes of
-	// the same coding group collapse into one. Nil reproduces the plain
-	// sequential failover path.
+	// the same coding group collapse into one; with Health set too,
+	// download ranking puts depots the engine measures as Slow after the
+	// healthy ones. Nil reproduces the plain sequential failover path.
 	Transfer *transfer.Engine
 	// Directory is the replicated exNode directory (internal/registry).
 	// When set, StoreExNode/LoadExNode/DownloadByName resolve exNodes by

@@ -6,15 +6,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exnode"
 	"repro/internal/faultnet"
 	"repro/internal/geo"
+	"repro/internal/health"
 	"repro/internal/transfer"
 )
 
 // hedgeEnv builds the slow-depot scenario: the statically-preferred near
 // depot is alive but crawling (a delayed depot, not a dead one — the
 // failure mode failover alone cannot fix), while a farther replica is fast.
-func hedgeEnv(t *testing.T) (*env, *Tools, []byte, int64) {
+// withHealth wires one scoreboard into the client and tl.Health
+// (healthTools), so the warm-up upload leaves both depots' latencies on it.
+func hedgeEnv(t *testing.T, withHealth bool) (*env, *Tools, []byte, *exnode.ExNode) {
 	t.Helper()
 	e := newEnv(t)
 	// Hedging races two live transfers; pace wall time against virtual time
@@ -26,6 +30,9 @@ func hedgeEnv(t *testing.T) (*env, *Tools, []byte, int64) {
 	e.model.SetLink(geo.Harvard.Name, geo.UNC.Name, faultnet.Link{RTT: 10 * time.Millisecond, Mbps: 0.1})
 	e.model.SetLink(geo.Harvard.Name, geo.UCSD.Name, faultnet.Link{RTT: 10 * time.Millisecond, Mbps: 100})
 	tl := e.tools(geo.Harvard, false)
+	if withHealth {
+		tl = e.healthTools(geo.Harvard, health.New(health.Config{Clock: e.clk, Seed: 1}))
+	}
 	data := payload(200 << 10)
 	x, err := tl.Upload("hedge.dat", data, UploadOptions{
 		Replicas: 2, Fragments: 4, Depots: e.infosFor("near-slow", "far-fast"),
@@ -35,7 +42,7 @@ func hedgeEnv(t *testing.T) (*env, *Tools, []byte, int64) {
 	}
 	// The upload above crossed the slow link; reset the virtual clock
 	// bookkeeping by measuring downloads from here.
-	return e, tl, data, x.Size
+	return e, tl, data, x
 }
 
 // TestHedgedDownloadBeatsSlowDepot: static ranking prefers the slow near
@@ -43,7 +50,7 @@ func hedgeEnv(t *testing.T) (*env, *Tools, []byte, int64) {
 // extent. With hedging, the backup fires against the fast replica after the
 // threshold and wins, bounding each extent near the fast depot's latency.
 func TestHedgedDownloadBeatsSlowDepot(t *testing.T) {
-	e, tl, data, _ := hedgeEnv(t)
+	e, tl, data, _ := hedgeEnv(t, false)
 	x, err := tl.Upload("hedge2.dat", data, UploadOptions{
 		Replicas: 2, Fragments: 4, Depots: e.infosFor("near-slow", "far-fast"),
 	})
@@ -99,7 +106,7 @@ func TestHedgedDownloadBeatsSlowDepot(t *testing.T) {
 // TestHedgedStreamBeatsSlowDepot: the streaming reader rides the same
 // engine through fetchExtent.
 func TestHedgedStreamBeatsSlowDepot(t *testing.T) {
-	e, tl, data, _ := hedgeEnv(t)
+	e, tl, data, _ := hedgeEnv(t, false)
 	x, err := tl.Upload("hedge3.dat", data, UploadOptions{
 		Replicas: 2, Fragments: 4, Depots: e.infosFor("near-slow", "far-fast"),
 	})
@@ -129,6 +136,82 @@ func TestHedgedStreamBeatsSlowDepot(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("report: %+v", rep)
 	}
+}
+
+// slowEngine is the engine both slow-replica tests read through: a fixed
+// 150ms (virtual) hedge threshold on the reader's own scoreboard.
+func slowEngine(e *env, sb *health.Scoreboard) *transfer.Engine {
+	return transfer.New(transfer.Config{Hedge: true, HedgeAfter: 150 * time.Millisecond, Health: sb, Clock: e.clk})
+}
+
+// servedOnlyBy fails the test unless every attempt of every extent went to
+// the named depot.
+func servedOnlyBy(t *testing.T, rep *Report, depot string) {
+	t.Helper()
+	for _, er := range rep.Extents {
+		for _, a := range er.Trail {
+			if a.Depot != depot {
+				t.Fatalf("extent [%d,%d) tried %s (trail %+v), want only %s", er.Start, er.End, a.Depot, er.Trail, depot)
+			}
+		}
+	}
+}
+
+// TestDownloadDemotesMeasuredSlowReplica: the warm-up upload measured the
+// near depot at seconds per block against a 150ms hedge threshold, so the
+// download ranks it behind the fast replica instead of starting every
+// extent on it and hedging away.
+func TestDownloadDemotesMeasuredSlowReplica(t *testing.T) {
+	e, tl, data, x := hedgeEnv(t, true)
+	tl.Transfer = slowEngine(e, tl.Health)
+	got, rep, err := tl.Download(x, DownloadOptions{Strategy: StrategyStatic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("download corrupted")
+	}
+	servedOnlyBy(t, rep, "far-fast")
+	if c := tl.Transfer.Counters(); c.HedgesLaunched != 0 {
+		t.Fatalf("hedged %d times against a replica already measured slow", c.HedgesLaunched)
+	}
+}
+
+// TestReadOnlyClientStopsHedgingSlowReplica: a client that never wrote to
+// the slow depot learns it from the primaries its hedges cancel, and stops
+// leading with it.
+func TestReadOnlyClientStopsHedgingSlowReplica(t *testing.T) {
+	e, _, data, x := hedgeEnv(t, false)
+	// Slow by latency, not bandwidth. Every transfer shares one virtual
+	// clock, so a starved primary charging 4 KiB chunks jumps it ~330ms at
+	// a time under its racing backup, and the fast depot would measure as
+	// slow too. A 5s round trip is one jump and 50ms of paced wall time,
+	// which the backup finishes inside.
+	e.model.SetLink(geo.Harvard.Name, geo.UNC.Name, faultnet.Link{RTT: 5 * time.Second, Mbps: 100})
+	sb := health.New(health.Config{Clock: e.clk, Seed: 1})
+	reader := e.healthTools(geo.Harvard, sb)
+	reader.Transfer = slowEngine(e, sb)
+	var hedges int64
+	for i := 1; i <= 4; i++ {
+		got, rep, err := reader.Download(x, DownloadOptions{Strategy: StrategyStatic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("download %d corrupted", i)
+		}
+		prev := hedges
+		hedges = reader.Transfer.Counters().HedgesLaunched
+
+		if i == 1 && hedges == 0 {
+			t.Fatal("the first download never hedged: the reader knew the slow depot before reading it")
+		}
+		if hedges == prev {
+			servedOnlyBy(t, rep, "far-fast")
+			return
+		}
+	}
+	t.Fatalf("4 downloads all hedged (%d hedges): the reader never learned the slow depot", hedges)
 }
 
 // TestConcurrentCodedDownloadsShareDecode is the -race hammer for the

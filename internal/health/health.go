@@ -298,14 +298,8 @@ func (s *Scoreboard) Report(addr string, outcome Outcome, latency time.Duration)
 	// Success or protocol error: the depot is reachable.
 	d.succW++
 	d.consecFails = 0
-	if outcome == Success && latency > 0 {
-		sec := latency.Seconds()
-		if len(d.lat) < maxLatencySamples {
-			d.lat = append(d.lat, sec)
-		} else {
-			d.lat[d.latPos] = sec
-		}
-		d.latPos = (d.latPos + 1) % maxLatencySamples
+	if outcome == Success {
+		d.addLatency(latency)
 	}
 	if d.state != StateClosed {
 		from := d.state
@@ -315,6 +309,36 @@ func (s *Scoreboard) Report(addr string, outcome Outcome, latency time.Duration)
 		d.lastChange = now
 		s.transition(addr, from, StateClosed, now)
 	}
+}
+
+// addLatency appends one latency sample to the depot's ring.
+func (d *depotHealth) addLatency(latency time.Duration) {
+	if latency <= 0 {
+		return
+	}
+	sec := latency.Seconds()
+	if len(d.lat) < maxLatencySamples {
+		d.lat = append(d.lat, sec)
+	} else {
+		d.lat[d.latPos] = sec
+	}
+	d.latPos = (d.latPos + 1) % maxLatencySamples
+}
+
+// ReportLatency records a latency-only sample for addr: a lower bound the
+// caller measured on an operation that never finished, such as a hedged
+// primary cancelled because its backup won. It feeds the latency
+// percentiles only — no outcome count, no score weight, no breaker
+// transition — so a cancelled operation still never counts for or against
+// the depot, yet a client that only ever reads from a slow depot learns how
+// slow it is.
+func (s *Scoreboard) ReportLatency(addr string, latency time.Duration) {
+	if latency <= 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.depot(addr).addLatency(latency)
 }
 
 // transition invokes the OnTransition hook (mutex held — see Config).
@@ -374,17 +398,24 @@ func (s *Scoreboard) Blocked(addr string) bool {
 	return false
 }
 
-// Latency returns the summary of addr's recent success latencies (seconds)
-// and whether any samples exist. The transfer engine derives its hedging
-// threshold from these per-depot percentiles.
-func (s *Scoreboard) Latency(addr string) (stats.Summary, bool) {
+// Latency returns the median and p95 of addr's recent latency samples and
+// how many there are (0 for a depot with none). The transfer engine asks on
+// every hedged race and every ranked candidate, so it allocates nothing:
+// the ring is sorted in a copy on the stack.
+func (s *Scoreboard) Latency(addr string) (median, p95 time.Duration, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d, ok := s.depots[addr]
 	if !ok || len(d.lat) == 0 {
-		return stats.Summary{}, false
+		return 0, 0, 0
 	}
-	return stats.Summarize(append([]float64(nil), d.lat...)), true
+	var buf [maxLatencySamples]float64
+	sorted := buf[:copy(buf[:], d.lat)]
+	sort.Float64s(sorted)
+	sec := func(p float64) time.Duration {
+		return time.Duration(stats.Percentile(sorted, p) * float64(time.Second))
+	}
+	return sec(50), sec(95), len(sorted)
 }
 
 // Score returns addr's freshness-weighted success rate in [0,1]. Depots

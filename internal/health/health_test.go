@@ -297,6 +297,8 @@ func TestConcurrentReportersRace(t *testing.T) {
 						s.Report(addr, Success, time.Millisecond)
 					}
 				}
+				s.ReportLatency(addr, 2*time.Millisecond)
+				s.Latency(addr)
 				s.Score(addr)
 				s.Blocked(addr)
 			}
@@ -305,4 +307,55 @@ func TestConcurrentReportersRace(t *testing.T) {
 	wg.Wait()
 	s.Snapshot()
 	s.Render()
+}
+
+// TestLatencyAllocatesNothing: the transfer engine asks for a depot's
+// percentiles on every hedged race and every ranked download candidate, so
+// the accessor must not copy the 256-sample ring to the heap.
+func TestLatencyAllocatesNothing(t *testing.T) {
+	s := board(vclock.NewVirtual(t0))
+	// 300 samples of 1..300 ms: the ring keeps the last 256, 45..300 ms.
+	for i := 1; i <= 300; i++ {
+		s.Report("a:1", Success, time.Duration(i)*time.Millisecond)
+	}
+	med, p95, n := s.Latency("a:1")
+	if n != maxLatencySamples || med != 172500*time.Microsecond || p95 != 287250*time.Microsecond {
+		t.Fatalf("Latency = (%v, %v, %d), want (172.5ms, 287.25ms, %d)", med, p95, n, maxLatencySamples)
+	}
+	if _, _, n := s.Latency("unknown:1"); n != 0 {
+		t.Fatalf("unknown depot has %d samples", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Latency("a:1") }); allocs != 0 {
+		t.Fatalf("Latency allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// TestReportLatencyIsLatencyOnly: a cancelled hedge loser's lower bound
+// feeds the percentiles and nothing else — no outcome, no score, no
+// breaker state — so the scoreboard's outcome accounting is what it was.
+func TestReportLatencyIsLatencyOnly(t *testing.T) {
+	clk := vclock.NewVirtual(t0)
+	s := board(clk)
+	for i := 0; i < 3; i++ {
+		s.Report("a:1", Timeout, 0)
+	}
+	before := s.Snapshot()[0]
+	s.ReportLatency("a:1", 30*time.Millisecond)
+	s.ReportLatency("a:1", 0) // no bound at all: ignored
+	s.ReportLatency("b:1", -time.Millisecond)
+	after := s.Snapshot()
+	if len(after) != 1 {
+		t.Fatalf("a non-positive sample created a row: %+v", after)
+	}
+	if _, _, n := s.Latency("a:1"); n != 1 {
+		t.Fatalf("latency samples = %d, want 1", n)
+	}
+	got := after[0]
+	got.Latency = before.Latency
+	if got != before {
+		t.Fatalf("latency-only sample changed the row:\nbefore %+v\nafter  %+v", before, got)
+	}
+	if !s.Blocked("a:1") {
+		t.Fatal("a latency sample reclosed an open circuit")
+	}
 }

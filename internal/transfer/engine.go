@@ -9,7 +9,9 @@
 //     attempt is launched against the next-ranked replica and the first
 //     success wins; the loser is cancelled. Tail latency — not the median —
 //     dominates wide-area retrieval UX, and hedging converts a slow (not
-//     dead) depot from a p99 disaster into one wasted connection.
+//     dead) depot from a p99 disaster into one wasted connection. A depot
+//     that is slow on most requests, not just some, is reported by Slow so
+//     the download ranker stops putting it first.
 //   - per-depot concurrency limits: a weighted semaphore keyed by depot
 //     address, so Parallelism=16 against 4 depots does not open 16 sockets
 //     to the closest one. Slot counts are bandwidth-weighted when NWS
@@ -57,8 +59,9 @@ type Config struct {
 	// depot address (default 4). Forecast can raise or lower a depot's
 	// share around this base.
 	MaxPerDepot int
-	// Health, when set, supplies per-depot success-latency percentiles for
-	// the hedging threshold.
+	// Health, when set, supplies per-depot latency percentiles for the
+	// hedging threshold and Slow, and receives a latency-only sample for
+	// each primary cancelled because its backup won.
 	Health *health.Scoreboard
 	// Forecast, when set, returns a bandwidth estimate (Mbit/s) for a
 	// depot address; slot counts are weighted by it (an NWS forecast is
@@ -176,36 +179,63 @@ func (e *Engine) observe(d time.Duration) {
 }
 
 // observedMedian returns the median of the engine's own success latencies
-// in seconds, or 0 when none have been observed.
+// in seconds, or 0 when none have been observed. Like the scoreboard's
+// percentiles it sorts a copy on the stack: Slow asks once per candidate.
 func (e *Engine) observedMedian() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.lat) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), e.lat...)
+	var buf [maxObserved]float64
+	s := buf[:copy(buf[:], e.lat)]
 	sort.Float64s(s)
 	return s[len(s)/2]
 }
 
+// minDepotSamples is how many latency samples the scoreboard must hold for
+// a depot before its own percentiles steer hedging and ranking.
+const minDepotSamples = 3
+
 // HedgeDelay returns how long an attempt against addr may run before a
 // backup is launched: a fixed HedgeAfter when configured, else the depot's
-// p95 success latency from the health scoreboard, else HedgeMultiple times
-// the engine's own observed median, else MaxHedgeDelay. The adaptive forms
-// are clamped to [MinHedgeDelay, MaxHedgeDelay].
+// p95 latency from the health scoreboard, else the base threshold (see
+// baseDelay). The adaptive forms are clamped to [MinHedgeDelay,
+// MaxHedgeDelay].
 func (e *Engine) HedgeDelay(addr string) time.Duration {
+	if e.cfg.HedgeAfter <= 0 && e.cfg.Health != nil {
+		if _, p95, n := e.cfg.Health.Latency(addr); n >= minDepotSamples {
+			return e.clampDelay(p95)
+		}
+	}
+	return e.baseDelay()
+}
+
+// baseDelay is the delay after which the engine hedges a request whatever
+// the depot: a fixed HedgeAfter when configured, else HedgeMultiple times
+// the engine's own observed median (clamped), else MaxHedgeDelay.
+func (e *Engine) baseDelay() time.Duration {
 	if e.cfg.HedgeAfter > 0 {
 		return e.cfg.HedgeAfter
-	}
-	if e.cfg.Health != nil {
-		if sum, ok := e.cfg.Health.Latency(addr); ok && sum.N >= 3 {
-			return e.clampDelay(time.Duration(sum.P95 * float64(time.Second)))
-		}
 	}
 	if med := e.observedMedian(); med > 0 {
 		return e.clampDelay(time.Duration(e.cfg.HedgeMultiple * med * float64(time.Second)))
 	}
 	return e.cfg.MaxHedgeDelay
+}
+
+// Slow reports whether addr is measured-slow: the scoreboard holds at least
+// minDepotSamples latencies for it and their median exceeds the base hedge
+// threshold, so a typical request to it would be hedged. Download ranking
+// stops leading with such a depot. Hedging cannot fix one that is always
+// slow: the adaptive HedgeDelay is the depot's own p95, which its requests
+// never outlive. Without a scoreboard nothing is slow.
+func (e *Engine) Slow(addr string) bool {
+	if e.cfg.Health == nil {
+		return false
+	}
+	med, _, n := e.cfg.Health.Latency(addr)
+	return n >= minDepotSamples && med > e.baseDelay()
 }
 
 func (e *Engine) clampDelay(d time.Duration) time.Duration {
@@ -304,6 +334,14 @@ func (e *Engine) HedgeCtx(sc obs.SpanContext, addrs [2]string, run func(idx int,
 			out[d.idx] = &Outcome{Err: d.err, Start: d.start, End: d.end, Hedged: d.idx == 1}
 			if d.err == nil {
 				e.observe(d.end.Sub(d.start))
+			}
+			if d.idx == 0 && d.err != nil && winner == 1 && e.cfg.Health != nil {
+				// The primary was cancelled because its backup won, so the
+				// IBP client reported nothing for it. It ran at least until
+				// the backup finished: record that as a latency-only lower
+				// bound, or a client that only reads a slow depot never
+				// learns it is slow.
+				e.cfg.Health.ReportLatency(addrs[0], out[1].End.Sub(d.start))
 			}
 			if d.err == nil && winner < 0 {
 				winner = d.idx

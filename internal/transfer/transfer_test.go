@@ -313,3 +313,96 @@ func TestEngineMetricsOnMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestSlowUsesBaseThreshold: a depot is measured-slow when the median of at
+// least three scoreboard samples exceeds the delay after which the engine
+// would hedge any request — not the depot's own p95, which an always-slow
+// depot never outlives.
+func TestSlowUsesBaseThreshold(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(0, 0))
+	sb := health.New(health.Config{Clock: clk})
+	for i := 0; i < 3; i++ {
+		sb.Report("late:1", health.Success, 25*time.Millisecond)
+	}
+	sb.Report("young:1", health.Success, time.Second)
+	sb.Report("young:1", health.Success, time.Second)
+	for _, d := range []time.Duration{time.Millisecond, time.Millisecond, time.Second} {
+		sb.Report("spiky:1", health.Success, d)
+	}
+
+	fixed := New(Config{Hedge: true, HedgeAfter: 10 * time.Millisecond, Health: sb, Clock: clk})
+	for addr, want := range map[string]bool{"late:1": true, "young:1": false, "spiky:1": false, "unknown:1": false} {
+		if got := fixed.Slow(addr); got != want {
+			t.Errorf("HedgeAfter 10ms: Slow(%s) = %v, want %v", addr, got, want)
+		}
+	}
+
+	// Adaptive: before the engine has observed anything its base threshold
+	// is MaxHedgeDelay, and 25 ms is not slow; once its own median is 1 ms
+	// the base is the 10 ms floor. The depot's own HedgeDelay stays its p95,
+	// 25 ms, which its requests never outlive.
+	adaptive := New(Config{Hedge: true, Health: sb, Clock: clk})
+	if adaptive.Slow("late:1") {
+		t.Error("adaptive engine with no observations calls 25 ms slow")
+	}
+	adaptive.observe(time.Millisecond)
+	if !adaptive.Slow("late:1") {
+		t.Error("adaptive engine at a 10 ms base does not call 25 ms slow")
+	}
+	if got := adaptive.HedgeDelay("late:1"); got != 25*time.Millisecond {
+		t.Errorf("HedgeDelay(late) = %v, want its own p95 25ms", got)
+	}
+
+	if New(Config{Hedge: true, HedgeAfter: time.Millisecond, Clock: clk}).Slow("late:1") {
+		t.Error("an engine without a scoreboard calls a depot slow")
+	}
+}
+
+// TestHedgeReportsCancelledPrimaryLatency: a primary cancelled because its
+// backup won leaves a latency-only lower bound on the scoreboard — and no
+// outcome — while a backup cancelled because the primary won leaves
+// nothing.
+func TestHedgeReportsCancelledPrimaryLatency(t *testing.T) {
+	sb := health.New(health.Config{})
+	e := New(Config{Hedge: true, HedgeAfter: 20 * time.Millisecond, Health: sb})
+	hangUntilCancelled := func(slow int) func(int, <-chan struct{}) error {
+		return func(idx int, cancel <-chan struct{}) error {
+			if idx == slow {
+				<-cancel
+				return errors.New("cancelled")
+			}
+			return nil
+		}
+	}
+	if winner, _ := e.Hedge([2]string{"slow:1", "fast:1"}, hangUntilCancelled(0)); winner != 1 {
+		t.Fatalf("winner = %d, want backup", winner)
+	}
+	med, _, n := sb.Latency("slow:1")
+	if n != 1 || med < 20*time.Millisecond {
+		t.Fatalf("cancelled primary: %d samples, median %v; want 1 sample >= the 20ms hedge delay", n, med)
+	}
+	for _, row := range sb.Snapshot() {
+		if row.Successes+row.Timeouts+row.Refusals+row.NetErrors+row.ProtocolErrors != 0 {
+			t.Fatalf("latency-only sample counted an outcome: %+v", row)
+		}
+	}
+
+	// The primary wins once the backup is running: the cancelled backup
+	// reports nothing.
+	release := make(chan struct{})
+	winner, _ := e.Hedge([2]string{"a:1", "b:1"}, func(idx int, cancel <-chan struct{}) error {
+		if idx == 0 {
+			<-release
+			return nil
+		}
+		close(release)
+		<-cancel
+		return errors.New("cancelled")
+	})
+	if winner != 0 {
+		t.Fatalf("winner = %d, want primary", winner)
+	}
+	if _, _, n := sb.Latency("b:1"); n != 0 {
+		t.Fatalf("cancelled backup left %d samples", n)
+	}
+}
