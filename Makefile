@@ -24,8 +24,11 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go vet still ran)"; \
 	fi
 
+# The GF(2^8) kernel packs eight bytes into a little-endian word and the
+# checksums hash byte slices: run both packages on a 32-bit target too.
 test:
 	go test ./...
+	GOARCH=386 go test ./internal/erasure ./internal/integrity
 
 race:
 	go test -race repro/internal/core repro/internal/ibp repro/internal/health \

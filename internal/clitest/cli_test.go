@@ -12,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/exnode"
 )
 
 var binDir string
@@ -300,29 +303,57 @@ func TestCLIHealthScoreboard(t *testing.T) {
 	}
 }
 
+// waitRegistered blocks until the L-Bone at lboneAddr lists n depots. A
+// depot registers just after it starts listening, so waitListening alone
+// can let a client query the L-Bone before the depot is in it.
+func waitRegistered(t *testing.T, lboneAddr string, n int) {
+	t.Helper()
+	want := fmt.Sprintf("depot health scoreboard (%d depots)", n)
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		out, _ := exec.Command(bin("xnd"), "health", "-lbone", lboneAddr).CombinedOutput()
+		if strings.Contains(string(out), want) {
+			return
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	t.Fatalf("the L-Bone at %s never listed %d depots", lboneAddr, n)
+}
+
+// TestCLIMaintainRepairsAfterDaemonDeath uploads two replicas onto two
+// depots and kills one of them. With a third depot registered, maintain
+// restores the second copy there, never beside the surviving one; with only
+// the survivor left, it fails with the placer's detected error and leaves
+// the exnode as it was.
 func TestCLIMaintainRepairsAfterDaemonDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real binaries")
 	}
-	addrs := freePorts(t, 3)
-	lboneAddr, d1Addr, d2Addr := addrs[0], addrs[1], addrs[2]
+	t.Run("spare depot", func(t *testing.T) { maintainAfterDaemonDeath(t, true) })
+	t.Run("survivor only", func(t *testing.T) { maintainAfterDaemonDeath(t, false) })
+}
+
+func maintainAfterDaemonDeath(t *testing.T, spare bool) {
+	addrs := freePorts(t, 4)
+	lboneAddr, survivorAddr, victimAddr, spareAddr := addrs[0], addrs[1], addrs[2], addrs[3]
 	work := t.TempDir()
 	secret := filepath.Join(work, "secret")
 	os.WriteFile(secret, []byte("clitest-secret-0123456789"), 0o600)
+	depotArgs := func(addr, name, site string) []string {
+		return []string{"-listen", addr, "-capacity", "104857600",
+			"-secret-file", secret, "-lbone", lboneAddr, "-name", name, "-site", site}
+	}
 
 	daemon(t, "lbone-server", "-listen", lboneAddr)
 	waitListening(t, lboneAddr)
-	daemon(t, "ibp-depot", "-listen", d1Addr, "-capacity", "104857600",
-		"-secret-file", secret, "-lbone", lboneAddr, "-name", "UTK1", "-site", "UTK")
+	daemon(t, "ibp-depot", depotArgs(survivorAddr, "UTK1", "UTK")...)
 	// The second depot is run directly so the test can kill it.
-	victim := exec.Command(bin("ibp-depot"), "-listen", d2Addr, "-capacity", "104857600",
-		"-secret-file", secret, "-lbone", lboneAddr, "-name", "UCSD1", "-site", "UCSD")
+	victim := exec.Command(bin("ibp-depot"), depotArgs(victimAddr, "UCSD1", "UCSD")...)
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() { victim.Process.Kill(); victim.Wait() }()
-	waitListening(t, d1Addr)
-	waitListening(t, d2Addr)
+	waitRegistered(t, lboneAddr, 2)
 
 	data := bytes.Repeat([]byte("repairable "), 4096)
 	src := filepath.Join(work, "r.dat")
@@ -330,16 +361,49 @@ func TestCLIMaintainRepairsAfterDaemonDeath(t *testing.T) {
 	xnd := filepath.Join(work, "r.xnd")
 	run(t, "xnd", "upload", "-lbone", lboneAddr, "-replicas", "2", "-o", xnd, src)
 
-	// Kill the second depot daemon outright.
+	// Kill the second depot daemon outright: it stays listed, unreachable.
 	victim.Process.Kill()
 	victim.Wait()
-
-	// Maintain notices coverage dropped to 1 and repairs onto the
-	// survivor.
-	out := run(t, "xnd", "maintain", "-lbone", lboneAddr, "-min-coverage", "2", xnd)
-	if !strings.Contains(out, "added 1 replicas") {
-		t.Fatalf("maintain output: %s", out)
+	if spare {
+		daemon(t, "ibp-depot", depotArgs(spareAddr, "UCSB1", "UCSB")...)
+		waitRegistered(t, lboneAddr, 3)
 	}
+
+	before, err := os.ReadFile(xnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin("xnd"), "maintain", "-lbone", lboneAddr, "-min-coverage", "2", xnd).CombinedOutput()
+	if !spare {
+		// The one live depot already holds the surviving copy.
+		if err == nil || !strings.Contains(string(out), core.ErrNoDisjointDepot.Error()) {
+			t.Fatalf("maintain with only the survivor left: err %v, want a failure naming %q:\n%s",
+				err, core.ErrNoDisjointDepot, out)
+		}
+		if after, _ := os.ReadFile(xnd); !bytes.Equal(after, before) {
+			t.Fatal("the failed maintain rewrote the exnode")
+		}
+		return
+	}
+	if err != nil || !strings.Contains(string(out), "added 1 replicas") {
+		t.Fatalf("maintain: %v\n%s", err, out)
+	}
+	blob, err := os.ReadFile(xnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := exnode.Unmarshal(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := map[string]int{}
+	for _, m := range x.Mappings {
+		on[m.Depot]++
+	}
+	if on["UTK1"] != 1 || on["UCSB1"] != 1 {
+		t.Fatalf("mappings per depot after repair: %v, want the new copy on UCSB1 and one copy on UTK1", on)
+	}
+
 	// Download still works after repair.
 	dst := filepath.Join(work, "r.out")
 	run(t, "xnd", "download", "-o", dst, xnd)

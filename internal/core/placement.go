@@ -163,6 +163,39 @@ func (jb *placeJob) size() int64 {
 	return int64(len(jb.payload))
 }
 
+// digest is the checksum of one distinct payload: the first job to store
+// it hashes it, and every job that stores the same bytes reuses the sum.
+type digest struct {
+	once sync.Once
+	sum  string
+}
+
+// digests gives each payload job the digest it shares with every job whose
+// payload is the same bytes. Same bytes means the same backing memory —
+// first byte and length — not the same file range: the replicas of a
+// fragment are one subslice of the write's data, while every block of a
+// coding group covers the whole file and holds different bytes.
+func digests(jobs []placeJob) []*digest {
+	same := func(a, b []byte) bool {
+		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	}
+	out := make([]*digest, len(jobs))
+	for i := range jobs {
+		if jobs[i].src != nil {
+			continue
+		}
+		for k := 0; k < i && out[i] == nil; k++ {
+			if out[k] != nil && same(jobs[k].payload, jobs[i].payload) {
+				out[i] = out[k]
+			}
+		}
+		if out[i] == nil {
+			out[i] = &digest{}
+		}
+	}
+	return out
+}
+
 // placeJobs pairs each planned block with its candidate depots.
 func placeJobs(plan []planJob, depots []lbone.DepotInfo, policy Placement) []placeJob {
 	candidates := planPlacements(plan, depots, policy)
@@ -177,7 +210,8 @@ func placeJobs(plan []planJob, depots []lbone.DepotInfo, policy Placement) []pla
 // job on the first of its candidates that takes it — healthy depots first,
 // failing over down the list — in order or on opts.Parallelism goroutines,
 // and returns one replica mapping per job. Of opts it also reads Duration
-// and Reliability (defaulting both), Checksum and Report. The first job to
+// and Reliability (defaulting both), Checksum (each distinct payload is
+// hashed once, however many jobs store it) and Report. The first job to
 // run out of candidates aborts the rest (ErrUploadAborted marks those never
 // tried), whatever was stored is deleted again, and the report keeps the
 // trail of every attempt either way.
@@ -246,6 +280,11 @@ func (t *Tools) placeAll(op string, jobs []placeJob, held occupancy, opts Upload
 		return shared
 	}
 
+	var sums []*digest
+	if opts.Checksum {
+		sums = digests(jobs)
+	}
+
 	// First-error abort: once any job exhausts its candidates, siblings stop
 	// starting new attempts — there is no point filling depots with blocks
 	// of a write that cannot complete.
@@ -285,8 +324,10 @@ func (t *Tools) placeAll(op string, jobs []placeJob, held occupancy, opts Upload
 				}
 				if jb.src != nil {
 					m.Checksum = jb.src.Checksum // same bytes, same digest
-				} else if opts.Checksum {
-					m.Checksum = integrity.Sum(jb.payload)
+				} else if sums != nil {
+					d := sums[i]
+					d.once.Do(func() { d.sum = integrity.Sum(jb.payload) })
+					m.Checksum = d.sum
 				}
 				return m, nil
 			}

@@ -17,15 +17,12 @@ func TestGFFieldAxioms(t *testing.T) {
 		if mul(x, 0) != 0 {
 			t.Fatalf("%d * 0 != 0", a)
 		}
-		if Add(x, x) != 0 {
-			t.Fatalf("%d + %d != 0 (char 2)", a, a)
+		if a != 0 && mul(x, inv(x)) != 1 {
+			t.Fatalf("%d * inv(%d) != 1", a, a)
 		}
-		if a != 0 {
-			if mul(x, Inv(x)) != 1 {
-				t.Fatalf("%d * inv(%d) != 1", a, a)
-			}
-			if Div(x, x) != 1 {
-				t.Fatalf("%d / %d != 1", a, a)
+		for b := 0; b < 256; b++ {
+			if gfMul[a][b] != mul(x, byte(b)) {
+				t.Fatalf("product table: %d * %d = %d, want %d", a, b, gfMul[a][b], mul(x, byte(b)))
 			}
 		}
 	}
@@ -40,7 +37,7 @@ func TestGFFieldAxioms(t *testing.T) {
 				if mul(mul(x, y), z) != mul(x, mul(y, z)) {
 					t.Fatal("multiplication not associative")
 				}
-				if mul(x, Add(y, z)) != Add(mul(x, y), mul(x, z)) {
+				if mul(x, y^z) != mul(x, y)^mul(x, z) {
 					t.Fatal("distributivity fails")
 				}
 			}
@@ -48,19 +45,71 @@ func TestGFFieldAxioms(t *testing.T) {
 	}
 }
 
-func TestGFDivPanics(t *testing.T) {
+func TestGFInvPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Div by zero should panic")
+			t.Fatal("inv(0) should panic")
 		}
 	}()
-	Div(1, 0)
+	inv(0)
 }
 
-func TestExpPeriod(t *testing.T) {
-	if Exp(0) != 1 || Exp(255) != 1 || Exp(-1) != Exp(254) {
-		t.Fatal("Exp period wrong")
+// checkMulSlice runs mulSlice on src at an odd offset into its buffer, into
+// dst at another, and compares every byte with the scalar product; the
+// guard bytes around dst must come out untouched.
+func checkMulSlice(t testing.TB, src, dst []byte, c byte) {
+	t.Helper()
+	const guard = 0xA5
+	sb := make([]byte, len(src)+1)
+	db := make([]byte, len(dst)+6)
+	for i := range db {
+		db[i] = guard
 	}
+	s, d := sb[1:1+len(src)], db[3:3+len(dst)]
+	copy(s, src)
+	copy(d, dst)
+	mulSlice(d, s, c)
+	for i := range d {
+		if want := dst[i] ^ mul(c, src[i]); d[i] != want {
+			t.Fatalf("c=%d len=%d: byte %d = %#x, want %#x", c, len(src), i, d[i], want)
+		}
+	}
+	for i, b := range append(db[:3:3], db[3+len(dst):]...) {
+		if b != guard {
+			t.Fatalf("c=%d len=%d: guard byte %d overwritten", c, len(src), i)
+		}
+	}
+}
+
+// TestMulSliceMatchesScalar checks the word-at-a-time table kernel against
+// the log/exp product for every coefficient: at each length around one
+// word and two, and at an RS 3+2 block of a 1 MiB file, which is not a
+// multiple of 8.
+func TestMulSliceMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	lengths := []int{349_526}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		src, dst := make([]byte, n), make([]byte, n)
+		rng.Read(src)
+		rng.Read(dst)
+		for c := 0; c < 256; c++ {
+			checkMulSlice(t, src, dst, byte(c))
+		}
+	}
+}
+
+func FuzzMulSlice(f *testing.F) {
+	f.Add([]byte{}, []byte{}, byte(2))
+	f.Add([]byte{0, 1, 2, 0xff}, []byte{9, 8, 7, 6}, byte(1))
+	f.Add([]byte("fault-tolerance in the network"), []byte("storage stack: coding blocks!!"), byte(0x8e))
+	f.Add(bytes.Repeat([]byte{0xff}, 23), bytes.Repeat([]byte{0x01}, 23), byte(0xff))
+	f.Fuzz(func(t *testing.T, src, dst []byte, c byte) {
+		n := min(len(src), len(dst))
+		checkMulSlice(t, src[:n], dst[:n], c)
+	})
 }
 
 func TestMatrixInvertIdentity(t *testing.T) {
@@ -101,50 +150,54 @@ func TestMatrixSingular(t *testing.T) {
 }
 
 func TestRSEncodeDecodeAllErasurePatterns(t *testing.T) {
-	// For a small code, exhaustively verify every erasure pattern of up
-	// to m losses decodes — the MDS property Plank's correction note is
-	// about.
-	const k, m = 4, 3
-	rs, err := NewRS(k, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// For small codes, exhaustively verify every erasure pattern of up to
+	// m losses decodes — the MDS property Plank's correction note is about
+	// — at block sizes that leave the kernel a tail shorter than a word.
 	rng := rand.New(rand.NewSource(7))
-	data := make([][]byte, k)
-	for i := range data {
-		data[i] = make([]byte, 64)
-		rng.Read(data[i])
-	}
-	parity, err := rs.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := append(append([][]byte{}, data...), parity...)
-
-	n := k + m
-	for mask := 0; mask < 1<<n; mask++ {
-		lost := 0
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				lost++
-			}
-		}
-		if lost > m {
-			continue
-		}
-		blocks := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) == 0 {
-				blocks[i] = all[i]
-			}
-		}
-		got, err := rs.Decode(blocks)
+	for _, code := range []struct{ k, m int }{{3, 2}, {4, 2}, {4, 3}} {
+		rs, err := NewRS(code.k, code.m)
 		if err != nil {
-			t.Fatalf("mask %b: %v", mask, err)
+			t.Fatal(err)
 		}
-		for i := 0; i < k; i++ {
-			if !bytes.Equal(got[i], data[i]) {
-				t.Fatalf("mask %b: data block %d wrong", mask, i)
+		for _, size := range []int{1, 13, 64, 4099} {
+			k, m := code.k, code.m
+			data := make([][]byte, k)
+			for i := range data {
+				data[i] = make([]byte, size)
+				rng.Read(data[i])
+			}
+			parity, err := rs.Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := append(append([][]byte{}, data...), parity...)
+
+			n := k + m
+			for mask := 0; mask < 1<<n; mask++ {
+				lost := 0
+				for i := 0; i < n; i++ {
+					if mask&(1<<i) != 0 {
+						lost++
+					}
+				}
+				if lost > m {
+					continue
+				}
+				blocks := make([][]byte, n)
+				for i := 0; i < n; i++ {
+					if mask&(1<<i) == 0 {
+						blocks[i] = all[i]
+					}
+				}
+				got, err := rs.Decode(blocks)
+				if err != nil {
+					t.Fatalf("RS %d+%d size %d mask %b: %v", k, m, size, mask, err)
+				}
+				for i := 0; i < k; i++ {
+					if !bytes.Equal(got[i], data[i]) {
+						t.Fatalf("RS %d+%d size %d mask %b: data block %d wrong", k, m, size, mask, i)
+					}
+				}
 			}
 		}
 	}
@@ -266,27 +319,32 @@ func TestSplitJoinRoundTripProperty(t *testing.T) {
 func TestXORParityRecoverEachPosition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	k := 5
-	data := make([][]byte, k)
-	for i := range data {
-		data[i] = make([]byte, 128)
-		rng.Read(data[i])
-	}
-	parity, err := XORParity(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lost := 0; lost <= k; lost++ {
-		blocks := make([][]byte, k+1)
-		copy(blocks, data)
-		blocks[k] = parity
-		blocks[lost] = nil
-		got, err := XORRecover(blocks)
-		if err != nil {
-			t.Fatalf("lost=%d: %v", lost, err)
+	for _, size := range []int{1, 13, 128, 1001} {
+		data := make([][]byte, k)
+		for i := range data {
+			data[i] = make([]byte, size)
+			rng.Read(data[i])
 		}
-		for i := 0; i < k; i++ {
-			if !bytes.Equal(got[i], data[i]) {
-				t.Fatalf("lost=%d: block %d wrong", lost, i)
+		parity, err := XORParity(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lost := 0; lost <= k; lost++ {
+			blocks := make([][]byte, k+1)
+			copy(blocks, data)
+			blocks[k] = parity
+			blocks[lost] = nil
+			got, err := XORRecover(blocks)
+			if err != nil {
+				t.Fatalf("size %d lost=%d: %v", size, lost, err)
+			}
+			for i := 0; i < k; i++ {
+				if !bytes.Equal(got[i], data[i]) {
+					t.Fatalf("size %d lost=%d: block %d wrong", size, lost, i)
+				}
+			}
+			if lost < k && blocks[lost] != nil {
+				t.Fatalf("size %d lost=%d: recovery wrote into the caller's slice", size, lost)
 			}
 		}
 	}

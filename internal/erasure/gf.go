@@ -8,13 +8,21 @@
 // Arithmetic is over GF(2^8) with the standard 0x11D primitive polynomial.
 package erasure
 
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
+
 // gfPoly is the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).
 const gfPoly = 0x11D
 
-// Log/antilog tables for GF(2^8).
+// Log/antilog tables for GF(2^8), and the full product table built from
+// them: gfMul[c][s] is c*s, 64 KiB, so the coding kernel is one load per
+// byte.
 var (
 	gfExp [512]byte // doubled to avoid mod-255 in mul
 	gfLog [256]byte
+	gfMul [256][256]byte
 )
 
 func init() {
@@ -30,10 +38,12 @@ func init() {
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
 	}
+	for c := range gfMul {
+		for s := range gfMul[c] {
+			gfMul[c][s] = mul(byte(c), byte(s))
+		}
+	}
 }
-
-// Add returns a+b in GF(2^8) (XOR; identical to subtraction).
-func Add(a, b byte) byte { return a ^ b }
 
 // mul returns a*b in GF(2^8).
 func mul(a, b byte) byte {
@@ -43,50 +53,38 @@ func mul(a, b byte) byte {
 	return gfExp[int(gfLog[a])+int(gfLog[b])]
 }
 
-// Div returns a/b in GF(2^8). Division by zero panics, as with integers.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("erasure: division by zero in GF(2^8)")
-	}
-	if a == 0 {
-		return 0
-	}
-	return gfExp[int(gfLog[a])+255-int(gfLog[b])]
-}
-
-// Inv returns the multiplicative inverse of a. Zero panics.
-func Inv(a byte) byte {
+// inv returns the multiplicative inverse of a. Zero panics.
+func inv(a byte) byte {
 	if a == 0 {
 		panic("erasure: zero has no inverse in GF(2^8)")
 	}
 	return gfExp[255-int(gfLog[a])]
 }
 
-// Exp returns the generator raised to the n-th power.
-func Exp(n int) byte {
-	n %= 255
-	if n < 0 {
-		n += 255
-	}
-	return gfExp[n]
-}
-
 // mulSlice computes dst[i] ^= c * src[i] for all i — the inner loop of
-// encoding and decoding.
+// encoding and decoding. It looks up eight products per step and applies
+// them to dst as one little-endian word.
 func mulSlice(dst, src []byte, c byte) {
-	if c == 0 {
+	dst = dst[:len(src)]
+	switch c {
+	case 0:
+		return
+	case 1:
+		subtle.XORBytes(dst, dst, src)
 		return
 	}
-	if c == 1 {
-		for i := range src {
-			dst[i] ^= src[i]
-		}
-		return
+	t := &gfMul[c]
+	n := len(src) &^ 7
+	for i := 0; i < n; i += 8 {
+		s8, d8 := src[i:i+8:i+8], dst[i:i+8:i+8] // one bounds check for the word
+		s := binary.LittleEndian.Uint64(s8)
+		p := uint64(t[byte(s)]) | uint64(t[byte(s>>8)])<<8 |
+			uint64(t[byte(s>>16)])<<16 | uint64(t[byte(s>>24)])<<24 |
+			uint64(t[byte(s>>32)])<<32 | uint64(t[byte(s>>40)])<<40 |
+			uint64(t[byte(s>>48)])<<48 | uint64(t[byte(s>>56)])<<56
+		binary.LittleEndian.PutUint64(d8, binary.LittleEndian.Uint64(d8)^p)
 	}
-	logC := int(gfLog[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gfExp[logC+int(gfLog[s])]
-		}
+	for i := n; i < len(src); i++ {
+		dst[i] ^= t[src[i]]
 	}
 }

@@ -97,10 +97,10 @@ func (m matrix) invert() (matrix, error) {
 		}
 		// Scale pivot row to 1.
 		if v := work.at(col, col); v != 1 {
-			inv := Inv(v)
+			vInv := inv(v)
 			row := work.row(col)
 			for i := range row {
-				row[i] = mul(row[i], inv)
+				row[i] = mul(row[i], vInv)
 			}
 		}
 		// Eliminate the column elsewhere.

@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 )
@@ -19,9 +20,7 @@ func XORParity(data [][]byte) ([]byte, error) {
 		if len(b) != size {
 			return nil, fmt.Errorf("erasure: block %d has size %d, want %d", i, len(b), size)
 		}
-		for j, v := range b {
-			out[j] ^= v
-		}
+		subtle.XORBytes(out, out, b)
 	}
 	return out, nil
 }
@@ -60,11 +59,8 @@ func XORRecover(blocks [][]byte) ([][]byte, error) {
 	}
 	rec := make([]byte, size)
 	for i, b := range blocks {
-		if i == missing {
-			continue
-		}
-		for j, v := range b {
-			rec[j] ^= v
+		if i != missing {
+			subtle.XORBytes(rec, rec, b)
 		}
 	}
 	out := append([][]byte(nil), blocks[:k]...)

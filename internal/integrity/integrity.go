@@ -14,15 +14,7 @@ import (
 	"fmt"
 )
 
-// Algo names a checksum algorithm.
-type Algo string
-
-// Supported algorithms.
-const (
-	SHA256 Algo = "sha256"
-)
-
-// Sum computes the hex digest of data under the default algorithm.
+// Sum computes the hex SHA-256 digest of data.
 func Sum(data []byte) string {
 	h := sha256.Sum256(data)
 	return hex.EncodeToString(h[:])
@@ -51,21 +43,3 @@ func Verify(data []byte, recorded string) error {
 	}
 	return nil
 }
-
-// Writer incrementally hashes streamed data so streaming downloads can
-// verify without buffering.
-type Writer struct {
-	h interface {
-		Write(p []byte) (int, error)
-		Sum(b []byte) []byte
-	}
-}
-
-// NewWriter returns an incremental hasher.
-func NewWriter() *Writer { return &Writer{h: sha256.New()} }
-
-// Write implements io.Writer.
-func (w *Writer) Write(p []byte) (int, error) { return w.h.Write(p) }
-
-// SumHex returns the hex digest of everything written.
-func (w *Writer) SumHex() string { return hex.EncodeToString(w.h.Sum(nil)) }

@@ -59,15 +59,3 @@ func TestCorruptionDetectedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestIncrementalWriter(t *testing.T) {
-	w := NewWriter()
-	for _, chunk := range []string{"net", "work ", "stor", "age"} {
-		if _, err := w.Write([]byte(chunk)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.SumHex() != Sum([]byte("network storage")) {
-		t.Fatal("incremental hash differs from one-shot hash")
-	}
-}
