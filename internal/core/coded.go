@@ -6,11 +6,12 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/erasure"
 	"repro/internal/exnode"
 	"repro/internal/ibp"
-	"repro/internal/integrity"
 	"repro/internal/lbone"
+	"repro/internal/obs"
 )
 
 // This file implements the paper's §4 future work: "with parity coding
@@ -116,30 +117,20 @@ func codingGroupID(name string, n int) string {
 // recoverFromCoding rebuilds extent ext from a coding group covering it,
 // loading at least k of its blocks and decoding. It returns a display name
 // describing the recovery source.
-func (t *Tools) recoverFromCoding(x *exnode.ExNode, ext exnode.Extent, dst []byte, opts DownloadOptions) (string, error) {
-	groups := x.CodingGroups()
-	if len(groups) == 0 {
-		return "", errors.New("core: no coding groups in exnode")
-	}
-	var lastErr error
-	for _, ms := range groups {
-		if len(ms) == 0 {
-			continue
-		}
+func (t *Tools) recoverFromCoding(x *exnode.ExNode, ext exnode.Extent, dst []byte, opts DownloadOptions, sc obs.SpanContext) (string, error) {
+	lastErr := errors.New("core: no coding group covers the extent")
+	for _, ms := range x.CodingGroups() {
 		g := ms[0]
 		if !(g.Offset <= ext.Start && ext.End <= g.Offset+g.Length) {
 			continue // group does not protect this extent
 		}
-		data, err := t.decodeGroupShared(ms, opts)
+		data, err := t.decodeGroupShared(ms, opts, sc)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		copy(dst, data[ext.Start-g.Offset:ext.End-g.Offset])
 		return fmt.Sprintf("coded(%s)", g.Group), nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("core: no coding group covers the extent")
 	}
 	return "", lastErr
 }
@@ -149,12 +140,12 @@ func (t *Tools) recoverFromCoding(x *exnode.ExNode, ext exnode.Extent, dst []byt
 // readahead fetches) that all lost their replicas pay for one decode — k
 // block loads — instead of k loads each. The shared slice is copied out by
 // every caller and never written.
-func (t *Tools) decodeGroupShared(ms []*exnode.Mapping, opts DownloadOptions) ([]byte, error) {
+func (t *Tools) decodeGroupShared(ms []*exnode.Mapping, opts DownloadOptions, sc obs.SpanContext) ([]byte, error) {
 	if t.Transfer == nil {
-		return t.decodeGroup(ms, opts)
+		return t.decodeGroup(ms, opts, sc)
 	}
 	data, shared, err := t.Transfer.GroupDo(ms[0].Group, func() ([]byte, error) {
-		return t.decodeGroup(ms, opts)
+		return t.decodeGroup(ms, opts, sc)
 	})
 	if shared {
 		t.logf("core: coded group %s: reused a concurrent decode", ms[0].Group)
@@ -162,49 +153,53 @@ func (t *Tools) decodeGroupShared(ms []*exnode.Mapping, opts DownloadOptions) ([
 	return data, err
 }
 
-// decodeGroup loads the group's surviving blocks and reconstructs the
-// original group payload.
-func (t *Tools) decodeGroup(ms []*exnode.Mapping, opts DownloadOptions) ([]byte, error) {
+// decodeGroup loads the group's surviving blocks, in BlockIndex order, and
+// reconstructs the original group payload. All k data blocks are simply
+// joined; otherwise the code is the one a remaining parity mapping names —
+// never guessed, since Maintain may have trimmed every parity mapping.
+func (t *Tools) decodeGroup(ms []*exnode.Mapping, opts DownloadOptions, sc obs.SpanContext) ([]byte, error) {
 	g := ms[0]
 	k, m := g.DataBlocks, g.ParityBlocks
 	blocks := make([][]byte, k+m)
-	survivors := 0
-	isRS := false
-	for _, mp := range ms {
-		if mp.Function == exnode.FuncRSParity {
-			isRS = true
+	defer func() {
+		for _, b := range blocks {
+			bufpool.Put(b) // a nil (missing) block is ignored
 		}
-	}
+	}()
+	var code exnode.Function
 	for _, mp := range ms {
-		if survivors >= k && allDataPresent(blocks, k) {
-			break
+		if mp.Function != exnode.FuncRSData {
+			code = mp.Function
 		}
-		data, err := t.IBP.Load(mp.Read, 0, mp.BlockSize)
-		if err != nil {
-			t.logf("core: coded block %d (%s) unavailable: %v", mp.BlockIndex, mp.Depot, err)
+		if allDataPresent(blocks, k) {
 			continue
 		}
-		if !opts.SkipVerify && mp.Checksum != "" {
-			if err := integrity.Verify(data, mp.Checksum); err != nil {
-				t.logf("core: coded block %d (%s) corrupt: %v", mp.BlockIndex, mp.Depot, err)
-				continue
-			}
+		if mp.BlockIndex < 0 || mp.BlockIndex >= len(blocks) || blocks[mp.BlockIndex] != nil {
+			continue
 		}
-		if mp.BlockIndex >= 0 && mp.BlockIndex < len(blocks) && blocks[mp.BlockIndex] == nil {
-			blocks[mp.BlockIndex] = data
-			survivors++
+		buf := bufpool.Get(int(mp.BlockSize))
+		if err := t.load(mp, 0, buf, opts, nil, sc); err != nil {
+			bufpool.Put(buf)
+			t.logf("core: coded block %d (%s) unusable: %v", mp.BlockIndex, mp.Depot, err)
+			continue
 		}
+		blocks[mp.BlockIndex] = buf
 	}
 	var dataBlocks [][]byte
 	var err error
-	if isRS {
+	switch {
+	case allDataPresent(blocks, k):
+		dataBlocks = blocks[:k]
+	case code == exnode.FuncRSParity:
 		rs, rerr := erasure.NewRS(k, m)
 		if rerr != nil {
 			return nil, rerr
 		}
 		dataBlocks, err = rs.Decode(blocks)
-	} else {
+	case code == exnode.FuncParity:
 		dataBlocks, err = erasure.XORRecover(blocks)
+	default:
+		err = fmt.Errorf("core: coded group %s: data blocks missing and no parity mapping left to name the code", g.Group)
 	}
 	if err != nil {
 		return nil, err

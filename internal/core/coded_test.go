@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,5 +205,76 @@ func TestHybridReplicaPlusParity(t *testing.T) {
 	}
 	if !rep2.Extents[0].Coded {
 		t.Fatal("recovery should be marked coded")
+	}
+}
+
+// TestDecodeNeverGuessesTheCode pins that the decoder takes the code from
+// the exNode, not from which mappings happen to remain: Maintain may trim
+// every parity mapping of a group whose data blocks are all intact.
+func TestDecodeNeverGuessesTheCode(t *testing.T) {
+	cases := []struct {
+		name    string
+		rs      bool
+		trim    []int // block indices dropped from the exNode
+		down    []int // block indices whose depot is down
+		wantErr bool
+	}{
+		{name: "rs 3+2 without parity mappings", rs: true, trim: []int{3, 4}},
+		{name: "xor 3+1 without parity mapping", trim: []int{3}},
+		{name: "rs 3+2 missing a data and a parity block", rs: true, trim: []int{3}, down: []int{0}},
+		{name: "xor 3+1 missing data with no parity left", trim: []int{3}, down: []int{1}, wantErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			names := []string{"D0", "D1", "D2", "D3", "D4"}
+			for _, n := range names {
+				e.addDepot(n, geo.UTK, nil)
+			}
+			tl := e.tools(geo.UTK, false)
+			data := payload(30_001)
+			opts := CodedOptions{DataBlocks: 3, ParityBlocks: 2, Depots: e.infosFor(names...), Checksum: true}
+			upload := tl.UploadXOR
+			if tc.rs {
+				upload = tl.UploadRS
+			}
+			x, err := upload("f", data, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var trim []int
+			for i, m := range x.Mappings {
+				for _, b := range tc.trim {
+					if m.BlockIndex == b {
+						trim = append(trim, i)
+					}
+				}
+				for _, b := range tc.down {
+					if m.BlockIndex == b {
+						now := e.clk.Now()
+						e.model.AddDepot(m.Read.Addr, faultnet.DepotState{
+							Site:  "UTK",
+							Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
+						})
+					}
+				}
+			}
+			if x, err = tl.Trim(x, TrimOptions{Indices: trim}); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := tl.Download(x, DownloadOptions{})
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), x.Mappings[0].Group) {
+					t.Fatalf("err = %v, want a detected failure naming group %s", err, x.Mappings[0].Group)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("decoded bytes differ")
+			}
+		})
 	}
 }

@@ -296,7 +296,7 @@ func (t *Tools) fetchExtent(x *exnode.ExNode, ext exnode.Extent, dst []byte, opt
 	}
 	// Every replica failed (or none existed): try coded recovery.
 	t0 := t.clock().Now()
-	depot, err := t.recoverFromCoding(x, ext, dst, opts)
+	depot, err := t.recoverFromCoding(x, ext, dst, opts, sc)
 	a := Attempt{Depot: depot, Coded: true, Start: t0, Duration: t.clock().Since(t0)}
 	if err == nil {
 		a.Bytes = ext.Len()
@@ -326,7 +326,7 @@ func (t *Tools) tryCandidates(er *ExtentReport, cands []*exnode.Mapping, ext exn
 		}
 		er.Attempts++
 		t0 := t.clock().Now()
-		err := t.attemptLoad(m, ext, dst, opts, nil, sc)
+		err := t.load(m, ext.Start-m.Offset, dst, opts, nil, sc)
 		a := Attempt{Depot: m.Depot, Addr: m.Read.Addr, Start: t0, Duration: t.clock().Since(t0)}
 		if err != nil {
 			a.Err = err.Error()
@@ -376,7 +376,7 @@ func (t *Tools) raceCandidates(er *ExtentReport, cands []*exnode.Mapping, ext ex
 			if idx == 1 {
 				buf = bufpool.Get(int(ext.Len()))
 			}
-			if err := t.attemptLoad(pair[idx], ext, buf, opts, cancel, sc); err != nil {
+			if err := t.load(pair[idx], ext.Start-pair[idx].Offset, buf, opts, cancel, sc); err != nil {
 				if idx == 1 {
 					bufpool.Put(buf)
 				}
@@ -426,12 +426,13 @@ func (t *Tools) raceCandidates(er *ExtentReport, cands []*exnode.Mapping, ext ex
 	return false
 }
 
-// attemptLoad loads ext from one mapping into the caller-owned dst (which
-// must be exactly ext.Len() bytes) and verifies integrity when possible.
-// A non-nil cancel may abandon the load mid-flight (the losing side of a
-// hedged race); dst then holds an undefined prefix.
-func (t *Tools) attemptLoad(m *exnode.Mapping, ext exnode.Extent, dst []byte, opts DownloadOptions, cancel <-chan struct{}, sc obs.SpanContext) error {
-	off := ext.Start - m.Offset
+// load reads len(dst) bytes at offset off of m's allocation into the
+// caller-owned dst; every block core reads from a depot comes through here.
+// The measured bandwidth feeds NWS, and a read of the whole allocation
+// (storedLen) is checked against the recorded digest. A non-nil cancel may
+// abandon the load mid-flight (the losing side of a hedged race); dst then
+// holds an undefined prefix.
+func (t *Tools) load(m *exnode.Mapping, off int64, dst []byte, opts DownloadOptions, cancel <-chan struct{}, sc obs.SpanContext) error {
 	t0 := t.clock().Now()
 	client := t.IBP
 	if sc.Sampled && sc.Valid() {
@@ -446,7 +447,7 @@ func (t *Tools) attemptLoad(m *exnode.Mapping, ext exnode.Extent, dst []byte, op
 	// Feed the observation back into NWS: real downloads are the best
 	// bandwidth sensor.
 	if t.NWS != nil && elapsed > 0 {
-		mbits := float64(ext.Len()*8) / 1e6 / elapsed.Seconds()
+		mbits := float64(len(dst)*8) / 1e6 / elapsed.Seconds()
 		// Score the forecast against the measurement it steered before the
 		// measurement itself updates the series.
 		if t.Forecast != nil {
@@ -456,14 +457,21 @@ func (t *Tools) attemptLoad(m *exnode.Mapping, ext exnode.Extent, dst []byte, op
 		}
 		t.NWS.Record(t.Site, m.Read.Addr, nws.Bandwidth, mbits)
 	}
-	// End-to-end verification is possible when the extent spans the whole
-	// mapping (the digest covers the full stored fragment).
-	if !opts.SkipVerify && m.Checksum != "" && off == 0 && ext.Len() == m.Length {
-		if err := integrity.Verify(dst, m.Checksum); err != nil {
-			return err
-		}
+	// The digest covers the full stored allocation, so only a whole read
+	// can be verified.
+	if !opts.SkipVerify && off == 0 && int64(len(dst)) == storedLen(m) {
+		return integrity.Verify(dst, m.Checksum)
 	}
 	return nil
+}
+
+// storedLen is the length of m's allocation: a replica stores its extent,
+// a coded block BlockSize bytes.
+func storedLen(m *exnode.Mapping) int64 {
+	if m.IsReplica() {
+		return m.Length
+	}
+	return m.BlockSize
 }
 
 // rankCandidates orders mappings per the strategy, then stably splits them

@@ -202,6 +202,33 @@ func TestVerifyAudit(t *testing.T) {
 	if res := tl.Verify(y); res.Unchecked != 1 {
 		t.Fatalf("no-checksum exnode: %s", res)
 	}
+	// Coded blocks are audited in full too: an RS 3+2 group on five fresh
+	// depots, one of which flips bytes and one of which goes down.
+	coded := []string{"C1", "C2", "C3", "C4", "C5"}
+	for _, n := range coded {
+		e.addDepot(n, geo.UTK, nil)
+	}
+	z, err := tl.UploadRS("h", data, CodedOptions{DataBlocks: 3, ParityBlocks: 2, Depots: e.infosFor(coded...), Checksum: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := tl.Verify(z); res.OK != 5 {
+		t.Fatalf("healthy coded exnode: %s", res)
+	}
+	e.model.SetDepotCorruption(e.depots["C1"].Addr(), true)
+	e.model.AddDepot(e.depots["C2"].Addr(), faultnet.DepotState{
+		Site:  "UTK",
+		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
+	})
+	res = tl.Verify(z)
+	if res.OK != 3 || res.Corrupt != 1 || res.Unavailable != 1 {
+		t.Fatalf("coded exnode with a corrupt and a down depot: %s", res)
+	}
+	for _, en := range res.Entries {
+		if want := map[string]string{"C1": "corrupt", "C2": "unavailable"}[en.Mapping.Depot]; want != "" && en.State != want {
+			t.Fatalf("%s state = %s, want %s", en.Mapping.Depot, en.State, want)
+		}
+	}
 }
 
 func TestDownloadBudget(t *testing.T) {

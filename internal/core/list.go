@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/exnode"
+	"repro/internal/health"
+	"repro/internal/ibp"
 	"repro/internal/nws"
 )
 
@@ -18,6 +20,7 @@ type ListEntry struct {
 	Size      int64   // stored bytes (-1 when unavailable)
 	Bandwidth float64 // NWS forecast to the segment's depot, Mbit/s (0 = unknown)
 	Expires   time.Time
+	probeErr  error // the manage-capability probe's outcome (nil = answered)
 }
 
 // List probes every mapping of the exNode and reports availability, size,
@@ -27,7 +30,9 @@ func (t *Tools) List(x *exnode.ExNode) []ListEntry {
 	entries := make([]ListEntry, len(x.Mappings))
 	for i, m := range x.Mappings {
 		e := ListEntry{Index: i, Mapping: m, Size: -1, Expires: m.Expires}
-		if info, err := t.IBP.Probe(m.Manage); err == nil {
+		info, err := t.probe(m)
+		e.probeErr = err
+		if err == nil {
 			e.Available = true
 			e.Size = info.Size
 			e.Expires = info.Expires
@@ -44,6 +49,16 @@ func (t *Tools) List(x *exnode.ExNode) []ListEntry {
 		entries[i] = e
 	}
 	return entries
+}
+
+// probe asks m's depot about its allocation through the manage capability.
+// A depot behind an open circuit is not asked: the circuit-open error
+// stands in for the answer, which is neither "up" nor "gone".
+func (t *Tools) probe(m *exnode.Mapping) (ibp.AllocInfo, error) {
+	if !m.Manage.IsZero() && t.healthBlocked(m.Manage.Addr) {
+		return ibp.AllocInfo{}, health.ErrCircuitOpen
+	}
+	return t.IBP.Probe(m.Manage)
 }
 
 // probeByRead tests availability without a manage capability.

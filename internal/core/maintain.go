@@ -92,23 +92,22 @@ func (t *Tools) Maintain(x *exnode.ExNode, opts MaintainOptions) (*exnode.ExNode
 	// 3. Drop mappings whose allocations are gone for good (expired or
 	//    deleted). A depot merely being down is NOT grounds for trimming —
 	//    the paper's depots came back. Only trim when the depot answered
-	//    and said "no such allocation".
+	//    and said "no such allocation". Step 1's probes are the only ones
+	//    a pass makes: up[i] says whether out.Mappings[i] answered.
 	out := x.Clone()
 	var deadIdx []int
+	var up []bool
 	for i, e := range entries {
-		if e.Available {
-			continue
-		}
-		if gone := t.allocationGone(x.Mappings[i]); gone {
+		if isGoneError(e.probeErr) {
 			deadIdx = append(deadIdx, i)
-		}
-	}
-	if len(deadIdx) > 0 {
-		for _, i := range deadIdx {
 			m := x.Mappings[i]
 			rep.event("trim", "mapping [%d,%d) on %s (%s): allocation gone",
 				m.Offset, m.Offset+m.Length, m.Depot, m.Manage.Addr)
+		} else {
+			up = append(up, e.probeErr == nil)
 		}
+	}
+	if len(deadIdx) > 0 {
 		trimmed, err := t.Trim(out, TrimOptions{Indices: deadIdx})
 		if err != nil {
 			return nil, rep, fmt.Errorf("core: maintain: trim: %w", err)
@@ -117,10 +116,9 @@ func (t *Tools) Maintain(x *exnode.ExNode, opts MaintainOptions) (*exnode.ExNode
 		rep.TrimmedDead = len(deadIdx)
 	}
 
-	// 4. Measure worst-extent coverage counting only currently-available
-	//    mappings, and repair if below the floor.
-	avail := t.reachable(out)
-	coverage := worstCoverage(out, avail)
+	// 4. Measure worst-extent coverage counting only available mappings,
+	//    and repair if below the floor.
+	coverage := worstCoverage(out, upSet(out, up))
 	if coverage < opts.MinCoverage {
 		add := opts.MinCoverage - coverage
 		rep.event("repair", "coverage %d below floor %d: adding %d replica(s)", coverage, opts.MinCoverage, add)
@@ -131,35 +129,30 @@ func (t *Tools) Maintain(x *exnode.ExNode, opts MaintainOptions) (*exnode.ExNode
 			Duration: opts.RefreshTo,
 			Checksum: true,
 			Download: opts.Download,
-		}, avail)
+		}, upSet(out, up))
 		if err != nil {
 			return out, rep, fmt.Errorf("core: maintain: repair: %w", err)
+		}
+		// augment appends the mappings it just stored: they are up.
+		for len(up) < len(aug.Mappings) {
+			up = append(up, true)
 		}
 		out = aug
 		rep.AddedReplicas = add
 	}
-	rep.MinCoverage = worstCoverage(out, t.reachable(out))
+	rep.MinCoverage = worstCoverage(out, upSet(out, up))
 	return out, rep, nil
 }
 
-// allocationGone distinguishes "depot down" from "allocation gone": it
-// reports true only when the depot is reachable and answers NOT_FOUND or
-// EXPIRED for the mapping.
-func (t *Tools) allocationGone(m *exnode.Mapping) bool {
-	if m.Manage.IsZero() {
-		return false
+// upSet is the set of x's mappings whose up flag is set.
+func upSet(x *exnode.ExNode, up []bool) occupancy {
+	avail := occupancy{}
+	for i, m := range x.Mappings {
+		if up[i] {
+			avail[m] = true
+		}
 	}
-	if t.healthBlocked(m.Manage.Addr) {
-		// Open circuit: the depot is (currently) unreachable, which is
-		// exactly the "depot down" case we must not trim on. No need to
-		// pay the probe to find that out.
-		return false
-	}
-	_, err := t.IBP.Probe(m.Manage)
-	if err == nil {
-		return false
-	}
-	return isGoneError(err)
+	return avail
 }
 
 // worstCoverage returns the minimum, over extents of the file, of the
@@ -221,10 +214,7 @@ func worstCoverage(x *exnode.ExNode, avail occupancy) int {
 func (t *Tools) reachable(x *exnode.ExNode) occupancy {
 	avail := occupancy{}
 	for _, m := range x.Mappings {
-		if m.Manage.IsZero() || t.healthBlocked(m.Manage.Addr) {
-			continue
-		}
-		if _, err := t.IBP.Probe(m.Manage); err == nil {
+		if _, err := t.probe(m); err == nil {
 			avail[m] = true
 		}
 	}

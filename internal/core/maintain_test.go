@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/exnode"
 	"repro/internal/faultnet"
 	"repro/internal/geo"
+	"repro/internal/ibp"
+	"repro/internal/obs"
 )
 
 func TestMaintainHealthyIsNoop(t *testing.T) {
@@ -133,6 +137,68 @@ func TestMaintainDoesNotTrimDownDepots(t *testing.T) {
 	}
 }
 
+// probeCounter counts the PROBE operations an IBP client issues.
+type probeCounter struct{ n atomic.Int64 }
+
+func (p *probeCounter) Record(ev obs.Event) {
+	if ev.Verb == ibp.OpProbe {
+		p.n.Add(1)
+	}
+}
+
+// TestMaintainProbesEachMappingOnce pins the cost of a healthy pass: one
+// PROBE per mapping. Listing, trimming and both coverage measurements all
+// read the same probe results.
+func TestMaintainProbesEachMappingOnce(t *testing.T) {
+	e := newEnv(t)
+	for _, n := range []string{"A", "B", "C", "D"} {
+		e.addDepot(n, geo.UTK, nil)
+	}
+	tl := e.tools(geo.UTK, false)
+	probes := &probeCounter{}
+	tl.IBP = ibp.NewClient(ibp.WithDialer(e.model.DialerFrom("UTK")), ibp.WithClock(e.clk), ibp.WithObserver(probes))
+	x, err := tl.Upload("f", payload(16<<10), UploadOptions{
+		Replicas: 2, Fragments: 2, Depots: e.infosFor("A", "B", "C", "D"), Duration: 48 * time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes.n.Store(0)
+	_, rep, err := tl.Maintain(x, MaintainOptions{MinCoverage: 2, RefreshBelow: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MinCoverage != 2 || rep.AddedReplicas != 0 || rep.TrimmedDead != 0 {
+		t.Fatalf("healthy pass acted: %+v", rep)
+	}
+	if got := probes.n.Load(); got != 4 {
+		t.Fatalf("PROBEs = %d for %d mappings, want one each", got, len(x.Mappings))
+	}
+}
+
+// downloadWholeReplica is the strawman the paper's per-extent failover
+// (§2.3) answers: fetch one entire copy at a time, failing over copy by
+// copy. Each copy is a plain Download of the exNode cut down to that
+// copy's mappings, so any dead fragment fails the whole copy.
+func downloadWholeReplica(tl *Tools, x *exnode.ExNode, opts DownloadOptions) ([]byte, *Report, error) {
+	err := exnode.ErrNoCoverage
+	seen := map[int]bool{}
+	for _, m := range x.Mappings {
+		if !m.IsReplica() || seen[m.Replica] {
+			continue
+		}
+		seen[m.Replica] = true
+		one := x.Clone()
+		one.Mappings = x.ReplicaMappings(m.Replica)
+		data, rep, derr := tl.Download(one, opts)
+		if derr == nil {
+			return data, rep, nil
+		}
+		err = derr
+	}
+	return nil, nil, err
+}
+
 func TestWholeReplicaBaselineLosesWhereExtentsWin(t *testing.T) {
 	// The ablation behind the paper's extent-based download: take two
 	// copies and kill ONE depot from EACH copy. No single copy is fully
@@ -173,7 +239,7 @@ func TestWholeReplicaBaselineLosesWhereExtentsWin(t *testing.T) {
 	kill(byReplica[1][1])
 
 	// Whole-replica baseline: every copy has a dead fragment → fails.
-	if _, rep, err := tl.DownloadWholeReplica(x, DownloadOptions{}); err == nil {
+	if _, rep, err := downloadWholeReplica(tl, x, DownloadOptions{}); err == nil {
 		t.Fatalf("baseline should fail with one dead depot per copy (report %+v)", rep)
 	}
 	// Extent-based download: survives.
@@ -205,7 +271,7 @@ func TestWholeReplicaSucceedsWhenACopyIsIntact(t *testing.T) {
 		Site:  "UTK",
 		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
 	})
-	got, rep, err := tl.DownloadWholeReplica(x, DownloadOptions{})
+	got, rep, err := downloadWholeReplica(tl, x, DownloadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/bufpool"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/ibp"
 	"repro/internal/lbone"
+	"repro/internal/nws"
 )
 
 // Refresh extends the time limits of every IBP byte array composing the
@@ -215,6 +217,31 @@ func (t *Tools) pickAvailableReplica(x *exnode.ExNode, reachable occupancy) ([]*
 		}
 	}
 	return nil, errors.New("no fully-available replica to copy from")
+}
+
+// rankReplicas orders replica indices by total forecast bandwidth of their
+// fragments (highest first), falling back to index order.
+func (t *Tools) rankReplicas(x *exnode.ExNode) []int {
+	var replicas []int
+	score := map[int]float64{}
+	for _, m := range x.Mappings {
+		if !m.IsReplica() {
+			continue
+		}
+		if _, seen := score[m.Replica]; !seen {
+			score[m.Replica] = 0
+			replicas = append(replicas, m.Replica)
+		}
+		if t.NWS != nil {
+			if bw, ok := t.NWS.Forecast(t.Site, m.Read.Addr, nws.Bandwidth); ok {
+				score[m.Replica] += bw
+			}
+		}
+	}
+	sort.SliceStable(replicas, func(i, j int) bool {
+		return score[replicas[i]] > score[replicas[j]]
+	})
+	return replicas
 }
 
 // TrimOptions select which fragments Trim removes.

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/exnode"
 	"repro/internal/integrity"
+	"repro/internal/obs"
 )
 
 // VerifyEntry is the integrity status of one mapping.
@@ -38,28 +41,23 @@ func (t *Tools) Verify(x *exnode.ExNode) *VerifyResult {
 	res := &VerifyResult{}
 	for i, m := range x.Mappings {
 		e := VerifyEntry{Index: i, Mapping: m}
-		length := m.Length
-		if !m.IsReplica() {
-			length = m.BlockSize
-		}
-		data, err := t.IBP.Load(m.Read, 0, length)
+		buf := bufpool.Get(int(storedLen(m)))
+		err := t.load(m, 0, buf, DownloadOptions{}, nil, obs.SpanContext{})
+		bufpool.Put(buf)
+		e.Err = err
 		switch {
+		case errors.As(err, new(*integrity.ErrMismatch)):
+			e.State = "corrupt"
+			res.Corrupt++
 		case err != nil:
 			e.State = "unavailable"
-			e.Err = err
 			res.Unavailable++
 		case m.Checksum == "":
 			e.State = "unchecked"
 			res.Unchecked++
 		default:
-			if verr := integrity.Verify(data, m.Checksum); verr != nil {
-				e.State = "corrupt"
-				e.Err = verr
-				res.Corrupt++
-			} else {
-				e.State = "ok"
-				res.OK++
-			}
+			e.State = "ok"
+			res.OK++
 		}
 		res.Entries = append(res.Entries, e)
 	}

@@ -533,25 +533,8 @@ func TestPooledClientReuseAndStaleRetry(t *testing.T) {
 	}
 }
 
-func TestLoadToStreams(t *testing.T) {
-	d, c := newDepot(t, Config{})
-	set, err := c.Allocate(d.Addr(), 1<<16, time.Hour, ibp.Hard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte("stream"), 2000)
-	if _, err := c.Store(set.Write, data); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	n, err := c.LoadTo(&buf, set.Read, 6, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 600 || !bytes.Equal(buf.Bytes(), data[6:606]) {
-		t.Fatalf("LoadTo = %d bytes, mismatch %v", n, !bytes.Equal(buf.Bytes(), data[6:606]))
-	}
-	// Advertised address helper.
+func TestAdvertisedDefaultsToListenAddr(t *testing.T) {
+	d, _ := newDepot(t, Config{})
 	if d.Advertised() != d.Addr() {
 		t.Fatalf("advertised = %s", d.Advertised())
 	}

@@ -100,15 +100,35 @@ func granularity(whole bool) func(*testing.T) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		get := tools.Download
-		if whole {
-			get = tools.DownloadWholeReplica
-		}
 		return retrieved(tb, ablationRounds, 7*time.Minute, func() error {
-			_, _, err := get(x, core.DownloadOptions{})
+			if whole {
+				return downloadWholeReplica(tools, x)
+			}
+			_, _, err := tools.Download(x, core.DownloadOptions{})
 			return err
 		})
 	}
+}
+
+// downloadWholeReplica is the baseline per-extent failover answers: fetch
+// one entire copy at a time, failing over copy by copy. Each copy is a
+// plain Download of the exNode cut down to that copy's mappings, so any
+// dead fragment fails the whole copy.
+func downloadWholeReplica(tools *core.Tools, x *exnode.ExNode) error {
+	err := exnode.ErrNoCoverage
+	seen := map[int]bool{}
+	for _, m := range x.Mappings {
+		if !m.IsReplica() || seen[m.Replica] {
+			continue
+		}
+		seen[m.Replica] = true
+		one := x.Clone()
+		one.Mappings = x.ReplicaMappings(m.Replica)
+		if _, _, err = tools.Download(one, core.DownloadOptions{}); err == nil {
+			return nil
+		}
+	}
+	return err
 }
 
 // placement: A-placement, rotate against site-diverse placement under

@@ -58,7 +58,7 @@ func TestLoadCancelAbandonsStalledLoad(t *testing.T) {
 		close(cancel)
 	}()
 	start := time.Now()
-	_, err := c.LoadCancel(r, 0, 64, cancel)
+	err := c.LoadIntoCancel(make([]byte, 64), r, 0, cancel)
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
@@ -85,7 +85,7 @@ func TestLoadCancelPreCancelledSkipsDial(t *testing.T) {
 	r := MintCap([]byte("s"), "203.0.113.9:6714", strings.Repeat("22", KeyLen), CapRead)
 	cancel := make(chan struct{})
 	close(cancel)
-	if _, err := c.LoadCancel(r, 0, 8, cancel); !errors.Is(err, ErrCancelled) {
+	if err := c.LoadIntoCancel(make([]byte, 8), r, 0, cancel); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
 	if dials != 0 {
@@ -125,8 +125,8 @@ func TestLoadCancelNilCancelCompletes(t *testing.T) {
 	}()
 	addr := ln.Addr().String()
 	r := MintCap([]byte("s"), addr, strings.Repeat("33", KeyLen), CapRead)
-	got, err := NewClient().LoadCancel(r, 0, int64(len(payload)), nil)
-	if err != nil {
+	got := make([]byte, len(payload))
+	if err := NewClient().LoadIntoCancel(got, r, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(payload) {

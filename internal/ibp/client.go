@@ -3,7 +3,6 @@ package ibp
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -394,19 +393,10 @@ func (c *Client) Store(w Cap, data []byte) (int64, error) {
 // Load reads length bytes at offset from the byte array named by the read
 // capability.
 func (c *Client) Load(r Cap, offset, length int64) ([]byte, error) {
-	return c.LoadCancel(r, offset, length, nil)
-}
-
-// LoadCancel is Load with a cancellation channel: when cancel fires before
-// the exchange completes, the connection is torn down and the call returns
-// an error matching ErrCancelled. The transfer engine uses this to abandon
-// the losing side of a hedged read. A nil cancel is plain Load.
-func (c *Client) LoadCancel(r Cap, offset, length int64, cancel <-chan struct{}) ([]byte, error) {
 	var buf []byte
 	// Load buffers internally, so a retry on a stale pooled connection is
-	// safe (cancelled exchanges never retry: ErrCancelled is not a
-	// conn-reuse error).
-	err := c.load(r, offset, length, true, cancel, func(conn *wire.Conn, n int64) error {
+	// safe.
+	err := c.load(r, offset, length, nil, func(conn *wire.Conn, n int64) error {
 		var err error
 		buf, err = conn.ReadBlob(n)
 		return err
@@ -414,45 +404,31 @@ func (c *Client) LoadCancel(r Cap, offset, length int64, cancel <-chan struct{})
 	return buf, err
 }
 
-// LoadInto reads len(dst) bytes at offset into the caller-owned dst,
-// avoiding the per-call allocation of Load. The transfer and core layers
-// pass pooled buffers here.
-func (c *Client) LoadInto(dst []byte, r Cap, offset int64) error {
-	return c.LoadIntoCancel(dst, r, offset, nil)
-}
-
-// LoadIntoCancel is LoadInto with a cancellation channel (see LoadCancel).
-// dst is only valid once the call returns nil; a cancelled or failed call
-// may have written any prefix of it.
+// LoadIntoCancel reads len(dst) bytes at offset into the caller-owned dst,
+// avoiding the per-call allocation of Load; the core layer passes pooled
+// buffers here. When cancel fires before the exchange completes, the
+// connection is torn down and the call returns an error matching
+// ErrCancelled — the transfer engine abandons the losing side of a hedged
+// read this way. A nil cancel never fires. dst is only valid once the call
+// returns nil; a cancelled or failed call may have written any prefix of
+// it.
 func (c *Client) LoadIntoCancel(dst []byte, r Cap, offset int64, cancel <-chan struct{}) error {
 	// Reading into dst is idempotent — a retry on a stale pooled connection
-	// simply overwrites from the start — so the retry stays enabled.
-	return c.load(r, offset, int64(len(dst)), true, cancel, func(conn *wire.Conn, n int64) error {
+	// simply overwrites from the start (cancelled exchanges never retry:
+	// ErrCancelled is not a conn-reuse error).
+	return c.load(r, offset, int64(len(dst)), cancel, func(conn *wire.Conn, n int64) error {
 		return conn.ReadBlobInto(dst)
 	})
 }
 
-// LoadTo streams length bytes at offset into w, for downloads that should
-// not buffer whole extents in memory.
-func (c *Client) LoadTo(dst io.Writer, r Cap, offset, length int64) (int64, error) {
-	var n int64
-	// LoadTo streams into dst, so a retry could duplicate bytes: never
-	// retry.
-	err := c.load(r, offset, length, false, nil, func(conn *wire.Conn, want int64) error {
-		n = want
-		return conn.CopyBlob(dst, want)
-	})
-	return n, err
-}
-
-func (c *Client) load(r Cap, offset, length int64, retryable bool, cancel <-chan struct{}, consume func(*wire.Conn, int64) error) error {
+func (c *Client) load(r Cap, offset, length int64, cancel <-chan struct{}, consume func(*wire.Conn, int64) error) error {
 	if r.Type != CapRead {
 		return fmt.Errorf("ibp: load requires a READ capability, got %s", r.Type)
 	}
 	if offset < 0 || length < 0 {
 		return fmt.Errorf("ibp: load: negative offset or length")
 	}
-	return c.withConnCancel(OpLoad, r.Addr, length, retryable, cancel, func(conn *wire.Conn) error {
+	return c.withConnCancel(OpLoad, r.Addr, length, true, cancel, func(conn *wire.Conn) error {
 		if err := conn.WriteLine(OpLoad, r.Token(), wire.Itoa(offset), wire.Itoa(length)); err != nil {
 			return err
 		}
