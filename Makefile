@@ -4,8 +4,8 @@
 # in ibp, depot metric counters, lbone registry, the obs collector, and
 # wire — its Pool and Conn.CheckIdle carry every registry exchange as well
 # as pooled IBP). placer-determinism reruns the tests of core's one
-# placement loop and one block reader often enough to catch an
-# order-dependent placement or read.
+# placement loop and one block reader, and of the registry's quorum pass,
+# often enough to catch an order-dependent placement or read.
 .PHONY: tier1 build vet staticcheck test race bench-module bench-smoke placer-determinism stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race bench-module
@@ -71,11 +71,14 @@ bench-smoke:
 # slow-replica ranking tests race live transfers under wall pacing. Twenty
 # runs on one P, where goroutines interleave least, then five under the
 # race detector: the write tests must pick disjoint depots and the read
-# tests must rank, hedge and demote the same way every time.
+# tests must rank, hedge and demote the same way every time. The registry
+# line does the same for the quorum client's pipelined pass: exact exchange,
+# dial and repair counts, twenty times on one P.
 DETERMINISM_RUN = 'Place|Upload|Coded|Augment|Maintain|Hedge|Rank|Slow|Decode|Verify|WholeReplica'
 placer-determinism:
 	GOMAXPROCS=1 go test -count=20 -run $(DETERMINISM_RUN) repro/internal/core
 	go test -race -count=5 -run $(DETERMINISM_RUN) repro/internal/core
+	GOMAXPROCS=1 go test -count=20 -run 'Quorum|Session|Repair|Majority|Snapshot|Restart' repro/internal/registry
 
 # Availability-study smoke: a 24h virtual-clock stackmon simulation over
 # faultnet (finishes in seconds of wall time) with two scripted outages,

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/lbone"
@@ -37,25 +36,19 @@ func (c *QuorumClient) DeregisterControl(addr string) error {
 
 // ListControls returns every live control endpoint a majority of the view
 // knows: the union of the answers, one entry per address, ordered by
-// address. A member that missed a registration is covered by the others,
-// so an endpoint registered through a majority is always listed.
+// address. Any majority shares a member with the majority a registration
+// reached, so an endpoint registered through the quorum is always listed.
 func (c *QuorumClient) ListControls() ([]lbone.ControlInfo, error) {
 	byAddr := map[string]lbone.ControlInfo{}
-	var mu sync.Mutex
-	err := c.quorum("clist", func(conn *wire.Conn, _ int64, _ string) error {
-		if err := conn.WriteLine(lbone.OpCList); err != nil {
+	err := c.quorum("clist", replicaOp{read: true,
+		send: func(conn *wire.Conn, _ int64) error { return conn.WriteLine(lbone.OpCList) },
+		recv: func(conn *wire.Conn, _ string) error {
+			cis, err := readList(conn, "CTRL", 3, lbone.ParseControlTokens)
+			for _, ci := range cis {
+				byAddr[ci.Addr] = ci
+			}
 			return err
-		}
-		cis, err := readList(conn, "CTRL", 3, lbone.ParseControlTokens)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		for _, ci := range cis {
-			byAddr[ci.Addr] = ci
-		}
-		mu.Unlock()
-		return nil
+		},
 	})
 	if err != nil {
 		return nil, err

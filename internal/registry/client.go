@@ -1,8 +1,11 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,8 +16,8 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrNotFound reports a directory name with no entry on any answering
-// replica.
+// ErrNotFound reports a directory name with no entry in the answer a read
+// settled on.
 var ErrNotFound = errors.New("registry: exnode not found")
 
 // ClientStats counts quorum-client outcomes for registry_client_*
@@ -34,20 +37,20 @@ type ClientStats struct {
 // QuorumClient drives majority-quorum operations against a replicated
 // registry view. Safe for concurrent use. Each replica exchange rides a
 // session — a framed connection kept parked between operations (see
-// exchange) — so a steady client dials each replica once, not once per
+// quorumPass) — so a steady client dials each replica once, not once per
 // verb. Close releases the parked sessions; a client that is never
 // closed only leaves them to the idle-age limit and the replicas' own
 // shutdown.
 //
-// Writes go to every member and need a strict majority of acks; reads
-// need a strict majority of answers and merge the freshest. The merged
-// depot table is kept for depotSnapshotTTL and answers Query in that
-// window (see depotSnapshot); every other read visits the replicas. A
-// STALE_VIEW rejection refreshes the cached view (highest sequence any
-// reachable replica reports) and retries the operation once. Fewer than a
-// majority of answers is ErrMajorityLost — a *detected* failure (DESIGN
-// §9): the client fails fast rather than serving a minority's
-// possibly-stale world view.
+// Writes go to every member and need a strict majority of acks; reads ask
+// a strict majority first and merge its answers (a directory read needs a
+// majority that agrees, see GetExNode). The merged depot table is kept for
+// depotSnapshotTTL and answers Query in that window (see depotSnapshot);
+// every other read visits the replicas. A STALE_VIEW rejection refreshes
+// the cached view (highest sequence any reachable replica reports) and
+// retries the operation once. Fewer than a majority of answers is
+// ErrMajorityLost — a *detected* failure (DESIGN §9): the client fails
+// fast rather than serving a minority's possibly-stale world view.
 type QuorumClient struct {
 	seeds       []string
 	dialer      netx.Dialer
@@ -90,7 +93,7 @@ type depotSnapshot struct {
 }
 
 // maxIdleSessions caps the sessions parked per replica. An operation
-// visits the replicas one after another, so a client holds at most one
+// holds one session per member it is asking, so a client holds at most one
 // session per replica per concurrent caller; callers beyond the cap
 // still work, their sessions are just closed instead of parked.
 const maxIdleSessions = 4
@@ -183,19 +186,27 @@ func (c *QuorumClient) checkout(addr string) (*wire.Conn, error) {
 	return c.connect(addr)
 }
 
-// exchange runs one request/response turn against addr on a session and
-// parks the session again if the turn was clean. Nothing is ever sent
-// twice: once op has a session, its error is final — the request may
-// have reached the replica — so the session is closed (its framing is
-// unknown; a DPUT rejected early leaves its blob unread) and the caller
-// counts a replica failure. That is why a retried put can never meet its
-// own first attempt as a CONFLICT.
-func (c *QuorumClient) exchange(addr string, op func(conn *wire.Conn) error) error {
+// sendTo writes op's request to addr on a checked-out session. It and
+// recvFrom are every exchange's session rule: once a session is checked
+// out its error is final — the request may have reached the replica — so
+// the session is closed (a DPUT rejected early leaves its blob unread) and
+// nothing is re-sent: a retried put never meets itself as a CONFLICT.
+func (c *QuorumClient) sendTo(addr string, seq int64, op replicaOp) (*wire.Conn, error) {
 	conn, err := c.checkout(addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := op(conn); err != nil {
+	if err := op.send(conn, seq); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
+}
+
+// recvFrom reads addr's reply to sendTo's request: a clean reply parks the
+// session for the next operation, any error closes it.
+func (c *QuorumClient) recvFrom(addr string, conn *wire.Conn, op replicaOp) error {
+	if err := op.recv(conn, addr); err != nil {
 		conn.Close()
 		return err
 	}
@@ -203,21 +214,26 @@ func (c *QuorumClient) exchange(addr string, op func(conn *wire.Conn) error) err
 	return nil
 }
 
-// fetchView asks one replica for its installed view.
-func (c *QuorumClient) fetchView(addr string) (View, error) {
-	var v View
-	err := c.exchange(addr, func(conn *wire.Conn) (err error) {
-		v, err = readView(conn)
+// exchange runs op against addr alone (a view fetch, a read repair).
+func (c *QuorumClient) exchange(addr string, seq int64, op replicaOp) error {
+	conn, err := c.sendTo(addr, seq, op)
+	if err != nil {
 		return err
+	}
+	return c.recvFrom(addr, conn, op)
+}
+
+// fetchView asks one replica for its installed view.
+func (c *QuorumClient) fetchView(addr string) (v View, err error) {
+	err = c.exchange(addr, 0, replicaOp{
+		send: func(conn *wire.Conn, _ int64) error { return conn.WriteLine(opView) },
+		recv: func(conn *wire.Conn, _ string) (err error) { v, err = readView(conn); return err },
 	})
 	return v, err
 }
 
-// readView runs one VIEW exchange.
+// readView reads one VIEW reply.
 func readView(conn *wire.Conn) (View, error) {
-	if err := conn.WriteLine(opView); err != nil {
-		return View{}, err
-	}
 	toks, err := conn.ReadStatus()
 	if err != nil {
 		return View{}, err
@@ -309,20 +325,34 @@ func (c *QuorumClient) currentView() (View, error) {
 	return c.RefreshView()
 }
 
-// replicaOp is one exchange against one member. It returns staleView
-// when the member rejected our view stamp.
-type replicaOp func(conn *wire.Conn, viewSeq int64, addr string) error
+// replicaOp is one exchange against one member, in halves so a pass can
+// have every request in flight before it reads a reply: send writes and
+// flushes it, recv reads that member's reply (STALE_VIEW is a remote
+// error). read marks a read; agree, when set, says whether at least quorum
+// answers agree, after every wave that leaves a majority in hand.
+type replicaOp struct {
+	send  func(conn *wire.Conn, viewSeq int64) error
+	recv  func(conn *wire.Conn, addr string) error
+	read  bool
+	agree func(quorum int) bool
+}
 
-// quorumPass runs op against every member once and reports acks, whether
-// any member answered STALE_VIEW, and the per-replica errors.
+// recvAck is the recv half of every request answered by a bare status.
+func recvAck(conn *wire.Conn, _ string) error {
+	_, err := conn.ReadStatus()
+	return err
+}
+
+// quorumPass runs op against the view and reports acks, whether any member
+// answered STALE_VIEW, and the per-replica errors. It works in waves on the
+// caller's goroutine — send to every member of a wave, then read their
+// replies in the same order — so the round trips overlap in the replicas'
+// own handlers and no goroutine is started. A write's one wave is the whole
+// view. A read's first is Quorum() members in view order; each later wave
+// asks one next member per missing answer, or one when agree says no. A
+// failed exchange (sendTo's rule) counts a replica failure.
 func (c *QuorumClient) quorumPass(v View, op replicaOp) (acks int, stale bool, errs []error) {
-	for _, addr := range v.Members {
-		err := c.exchange(addr, func(conn *wire.Conn) error { return op(conn, v.Seq, addr) })
-		if err == nil {
-			c.observe(addr, true)
-			acks++
-			continue
-		}
+	fail := func(addr string, err error) {
 		if wire.IsRemote(err, wire.CodeStaleView) {
 			stale = true
 		}
@@ -331,6 +361,37 @@ func (c *QuorumClient) quorumPass(v View, op replicaOp) (acks int, stale bool, e
 		c.observe(addr, wire.IsRemoteAny(err))
 		c.stats.ReplicaFails.Add(1)
 		errs = append(errs, fmt.Errorf("%s: %w", addr, err))
+	}
+	var held [5]*wire.Conn // a wave's sessions, send to receive; a 5-member view's without allocating
+	want := v.Quorum()
+	if !op.read {
+		want = len(v.Members)
+	}
+	for next := 0; want > 0 && next < len(v.Members); {
+		wave := v.Members[next:min(next+want, len(v.Members))]
+		next += len(wave)
+		conns := held[:0]
+		for _, addr := range wave {
+			conn, err := c.sendTo(addr, v.Seq, op)
+			if err != nil {
+				fail(addr, err)
+			}
+			conns = append(conns, conn)
+		}
+		for i, addr := range wave {
+			if conns[i] == nil {
+				continue
+			}
+			if err := c.recvFrom(addr, conns[i], op); err != nil {
+				fail(addr, err)
+				continue
+			}
+			c.observe(addr, true)
+			acks++
+		}
+		if want = v.Quorum() - acks; want <= 0 && op.agree != nil && !op.agree(v.Quorum()) {
+			want = 1
+		}
 	}
 	return acks, stale, errs
 }
@@ -375,17 +436,13 @@ func (c *QuorumClient) quorum(opName string, op replicaOp) error {
 // a bare status. The V* verbs carry the view stamp as their first
 // argument; the C* verbs predate views and go out as written.
 func ackOp(stamped bool, verb string, args ...string) replicaOp {
-	return func(conn *wire.Conn, seq int64, _ string) error {
+	return replicaOp{recv: recvAck, send: func(conn *wire.Conn, seq int64) error {
 		line := append(make([]string, 0, 2+len(args)), verb)
 		if stamped {
 			line = append(line, wire.Itoa(seq))
 		}
-		if err := conn.WriteLine(append(line, args...)...); err != nil {
-			return err
-		}
-		_, err := conn.ReadStatus()
-		return err
-	}
+		return conn.WriteLine(append(line, args...)...)
+	}}
 }
 
 // RegisterDepot announces a depot through the quorum, stamping liveness
@@ -435,18 +492,28 @@ func (c *QuorumClient) Query(req lbone.Requirements) ([]lbone.DepotInfo, error) 
 		return snap.table.Query(req), nil
 	}
 	merged := lbone.NewRegistryClock(0, c.clock)
-	var mu sync.Mutex
-	err := c.quorum("query", func(conn *wire.Conn, seq int64, _ string) error {
-		depots, err := queryReplica(conn, seq)
-		if err != nil {
+	err := c.quorum("query", replicaOp{read: true,
+		// The whole live table: requirements are applied to the merge, so
+		// one read answers every Requirements a caller brings within the
+		// snapshot's lifetime.
+		send: func(conn *wire.Conn, seq int64) error {
+			return conn.WriteLine(opVQuery, wire.Itoa(seq), "0", "0", "-", "0")
+		},
+		recv: func(conn *wire.Conn, _ string) error {
+			depots, err := readList(conn, "RDEPOT", 7, func(f []string) (lbone.DepotInfo, error) {
+				d, err := lbone.ParseDepotTokens(f[:6])
+				if err != nil {
+					return d, err
+				}
+				nanos, err := wire.ParseInt("lastseen", f[6])
+				d.LastSeen = time.Unix(0, nanos)
+				return d, err
+			})
+			for _, d := range depots {
+				merged.Restore(d)
+			}
 			return err
-		}
-		mu.Lock()
-		for _, d := range depots {
-			merged.Restore(d)
-		}
-		mu.Unlock()
-		return nil
+		},
 	})
 	c.mu.Lock()
 	if err != nil {
@@ -461,26 +528,9 @@ func (c *QuorumClient) Query(req lbone.Requirements) ([]lbone.DepotInfo, error) 
 	return merged.Query(req), nil
 }
 
-// queryReplica runs one VQUERY exchange for the replica's whole live
-// table: requirements are applied to the merge, so one read answers every
-// Requirements a caller brings within the snapshot's lifetime.
-func queryReplica(conn *wire.Conn, seq int64) ([]lbone.DepotInfo, error) {
-	if err := conn.WriteLine(opVQuery, wire.Itoa(seq), "0", "0", "-", "0"); err != nil {
-		return nil, err
-	}
-	return readList(conn, "RDEPOT", 7, func(f []string) (lbone.DepotInfo, error) {
-		d, err := lbone.ParseDepotTokens(f[:6])
-		if err != nil {
-			return d, err
-		}
-		nanos, err := wire.ParseInt("lastseen", f[6])
-		d.LastSeen = time.Unix(0, nanos)
-		return d, err
-	})
-}
-
 // readList reads a counted list response: "OK <n>", then n lines of tag
-// followed by exactly fields tokens, which parse turns into one item.
+// followed by exactly fields tokens, which parse turns into one item. On
+// error it returns no items, so a failed answer merges nothing.
 func readList[T any](conn *wire.Conn, tag string, fields int, parse func(f []string) (T, error)) ([]T, error) {
 	toks, err := conn.ReadStatus()
 	if err != nil {
@@ -522,10 +572,31 @@ type dirRead struct {
 	blob    []byte
 }
 
-// GetExNode reads the freshest version of name from a majority. Replicas
-// holding an older (or no) version are repaired best-effort with the
-// winning blob, so a replica that missed a write while down converges
-// once reads touch the name again.
+// settle returns the freshest of reads — highest version (NOT_FOUND is 0),
+// then most votes among its blobs, then first answered — and whether at
+// least quorum answers equal it. Version beats votes: replicas keep state
+// in memory, so restarted members answer NOT_FOUND (or an old version) for
+// a name the others hold and must not outvote the fresher answer.
+func settle(reads []dirRead, quorum int) (best dirRead, ok bool) {
+	votes := 0
+	for i, r := range reads {
+		same := 0
+		for _, o := range reads {
+			if o.found == r.found && o.version == r.version && bytes.Equal(o.blob, r.blob) {
+				same++
+			}
+		}
+		if i == 0 || r.version > best.version || r.version == best.version && same > votes {
+			best, votes = r, same
+		}
+	}
+	return best, votes >= quorum
+}
+
+// GetExNode returns the freshest answer (see settle) once a majority
+// agrees on it; disagreement brings in the next member, until all have
+// answered. Members read at an older (or no) version are repaired
+// best-effort, so a replica that missed a write converges on a later read.
 func (c *QuorumClient) GetExNode(name string) ([]byte, int64, error) {
 	v, err := c.currentView()
 	if err != nil {
@@ -533,50 +604,46 @@ func (c *QuorumClient) GetExNode(name string) ([]byte, int64, error) {
 		return nil, 0, fmt.Errorf("registry: get: %w", err)
 	}
 	shard := ShardFor(name, v.Shards)
-	var mu sync.Mutex
 	var reads []dirRead
-	err = c.quorum("get", func(conn *wire.Conn, seq int64, addr string) error {
-		r, err := c.getReplica(conn, seq, shard, name)
-		if err != nil {
-			return err
-		}
-		r.addr = addr
-		mu.Lock()
-		reads = append(reads, r)
-		mu.Unlock()
-		return nil
+	best, seq := dirRead{}, v.Seq
+	err = c.quorum("get", replicaOp{read: true,
+		send: func(conn *wire.Conn, passSeq int64) error {
+			if passSeq != seq { // a stale-view retry under a new view: its members vote afresh
+				reads, seq = reads[:0], passSeq
+			}
+			return conn.WriteLine(opDirGet, wire.Itoa(passSeq), wire.Itoa(int64(shard)), wire.Quote(name))
+		},
+		recv: func(conn *wire.Conn, addr string) error {
+			r, err := readDirGet(conn)
+			if err != nil {
+				return err
+			}
+			r.addr = addr
+			// A stale-view retry may ask a member again: one vote each.
+			reads = append(slices.DeleteFunc(reads, func(o dirRead) bool { return o.addr == addr }), r)
+			return nil
+		},
+		// The last verdict is the final pass's, under that pass's view.
+		agree: func(quorum int) (ok bool) { best, ok = settle(reads, quorum); return ok },
 	})
 	if err != nil {
 		return nil, 0, err
-	}
-	var best dirRead
-	for _, r := range reads {
-		if r.found && (!best.found || r.version > best.version) {
-			best = r
-		}
 	}
 	if !best.found {
 		return nil, 0, fmt.Errorf("registry: get %s: %w", name, ErrNotFound)
 	}
 	// Read repair: push the winner to replicas that answered with less.
 	for _, r := range reads {
-		if r.found && r.version >= best.version {
-			continue
-		}
-		if c.repairReplica(r.addr, v.Seq, shard, name, best.version, best.blob) {
+		if r.version < best.version && c.repairReplica(r.addr, seq, shard, name, best.version, best.blob) {
 			c.stats.Repairs.Add(1)
 		}
 	}
 	return best.blob, best.version, nil
 }
 
-// getReplica runs one DGET exchange; NOT_FOUND is an answer, not an
-// error — the replica is alive and counted toward the read quorum.
-func (c *QuorumClient) getReplica(conn *wire.Conn, seq int64, shard int, name string) (dirRead, error) {
-	err := conn.WriteLine(opDirGet, wire.Itoa(seq), wire.Itoa(int64(shard)), wire.Quote(name))
-	if err != nil {
-		return dirRead{}, err
-	}
+// readDirGet reads one DGET reply; NOT_FOUND is an answer, not an error —
+// the replica is alive and counted toward the read quorum.
+func readDirGet(conn *wire.Conn) (dirRead, error) {
 	toks, err := conn.ReadStatus()
 	if wire.IsRemote(err, wire.CodeNotFound) {
 		return dirRead{found: false}, nil
@@ -606,23 +673,19 @@ func (c *QuorumClient) getReplica(conn *wire.Conn, seq int64, shard int, name st
 // replica; failures are ignored (the replica is repaired on a later read
 // or write instead).
 func (c *QuorumClient) repairReplica(addr string, seq int64, shard int, name string, version int64, blob []byte) bool {
-	return c.exchange(addr, func(conn *wire.Conn) error {
-		return c.putReplica(conn, seq, shard, name, version, blob)
-	}) == nil
+	return c.exchange(addr, seq, replicaOp{recv: recvAck, send: func(conn *wire.Conn, seq int64) error {
+		return sendPut(conn, seq, shard, name, version, blob)
+	}}) == nil
 }
 
-// putReplica runs one DPUT exchange.
-func (c *QuorumClient) putReplica(conn *wire.Conn, seq int64, shard int, name string, version int64, blob []byte) error {
-	err := conn.WriteLine(opDirPut, wire.Itoa(seq), wire.Itoa(int64(shard)),
+// sendPut writes one DPUT request, line and blob in one flush.
+func sendPut(conn *wire.Conn, seq int64, shard int, name string, version int64, blob []byte) error {
+	err := conn.WriteLineBuffered(opDirPut, wire.Itoa(seq), wire.Itoa(int64(shard)),
 		wire.Quote(name), wire.Itoa(version), wire.Itoa(int64(len(blob))))
 	if err != nil {
 		return err
 	}
-	if err := conn.WriteBlob(blob); err != nil {
-		return err
-	}
-	_, err = conn.ReadStatus()
-	return err
+	return conn.WriteBlob(blob)
 }
 
 // PutExNode installs blob under name at version. version must be exactly
@@ -641,21 +704,21 @@ func (c *QuorumClient) PutExNode(name string, version int64, blob []byte) error 
 		return fmt.Errorf("registry: put: %w", err)
 	}
 	shard := ShardFor(name, v.Shards)
-	var conflict atomic.Bool
-	err = c.quorum("put", func(conn *wire.Conn, seq int64, _ string) error {
-		err := c.putReplica(conn, seq, shard, name, version, blob)
-		if wire.IsRemote(err, wire.CodeConflict) {
-			conflict.Store(true)
-		}
-		return err
+	var conflict bool
+	err = c.quorum("put", replicaOp{
+		send: func(conn *wire.Conn, seq int64) error {
+			return sendPut(conn, seq, shard, name, version, blob)
+		},
+		recv: func(conn *wire.Conn, addr string) error {
+			err := recvAck(conn, addr)
+			conflict = conflict || wire.IsRemote(err, wire.CodeConflict)
+			return err
+		},
 	})
-	if err != nil {
-		if conflict.Load() {
-			return fmt.Errorf("registry: put %s v%d: %w", name, version, ErrVersionConflict)
-		}
-		return err
+	if err != nil && conflict {
+		return fmt.Errorf("registry: put %s v%d: %w", name, version, ErrVersionConflict)
 	}
-	return nil
+	return err
 }
 
 // DirEntry is one name in a directory listing.
@@ -665,7 +728,7 @@ type DirEntry struct {
 }
 
 // ListExNodes returns the union of directory entries across all shards,
-// each read from a majority, freshest version per name.
+// each read from a majority, freshest version per name, ordered by name.
 func (c *QuorumClient) ListExNodes() ([]DirEntry, error) {
 	v, err := c.currentView()
 	if err != nil {
@@ -673,21 +736,27 @@ func (c *QuorumClient) ListExNodes() ([]DirEntry, error) {
 		return nil, fmt.Errorf("registry: list: %w", err)
 	}
 	best := map[string]int64{}
-	var mu sync.Mutex
 	for shard := 0; shard < v.Shards; shard++ {
-		err := c.quorum("list", func(conn *wire.Conn, seq int64, _ string) error {
-			ents, err := c.listReplica(conn, seq, shard)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			for _, e := range ents {
-				if e.Version > best[e.Name] {
-					best[e.Name] = e.Version
+		err := c.quorum("list", replicaOp{read: true,
+			send: func(conn *wire.Conn, seq int64) error {
+				return conn.WriteLine(opDirList, wire.Itoa(seq), wire.Itoa(int64(shard)))
+			},
+			recv: func(conn *wire.Conn, _ string) error {
+				ents, err := readList(conn, "ENTRY", 2, func(f []string) (DirEntry, error) {
+					name, err := wire.Unquote(f[0])
+					if err != nil {
+						return DirEntry{}, err
+					}
+					version, err := wire.ParseInt("version", f[1])
+					return DirEntry{Name: name, Version: version}, err
+				})
+				for _, e := range ents {
+					if e.Version > best[e.Name] {
+						best[e.Name] = e.Version
+					}
 				}
-			}
-			mu.Unlock()
-			return nil
+				return err
+			},
 		})
 		if err != nil {
 			return nil, err
@@ -697,29 +766,6 @@ func (c *QuorumClient) ListExNodes() ([]DirEntry, error) {
 	for name, version := range best {
 		out = append(out, DirEntry{Name: name, Version: version})
 	}
-	sortEntries(out)
+	slices.SortFunc(out, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
-}
-
-// listReplica runs one DLIST exchange.
-func (c *QuorumClient) listReplica(conn *wire.Conn, seq int64, shard int) ([]DirEntry, error) {
-	if err := conn.WriteLine(opDirList, wire.Itoa(seq), wire.Itoa(int64(shard))); err != nil {
-		return nil, err
-	}
-	return readList(conn, "ENTRY", 2, func(f []string) (DirEntry, error) {
-		name, err := wire.Unquote(f[0])
-		if err != nil {
-			return DirEntry{}, err
-		}
-		version, err := wire.ParseInt("version", f[1])
-		return DirEntry{Name: name, Version: version}, err
-	})
-}
-
-func sortEntries(es []DirEntry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Name < es[j-1].Name; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
 }

@@ -134,7 +134,8 @@ func TestDeadLoneServerIsDetected(t *testing.T) {
 // reaches every live member, survives the loss of a minority, and the
 // list is the union of a majority's answers — so an endpoint only one
 // member holds (it was registered there with the classic verb) is still
-// listed while that member answers.
+// listed while that member answers a read: the first two members in view
+// order are asked, and a failed one brings in the third.
 func TestControlTableThroughQuorum(t *testing.T) {
 	servers, _, addrs := startGroup(t, 3)
 	c := quorumClient(addrs)
@@ -151,12 +152,12 @@ func TestControlTableThroughQuorum(t *testing.T) {
 			}
 		})
 	}
-	servers[2].WithRegistry(func(r *lbone.Registry) { r.RegisterControl(b) })
+	servers[1].WithRegistry(func(r *lbone.Registry) { r.RegisterControl(b) })
 	if got, err := c.ListControls(); err != nil || len(got) != 2 || got[0] != a || got[1] != b {
 		t.Fatalf("union list = %+v, %v", got, err)
 	}
 
-	servers[0].Close() // a minority
+	servers[0].Close() // a minority, and one the next read asks: it fails over onto member 2
 	if err := c.DeregisterControl(a.Addr); err != nil {
 		t.Fatalf("deregister with 2/3 up: %v", err)
 	}

@@ -36,6 +36,18 @@ func startGroup(t *testing.T, n int) ([]*lbone.Server, []*Replica, []string) {
 		t.Cleanup(func() { srv.Close() })
 		servers[i], replicas[i], addrs[i] = srv, rep, srv.Addr()
 	}
+	// Index i is the view's i-th member (a view's members are sorted): a
+	// read asks members in view order, so a test can name the ones it reaches.
+	at := map[string]int{}
+	for i, a := range addrs {
+		at[a] = i
+	}
+	addrs = NormalizeMembers(addrs)
+	bySrv, byRep := servers, replicas
+	servers, replicas = make([]*lbone.Server, n), make([]*Replica, n)
+	for i, a := range addrs {
+		servers[i], replicas[i] = bySrv[at[a]], byRep[at[a]]
+	}
 	real := View{Seq: 2, Members: addrs, Shards: 4}
 	for _, rep := range replicas {
 		if err := rep.Reconfigure(real); err != nil {
@@ -333,42 +345,212 @@ func dget(t *testing.T, addr string, seq int64, shards int, name string) (int64,
 }
 
 // A replica that missed a write (it was down, or the write quorum skipped
-// it) converges through read repair the next time the name is read.
+// it) converges: through read repair when a read reaches it, else through
+// the next write. A read asks the first two members in view order first.
 func TestReadRepairConvergesLaggingReplica(t *testing.T) {
-	_, _, addrs := startGroup(t, 3)
-	c := quorumClient(addrs)
-	name := "repair/me"
-	v1 := []byte("version-one")
-	v2 := []byte("version-two")
+	const name = "repair/me"
+	// setup puts every member at v1 and all but the lagging one at v2.
+	setup := func(t *testing.T, lagging int) ([]*Replica, []string, *QuorumClient) {
+		_, reps, addrs := startGroup(t, 3)
+		for i, a := range addrs {
+			if err := dput(t, a, 2, 4, name, 1, []byte("version-one")); err != nil {
+				t.Fatal(err)
+			}
+			if i == lagging {
+				continue
+			}
+			if err := dput(t, a, 2, 4, name, 2, []byte("version-two")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := quorumClient(addrs)
+		t.Cleanup(func() { c.Close() })
+		blob, version, err := c.GetExNode(name)
+		if err != nil || version != 2 || string(blob) != "version-two" {
+			t.Fatalf("read = v%d %q %v, want the majority's v2", version, blob, err)
+		}
+		return reps, addrs, c
+	}
+	expect := func(t *testing.T, addr string, version int64, blob string) {
+		t.Helper()
+		if gotV, gotBlob, err := dget(t, addr, 2, 4, name); err != nil || gotV != version || string(gotBlob) != blob {
+			t.Fatalf("lagging replica = v%d %q %v, want v%d %q", gotV, gotBlob, err, version, blob)
+		}
+	}
 
-	// All replicas at v1; then only the first two learn v2.
-	for _, a := range addrs {
-		if err := dput(t, a, 2, 4, name, 1, v1); err != nil {
+	t.Run("inside the read majority it is repaired on read", func(t *testing.T) {
+		// Member 0 answers v1, member 1 v2: they disagree, member 2 is
+		// asked and sides with member 1, and the winner goes back to 0.
+		_, addrs, c := setup(t, 0)
+		expect(t, addrs[0], 2, "version-two")
+		if c.Stats().Repairs.Load() != 1 {
+			t.Fatalf("repairs = %d, want 1", c.Stats().Repairs.Load())
+		}
+	})
+	t.Run("outside the read majority it catches up on the next write", func(t *testing.T) {
+		reps, addrs, c := setup(t, 2)
+		if n := reps[2].Stats().DirGets.Load(); n != 0 || c.Stats().Repairs.Load() != 0 {
+			t.Fatalf("the agreeing majority's read reached member 2 %d times, made %d repairs; want 0 and 0",
+				n, c.Stats().Repairs.Load())
+		}
+		expect(t, addrs[2], 1, "version-one")
+		if err := c.PutExNode(name, 3, []byte("version-three")); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, addrs[2], 3, "version-three")
+	})
+}
+
+// Finding 4, read half: two writers at one version left the first member
+// in view order with the loser's blob and the other two with the winner's.
+// The two answers a read asks for first disagree, so the third member is
+// asked, and the blob the majority holds is returned — never whichever
+// member happened to answer first. (Making the loser's replica converge
+// needs replica-side ordering: DPUT at an equal version is a CONFLICT.)
+func TestReadReturnsMajorityBlobAtEqualVersion(t *testing.T) {
+	_, reps, addrs := startGroup(t, 3)
+	const name = "cas/split"
+	for i, a := range addrs {
+		blob := "<exnode who=\"winner\"/>"
+		if i == 0 {
+			blob = "<exnode who=\"loser\"/>"
+		}
+		if err := dput(t, a, 2, 4, name, 1, []byte(blob)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, a := range addrs[:2] {
-		if err := dput(t, a, 2, 4, name, 2, v2); err != nil {
+	c := quorumClient(addrs)
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		blob, version, err := c.GetExNode(name)
+		if err != nil || version != 1 || string(blob) != "<exnode who=\"winner\"/>" {
+			t.Fatalf("read %d = v%d %q %v, want the majority's v1 winner", i, version, blob, err)
+		}
+	}
+	for i, rep := range reps {
+		if n := rep.Stats().DirGets.Load(); n != 3 {
+			t.Fatalf("member %d served %d DGETs for 3 reads, want 3: a split read asks everyone", i, n)
+		}
+	}
+	if n := c.Stats().Repairs.Load(); n != 0 {
+		t.Fatalf("repairs = %d: an equal-version loser is not repaired by DPUT", n)
+	}
+}
+
+// Replicas keep their directory in memory, so a member that restarted
+// answers NOT_FOUND for names the others hold. Here only member 1 holds v1:
+// member 0 missed the put and member 2 restarted empty. Members 0 and 2
+// agree on NOT_FOUND, but a fresher answer is in hand, so the read returns
+// v1 and repairs both — and a writer that re-read then cannot put a second,
+// different v1 past member 1's CONFLICT.
+func TestReadPrefersFresherAnswerOverAgreeingMisses(t *testing.T) {
+	_, _, addrs := startGroup(t, 3)
+	const name = "restart/survivor"
+	if err := dput(t, addrs[1], 2, 4, name, 1, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	c := quorumClient(addrs)
+	defer c.Close()
+	if blob, version, err := c.GetExNode(name); err != nil || version != 1 || string(blob) != "v1" {
+		t.Fatalf("read = v%d %q %v, want member 1's v1", version, blob, err)
+	}
+	if n := c.Stats().Repairs.Load(); n != 2 {
+		t.Fatalf("repairs = %d, want 2 (members 0 and 2)", n)
+	}
+	for _, i := range []int{0, 2} {
+		if version, blob, err := dget(t, addrs[i], 2, 4, name); err != nil || version != 1 || string(blob) != "v1" {
+			t.Fatalf("member %d after the read = v%d %q %v, want v1", i, version, blob, err)
+		}
+	}
+	if err := c.PutExNode(name, 1, []byte("forked v1")); !errors.Is(err, ErrVersionConflict) {
+		t.Fatalf("second put of v1 = %v, want ErrVersionConflict", err)
+	}
+}
+
+// A read that meets STALE_VIEW refreshes and settles under the new view:
+// the lagging member it reads is repaired with the new view's stamp, which
+// the replicas accept.
+func TestReadRepairAfterStaleViewUsesTheNewView(t *testing.T) {
+	_, reps, addrs := startGroup(t, 3)
+	const name = "stale/repair"
+	for i, a := range addrs {
+		if err := dput(t, a, 2, 4, name, 1, []byte("version-one")); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			continue
+		}
+		if err := dput(t, a, 2, 4, name, 2, []byte("version-two")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blob, version, err := c.GetExNode(name)
-	if err != nil {
+	c := quorumClient(addrs)
+	defer c.Close()
+	if _, err := c.RefreshView(); err != nil {
 		t.Fatal(err)
 	}
-	if version != 2 || string(blob) != "version-two" {
-		t.Fatalf("read = v%d %q, want freshest", version, blob)
+	for _, rep := range reps {
+		if err := rep.Reconfigure(View{Seq: 3, Members: addrs, Shards: 4}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The lagging replica was repaired.
-	gotV, gotBlob, err := dget(t, addrs[2], 2, 4, name)
-	if err != nil {
-		t.Fatal(err)
+	if blob, version, err := c.GetExNode(name); err != nil || version != 2 || string(blob) != "version-two" {
+		t.Fatalf("read across reconfiguration = v%d %q %v, want v2", version, blob, err)
 	}
-	if gotV != 2 || string(gotBlob) != "version-two" {
-		t.Fatalf("lagging replica after repair = v%d %q", gotV, gotBlob)
+	if st := c.Stats(); st.StaleRetries.Load() != 1 || st.Repairs.Load() != 1 {
+		t.Fatalf("stale retries = %d, repairs = %d, want 1 and 1", st.StaleRetries.Load(), st.Repairs.Load())
 	}
-	if c.Stats().Repairs.Load() != 1 {
-		t.Fatalf("repairs = %d", c.Stats().Repairs.Load())
+	if version, blob, err := dget(t, addrs[0], 3, 4, name); err != nil || version != 2 || string(blob) != "version-two" {
+		t.Fatalf("lagging member after the read = v%d %q %v, want v2", version, blob, err)
+	}
+}
+
+// A healthy read costs a majority of DGETs, not the whole view; a write
+// still reaches every member. With the first member in view order down, a
+// read still succeeds, by one failover onto the third member.
+func TestReadAsksOnlyAMajority(t *testing.T) {
+	servers, reps, addrs := startGroup(t, 3)
+	c := quorumClient(addrs)
+	defer c.Close()
+	sum := func() (gets, puts int64) {
+		for _, rep := range reps {
+			gets += rep.Stats().DirGets.Load()
+			puts += rep.Stats().DirPuts.Load()
+		}
+		return gets, puts
+	}
+	for i := 1; i <= 50; i++ {
+		if err := c.PutExNode("files/majority", int64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if blob, version, err := c.GetExNode("files/majority"); err != nil || version != 50 || string(blob) != "v50" {
+			t.Fatalf("get %d = v%d %q %v", i, version, blob, err)
+		}
+	}
+	if gets, puts := sum(); gets != 200 || puts != 150 {
+		t.Fatalf("100 gets and 50 puts cost %d DGETs and %d DPUTs, want 200 and 150", gets, puts)
+	}
+
+	servers[0].Close()
+	st := c.Stats()
+	failovers, fails := st.Failovers.Load(), st.ReplicaFails.Load()
+	gets0, _ := sum()
+	for i := 0; i < 10; i++ {
+		if blob, version, err := c.GetExNode("files/majority"); err != nil || version != 50 || string(blob) != "v50" {
+			t.Fatalf("get %d with member 0 down = v%d %q %v", i, version, blob, err)
+		}
+	}
+	if got := st.Failovers.Load() - failovers; got != 10 {
+		t.Fatalf("10 reads with member 0 down counted %d failovers, want 10", got)
+	}
+	if got := st.ReplicaFails.Load() - fails; got != 10 {
+		t.Fatalf("10 reads with member 0 down counted %d replica failures, want 10", got)
+	}
+	if gets, _ := sum(); gets-gets0 != 20 || reps[2].Stats().DirGets.Load() != 10 {
+		t.Fatalf("10 reads with member 0 down cost %d DGETs (%d on member 2), want 20 (10)",
+			gets-gets0, reps[2].Stats().DirGets.Load())
 	}
 }
 

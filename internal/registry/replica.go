@@ -355,7 +355,8 @@ func (r *Replica) handleDirGet(conn *wire.Conn, args []string) error {
 	if !exists {
 		return conn.WriteErr(wire.CodeNotFound, "no exnode %s", wire.Quote(name))
 	}
-	if err := conn.WriteOK(wire.Itoa(e.Version), wire.Itoa(int64(len(e.Blob)))); err != nil {
+	// WriteOK's line (registry replies arm no trailer) and the blob, one flush.
+	if err := conn.WriteLineBuffered("OK", wire.Itoa(e.Version), wire.Itoa(int64(len(e.Blob)))); err != nil {
 		return err
 	}
 	return conn.WriteBlob(e.Blob)

@@ -6,7 +6,7 @@
 // The replication model is freestore's (SNIPPETS.md §1): a static view —
 // a numbered membership list — with client-driven majority quorums.
 // Writes go to every member and succeed on a strict majority of acks;
-// reads collect a majority of answers and merge the freshest. Every
+// reads ask a majority first and merge its answers. Every
 // request carries the client's view sequence number; a replica whose
 // installed view differs answers STALE_VIEW, and the client refreshes its
 // view and retries once. As long as a majority of members are up, all
