@@ -410,7 +410,7 @@ func TestXMLRoundTripRandomProperty(t *testing.T) {
 				Read: set.Read, Write: set.Write, Manage: set.Manage,
 				// One replica index per mapping: random extents may
 				// overlap, and overlap within a replica is invalid.
-				Replica: i,
+				Replica:   i,
 				Depot:     fmt.Sprintf("D%d", rng.Intn(9)),
 				Bandwidth: float64(rng.Intn(1000)) / 10,
 				Expires:   time.Unix(rng.Int63n(4_000_000_000), 0).UTC(),

@@ -10,8 +10,8 @@ import (
 // to its new priority instead of queueing twice. Ties break by name so
 // drain order is deterministic under the virtual clock.
 type queue struct {
-	mu    sync.Mutex
-	items []*Risk
+	mu     sync.Mutex
+	items  []*Risk
 	byName map[string]*Risk
 }
 
@@ -64,8 +64,8 @@ func (h *riskHeap) Less(i, j int) bool {
 	}
 	return h.items[i].Name < h.items[j].Name
 }
-func (h *riskHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *riskHeap) Push(x any)         { h.items = append(h.items, x.(*Risk)) }
+func (h *riskHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *riskHeap) Push(x any)    { h.items = append(h.items, x.(*Risk)) }
 func (h *riskHeap) Pop() any {
 	old := h.items
 	n := len(old)

@@ -97,18 +97,18 @@ type Config struct {
 // Counters is a snapshot of the daemon's lifetime activity.
 type Counters struct {
 	Sweeps        int64 `json:"sweeps"`
-	Scanned       int64 `json:"scanned"`         // files visited (in-shard)
-	Skipped       int64 `json:"skipped"`         // out-of-shard names seen
-	Queued        int64 `json:"queued"`          // files enqueued for a pass
-	Passes        int64 `json:"passes"`          // Maintain passes executed
-	PassFailures  int64 `json:"pass_failures"`   // passes that returned an error
-	Refreshed     int64 `json:"refreshed"`       // allocations re-leased
-	TrimmedDead   int64 `json:"trimmed_dead"`    // dead mappings dropped
-	ReplicasAdded int64 `json:"replicas_added"`  // repair copies uploaded
-	Republished   int64 `json:"republished"`     // directory puts after a pass
-	Conflicts     int64 `json:"conflicts"`       // puts lost to a version race
-	AtRisk        int64 `json:"at_risk"`         // last sweep: files below target
-	BelowTarget   int64 `json:"below_target"`    // lifetime below-target verdicts
+	Scanned       int64 `json:"scanned"`        // files visited (in-shard)
+	Skipped       int64 `json:"skipped"`        // out-of-shard names seen
+	Queued        int64 `json:"queued"`         // files enqueued for a pass
+	Passes        int64 `json:"passes"`         // Maintain passes executed
+	PassFailures  int64 `json:"pass_failures"`  // passes that returned an error
+	Refreshed     int64 `json:"refreshed"`      // allocations re-leased
+	TrimmedDead   int64 `json:"trimmed_dead"`   // dead mappings dropped
+	ReplicasAdded int64 `json:"replicas_added"` // repair copies uploaded
+	Republished   int64 `json:"republished"`    // directory puts after a pass
+	Conflicts     int64 `json:"conflicts"`      // puts lost to a version race
+	AtRisk        int64 `json:"at_risk"`        // last sweep: files below target
+	BelowTarget   int64 `json:"below_target"`   // lifetime below-target verdicts
 }
 
 // Daemon is one member of the maintenance fleet.

@@ -93,14 +93,14 @@ func (f fakeAvail) Availability(addr string) (float64, bool) {
 var envStart = time.Date(2002, 1, 11, 15, 0, 0, 0, time.UTC)
 
 type env struct {
-	t     *testing.T
-	clk   *vclock.Virtual
-	model *faultnet.Model
-	reg   *lbone.Registry
-	infos []lbone.DepotInfo
+	t      *testing.T
+	clk    *vclock.Virtual
+	model  *faultnet.Model
+	reg    *lbone.Registry
+	infos  []lbone.DepotInfo
 	byName map[string]lbone.DepotInfo
-	dir   *fakeDir
-	tools *core.Tools
+	dir    *fakeDir
+	tools  *core.Tools
 }
 
 func newEnv(t *testing.T) *env {

@@ -56,12 +56,12 @@ func (m *memConn) SetWriteDeadline(time.Time) error { return nil }
 func FuzzReadBlob(f *testing.F) {
 	f.Add(int64(0), []byte{})
 	f.Add(int64(5), []byte("hello"))
-	f.Add(int64(10), []byte("short"))            // announced > available
-	f.Add(int64(-1), []byte("x"))                // negative length
-	f.Add(int64(MaxBlobLen)+1, []byte("x"))      // just over the cap
-	f.Add(int64(1)<<62, []byte("x"))             // absurd length
-	f.Add(int64(firstBlobAlloc)+1, []byte("x"))  // staged path, starved
-	f.Add(int64(-1)<<62, []byte{})               // absurd negative
+	f.Add(int64(10), []byte("short"))           // announced > available
+	f.Add(int64(-1), []byte("x"))               // negative length
+	f.Add(int64(MaxBlobLen)+1, []byte("x"))     // just over the cap
+	f.Add(int64(1)<<62, []byte("x"))            // absurd length
+	f.Add(int64(firstBlobAlloc)+1, []byte("x")) // staged path, starved
+	f.Add(int64(-1)<<62, []byte{})              // absurd negative
 	f.Fuzz(func(t *testing.T, n int64, data []byte) {
 		c := NewConn(&memConn{r: bytes.NewReader(data)})
 		p, err := c.ReadBlob(n)
