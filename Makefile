@@ -13,8 +13,10 @@ tier1: build vet staticcheck test race bench-module
 build:
 	go build ./...
 
+# gofmt is part of vet: any file it would rewrite fails the target.
 vet:
 	go vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # staticcheck is optional tooling: run it when the host has it, fall back
 # to vet-only otherwise (no network installs during verification).
@@ -73,12 +75,15 @@ bench-smoke:
 # race detector: the write tests must pick disjoint depots and the read
 # tests must rank, hedge and demote the same way every time. The registry
 # line does the same for the quorum client's pipelined pass: exact exchange,
-# dial and repair counts, twenty times on one P.
+# dial and repair counts, twenty times on one P. The depot line reads
+# METRICS right after a streamed LOAD, two hundred times at the default
+# GOMAXPROCS, where a count landing after the reply would show.
 DETERMINISM_RUN = 'Place|Upload|Coded|Augment|Maintain|Hedge|Rank|Slow|Decode|Verify|WholeReplica'
 placer-determinism:
 	GOMAXPROCS=1 go test -count=20 -run $(DETERMINISM_RUN) repro/internal/core
 	go test -race -count=5 -run $(DETERMINISM_RUN) repro/internal/core
 	GOMAXPROCS=1 go test -count=20 -run 'Quorum|Session|Repair|Majority|Snapshot|Restart' repro/internal/registry
+	go test -count=200 -run 'TestMetricsCounters$$' repro/internal/depot
 
 # Availability-study smoke: a 24h virtual-clock stackmon simulation over
 # faultnet (finishes in seconds of wall time) with two scripted outages,

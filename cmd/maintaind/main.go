@@ -101,7 +101,7 @@ func run(args []string) error {
 		IBP:       client,
 		LBone:     qc,
 		Directory: registry.NewDirectory(qc),
-		NWS:       nws.NewService(nil, 256),
+		NWS:       nws.NewService(nil),
 		Health:    sb,
 		Site:      site.Name,
 		Loc:       site.Loc,

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	nws-server -listen :6770 -history 512
+//	nws-server -listen :6770
 package main
 
 import (
@@ -20,12 +20,11 @@ import (
 func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:6770", "address to listen on")
-		history = flag.Int("history", 512, "raw measurements retained per series")
 		logJSON = flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
 	)
 	flag.Parse()
 
-	svc := nws.NewService(nil, *history)
+	svc := nws.NewService(nil)
 	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "nws-server"})
 	s, err := nws.ServeNWS(*listen, svc, logger)
 	if err != nil {

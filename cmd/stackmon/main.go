@@ -78,7 +78,6 @@ func cmdRun(args []string) error {
 		metricsAddr = fs.String("metrics-listen", "", "serve /metrics, /healthz, /report on this address (empty = off)")
 		pprofOn     = fs.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
 		stateOut    = fs.String("state-out", "", "write the study (JSON, sample detail included) here on exit and every sweep")
-		maxSamples  = fs.Int("max-samples", stackmon.DefMaxSamples, "retained samples per depot")
 		sloOn       = fs.Bool("slo", false, "evaluate SLO burn-rate alerts each sweep and serve them at /slo")
 	)
 	fs.Parse(args)
@@ -86,8 +85,7 @@ func cmdRun(args []string) error {
 	cfg := stackmon.Config{
 		Client:   ibp.NewClient(ibp.WithOpTimeout(*opTimeout)),
 		Interval: *interval, Payload: *payload, Duration: *allocFor,
-		MaxSamples: *maxSamples,
-		Logf:       log.Printf,
+		Logf: log.Printf,
 	}
 	if *sloOn {
 		cfg.SLO = slo.New(slo.Config{

@@ -337,7 +337,7 @@ func (c *commonFlags) tools() (*core.Tools, error) {
 	case *c.nwsServer != "":
 		t.NWS = nws.NewRemote(*c.nwsServer)
 	case *c.useNWS:
-		t.NWS = nws.NewService(nil, 256)
+		t.NWS = nws.NewService(nil)
 	}
 	// The transfer engine always runs (its per-depot limiter and coded
 	// singleflight are pure wins); -hedge additionally arms backup requests.

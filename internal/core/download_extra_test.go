@@ -129,7 +129,7 @@ func TestRemoteNWSWithTools(t *testing.T) {
 	// Tools work against a remote NWS daemon exactly like a local service.
 	e := newEnv(t)
 	d := e.addDepot("A", geo.UTK, nil)
-	svc := nws.NewService(e.clk, 64)
+	svc := nws.NewService(e.clk)
 	srv, err := nws.ServeNWS("127.0.0.1:0", svc, nil)
 	if err != nil {
 		t.Fatal(err)

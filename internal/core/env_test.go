@@ -94,7 +94,7 @@ func (e *env) tools(site geo.Site, withNWS bool) *Tools {
 		Loc:   site.Loc,
 	}
 	if withNWS {
-		tl.NWS = nws.NewService(e.clk, 128)
+		tl.NWS = nws.NewService(e.clk)
 	}
 	return tl
 }

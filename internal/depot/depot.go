@@ -14,6 +14,7 @@ import (
 	"repro/internal/ibp"
 	"repro/internal/netx"
 	"repro/internal/obs"
+	"repro/internal/ring"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -45,8 +46,6 @@ type Config struct {
 	Logger *slog.Logger
 	// MaxConns bounds concurrent connections (default 128).
 	MaxConns int
-	// TraceRing bounds retained server-side trace spans (default 256).
-	TraceRing int
 	// Recorder, when set, retains depot log records and backs the
 	// /postmortem/<trace> endpoint; a handler panic cuts a bundle from it.
 	Recorder *obs.FlightRecorder
@@ -70,7 +69,8 @@ type Depot struct {
 	shutdown chan struct{}
 	conns    map[net.Conn]struct{}
 	metrics  Metrics
-	spans    *spanRing
+	spansMu  sync.Mutex
+	spans    *ring.Ring[ServerSpan]
 }
 
 type allocation struct {
@@ -127,7 +127,7 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 		allocs:   make(map[string]*allocation),
 		shutdown: make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
-		spans:    newSpanRing(cfg.TraceRing),
+		spans:    ring.New[ServerSpan](traceRing),
 	}
 	if pb, ok := cfg.Backend.(PersistentBackend); ok {
 		if err := d.restore(pb); err != nil {
@@ -372,7 +372,9 @@ func (d *Depot) dispatch(conn *connCtx, toks []string) bool {
 			if sp.Total == 0 {
 				sp.Total = d.clock.Since(sp.Start)
 			}
-			d.spans.add(*sp)
+			d.spansMu.Lock()
+			d.spans.Push(*sp)
+			d.spansMu.Unlock()
 		}()
 	}
 	var err error
@@ -680,6 +682,10 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 		if off+n > have {
 			return conn.WriteErr(wire.CodeOutOfRange, "read [%d,%d) beyond written length %d", off, off+n, have)
 		}
+		// Counted before the reply, like every other LOAD: a client holding
+		// its payload must find the load in METRICS.
+		d.metrics.Loads.Add(1)
+		d.metrics.BytesOut.Add(n)
 		if err := conn.WriteOK(wire.Itoa(n)); err != nil {
 			return err
 		}
@@ -689,12 +695,7 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 		if _, err := sw.WriteSegment(conn.PayloadWriter(), off, n); err != nil {
 			return fmt.Errorf("streaming load payload: %w", err)
 		}
-		if err := conn.Flush(); err != nil {
-			return err
-		}
-		d.metrics.Loads.Add(1)
-		d.metrics.BytesOut.Add(n)
-		return nil
+		return conn.Flush()
 	}
 	bt := d.clock.Now()
 	a.mu.Lock()

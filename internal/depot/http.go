@@ -59,6 +59,7 @@ func (d *Depot) PromMetrics() []obs.Metric {
 	}
 	gauge("ibp_depot_next_expiry_seconds", "Seconds until the earliest allocation expires (0 = none pending).", nextExpiry)
 	ms = append(ms, obs.ProcessMetrics("ibp-depot", d.clock.Now, d.started)...)
+	ms = append(ms, obs.RingDropped("spans", d.spansDropped()))
 	if d.cfg.Recorder != nil {
 		ms = append(ms, d.cfg.Recorder.RingMetrics()...)
 	}

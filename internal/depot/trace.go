@@ -8,7 +8,6 @@ package depot
 // a ring buffer served by /trace/<traceid> on the ObsMux.
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -29,56 +28,28 @@ type ServerSpan struct {
 	Code      string        `json:"code"`      // wire error code ("" on success)
 }
 
-// DefaultTraceRing is the span-retention capacity used when Config.TraceRing
-// is unset.
-const DefaultTraceRing = 256
+// traceRing is how many server spans a depot retains.
+const traceRing = 256
 
-// spanRing retains the most recent server spans.
-type spanRing struct {
-	mu   sync.Mutex
-	ring []ServerSpan
-	pos  int
-	n    int
-}
-
-func newSpanRing(size int) *spanRing {
-	if size <= 0 {
-		size = DefaultTraceRing
-	}
-	return &spanRing{ring: make([]ServerSpan, size)}
-}
-
-func (r *spanRing) add(s ServerSpan) {
-	r.mu.Lock()
-	r.ring[r.pos] = s
-	r.pos = (r.pos + 1) % len(r.ring)
-	if r.n < len(r.ring) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-func (r *spanRing) forTrace(traceID string) []ServerSpan {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []ServerSpan
-	start := r.pos - r.n
-	if start < 0 {
-		start += len(r.ring)
-	}
-	for i := 0; i < r.n; i++ {
-		s := r.ring[(start+i)%len(r.ring)]
-		if s.TraceID == traceID {
-			out = append(out, s)
-		}
-	}
-	return out
+// spansDropped reports how many retained spans were overwritten.
+func (d *Depot) spansDropped() uint64 {
+	d.spansMu.Lock()
+	defer d.spansMu.Unlock()
+	return d.spans.Dropped()
 }
 
 // SpansForTrace returns the retained server spans recorded under traceID,
 // oldest first.
 func (d *Depot) SpansForTrace(traceID string) []ServerSpan {
-	return d.spans.forTrace(traceID)
+	d.spansMu.Lock()
+	defer d.spansMu.Unlock()
+	var out []ServerSpan
+	for i := 0; i < d.spans.Len(); i++ {
+		if s := d.spans.At(i); s.TraceID == traceID {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // pendingTrace is trace context received via TRACE, waiting for the

@@ -227,7 +227,7 @@ func (tb *Testbed) Tools(site geo.Site, useNWS bool) *core.Tools {
 		Loc:   site.Loc,
 	}
 	if useNWS {
-		t.NWS = nws.NewService(tb.Clock, 256)
+		t.NWS = nws.NewService(tb.Clock)
 	}
 	return t
 }

@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 	"repro/internal/wire"
@@ -197,9 +198,8 @@ type depotHealth struct {
 	lastOutcome Outcome
 	lastSeen    time.Time
 
-	// Recent success latencies in seconds (ring buffer).
-	lat    []float64
-	latPos int
+	// Recent success latencies in seconds.
+	lat *ring.Ring[float64]
 }
 
 // Scoreboard tracks depot health. Safe for concurrent use; one instance is
@@ -224,7 +224,7 @@ func New(cfg Config) *Scoreboard {
 func (s *Scoreboard) depot(addr string) *depotHealth {
 	d, ok := s.depots[addr]
 	if !ok {
-		d = &depotHealth{lastDecay: s.cfg.Clock.Now()}
+		d = &depotHealth{lastDecay: s.cfg.Clock.Now(), lat: ring.New[float64](maxLatencySamples)}
 		s.depots[addr] = d
 	}
 	return d
@@ -316,13 +316,7 @@ func (d *depotHealth) addLatency(latency time.Duration) {
 	if latency <= 0 {
 		return
 	}
-	sec := latency.Seconds()
-	if len(d.lat) < maxLatencySamples {
-		d.lat = append(d.lat, sec)
-	} else {
-		d.lat[d.latPos] = sec
-	}
-	d.latPos = (d.latPos + 1) % maxLatencySamples
+	d.lat.Push(latency.Seconds())
 }
 
 // ReportLatency records a latency-only sample for addr: a lower bound the
@@ -406,11 +400,11 @@ func (s *Scoreboard) Latency(addr string) (median, p95 time.Duration, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d, ok := s.depots[addr]
-	if !ok || len(d.lat) == 0 {
+	if !ok || d.lat.Len() == 0 {
 		return 0, 0, 0
 	}
 	var buf [maxLatencySamples]float64
-	sorted := buf[:copy(buf[:], d.lat)]
+	sorted := buf[:copy(buf[:], d.lat.Values())]
 	sort.Float64s(sorted)
 	sec := func(p float64) time.Duration {
 		return time.Duration(stats.Percentile(sorted, p) * float64(time.Second))
@@ -483,7 +477,7 @@ func (s *Scoreboard) Snapshot() []DepotHealth {
 			HalfOpened:     d.halfOpened,
 			Reclosed:       d.reclosed,
 			Counter:        stats.Counter{OK: int(d.outcomes[Success] + d.outcomes[ProtocolError]), Fail: int(fails)},
-			Latency:        stats.Summarize(append([]float64(nil), d.lat...)),
+			Latency:        stats.Summarize(d.lat.Values()),
 			LastOutcome:    d.lastOutcome,
 			LastSeen:       d.lastSeen,
 		})

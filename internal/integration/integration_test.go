@@ -73,7 +73,7 @@ func (s *stack) tools(site geo.Site, withNWS bool) *core.Tools {
 		Loc:   site.Loc,
 	}
 	if withNWS {
-		t.NWS = nws.NewService(nil, 64)
+		t.NWS = nws.NewService(nil)
 	}
 	return t
 }

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/ring"
 )
 
 // Forecaster predicts the next value of a series from its history.
@@ -57,46 +59,45 @@ func (f *runningMean) Predict() (float64, bool) {
 }
 
 type slidingMean struct {
-	window []float64
+	window *ring.Ring[float64]
 	k      int
 }
 
-func (f *slidingMean) Name() string { return fmt.Sprintf("mean%d", f.k) }
-func (f *slidingMean) Observe(v float64) {
-	f.window = append(f.window, v)
-	if len(f.window) > f.k {
-		f.window = f.window[1:]
-	}
+func newSlidingMean(k int) *slidingMean {
+	return &slidingMean{window: ring.New[float64](k), k: k}
 }
+
+func (f *slidingMean) Name() string      { return fmt.Sprintf("mean%d", f.k) }
+func (f *slidingMean) Observe(v float64) { f.window.Push(v) }
 func (f *slidingMean) Predict() (float64, bool) {
-	if len(f.window) == 0 {
-		return 0, false
-	}
-	var sum float64
-	for _, v := range f.window {
-		sum += v
-	}
-	return sum / float64(len(f.window)), true
-}
-
-type slidingMedian struct {
-	window []float64
-	k      int
-}
-
-func (f *slidingMedian) Name() string { return fmt.Sprintf("median%d", f.k) }
-func (f *slidingMedian) Observe(v float64) {
-	f.window = append(f.window, v)
-	if len(f.window) > f.k {
-		f.window = f.window[1:]
-	}
-}
-func (f *slidingMedian) Predict() (float64, bool) {
-	n := len(f.window)
+	n := f.window.Len()
 	if n == 0 {
 		return 0, false
 	}
-	s := append([]float64(nil), f.window...)
+	var sum float64
+	for i := 0; i < n; i++ { // oldest first: float sums depend on order
+		sum += f.window.At(i)
+	}
+	return sum / float64(n), true
+}
+
+type slidingMedian struct {
+	window *ring.Ring[float64]
+	k      int
+}
+
+func newSlidingMedian(k int) *slidingMedian {
+	return &slidingMedian{window: ring.New[float64](k), k: k}
+}
+
+func (f *slidingMedian) Name() string      { return fmt.Sprintf("median%d", f.k) }
+func (f *slidingMedian) Observe(v float64) { f.window.Push(v) }
+func (f *slidingMedian) Predict() (float64, bool) {
+	n := f.window.Len()
+	if n == 0 {
+		return 0, false
+	}
+	s := append([]float64(nil), f.window.Values()...)
 	sort.Float64s(s)
 	if n%2 == 1 {
 		return s[n/2], true
@@ -141,11 +142,11 @@ func newBattery() *Battery {
 	fs := []Forecaster{
 		&lastValue{},
 		&runningMean{},
-		&slidingMean{k: 5},
-		&slidingMean{k: 10},
-		&slidingMean{k: 30},
-		&slidingMedian{k: 5},
-		&slidingMedian{k: 15},
+		newSlidingMean(5),
+		newSlidingMean(10),
+		newSlidingMean(30),
+		newSlidingMedian(5),
+		newSlidingMedian(15),
 		&expSmoothing{alpha: 0.05},
 		&expSmoothing{alpha: 0.25},
 		&expSmoothing{alpha: 0.6},

@@ -103,7 +103,7 @@ func TestBatteryForecastWithinRangeProperty(t *testing.T) {
 
 func TestServiceRecordForecast(t *testing.T) {
 	clk := vclock.NewVirtual(time.Date(2002, 1, 11, 0, 0, 0, 0, time.UTC))
-	s := NewService(clk, 4)
+	s := NewService(clk)
 	if _, ok := s.Forecast("UTK", "d1", Bandwidth); ok {
 		t.Fatal("forecast without data should fail")
 	}
@@ -126,28 +126,8 @@ func TestServiceRecordForecast(t *testing.T) {
 	if !ok || last.Value != 95 || last.Src != "UTK" {
 		t.Fatalf("last = %+v", last)
 	}
-	// History is bounded at the configured size.
-	if h := s.History("UTK", "d1", Bandwidth); len(h) != 4 {
-		t.Fatalf("history length = %d, want 4", len(h))
-	}
 	if s.SeriesCount() != 1 {
 		t.Fatalf("series count = %d", s.SeriesCount())
-	}
-}
-
-func TestServiceHistoryOrder(t *testing.T) {
-	s := NewService(nil, 10)
-	for i := 0; i < 5; i++ {
-		s.Record("a", "b", Latency, float64(i))
-	}
-	h := s.History("a", "b", Latency)
-	for i := range h {
-		if h[i].Value != float64(i) {
-			t.Fatalf("history out of order: %v", h)
-		}
-	}
-	if s.History("x", "y", Latency) != nil {
-		t.Fatal("unknown series history should be nil")
 	}
 }
 
@@ -161,7 +141,7 @@ func TestSensorProbesRealDepot(t *testing.T) {
 	}
 	defer d.Close()
 
-	svc := NewService(nil, 16)
+	svc := NewService(nil)
 	client := ibp.NewClient()
 	sensor := NewSensor(svc, client, nil, "UTK", 32<<10)
 	if err := sensor.ProbeDepot(d.Addr()); err != nil {
@@ -190,7 +170,7 @@ func TestSensorProbeAllContinuesPastFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	svc := NewService(nil, 16)
+	svc := NewService(nil)
 	client := ibp.NewClient(ibp.WithDialTimeout(100 * time.Millisecond))
 	sensor := NewSensor(svc, client, nil, "UTK", 1024)
 	err = sensor.ProbeAll([]string{"127.0.0.1:1", d.Addr()})
@@ -224,7 +204,7 @@ func TestBestRMSE(t *testing.T) {
 	if !ok || rmse <= 0 {
 		t.Fatalf("noisy series RMSE = %v, %v", rmse, ok)
 	}
-	svc := NewService(nil, 16)
+	svc := NewService(nil)
 	svc.Record("a", "b", Bandwidth, 5)
 	svc.Record("a", "b", Bandwidth, 5)
 	if _, ok := svc.ForecastError("a", "b", Bandwidth); !ok {

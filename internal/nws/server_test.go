@@ -10,7 +10,7 @@ import (
 
 func startNWS(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	svc := NewService(vclock.NewVirtual(time.Date(2002, 1, 11, 0, 0, 0, 0, time.UTC)), 64)
+	svc := NewService(vclock.NewVirtual(time.Date(2002, 1, 11, 0, 0, 0, 0, time.UTC)))
 	s, err := ServeNWS("127.0.0.1:0", svc, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -33,31 +33,25 @@ type Measurement struct {
 	Time  time.Time // when
 }
 
-// Service is an NWS instance: a measurement store plus per-series
+// Service is an NWS instance: the latest measurement plus per-series
 // forecaster batteries. Safe for concurrent use.
 type Service struct {
-	mu      sync.Mutex
-	clock   vclock.Clock
-	series  map[seriesKey]*series
-	history int
+	mu     sync.Mutex
+	clock  vclock.Clock
+	series map[seriesKey]*series
 }
 
 type series struct {
 	battery *Battery
 	last    Measurement
-	recent  []Measurement // bounded ring of raw measurements
 }
 
-// NewService creates an NWS service keeping up to history raw measurements
-// per series (default 512 when history <= 0).
-func NewService(clock vclock.Clock, history int) *Service {
+// NewService creates an NWS service on clock (the real clock when nil).
+func NewService(clock vclock.Clock) *Service {
 	if clock == nil {
 		clock = vclock.Real()
 	}
-	if history <= 0 {
-		history = 512
-	}
-	return &Service{clock: clock, series: make(map[seriesKey]*series), history: history}
+	return &Service{clock: clock, series: make(map[seriesKey]*series)}
 }
 
 // Record stores a measurement and updates the series forecast state.
@@ -73,10 +67,6 @@ func (s *Service) Record(src, dst string, res Resource, value float64) {
 	}
 	sr.battery.Observe(value)
 	sr.last = m
-	sr.recent = append(sr.recent, m)
-	if len(sr.recent) > s.history {
-		sr.recent = sr.recent[1:]
-	}
 }
 
 // Forecast predicts the next value of the (src,dst,res) series. ok is false
@@ -100,18 +90,6 @@ func (s *Service) Last(src, dst string, res Resource) (Measurement, bool) {
 		return Measurement{}, false
 	}
 	return sr.last, true
-}
-
-// History returns a copy of the retained raw measurements of the series,
-// oldest first.
-func (s *Service) History(src, dst string, res Resource) []Measurement {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr, ok := s.series[seriesKey{src, dst, res}]
-	if !ok {
-		return nil
-	}
-	return append([]Measurement(nil), sr.recent...)
 }
 
 // ForecastError reports the RMSE of the series' selected forecaster.

@@ -11,6 +11,8 @@ package obs
 import (
 	"sync"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // ForecastSample is one predicted-vs-measured bandwidth comparison.
@@ -41,14 +43,18 @@ type pairStats struct {
 type ForecastTracker struct {
 	mu     sync.Mutex
 	pairs  map[pairKey]*pairStats
-	recent []ForecastSample
+	recent *ring.Ring[ForecastSample]
 	rec    *FlightRecorder
 }
 
 // NewForecastTracker builds a tracker; rec may be nil (samples are then
 // only available via Metrics/Recent, not in flight-recorder timelines).
 func NewForecastTracker(rec *FlightRecorder) *ForecastTracker {
-	return &ForecastTracker{pairs: make(map[pairKey]*pairStats), rec: rec}
+	return &ForecastTracker{
+		pairs:  make(map[pairKey]*pairStats),
+		recent: ring.New[ForecastSample](maxForecastRecent),
+		rec:    rec,
+	}
 }
 
 // Observe records one comparison for the src→dst pair.
@@ -70,10 +76,7 @@ func (ft *ForecastTracker) Observe(src, dst string, predicted, measured float64,
 	ps.last = s
 	ps.count++
 	ps.sumAbs += s.AbsError
-	ft.recent = append(ft.recent, s)
-	if len(ft.recent) > maxForecastRecent {
-		ft.recent = ft.recent[len(ft.recent)-maxForecastRecent:]
-	}
+	ft.recent.Push(s)
 	ft.mu.Unlock()
 	if ft.rec != nil {
 		ft.rec.Add(Entry{
@@ -93,9 +96,7 @@ func (ft *ForecastTracker) Observe(src, dst string, predicted, measured float64,
 func (ft *ForecastTracker) Recent() []ForecastSample {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	out := make([]ForecastSample, len(ft.recent))
-	copy(out, ft.recent)
-	return out
+	return ft.recent.Last(nil, 0)
 }
 
 // RecentFor returns the retained samples whose destination depot is in

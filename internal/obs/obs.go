@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/stats"
 )
 
@@ -71,8 +72,7 @@ type aggregate struct {
 	bytes   int64
 	reused  int64
 	retried int64
-	lat     []float64 // seconds; ring once full
-	latPos  int
+	lat     *ring.Ring[float64] // seconds
 	// ex holds the most recent traced sample per latency bucket of
 	// DefLatencyBounds (slot len(DefLatencyBounds) is +Inf), so the
 	// exposition can point a histogram spike at an assembled trace.
@@ -92,12 +92,7 @@ func (a *aggregate) observe(e Event) {
 		a.retried++
 	}
 	s := e.Latency.Seconds()
-	if len(a.lat) < maxLatSamples {
-		a.lat = append(a.lat, s)
-	} else {
-		a.lat[a.latPos] = s
-		a.latPos = (a.latPos + 1) % maxLatSamples
-	}
+	a.lat.Push(s)
 	if e.Trace != "" {
 		if a.ex == nil {
 			a.ex = make([]Exemplar, len(DefLatencyBounds)+1)
@@ -109,13 +104,10 @@ func (a *aggregate) observe(e Event) {
 // Collector is the standard Observer: a fixed-size ring of recent events
 // plus per-depot/per-verb aggregates. Safe for concurrent use.
 type Collector struct {
-	mu      sync.Mutex
-	ring    []Event
-	pos     int
-	n       int
-	seq     uint64
-	dropped uint64 // events overwritten before anyone read them
-	agg     map[aggKey]*aggregate
+	mu     sync.Mutex
+	events *ring.Ring[Event]
+	seq    uint64
+	agg    map[aggKey]*aggregate
 }
 
 // DefaultRingSize is the recent-event capacity used when NewCollector is
@@ -128,8 +120,8 @@ func NewCollector(ringSize int) *Collector {
 		ringSize = DefaultRingSize
 	}
 	return &Collector{
-		ring: make([]Event, ringSize),
-		agg:  make(map[aggKey]*aggregate),
+		events: ring.New[Event](ringSize),
+		agg:    make(map[aggKey]*aggregate),
 	}
 }
 
@@ -139,21 +131,11 @@ func (c *Collector) Record(e Event) {
 	defer c.mu.Unlock()
 	c.seq++
 	e.Seq = c.seq
-	if c.n == len(c.ring) {
-		// The slot still holds a live event: ring overflow, not rotation
-		// into empty capacity. Count it so /metrics and reports can say how
-		// much recent history was silently lost under load.
-		c.dropped++
-	}
-	c.ring[c.pos] = e
-	c.pos = (c.pos + 1) % len(c.ring)
-	if c.n < len(c.ring) {
-		c.n++
-	}
+	c.events.Push(e)
 	k := aggKey{Depot: e.Depot, Verb: e.Verb}
 	a := c.agg[k]
 	if a == nil {
-		a = &aggregate{}
+		a = &aggregate{lat: ring.New[float64](maxLatSamples)}
 		c.agg[k] = a
 	}
 	a.observe(e)
@@ -164,18 +146,7 @@ func (c *Collector) Record(e Event) {
 func (c *Collector) Recent(n int) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n <= 0 || n > c.n {
-		n = c.n
-	}
-	out := make([]Event, 0, n)
-	start := c.pos - n
-	if start < 0 {
-		start += len(c.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, c.ring[(start+i)%len(c.ring)])
-	}
-	return out
+	return c.events.Last(nil, n)
 }
 
 // Total reports how many events have ever been recorded.
@@ -190,7 +161,7 @@ func (c *Collector) Total() uint64 {
 func (c *Collector) Dropped() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dropped
+	return c.events.Dropped()
 }
 
 // AggRow is one (depot, verb) aggregate snapshot.
@@ -219,7 +190,7 @@ func (c *Collector) Snapshot() []AggRow {
 			Bytes:   a.bytes,
 			Reused:  a.reused,
 			Retried: a.retried,
-			Latency: stats.Summarize(a.lat),
+			Latency: stats.Summarize(a.lat.Values()),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -238,7 +209,7 @@ func (c *Collector) LatencyHistogram(depot, verb string, buckets int) *stats.His
 	var xs []float64
 	for k, a := range c.agg {
 		if (depot == "" || k.Depot == depot) && (verb == "" || k.Verb == verb) {
-			xs = append(xs, a.lat...)
+			xs = append(xs, a.lat.Values()...)
 		}
 	}
 	c.mu.Unlock()

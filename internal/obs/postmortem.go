@@ -89,11 +89,10 @@ func (fr *FlightRecorder) StoreBundle(b Bundle) {
 	}
 	fr.mu.Lock()
 	if _, exists := fr.bundles[key]; !exists {
-		fr.order = append(fr.order, key)
-		if len(fr.order) > maxStoredBundles {
-			delete(fr.bundles, fr.order[0])
-			fr.order = fr.order[1:]
+		if fr.order.Full() {
+			delete(fr.bundles, fr.order.At(0))
 		}
+		fr.order.Push(key)
 	}
 	fr.bundles[key] = b
 	fr.mu.Unlock()
@@ -111,9 +110,7 @@ func (fr *FlightRecorder) BundleFor(trace string) (Bundle, bool) {
 func (fr *FlightRecorder) Bundles() []string {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	out := make([]string, len(fr.order))
-	copy(out, fr.order)
-	return out
+	return fr.order.Last(nil, 0)
 }
 
 // WriteBundle serializes the bundle to dir/POSTMORTEM_<trace>.json

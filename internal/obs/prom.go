@@ -255,12 +255,7 @@ func (c *Collector) CollectorMetrics(prefix string) []Metric {
 			Hist: h,
 		})
 	}
-	ms = append(ms, Metric{
-		Name: "obs_ring_dropped_total",
-		Help: "Entries overwritten before aging out, per bounded ring.",
-		Type: "counter", Value: float64(c.Dropped()),
-		Labels: []Label{{"ring", "events"}},
-	})
+	ms = append(ms, RingDropped("events", c.Dropped()))
 	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
 	return ms
 }
@@ -280,7 +275,7 @@ func (c *Collector) latencyCells() []latencyCell {
 	for k, a := range c.agg {
 		cells = append(cells, latencyCell{
 			depot: k.Depot, verb: k.Verb,
-			lat: append([]float64(nil), a.lat...),
+			lat: append([]float64(nil), a.lat.Values()...),
 			ex:  append([]Exemplar(nil), a.ex...),
 		})
 	}

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // EntryKind classifies one flight-recorder entry by its signal source.
@@ -56,12 +58,10 @@ const DefaultRecorderSize = 512
 // stream, and the slog tee handler feeds it log records.
 type FlightRecorder struct {
 	mu      sync.Mutex
-	ring    []Entry
-	pos, n  int
+	entries *ring.Ring[Entry]
 	seq     uint64
-	dropped uint64            // entries overwritten by ring overflow
-	bundles map[string]Bundle // last written bundle per trace, for /postmortem
-	order   []string          // bundle insertion order, oldest first
+	bundles map[string]Bundle  // last written bundle per trace, for /postmortem
+	order   *ring.Ring[string] // bundle insertion order; evicts from bundles
 }
 
 // maxStoredBundles bounds the retained postmortem bundles per process.
@@ -73,8 +73,9 @@ func NewFlightRecorder(size int) *FlightRecorder {
 		size = DefaultRecorderSize
 	}
 	return &FlightRecorder{
-		ring:    make([]Entry, size),
+		entries: ring.New[Entry](size),
 		bundles: make(map[string]Bundle),
+		order:   ring.New[string](maxStoredBundles),
 	}
 }
 
@@ -83,16 +84,7 @@ func (fr *FlightRecorder) Add(e Entry) {
 	fr.mu.Lock()
 	fr.seq++
 	e.Seq = fr.seq
-	if fr.n == len(fr.ring) {
-		// Overflow: the oldest retained entry is lost, and a postmortem cut
-		// now will start mid-story. Count it instead of hiding it.
-		fr.dropped++
-	}
-	fr.ring[fr.pos] = e
-	fr.pos = (fr.pos + 1) % len(fr.ring)
-	if fr.n < len(fr.ring) {
-		fr.n++
-	}
+	fr.entries.Push(e)
 	fr.mu.Unlock()
 }
 
@@ -101,18 +93,24 @@ func (fr *FlightRecorder) Add(e Entry) {
 func (fr *FlightRecorder) Dropped() uint64 {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	return fr.dropped
+	return fr.entries.Dropped()
 }
 
 // RingMetrics exposes the recorder's overflow counter, labeled ring=flight
 // to sit beside the Collector's ring=events series on the same scrape.
 func (fr *FlightRecorder) RingMetrics() []Metric {
-	return []Metric{{
+	return []Metric{RingDropped("flight", fr.Dropped())}
+}
+
+// RingDropped is the obs_ring_dropped_total sample for one bounded ring:
+// how many entries it overwrote before they aged out.
+func RingDropped(ring string, n uint64) Metric {
+	return Metric{
 		Name: "obs_ring_dropped_total",
 		Help: "Entries overwritten before aging out, per bounded ring.",
-		Type: "counter", Value: float64(fr.Dropped()),
-		Labels: []Label{{"ring", "flight"}},
-	}}
+		Type: "counter", Value: float64(n),
+		Labels: []Label{{"ring", ring}},
+	}
 }
 
 // Record implements Observer: every IBP op event (and HEDGE event — the
@@ -152,18 +150,7 @@ func (fr *FlightRecorder) BreakerTransition(addr, from, to string, at time.Time)
 func (fr *FlightRecorder) Recent(n int) []Entry {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	if n <= 0 || n > fr.n {
-		n = fr.n
-	}
-	out := make([]Entry, 0, n)
-	start := fr.pos - n
-	if start < 0 {
-		start += len(fr.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, fr.ring[(start+i)%len(fr.ring)])
-	}
-	return out
+	return fr.entries.Last(nil, n)
 }
 
 // ForTrace returns the retained entries recorded under traceID, oldest

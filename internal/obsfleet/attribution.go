@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/stats"
 )
 
@@ -49,17 +50,16 @@ type traceAttr struct {
 // attribution holds the bounded analysis state.
 type attribution struct {
 	mu   sync.Mutex
-	seen map[string]bool // trace IDs already joined (bounded FIFO)
-	fifo []string
-	recs []traceAttr // ring of decompositions
-	pos  int
-	n    int
+	seen map[string]bool    // trace IDs already joined
+	fifo *ring.Ring[string] // seen's insertion order; evicts from seen
+	recs *ring.Ring[traceAttr]
 }
 
 func newAttribution() *attribution {
 	return &attribution{
 		seen: make(map[string]bool),
-		recs: make([]traceAttr, maxAttrTraces),
+		fifo: ring.New[string](maxAttrSeen),
+		recs: ring.New[traceAttr](maxAttrTraces),
 	}
 }
 
@@ -95,11 +95,7 @@ func (a *Aggregator) attributeSweep(view []*member) {
 			continue
 		}
 		a.attr.mu.Lock()
-		a.attr.recs[a.attr.pos] = rec
-		a.attr.pos = (a.attr.pos + 1) % len(a.attr.recs)
-		if a.attr.n < len(a.attr.recs) {
-			a.attr.n++
-		}
+		a.attr.recs.Push(rec)
 		a.attr.mu.Unlock()
 	}
 }
@@ -107,12 +103,11 @@ func (a *Aggregator) attributeSweep(view []*member) {
 // note marks a trace ID as processed, evicting oldest beyond the cap.
 // Caller holds at.mu.
 func (at *attribution) note(id string) {
-	at.seen[id] = true
-	at.fifo = append(at.fifo, id)
-	for len(at.fifo) > maxAttrSeen {
-		delete(at.seen, at.fifo[0])
-		at.fifo = at.fifo[1:]
+	if at.fifo.Full() {
+		delete(at.seen, at.fifo.At(0))
 	}
+	at.seen[id] = true
+	at.fifo.Push(id)
 }
 
 // exemplarTraceID extracts the trace ID from a raw exemplar suffix
@@ -261,14 +256,7 @@ func (a *Aggregator) Attribution() AttributionReport {
 		return rep
 	}
 	a.attr.mu.Lock()
-	recs := make([]traceAttr, 0, a.attr.n)
-	start := a.attr.pos - a.attr.n
-	if start < 0 {
-		start += len(a.attr.recs)
-	}
-	for i := 0; i < a.attr.n; i++ {
-		recs = append(recs, a.attr.recs[(start+i)%len(a.attr.recs)])
-	}
+	recs := a.attr.recs.Last(nil, 0)
 	a.attr.mu.Unlock()
 	rep.Traces = len(recs)
 	if len(recs) == 0 {

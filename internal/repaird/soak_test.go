@@ -161,7 +161,7 @@ func TestRepairFleetChurnSoak(t *testing.T) {
 		IBP:       ibpClient,
 		LBone:     qc,
 		Directory: dir,
-		NWS:       nws.NewService(clk, 64),
+		NWS:       nws.NewService(clk),
 		Health:    hb,
 		Clock:     clk,
 		Site:      geo.UTK.Name,

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ring"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 )
@@ -155,9 +156,7 @@ type series struct {
 	totalGood int64
 	totalBad  int64
 
-	lat     []float64
-	latPos  int
-	latFull bool
+	lat *ring.Ring[float64]
 }
 
 // Engine accumulates SLI samples and evaluates burn-rate rules on demand.
@@ -169,7 +168,7 @@ type Engine struct {
 	span    time.Duration // longest window any rule or objective needs
 	series  map[sliKey]*series
 	active  map[fireKey]*Firing
-	history []Firing
+	history *ring.Ring[Firing]
 }
 
 // New builds an engine from cfg, applying defaults for zero fields.
@@ -202,10 +201,11 @@ func New(cfg Config) *Engine {
 		}
 	}
 	return &Engine{
-		cfg:    cfg,
-		span:   span,
-		series: make(map[sliKey]*series),
-		active: make(map[fireKey]*Firing),
+		cfg:     cfg,
+		span:    span,
+		series:  make(map[sliKey]*series),
+		active:  make(map[fireKey]*Firing),
+		history: ring.New[Firing](maxFirings),
 	}
 }
 
@@ -221,7 +221,7 @@ func (e *Engine) seriesFor(k sliKey) *series {
 	s := e.series[k]
 	if s == nil {
 		n := int(e.span/e.cfg.Bucket) + 2
-		s = &series{buckets: make([]bucket, n)}
+		s = &series{buckets: make([]bucket, n), lat: ring.New[float64](maxLatencySamples)}
 		for i := range s.buckets {
 			s.buckets[i].idx = -1
 		}
@@ -264,14 +264,7 @@ func (e *Engine) RecordLatency(sli SLI, key string, seconds float64) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := e.seriesFor(sliKey{sli, key})
-	if len(s.lat) < maxLatencySamples {
-		s.lat = append(s.lat, seconds)
-		return
-	}
-	s.lat[s.latPos] = seconds
-	s.latPos = (s.latPos + 1) % maxLatencySamples
-	s.latFull = true
+	e.seriesFor(sliKey{sli, key}).lat.Push(seconds)
 }
 
 // window sums the good/bad counts over the trailing window ending now.
@@ -349,10 +342,7 @@ func (e *Engine) Evaluate() []Alert {
 					// going quiet just means the incident stopped burning
 					// recently, not that the budget recovered.
 					f.ResolvedAt = now
-					e.history = append(e.history, *f)
-					if len(e.history) > maxFirings {
-						e.history = e.history[len(e.history)-maxFirings:]
-					}
+					e.history.Push(*f)
 					delete(e.active, fk)
 					resolved = append(resolved, Alert{
 						Objective: o.Name, Rule: r.Name, Key: k.key,
@@ -423,8 +413,7 @@ func (e *Engine) Firings() []Firing {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Firing, 0, len(e.history)+len(e.active))
-	out = append(out, e.history...)
+	out := e.history.Last(make([]Firing, 0, e.history.Len()+len(e.active)), 0)
 	var act []Firing
 	for _, f := range e.active {
 		act = append(act, *f)
@@ -473,10 +462,10 @@ type Status struct {
 // tsdb uses for quantile_over_time over scraped _bucket series, so a
 // member's /slo quantile and a fleet-level query agree on the number.
 func (s *series) latQuantiles() (p50, p95, p99 float64) {
-	if len(s.lat) == 0 {
+	if s.lat.Len() == 0 {
 		return 0, 0, 0
 	}
-	bs := stats.CumulativeBuckets(obs.DefLatencyBounds, s.lat)
+	bs := stats.CumulativeBuckets(obs.DefLatencyBounds, s.lat.Values())
 	q := func(p float64) float64 {
 		v := stats.HistogramQuantile(p, bs)
 		if math.IsNaN(v) {

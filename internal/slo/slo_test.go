@@ -204,8 +204,8 @@ func TestObserveIBPAdapter(t *testing.T) {
 	if s == nil || s.totalGood != 1 || s.totalBad != 1 {
 		t.Fatalf("adapter recorded %+v, want 1 good + 1 bad", s)
 	}
-	if len(s.lat) != 1 {
-		t.Errorf("latency samples = %d, want 1 (successes only)", len(s.lat))
+	if s.lat.Len() != 1 {
+		t.Errorf("latency samples = %d, want 1 (successes only)", s.lat.Len())
 	}
 }
 

@@ -70,7 +70,9 @@ func (m *Monitor) latencyHistograms() []obs.Metric {
 	}
 	samplesFor := map[string][]float64{}
 	for _, a := range addrs {
-		for _, sm := range m.byDepot[a].ordered() {
+		samples := m.byDepot[a].samples
+		for i := 0; i < samples.Len(); i++ {
+			sm := samples.At(i)
 			if sm.Up {
 				samplesFor[a] = append(samplesFor[a], sm.ProbeLatency.Seconds())
 			}

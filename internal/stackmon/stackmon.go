@@ -16,16 +16,21 @@ import (
 	"time"
 
 	"repro/internal/ibp"
+	"repro/internal/ring"
 	"repro/internal/slo"
 	"repro/internal/vclock"
 )
 
 // Defaults for Config fields left zero.
 const (
-	DefInterval   = 5 * time.Minute
-	DefDuration   = 10 * time.Minute
-	DefMaxSamples = 4096
+	DefInterval = 5 * time.Minute
+	DefDuration = 10 * time.Minute
 )
+
+// maxSamples bounds each depot's retained sample ring: two weeks at the
+// default interval. Lifetime counters are exact regardless; only the
+// sample detail rotates.
+const maxSamples = 4096
 
 // Config parameterizes a Monitor.
 type Config struct {
@@ -48,10 +53,6 @@ type Config struct {
 	// Clock drives sweep timing (default the system clock). Simulated
 	// studies pass a vclock.Virtual.
 	Clock vclock.Clock
-	// MaxSamples bounds the retained per-depot sample ring (default 4096
-	// — two weeks at the default interval). Lifetime counters are exact
-	// regardless; only the sample detail rotates.
-	MaxSamples int
 	// Logf, when set, receives one line per depot state change.
 	Logf func(format string, args ...any)
 	// SLO, when set, receives every sweep result as SLI samples — probe
@@ -75,9 +76,7 @@ type Sample struct {
 
 // series is the retained state for one depot.
 type series struct {
-	samples []Sample // ring, oldest at pos when full
-	pos     int
-	full    bool
+	samples *ring.Ring[Sample]
 
 	// Lifetime counters (exact even after the ring rotates).
 	sweeps       int
@@ -90,14 +89,8 @@ type series struct {
 	lastErr      string
 }
 
-func (s *series) add(max int, sm Sample) {
-	if len(s.samples) < max {
-		s.samples = append(s.samples, sm)
-	} else {
-		s.samples[s.pos] = sm
-		s.pos = (s.pos + 1) % len(s.samples)
-		s.full = true
-	}
+func (s *series) add(sm Sample) {
+	s.samples.Push(sm)
 	s.sweeps++
 	if sm.Up {
 		s.up++
@@ -112,17 +105,6 @@ func (s *series) add(max int, sm Sample) {
 	}
 	s.lastUp = sm.Up
 	s.lastErr = sm.Err
-}
-
-// ordered returns the retained samples oldest first.
-func (s *series) ordered() []Sample {
-	if !s.full {
-		return append([]Sample(nil), s.samples...)
-	}
-	out := make([]Sample, 0, len(s.samples))
-	out = append(out, s.samples[s.pos:]...)
-	out = append(out, s.samples[:s.pos]...)
-	return out
 }
 
 // Monitor runs the availability study.
@@ -149,9 +131,6 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = DefDuration
-	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = DefMaxSamples
 	}
 	clk := cfg.Clock
 	if clk == nil {
@@ -270,11 +249,11 @@ func (m *Monitor) record(addr string, sm Sample) {
 	s := m.byDepot[addr]
 	known := s != nil
 	if !known {
-		s = &series{}
+		s = &series{samples: ring.New[Sample](maxSamples)}
 		m.byDepot[addr] = s
 	}
 	wasUp := s.lastUp
-	s.add(m.cfg.MaxSamples, sm)
+	s.add(sm)
 	m.mu.Unlock()
 	m.cfg.SLO.Record(slo.DepotAvailability, addr, sm.Up)
 	if sm.Up {
@@ -391,7 +370,7 @@ func (m *Monitor) Snapshot(withSamples bool) Study {
 			ds.MeanMbps = s.mbpsSum / float64(s.dataOK)
 		}
 		if withSamples {
-			ds.Samples = s.ordered()
+			ds.Samples = s.samples.Last(nil, 0)
 		}
 		st.Depots = append(st.Depots, ds)
 	}

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/health"
 	"repro/internal/obs"
+	"repro/internal/ring"
 	"repro/internal/vclock"
 )
 
@@ -128,16 +129,15 @@ type Engine struct {
 	lim *limiter
 	sf  *singleflight
 
-	mu     sync.Mutex
-	lat    []float64 // observed success latencies, seconds (ring)
-	latPos int
-	c      Counters
+	mu  sync.Mutex
+	lat *ring.Ring[float64] // observed success latencies, seconds
+	c   Counters
 }
 
 // New builds an engine.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, sf: newSingleflight()}
+	e := &Engine{cfg: cfg, sf: newSingleflight(), lat: ring.New[float64](maxObserved)}
 	e.lim = newLimiter(cfg.MaxPerDepot, cfg.Forecast)
 	return e
 }
@@ -168,13 +168,7 @@ func (e *Engine) observe(d time.Duration) {
 		return
 	}
 	e.mu.Lock()
-	s := d.Seconds()
-	if len(e.lat) < maxObserved {
-		e.lat = append(e.lat, s)
-	} else {
-		e.lat[e.latPos] = s
-	}
-	e.latPos = (e.latPos + 1) % maxObserved
+	e.lat.Push(d.Seconds())
 	e.mu.Unlock()
 }
 
@@ -184,11 +178,11 @@ func (e *Engine) observe(d time.Duration) {
 func (e *Engine) observedMedian() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.lat) == 0 {
+	if e.lat.Len() == 0 {
 		return 0
 	}
 	var buf [maxObserved]float64
-	s := buf[:copy(buf[:], e.lat)]
+	s := buf[:copy(buf[:], e.lat.Values())]
 	sort.Float64s(s)
 	return s[len(s)/2]
 }

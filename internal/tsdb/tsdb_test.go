@@ -39,34 +39,34 @@ func TestAppendSelectRoundTrip(t *testing.T) {
 }
 
 func TestRingBoundsAndDropAccounting(t *testing.T) {
-	st := New(Config{MaxSamples: 4})
-	for i := 0; i < 10; i++ {
+	st := New(Config{})
+	for i := 0; i < maxSamples+6; i++ {
 		st.Append(at(i), []Sample{{Name: "g", Value: float64(i)}})
 	}
 	v := st.Select("g", nil)[0]
-	if v.Samples != 4 {
-		t.Fatalf("retained %d samples, want ring cap 4", v.Samples)
+	if v.Samples != maxSamples {
+		t.Fatalf("retained %d samples, want ring cap %d", v.Samples, maxSamples)
 	}
-	if v.Points[0].V != 6 || v.Points[3].V != 9 {
-		t.Fatalf("ring kept %+v, want newest four", v.Points)
+	if v.Points[0].V != 6 || v.Points[maxSamples-1].V != maxSamples+5 {
+		t.Fatalf("ring kept %v..%v, want the newest %d", v.Points[0], v.Points[maxSamples-1], maxSamples)
 	}
 	if v.Dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", v.Dropped)
 	}
 	inv := st.Inventory()
-	if inv.DroppedPoints != 6 || inv.SeriesCount != 1 {
+	if inv.DroppedPoints != 6 || inv.SeriesCount != 1 || inv.MaxSamples != maxSamples {
 		t.Fatalf("inventory = %+v", inv)
 	}
 }
 
 func TestSeriesCapRefusesAndCounts(t *testing.T) {
-	st := New(Config{MaxSeries: 2})
-	for i := 0; i < 5; i++ {
+	st := New(Config{})
+	for i := 0; i < maxSeries+3; i++ {
 		st.Append(at(0), []Sample{{Name: fmt.Sprintf("s%d", i), Value: 1}})
 	}
 	inv := st.Inventory()
-	if inv.SeriesCount != 2 || inv.RefusedSeries != 3 {
-		t.Fatalf("series=%d refused=%d, want 2 interned + 3 refused", inv.SeriesCount, inv.RefusedSeries)
+	if inv.SeriesCount != maxSeries || inv.RefusedSeries != 3 || inv.MaxSeries != maxSeries {
+		t.Fatalf("series=%d refused=%d, want %d interned + 3 refused", inv.SeriesCount, inv.RefusedSeries, maxSeries)
 	}
 	// Existing series still accept appends at the cap.
 	st.Append(at(1), []Sample{{Name: "s0", Value: 2}})
@@ -101,16 +101,17 @@ func TestSeriesKeyCanonical(t *testing.T) {
 }
 
 // TestConcurrentAppendQuery exercises the store under -race: writers
-// appending while readers query and snapshot the inventory.
+// appending past the ring bound while readers query and snapshot the
+// inventory.
 func TestConcurrentAppendQuery(t *testing.T) {
-	st := New(Config{MaxSamples: 64})
+	st := New(Config{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			labels := []Label{{Name: "w", Value: fmt.Sprintf("%d", w)}}
-			for i := 0; i < 200; i++ {
+			for i := 0; i < maxSamples+200; i++ {
 				st.Append(at(i), []Sample{{Name: "c", Labels: labels, Value: float64(i)}})
 			}
 		}(w)
@@ -132,5 +133,8 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	wg.Wait()
 	if got := len(st.Select("c", nil)); got != 4 {
 		t.Fatalf("ended with %d series, want 4", got)
+	}
+	if got := st.Inventory().DroppedPoints; got != 4*200 {
+		t.Fatalf("dropped %d points, want %d", got, 4*200)
 	}
 }
