@@ -3,7 +3,8 @@
 # (parallel transfers in core, connection pool + shared health scoreboard
 # in ibp, depot metric counters, lbone registry, the obs collector, and
 # wire — its Pool and Conn.CheckIdle carry every registry exchange as well
-# as pooled IBP). placer-determinism reruns the tests of core's one
+# as pooled IBP, and its Server is the accept loop of the depot, L-Bone and
+# NWS daemons). placer-determinism reruns the tests of core's one
 # placement loop and one block reader, and of the registry's quorum pass,
 # often enough to catch an order-dependent placement or read.
 .PHONY: tier1 build vet staticcheck test race bench-module bench-smoke placer-determinism stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
@@ -38,7 +39,8 @@ race:
 		repro/internal/depot repro/internal/lbone repro/internal/obs \
 		repro/internal/transfer repro/internal/faultnet repro/internal/stackmon \
 		repro/internal/slo repro/internal/registry repro/internal/repaird \
-		repro/internal/obsfleet repro/internal/tsdb repro/internal/wire
+		repro/internal/obsfleet repro/internal/tsdb repro/internal/wire \
+		repro/internal/nws repro/internal/daemon
 
 # stackbench (bench/, the benchmark BENCHMARK.json declares) is a nested
 # module, so the root's ./... never compiles it: without this an internal/

@@ -13,15 +13,13 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/depot"
 	"repro/internal/geo"
 	"repro/internal/ibp"
 	"repro/internal/lbone"
-	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -40,19 +38,14 @@ func main() {
 		site        = flag.String("site", "UTK", "site name for proximity resolution (see internal/geo)")
 		heartbeat   = flag.Duration("heartbeat", time.Minute, "L-Bone re-registration interval")
 		reapEvery   = flag.Duration("reap", time.Minute, "expired-allocation sweep interval")
-		metricsAddr = flag.String("metrics-listen", "", "serve /metrics, /healthz, /trace/<id>, and /postmortem/<trace> over HTTP on this address (e.g. :9714; empty = off)")
-		pprofOn     = flag.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
-		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
 		pmDir       = flag.String("postmortem-dir", "", "write panic postmortem bundles to this directory (empty = keep in memory only)")
 	)
+	dm := daemon.New("ibp-depot")
+	dm.SurfaceFlags(flag.CommandLine, "metrics-listen", "", "serve /metrics, /healthz, /trace/<id>, and /postmortem/<trace> over HTTP on this address (e.g. :9714; empty = off)")
+	dm.LogFlag(flag.CommandLine)
 	flag.Parse()
-
-	recorder := obs.NewFlightRecorder(0)
-	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "ibp-depot", Recorder: recorder})
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "err", err)
-		os.Exit(1)
-	}
+	dm.Start()
+	logger, fatal := dm.Logger, dm.Fatal
 
 	secret, err := loadSecret(*secretFile, logger)
 	if err != nil {
@@ -64,7 +57,7 @@ func main() {
 		Capacity:      *capacity,
 		MaxDuration:   *maxDuration,
 		Logger:        logger,
-		Recorder:      recorder,
+		Recorder:      dm.Recorder,
 		PostmortemDir: *pmDir,
 	}
 	kind := *backendKind
@@ -106,10 +99,6 @@ func main() {
 	}
 	logger.Info("serving", "capacity_bytes", *capacity, "addr", d.Addr(), "advertised", d.Advertised())
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	stop := make(chan struct{})
-
 	// Periodic expired-allocation sweep.
 	go func() {
 		t := time.NewTicker(*reapEvery)
@@ -137,7 +126,7 @@ func main() {
 			Loc:         siteInfo.Loc,
 			Capacity:    *capacity,
 			MaxDuration: *maxDuration,
-		}, *heartbeat, logger, stop)
+		}, *heartbeat, logger, dm.Stop)
 		if err != nil {
 			fatal("registering with L-Bone", err)
 		}
@@ -145,17 +134,12 @@ func main() {
 	}
 	// The control endpoint is announced too, so the obsd aggregator
 	// discovers this depot's scrape surface through the same registry.
-	if *metricsAddr != "" {
-		_, err := registry.ServeControl(qc, d.ObsMux(), *metricsAddr, *pprofOn,
-			lbone.ControlInfo{Component: "ibp-depot", Name: *name}, *heartbeat, logger, stop)
-		if err != nil {
-			fatal("metrics listener", err)
-		}
+	if _, err := dm.ServeControl(qc, d.Surface(), lbone.ControlInfo{Component: "ibp-depot", Name: *name},
+		*heartbeat, dm.Stop); err != nil {
+		fatal("metrics listener", err)
 	}
 
-	<-sigs
-	logger.Info("shutting down")
-	close(stop)
+	<-dm.Stop
 	if qc != nil {
 		qc.Close()
 	}

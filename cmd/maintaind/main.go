@@ -23,19 +23,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/geo"
 	"repro/internal/health"
 	"repro/internal/ibp"
 	"repro/internal/lbone"
 	"repro/internal/nws"
-	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/repaird"
 	"repro/internal/slo"
@@ -43,14 +40,13 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("maintaind: ")
-	if err := run(os.Args[1:]); err != nil {
-		log.Fatal(err)
+	dm := daemon.New("maintaind")
+	if err := run(dm, os.Args[1:]); err != nil {
+		dm.Fatal("maintaind", err)
 	}
 }
 
-func run(args []string) error {
+func run(dm *daemon.Daemon, args []string) error {
 	fs := flag.NewFlagSet("maintaind", flag.ExitOnError)
 	var (
 		lboneAddr    = fs.String("lbone", os.Getenv("XND_LBONE"), "registry server or replica set, comma-separated (or $XND_LBONE); directory walks and depot discovery go through majority quorums")
@@ -66,11 +62,12 @@ func run(args []string) error {
 		riskFloor    = fs.Float64("risk-threshold", 0.05, "minimum risk score that queues a file")
 		probeEvery   = fs.Duration("probe-interval", 5*time.Minute, "embedded availability monitor sweep cadence (0 = no monitor)")
 		opTimeout    = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
-		metricsAddr  = fs.String("metrics-listen", "", "serve /metrics, /healthz, /report, /slo on this address (empty = off)")
-		pprofOn      = fs.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
-		logJSON      = fs.Bool("log-json", false, "log one JSON object per line instead of text")
 	)
+	dm.SurfaceFlags(fs, "metrics-listen", "", "serve /metrics, /healthz, /report, /slo on this address (empty = off)")
+	dm.LogFlag(fs)
 	fs.Parse(args)
+	dm.Start()
+	logger := dm.Logger
 
 	if *lboneAddr == "" {
 		return fmt.Errorf("-lbone is required (the replicated directory is what maintaind maintains)")
@@ -80,8 +77,6 @@ func run(args []string) error {
 		return fmt.Errorf("unknown site %q", *siteName)
 	}
 
-	recorder := obs.NewFlightRecorder(0)
-	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "maintaind", Recorder: recorder})
 	sloEngine := slo.New(slo.Config{Logger: logger})
 
 	// One health scoreboard shared by every IBP consumer in the process:
@@ -108,15 +103,6 @@ func run(args []string) error {
 		Logger:    logger,
 	}
 
-	stop := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		log.Print("shutting down")
-		close(stop)
-	}()
-
 	cfg := repaird.Config{
 		Tools:             tools,
 		ShardIndex:        *shardIndex,
@@ -126,7 +112,7 @@ func run(args []string) error {
 		MaxRepairPerDepot: *maxPerDepot,
 		RiskThreshold:     *riskFloor,
 		SLO:               sloEngine,
-		Recorder:          recorder,
+		Recorder:          dm.Recorder,
 		Logger:            logger,
 		Maintain: core.MaintainOptions{
 			MinCoverage:  *minCoverage,
@@ -142,25 +128,14 @@ func run(args []string) error {
 		mon, err := stackmon.New(stackmon.Config{
 			Client:   client,
 			Interval: *probeEvery,
-			Discover: func() []string {
-				infos, err := qc.Query(lbone.Requirements{})
-				if err != nil {
-					logger.Warn("maintaind: depot discovery", "err", err)
-					return nil
-				}
-				addrs := make([]string, len(infos))
-				for i, d := range infos {
-					addrs[i] = d.Addr
-				}
-				return addrs
-			},
-			Logf: log.Printf,
+			Discover: dm.DiscoverDepots(qc),
+			Logger:   logger,
 		})
 		if err != nil {
 			return err
 		}
 		cfg.Avail = mon
-		go mon.Run(stop)
+		go mon.Run(dm.Stop)
 	}
 
 	d, err := repaird.New(cfg)
@@ -168,24 +143,21 @@ func run(args []string) error {
 		return err
 	}
 
-	if *metricsAddr != "" {
-		// Announce the control endpoint so obsd discovers this shard.
-		_, err := registry.ServeControl(qc, d.ObsMux(), *metricsAddr, *pprofOn, lbone.ControlInfo{
-			Component: "maintaind",
-			Name:      fmt.Sprintf("maintaind-%d", *shardIndex),
-		}, *probeEvery, logger, stop)
-		if err != nil {
-			return err
-		}
+	// Announce the control endpoint so obsd discovers this shard.
+	if _, err := dm.ServeControl(qc, d.Surface(), lbone.ControlInfo{
+		Component: "maintaind",
+		Name:      fmt.Sprintf("maintaind-%d", *shardIndex),
+	}, *probeEvery, dm.Stop); err != nil {
+		return err
 	}
 
-	log.Printf("maintaining shard %d/%d every %v (%d workers, %d repair slots per depot)",
-		*shardIndex, *shardCount, *interval, *workers, *maxPerDepot)
-	d.Run(stop)
+	logger.Info("maintaining", "shard", *shardIndex, "shards", *shardCount, "interval", *interval,
+		"workers", *workers, "repair_slots_per_depot", *maxPerDepot)
+	d.Run(dm.Stop)
 	qc.Close()
 
 	c := d.Counters()
-	log.Printf("done: %d sweeps, %d passes (%d failed), %d refreshed, %d trimmed, %d replicas added, %d conflicts",
-		c.Sweeps, c.Passes, c.PassFailures, c.Refreshed, c.TrimmedDead, c.ReplicasAdded, c.Conflicts)
+	logger.Info("done", "sweeps", c.Sweeps, "passes", c.Passes, "failed", c.PassFailures,
+		"refreshed", c.Refreshed, "trimmed", c.TrimmedDead, "replicas_added", c.ReplicasAdded, "conflicts", c.Conflicts)
 	return nil
 }

@@ -9,36 +9,25 @@ package main
 
 import (
 	"flag"
-	"os"
-	"os/signal"
-	"syscall"
 
+	"repro/internal/daemon"
 	"repro/internal/nws"
-	"repro/internal/obs"
 )
 
 func main() {
-	var (
-		listen  = flag.String("listen", "127.0.0.1:6770", "address to listen on")
-		logJSON = flag.Bool("log-json", false, "emit structured logs as JSON (default: human-readable text)")
-	)
+	listen := flag.String("listen", "127.0.0.1:6770", "address to listen on")
+	dm := daemon.New("nws-server")
+	dm.LogFlag(flag.CommandLine)
 	flag.Parse()
+	dm.Start()
 
-	svc := nws.NewService(nil)
-	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "nws-server"})
-	s, err := nws.ServeNWS(*listen, svc, logger)
+	s, err := nws.ServeNWS(*listen, nws.NewService(nil), dm.Logger)
 	if err != nil {
-		logger.Error("serve", "err", err)
-		os.Exit(1)
+		dm.Fatal("serve", err)
 	}
-	logger.Info("listening", "addr", s.Addr())
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	logger.Info("shutting down")
+	dm.Logger.Info("listening", "addr", s.Addr())
+	<-dm.Stop
 	if err := s.Close(); err != nil {
-		logger.Error("close", "err", err)
-		os.Exit(1)
+		dm.Fatal("close", err)
 	}
 }

@@ -37,33 +37,28 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/lbone"
-	"repro/internal/obs"
 	"repro/internal/obsfleet"
 	"repro/internal/registry"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("obsd: ")
-	if err := run(os.Args[1:]); err != nil {
-		log.Fatal(err)
+	dm := daemon.New("obsd")
+	if err := run(dm, os.Args[1:]); err != nil {
+		dm.Fatal("obsd", err)
 	}
 }
 
-func run(args []string) error {
+func run(dm *daemon.Daemon, args []string) error {
 	fs := flag.NewFlagSet("obsd", flag.ExitOnError)
 	var (
 		lboneAddr     = fs.String("lbone", os.Getenv("XND_LBONE"), "registry server or replica set, comma-separated (or $XND_LBONE); the control table there is the member source")
 		staticMembers = fs.String("static", "", "additional members as comma-separated host:port control addresses (scraped even without a registry)")
-		listen        = fs.String("listen", ":9790", "serve the fleet view on this address")
 		interval      = fs.Duration("interval", 15*time.Second, "sweep cadence")
 		scrapeTimeout = fs.Duration("scrape-timeout", 10*time.Second, "per-member request timeout")
 		retention     = fs.Duration("retention", 24*time.Hour, "fleet time-series retention: /fleet/query windows are clamped to this")
@@ -71,12 +66,12 @@ func run(args []string) error {
 		reportOut     = fs.String("report-out", "", "write the operator report (FLEET_report.json) here on shutdown (empty = off)")
 		profileDir    = fs.String("profile-dir", "", "capture alert-triggered pprof profiles into this directory (empty = off)")
 		cpuSeconds    = fs.Int("cpu-seconds", 0, "CPU profile length for alert-triggered capture (0 = heap only)")
-		pprofOn       = fs.Bool("pprof", false, "also serve /debug/pprof on the listener")
-		logJSON       = fs.Bool("log-json", false, "log one JSON object per line instead of text")
 	)
+	dm.SurfaceFlags(fs, "listen", ":9790", "serve the fleet view on this address")
+	dm.LogFlag(fs)
 	fs.Parse(args)
-
-	logger := obs.NewLogger(obs.LogConfig{JSON: *logJSON, Component: "obsd"})
+	dm.Start()
+	logger := dm.Logger
 
 	cfg := obsfleet.Config{
 		Interval:          *interval,
@@ -102,41 +97,32 @@ func run(args []string) error {
 		return errors.New("no member source: set -lbone (control-table discovery) or -static")
 	}
 
-	stop := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		log.Print("shutting down")
-		close(stop)
-	}()
-
 	// obsd is a fleet member too: it announces its own control endpoint so
 	// a peer aggregator (or a fleet of one pane each) can scrape it.
 	agg := obsfleet.New(cfg)
-	selfAddr, err := registry.ServeControl(ctl, agg.Mux(), *listen, *pprofOn,
-		lbone.ControlInfo{Component: "obsd", Name: "obsd"}, *interval, logger, stop)
+	selfAddr, err := dm.ServeControl(ctl, agg.Surface(),
+		lbone.ControlInfo{Component: "obsd", Name: "obsd"}, *interval, dm.Stop)
 	if err != nil {
 		return err
 	}
-	log.Printf("fleet view on http://%s/fleet/report", selfAddr)
+	logger.Info("fleet view", "url", "http://"+selfAddr+"/fleet/report")
 
-	log.Printf("sweeping every %v (retention %v)", *interval, *retention)
-	agg.Run(stop)
+	logger.Info("sweeping", "interval", *interval, "retention", *retention)
+	agg.Run(dm.Stop)
 
 	// Graceful shutdown: flush the shutdown artifacts, then deregister.
 	if *budgetOut != "" {
 		if err := agg.WriteBudget(*budgetOut); err != nil {
-			log.Printf("budget flush: %v", err)
+			logger.Error("budget flush", "err", err)
 		} else {
-			log.Printf("budget ledger written to %s", *budgetOut)
+			logger.Info("budget ledger written to " + *budgetOut)
 		}
 	}
 	if *reportOut != "" {
 		if err := writeReport(agg, *reportOut); err != nil {
-			log.Printf("report flush: %v", err)
+			logger.Error("report flush", "err", err)
 		} else {
-			log.Printf("fleet report written to %s", *reportOut)
+			logger.Info("fleet report written to " + *reportOut)
 		}
 	}
 	if ctl != nil {

@@ -18,14 +18,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/ibp"
 	"repro/internal/lbone"
 	"repro/internal/obs"
@@ -35,8 +33,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("stackmon: ")
 	if len(os.Args) < 2 {
 		usage()
 	}
@@ -52,7 +48,8 @@ func main() {
 		usage()
 	}
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, "stackmon:", err)
+		os.Exit(1)
 	}
 }
 
@@ -69,29 +66,31 @@ commands:
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
-		depots      = fs.String("depots", "", "comma-separated depot addresses to monitor")
-		lboneAddr   = fs.String("lbone", os.Getenv("XND_LBONE"), "L-Bone server for depot discovery (or $XND_LBONE)")
-		interval    = fs.Duration("interval", stackmon.DefInterval, "sweep interval")
-		payload     = fs.Int("payload", 64<<10, "data-round payload bytes (0 = probe-only)")
-		allocFor    = fs.Duration("alloc-duration", stackmon.DefDuration, "data-round allocation lifetime")
-		opTimeout   = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
-		metricsAddr = fs.String("metrics-listen", "", "serve /metrics, /healthz, /report on this address (empty = off)")
-		pprofOn     = fs.Bool("pprof", false, "also serve /debug/pprof on the metrics listener")
-		stateOut    = fs.String("state-out", "", "write the study (JSON, sample detail included) here on exit and every sweep")
-		sloOn       = fs.Bool("slo", false, "evaluate SLO burn-rate alerts each sweep and serve them at /slo")
+		depots    = fs.String("depots", "", "comma-separated depot addresses to monitor")
+		lboneAddr = fs.String("lbone", os.Getenv("XND_LBONE"), "L-Bone server for depot discovery (or $XND_LBONE)")
+		interval  = fs.Duration("interval", stackmon.DefInterval, "sweep interval")
+		payload   = fs.Int("payload", 64<<10, "data-round payload bytes (0 = probe-only)")
+		allocFor  = fs.Duration("alloc-duration", stackmon.DefDuration, "data-round allocation lifetime")
+		opTimeout = fs.Duration("timeout", 30*time.Second, "per-operation timeout")
+		stateOut  = fs.String("state-out", "", "write the study (JSON, sample detail included) here on exit and every sweep")
+		sloOn     = fs.Bool("slo", false, "evaluate SLO burn-rate alerts each sweep and serve them at /slo")
 	)
+	dm := daemon.New("stackmon")
+	dm.SurfaceFlags(fs, "metrics-listen", "", "serve /metrics, /healthz, /report on this address (empty = off)")
 	fs.Parse(args)
+	dm.Start()
+	logger := dm.Logger
 
 	cfg := stackmon.Config{
 		Client:   ibp.NewClient(ibp.WithOpTimeout(*opTimeout)),
 		Interval: *interval, Payload: *payload, Duration: *allocFor,
-		Logf: log.Printf,
+		Logger: logger,
 	}
 	if *sloOn {
 		cfg.SLO = slo.New(slo.Config{
 			Objectives: slo.DefaultObjectives(),
 			Bucket:     *interval,
-			Logger:     obs.NewLogger(obs.LogConfig{Component: "stackmon"}),
+			Logger:     logger,
 		})
 	}
 	if *depots != "" {
@@ -105,66 +104,43 @@ func cmdRun(args []string) error {
 	if *lboneAddr != "" {
 		qc = registry.NewQuorumClient(*lboneAddr, registry.WithTimeouts(5*time.Second, *opTimeout))
 		defer qc.Close()
-		cfg.Discover = func() []string {
-			infos, err := qc.Query(lbone.Requirements{})
-			if err != nil {
-				log.Printf("L-Bone discovery: %v", err)
-				return nil
-			}
-			addrs := make([]string, len(infos))
-			for i, d := range infos {
-				addrs[i] = d.Addr
-			}
-			return addrs
-		}
+		cfg.Discover = dm.DiscoverDepots(qc)
 	}
 	mon, err := stackmon.New(cfg)
 	if err != nil {
 		return err
 	}
 
-	stop := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigs
-		close(stop)
-	}()
-
-	if *metricsAddr != "" {
-		// Announce the control endpoint so obsd discovers the monitor.
-		addr, err := registry.ServeControl(qc, mon.ObsMux(), *metricsAddr, *pprofOn,
-			lbone.ControlInfo{Component: "stackmon", Name: "stackmon"}, *interval, nil, stop)
-		if err != nil {
-			return err
-		}
-		log.Printf("metrics on http://%s/metrics", addr)
+	// Announce the control endpoint so obsd discovers the monitor.
+	if _, err := dm.ServeControl(qc, mon.Surface(),
+		lbone.ControlInfo{Component: "stackmon", Name: "stackmon"}, *interval, dm.Stop); err != nil {
+		return err
 	}
 
-	log.Printf("monitoring every %v (payload %d bytes)", *interval, *payload)
+	logger.Info("monitoring", "interval", *interval, "payload_bytes", *payload)
 	if *stateOut != "" {
 		// Persist after every sweep so a crash loses at most one interval.
 		go func() {
 			for {
 				select {
-				case <-stop:
+				case <-dm.Stop:
 					return
 				case <-time.After(*interval):
 					if err := writeStudy(*stateOut, mon.Snapshot(true)); err != nil {
-						log.Printf("state-out: %v", err)
+						logger.Error("state-out", "err", err)
 					}
 				}
 			}
 		}()
 	}
-	mon.Run(stop)
+	mon.Run(dm.Stop)
 
 	st := mon.Snapshot(true)
 	if *stateOut != "" {
 		if err := writeStudy(*stateOut, st); err != nil {
 			return err
 		}
-		log.Printf("study written to %s", *stateOut)
+		logger.Info("study written to " + *stateOut)
 	}
 	fmt.Print(st.Markdown())
 	return nil
@@ -204,8 +180,9 @@ func cmdSim(args []string) error {
 	if cfg.Outages, err = parseOutages(*outages); err != nil {
 		return err
 	}
+	logger := obs.NewLogger(obs.LogConfig{Component: "stackmon"})
 	if *verbose {
-		cfg.Logf = log.Printf
+		cfg.Logger = logger
 	}
 
 	start := time.Now()
@@ -223,7 +200,7 @@ func cmdSim(args []string) error {
 		}
 	}
 	sort.Slice(st.Depots, func(i, j int) bool { return st.Depots[i].Addr < st.Depots[j].Addr })
-	log.Printf("simulated %v of monitoring in %v wall time", *duration, time.Since(start).Round(time.Millisecond))
+	logger.Info("simulated", "duration", *duration, "wall", time.Since(start).Round(time.Millisecond))
 	fmt.Print(st.Markdown())
 	if engine != nil {
 		firings := engine.Firings()
@@ -233,15 +210,15 @@ func cmdSim(args []string) error {
 				firings[i].Key = n
 			}
 		}
-		log.Printf("slo: %d alert firing(s) over %v", len(firings), *duration)
+		logger.Info("slo alert firings", "n", len(firings), "over", *duration)
 		for _, f := range firings {
 			resolved := "still firing"
 			if !f.ResolvedAt.IsZero() {
 				resolved = "resolved " + f.ResolvedAt.UTC().Format(time.RFC3339)
 			}
-			log.Printf("slo: [%s] %s/%s key=%s burn=%.1f fired %s, %s",
-				f.Severity, f.Objective, f.Rule, f.Key, f.PeakBurn,
-				f.FiredAt.UTC().Format(time.RFC3339), resolved)
+			logger.Info("slo firing", "severity", f.Severity, "objective", f.Objective, "rule", f.Rule,
+				"key", f.Key, "burn", fmt.Sprintf("%.1f", f.PeakBurn),
+				"fired", f.FiredAt.UTC().Format(time.RFC3339), "state", resolved)
 		}
 		if *sloOut != "" {
 			b, err := json.MarshalIndent(firings, "", "  ")
@@ -251,14 +228,14 @@ func cmdSim(args []string) error {
 			if err := os.WriteFile(*sloOut, append(b, '\n'), 0o644); err != nil {
 				return err
 			}
-			log.Printf("slo: firings written to %s", *sloOut)
+			logger.Info("slo firings written to " + *sloOut)
 		}
 	}
 	if *jsonOut != "" {
 		if err := writeStudy(*jsonOut, st); err != nil {
 			return err
 		}
-		log.Printf("study written to %s", *jsonOut)
+		logger.Info("study written to " + *jsonOut)
 	}
 	return nil
 }

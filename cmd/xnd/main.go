@@ -359,27 +359,22 @@ func (c *commonFlags) tools() (*core.Tools, error) {
 	}
 	t.Transfer = transfer.New(engCfg)
 	if *c.metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric {
-			ms := t.Transfer.Metrics("xnd_transfer_")
-			if traceCol != nil {
-				ms = append(ms, traceCol.CollectorMetrics("xnd_ibp_")...)
-			}
-			ms = append(ms, forecasts.Metrics()...)
-			ms = append(ms, sloEngine.Metrics()...)
-			ms = append(ms, obs.RuntimeMetrics()...)
-			if quorum != nil {
-				ms = append(ms, quorum.Metrics()...)
-			}
-			return ms
-		}))
-		mux.Handle("/slo", sloEngine.Handler())
-		mux.Handle("/postmortem/", obs.PostmortemHandler(recorder, "xnd", time.Now))
-		if *c.pprofOn {
-			obs.AttachPprof(mux)
+		surface := obs.Surface{
+			Component: "xnd", Started: time.Now(), SLO: sloEngine, Recorder: recorder, Pprof: *c.pprofOn,
+			Metrics: func() []obs.Metric {
+				ms := t.Transfer.Metrics("xnd_transfer_")
+				if traceCol != nil {
+					ms = append(ms, traceCol.CollectorMetrics("xnd_ibp_")...)
+				}
+				ms = append(ms, forecasts.Metrics()...)
+				if quorum != nil {
+					ms = append(ms, quorum.Metrics()...)
+				}
+				return ms
+			},
 		}
 		go func() {
-			if err := http.ListenAndServe(*c.metricsAddr, mux); err != nil {
+			if err := http.ListenAndServe(*c.metricsAddr, surface.Mux()); err != nil {
 				log.Printf("metrics listener: %v", err)
 			}
 		}()

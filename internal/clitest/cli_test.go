@@ -27,7 +27,8 @@ func TestMain(m *testing.M) {
 	}
 	defer os.RemoveAll(dir)
 	build := exec.Command("go", "build", "-o", dir,
-		"repro/cmd/ibp-depot", "repro/cmd/lbone-server", "repro/cmd/xnd", "repro/cmd/nws-server")
+		"repro/cmd/ibp-depot", "repro/cmd/lbone-server", "repro/cmd/xnd", "repro/cmd/nws-server",
+		"repro/cmd/maintaind", "repro/cmd/obsd", "repro/cmd/stackmon")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
 		fmt.Fprintln(os.Stderr, "building binaries:", err)

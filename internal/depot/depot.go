@@ -3,7 +3,6 @@ package depot
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sort"
@@ -44,8 +43,6 @@ type Config struct {
 	// depot/verb/trace attrs (default: discard). Build it with
 	// obs.NewLogger to also retain records in a flight recorder.
 	Logger *slog.Logger
-	// MaxConns bounds concurrent connections (default 128).
-	MaxConns int
 	// Recorder, when set, retains depot log records and backs the
 	// /postmortem/<trace> endpoint; a handler panic cuts a bundle from it.
 	Recorder *obs.FlightRecorder
@@ -54,23 +51,24 @@ type Config struct {
 	PostmortemDir string
 }
 
+// maxConns bounds a depot's concurrent connections; the accept loop waits
+// for a free slot, and that wait is the accept-queue delay a traced
+// operation reports as ServerSpan.QueueWait.
+const maxConns = 128
+
 // Depot is a running IBP depot daemon.
 type Depot struct {
-	cfg      Config
-	ln       net.Listener
-	clock    vclock.Clock
-	started  time.Time
-	sem      chan struct{}
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	allocs   map[string]*allocation
-	used     int64
-	closed   bool
-	shutdown chan struct{}
-	conns    map[net.Conn]struct{}
-	metrics  Metrics
-	spansMu  sync.Mutex
-	spans    *ring.Ring[ServerSpan]
+	cfg     Config
+	srv     *wire.Server
+	clock   vclock.Clock
+	started time.Time
+	sem     chan struct{}
+	mu      sync.Mutex
+	allocs  map[string]*allocation
+	used    int64
+	metrics Metrics
+	spansMu sync.Mutex
+	spans   *ring.Ring[ServerSpan]
 }
 
 type allocation struct {
@@ -104,9 +102,6 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 	if cfg.MaxAllocSize <= 0 {
 		cfg.MaxAllocSize = cfg.Capacity
 	}
-	if cfg.MaxConns <= 0 {
-		cfg.MaxConns = 128
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("depot: listen %s: %w", addr, err)
@@ -119,15 +114,12 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 	}
 	cfg.Logger = cfg.Logger.With(obs.KeyDepot, cfg.Advertised)
 	d := &Depot{
-		cfg:      cfg,
-		ln:       ln,
-		clock:    cfg.Clock,
-		started:  cfg.Clock.Now(),
-		sem:      make(chan struct{}, cfg.MaxConns),
-		allocs:   make(map[string]*allocation),
-		shutdown: make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
-		spans:    ring.New[ServerSpan](traceRing),
+		cfg:     cfg,
+		clock:   cfg.Clock,
+		started: cfg.Clock.Now(),
+		sem:     make(chan struct{}, maxConns),
+		allocs:  make(map[string]*allocation),
+		spans:   ring.New[ServerSpan](traceRing),
 	}
 	if pb, ok := cfg.Backend.(PersistentBackend); ok {
 		if err := d.restore(pb); err != nil {
@@ -135,8 +127,7 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 			return nil, err
 		}
 	}
-	d.wg.Add(1)
-	go d.acceptLoop()
+	d.srv = wire.Serve(ln, cfg.Logger, d.admit)
 	return d, nil
 }
 
@@ -196,53 +187,51 @@ func (d *Depot) persistMeta(a *allocation) {
 }
 
 // Addr returns the address the depot listens on.
-func (d *Depot) Addr() string { return d.ln.Addr().String() }
+func (d *Depot) Addr() string { return d.srv.Addr() }
 
 // Advertised returns the address minted into capabilities.
 func (d *Depot) Advertised() string { return d.cfg.Advertised }
 
-// Close stops the listener, severs open client connections (idle
-// persistent connections would otherwise block shutdown forever), and
-// waits for the handler goroutines.
-func (d *Depot) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+// Close stops the listener, severs open client connections and waits for
+// the handler goroutines.
+func (d *Depot) Close() error { return d.srv.Close() }
+
+// admit is the depot's per-connection hook on the shared accept loop: it
+// waits for one of the maxConns slots and charges that wait to the
+// connection's first traced operation, so a client can tell queueing at
+// the depot from slowness on the wire. The connection's session, its
+// connCtx, gives the slot back and cuts a postmortem if a handler panics.
+func (d *Depot) admit(closing <-chan struct{}) wire.Opener {
+	qstart := d.clock.Now()
+	select {
+	case d.sem <- struct{}{}:
+	case <-closing:
 		return nil
 	}
-	d.closed = true
-	close(d.shutdown)
-	for conn := range d.conns {
-		conn.Close()
+	queueWait := d.clock.Since(qstart)
+	return func(c *wire.Conn) wire.Session {
+		d.metrics.Connects.Add(1)
+		return &connCtx{Conn: c, d: d, queueWait: queueWait}
 	}
-	d.mu.Unlock()
-	err := d.ln.Close()
-	d.wg.Wait()
-	return err
 }
 
-// track registers a live connection; it reports false when the depot is
-// already shutting down.
-func (d *Depot) track(conn net.Conn) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return false
-	}
-	d.conns[conn] = struct{}{}
-	return true
-}
+// Dispatch implements wire.Session.
+func (conn *connCtx) Dispatch(toks []string) bool { return conn.d.dispatch(conn, toks) }
 
-func (d *Depot) untrack(conn net.Conn) {
-	d.mu.Lock()
-	delete(d.conns, conn)
-	d.mu.Unlock()
+// End implements wire.Session: it frees the connection's slot and cuts the
+// postmortem of a handler panic.
+func (conn *connCtx) End(panicked any) {
+	<-conn.d.sem
+	if panicked != nil {
+		conn.d.panicPostmortem(conn, panicked)
+	}
 }
 
 // panicPostmortem cuts a bundle from the flight recorder when a handler
-// panics: the retained window plus the panic itself, stored for
-// /postmortem and written to PostmortemDir when configured.
-func (d *Depot) panicPostmortem(r any) {
+// panics: the retained window plus the panic itself, filed under the
+// trace of the operation that panicked, stored for /postmortem and written
+// to PostmortemDir when configured.
+func (d *Depot) panicPostmortem(conn *connCtx, r any) {
 	rec := d.cfg.Recorder
 	if rec == nil {
 		return
@@ -251,6 +240,9 @@ func (d *Depot) panicPostmortem(r any) {
 		Reason: "panic", Component: "ibp-depot", CreatedAt: d.clock.Now(),
 		Err: fmt.Sprint(r), Entries: rec.Recent(0),
 		RingDropped: rec.Dropped(),
+	}
+	if conn.span != nil {
+		b.Trace = conn.span.TraceID
 	}
 	rec.StoreBundle(b)
 	if d.cfg.PostmortemDir != "" {
@@ -262,82 +254,13 @@ func (d *Depot) panicPostmortem(r any) {
 	}
 }
 
-func (d *Depot) acceptLoop() {
-	defer d.wg.Done()
-	for {
-		conn, err := d.ln.Accept()
-		if err != nil {
-			select {
-			case <-d.shutdown:
-				return
-			default:
-			}
-			d.cfg.Logger.Error("accept failed", "err", err)
-			return
-		}
-		// The semaphore wait is the depot's accept-queue delay; it is
-		// charged to the connection's first traced operation so a client
-		// can tell queueing at the depot from slowness on the wire.
-		qstart := d.clock.Now()
-		select {
-		case d.sem <- struct{}{}:
-		case <-d.shutdown:
-			conn.Close()
-			return
-		}
-		queueWait := d.clock.Since(qstart)
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer func() { <-d.sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					d.cfg.Logger.Error("connection handler panic", "panic", fmt.Sprint(r))
-					d.panicPostmortem(r)
-				}
-			}()
-			d.serveConn(conn, queueWait)
-		}()
-	}
-}
-
-// serveConn handles one client connection: a sequence of request/response
-// exchanges terminated by QUIT, EOF, or a protocol error.
-func (d *Depot) serveConn(raw net.Conn, queueWait time.Duration) {
-	if !d.track(raw) {
-		raw.Close()
-		return
-	}
-	d.metrics.Connects.Add(1)
-	defer d.untrack(raw)
-	// Default (small) wire buffers: dial-per-op clients create a fresh
-	// server conn per exchange, and large payloads bypass the buffer in
-	// both directions anyway, so big per-conn buffers here only add
-	// alloc+zero cost without moving throughput.
-	conn := &connCtx{Conn: wire.NewConn(raw), queueWait: queueWait}
-	defer conn.Close()
-	for {
-		toks, err := conn.ReadLine()
-		if err != nil {
-			if err != io.EOF {
-				d.cfg.Logger.Warn("read failed", "err", err)
-			}
-			return
-		}
-		if len(toks) == 0 {
-			continue
-		}
-		ok := d.dispatch(conn, toks)
-		if !ok {
-			return
-		}
-	}
-}
-
 // dispatch handles one request; it reports whether the connection should
 // continue.
 func (d *Depot) dispatch(conn *connCtx, toks []string) bool {
 	op, args := toks[0], toks[1:]
+	// The last operation's span is cleared here, not when it ends: a panic
+	// unwinds past its end, and the postmortem must still find its trace.
+	conn.span = nil
 	if op == ibp.OpTrace {
 		if err := d.handleTrace(conn, args); err != nil {
 			d.cfg.Logger.Warn("operation failed", obs.KeyVerb, op, "err", err)
@@ -367,7 +290,6 @@ func (d *Depot) dispatch(conn *connCtx, toks []string) bool {
 			}.EncodeTrailer()
 		})
 		defer func() {
-			conn.span = nil
 			conn.SetStatusTrailer(nil)
 			if sp.Total == 0 {
 				sp.Total = d.clock.Since(sp.Start)

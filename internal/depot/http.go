@@ -9,9 +9,8 @@ import (
 	"repro/internal/obs"
 )
 
-// The depot's scrape surface: /metrics in Prometheus text format and a
-// /healthz liveness probe. The handlers read live state per request, so a
-// scraper sees current gauges, not a snapshot from startup.
+// The depot's scrape surface. The handlers read live state per request, so
+// a scraper sees current gauges, not a snapshot from startup.
 
 // PromMetrics renders the depot's operation counters and allocation/expiry
 // gauges as Prometheus samples.
@@ -58,41 +57,32 @@ func (d *Depot) PromMetrics() []obs.Metric {
 		}
 	}
 	gauge("ibp_depot_next_expiry_seconds", "Seconds until the earliest allocation expires (0 = none pending).", nextExpiry)
-	ms = append(ms, obs.ProcessMetrics("ibp-depot", d.clock.Now, d.started)...)
-	ms = append(ms, obs.RingDropped("spans", d.spansDropped()))
-	if d.cfg.Recorder != nil {
-		ms = append(ms, d.cfg.Recorder.RingMetrics()...)
-	}
-	return ms
+	return append(ms, obs.RingDropped("spans", d.spansDropped()))
 }
 
 // healthy reports whether the depot is still serving.
 func (d *Depot) healthy() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+	if d.srv.Closed() {
 		return errors.New("depot closed")
 	}
 	return nil
 }
 
-// ObsMux returns an HTTP mux serving GET /metrics (Prometheus text format,
-// including Go runtime gauges), GET /healthz, and GET /trace/<traceID>
-// (retained server-side spans as JSON). The caller owns the listener:
+// Surface describes the depot's HTTP surface: /metrics, /healthz (503
+// once closed), /trace/<traceID> (retained server spans as JSON) and, with
+// a Recorder, /postmortem/<trace>.
+func (d *Depot) Surface() obs.Surface {
+	return obs.Surface{
+		Component: "ibp-depot", Now: d.clock.Now, Started: d.started,
+		Metrics: d.PromMetrics, Healthy: d.healthy, Recorder: d.cfg.Recorder,
+		Routes: map[string]http.Handler{"/trace/": http.HandlerFunc(d.serveTrace)},
+	}
+}
+
+// ObsMux builds the depot's Surface. The caller owns the listener:
 //
 //	go http.ListenAndServe(metricsAddr, d.ObsMux())
-func (d *Depot) ObsMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric {
-		return append(d.PromMetrics(), obs.RuntimeMetrics()...)
-	}))
-	mux.Handle("/healthz", obs.HealthzHandler(d.healthy))
-	mux.Handle("/trace/", http.HandlerFunc(d.serveTrace))
-	if d.cfg.Recorder != nil {
-		mux.Handle("/postmortem/", obs.PostmortemHandler(d.cfg.Recorder, "ibp-depot", d.clock.Now))
-	}
-	return mux
-}
+func (d *Depot) ObsMux() *http.ServeMux { return d.Surface().Mux() }
 
 // serveTrace answers /trace/<traceID> with the retained server spans of
 // that trace as a JSON array: 400 on anything that is not a well-formed

@@ -1,6 +1,7 @@
 package depot
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/ibp"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // TestMetricsEndpoint drives real traffic through a depot and scrapes the
@@ -154,6 +156,77 @@ func TestTraceAndPostmortemHandlers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// panicBackend panics in Create for allocations of panicSize bytes: a real
+// handler panic, on demand.
+type panicBackend struct{ Backend }
+
+const panicSize = 4093
+
+func (b panicBackend) Create(key string, maxSize int64) (Handle, error) {
+	if maxSize == panicSize {
+		panic("backend exploded")
+	}
+	return b.Backend.Create(key, maxSize)
+}
+
+// A handler panic is contained to its own connection: that connection is
+// closed, the next one is served as usual, and the depot's hook files a
+// "panic" bundle under the trace of the operation that panicked.
+func TestHandlerPanicClosesOnlyItsConnectionAndCutsPostmortem(t *testing.T) {
+	rec := obs.NewFlightRecorder(32)
+	d, c := newDepot(t, Config{Recorder: rec, Backend: panicBackend{NewMemBackend()}})
+	dial := func() *wire.Conn {
+		t.Helper()
+		raw, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { raw.Close() })
+		raw.SetDeadline(time.Now().Add(5 * time.Second))
+		return wire.NewConn(raw)
+	}
+	exchange := func(conn *wire.Conn, toks ...string) error {
+		t.Helper()
+		if err := conn.WriteLine(toks...); err != nil {
+			t.Fatal(err)
+		}
+		_, err := conn.ReadStatus()
+		return err
+	}
+
+	root := obs.NewRootSpan()
+	doomed := dial()
+	if err := exchange(doomed, ibp.OpTrace, root.TraceID, root.SpanID, "1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := exchange(doomed, ibp.OpAllocate, wire.Itoa(panicSize), "3600", string(ibp.Hard)); err == nil || wire.IsRemoteAny(err) {
+		t.Fatalf("ALLOCATE that panics the handler = %v, want the connection closed", err)
+	}
+	if err := exchange(dial(), ibp.OpStatus); err != nil {
+		t.Fatalf("a second connection after the panic: %v", err)
+	}
+	if _, err := c.Allocate(d.Addr(), 1024, time.Hour, ibp.Hard); err != nil {
+		t.Fatalf("allocate after the panic: %v", err)
+	}
+
+	srv := httptest.NewServer(d.ObsMux())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/postmortem/" + root.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/postmortem/<trace> = %d: %s", resp.StatusCode, body)
+	}
+	for _, want := range []string{`"reason": "panic"`, `"err": "backend exploded"`, `"trace": "` + root.TraceID + `"`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("panic bundle missing %s:\n%s", want, body)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ type ServerSpan struct {
 	Parent    string        `json:"parent"` // the client operation's span ID
 	Verb      string        `json:"verb"`
 	Start     time.Time     `json:"start"`
-	QueueWait time.Duration `json:"queue_wait_ns"` // accept-queue (MaxConns semaphore) wait
+	QueueWait time.Duration `json:"queue_wait_ns"` // accept-queue (connection bound) wait
 	Backend   time.Duration `json:"backend_ns"`    // time inside the storage backend
 	Total     time.Duration `json:"total_ns"`      // request-line read to status-line write
 	Bytes     int64         `json:"bytes"`
@@ -64,9 +64,10 @@ type pendingTrace struct {
 // embedding keeps every framing method available unchanged.
 type connCtx struct {
 	*wire.Conn
+	d         *Depot
 	queueWait time.Duration // accept-queue wait, charged to the first traced op
 	pending   *pendingTrace
-	span      *ServerSpan // active span while a traced op runs
+	span      *ServerSpan // the traced op running, or the last one until the next request
 }
 
 // noteBackend charges time spent in the storage backend to the active span.

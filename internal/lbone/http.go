@@ -2,13 +2,11 @@ package lbone
 
 import (
 	"errors"
-	"net/http"
 
 	"repro/internal/obs"
 )
 
-// The L-Bone's scrape surface: /metrics in Prometheus text format and a
-// /healthz liveness probe, mirroring the depot's (see internal/depot).
+// The L-Bone's scrape surface.
 
 // PromMetrics renders the server's resolution counters and registry gauges
 // as Prometheus samples.
@@ -42,30 +40,22 @@ func (s *Server) PromMetrics() []obs.Metric {
 	if s.cfg.ExtraMetrics != nil {
 		ms = append(ms, s.cfg.ExtraMetrics()...)
 	}
-	ms = append(ms, obs.ProcessMetrics("lbone-server", s.cfg.Clock.Now, s.started)...)
 	return ms
 }
 
 // healthy reports whether the server is still accepting registrations.
 func (s *Server) healthy() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if s.srv.Closed() {
 		return errors.New("lbone server closed")
 	}
 	return nil
 }
 
-// ObsMux returns an HTTP mux serving GET /metrics (Prometheus text
-// format, including Go runtime gauges) and GET /healthz. The caller owns
-// the listener:
-//
-//	go http.ListenAndServe(metricsAddr, s.ObsMux())
-func (s *Server) ObsMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric {
-		return append(s.PromMetrics(), obs.RuntimeMetrics()...)
-	}))
-	mux.Handle("/healthz", obs.HealthzHandler(s.healthy))
-	return mux
+// Surface describes the server's HTTP surface: /metrics and /healthz
+// (503 once closed).
+func (s *Server) Surface() obs.Surface {
+	return obs.Surface{
+		Component: "lbone-server", Now: s.cfg.Clock.Now, Started: s.started,
+		Metrics: s.PromMetrics, Healthy: s.healthy,
+	}
 }

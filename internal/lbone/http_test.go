@@ -34,7 +34,7 @@ func TestLBoneMetricsEndpoint(t *testing.T) {
 	}
 	// (LIST's two DEPOT lines stay unread; the counters moved already.)
 
-	srv := httptest.NewServer(s.ObsMux())
+	srv := httptest.NewServer(s.Surface().Mux())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -64,7 +64,7 @@ func TestLBoneMetricsEndpoint(t *testing.T) {
 
 func TestLBoneHealthzEndpoint(t *testing.T) {
 	s := startServer(t, ServerConfig{})
-	srv := httptest.NewServer(s.ObsMux())
+	srv := httptest.NewServer(s.Surface().Mux())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")

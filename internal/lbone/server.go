@@ -2,7 +2,6 @@ package lbone
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -82,16 +81,12 @@ func (s *ServerStats) Snapshot() StatsSnapshot {
 
 // Server is a running L-Bone registry daemon.
 type Server struct {
-	mu       sync.Mutex
-	reg      *Registry
-	ln       net.Listener
-	cfg      ServerConfig
-	started  time.Time
-	wg       sync.WaitGroup
-	shutdown chan struct{}
-	closed   bool
-	conns    map[net.Conn]struct{} // live client connections, severed by Close
-	stats    ServerStats
+	mu      sync.Mutex
+	reg     *Registry
+	srv     *wire.Server
+	cfg     ServerConfig
+	started time.Time
+	stats   ServerStats
 }
 
 // Stats returns the server's live traffic counters.
@@ -106,21 +101,20 @@ func ServeRegistry(addr string, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lbone: listen %s: %w", addr, err)
 	}
-	s := &Server{
-		reg:      NewRegistryClock(cfg.TTL, cfg.Clock),
-		ln:       ln,
-		cfg:      cfg,
-		started:  cfg.Clock.Now(),
-		shutdown: make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
+	if cfg.Logger == nil {
+		cfg.Logger = obs.NopLogger()
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{
+		reg:     NewRegistryClock(cfg.TTL, cfg.Clock),
+		cfg:     cfg,
+		started: cfg.Clock.Now(),
+	}
+	s.srv = wire.Serve(ln, cfg.Logger, func(<-chan struct{}) wire.Opener { return s.open })
 	return s, nil
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // WithRegistry runs f with the server's depot table under the server
 // lock. Extensions (the quorum replica) use it to read and merge entries
@@ -143,106 +137,11 @@ func (s *Server) StartPoller(client *ibp.Client, interval time.Duration) *Poller
 // client's parked session never sends another line, so its handler would
 // otherwise block shutdown forever), and waits for the handler
 // goroutines.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.shutdown)
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.srv.Close() }
 
-// track registers a live connection; it reports false when the server is
-// already shutting down.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// closing reports whether Close has begun (a handler's read error is then
-// the server's own doing, not the client's).
-func (s *Server) closing() bool {
-	select {
-	case <-s.shutdown:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Server) log() *slog.Logger {
-	if s.cfg.Logger == nil {
-		return obs.NopLogger()
-	}
-	return s.cfg.Logger
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if !s.closing() {
-				s.log().Error("accept failed", "err", err)
-			}
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					s.log().Error("connection handler panic", "panic", fmt.Sprint(r))
-				}
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-func (s *Server) serveConn(raw net.Conn) {
-	if !s.track(raw) {
-		raw.Close()
-		return
-	}
-	defer s.untrack(raw)
+func (s *Server) open(conn *wire.Conn) wire.Session {
 	s.stats.Connects.Add(1)
-	conn := wire.NewConn(raw)
-	defer conn.Close()
-	for {
-		toks, err := conn.ReadLine()
-		if err != nil {
-			if err != io.EOF && !s.closing() {
-				s.log().Warn("read failed", "err", err)
-			}
-			return
-		}
-		if len(toks) == 0 {
-			continue
-		}
-		if !s.dispatch(conn, toks[0], toks[1:]) {
-			return
-		}
-	}
+	return wire.Lines(func(toks []string) bool { return s.dispatch(conn, toks[0], toks[1:]) })
 }
 
 func (s *Server) dispatch(conn *wire.Conn, op string, args []string) bool {
@@ -289,7 +188,7 @@ func (s *Server) dispatch(conn *wire.Conn, op string, args []string) bool {
 		err = conn.WriteErr(wire.CodeUnsupported, "unknown operation %s", op)
 	}
 	if err != nil {
-		s.log().Warn("operation failed", obs.KeyVerb, op, "err", err)
+		s.cfg.Logger.Warn("operation failed", obs.KeyVerb, op, "err", err)
 		return false
 	}
 	return true

@@ -2,11 +2,10 @@ package nws
 
 import (
 	"fmt"
+	"net"
 	"strconv"
 	"time"
 
-	"repro/internal/netx"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -15,43 +14,24 @@ import (
 // ("Download is written to check and see if the NWS is available locally",
 // paper §2.3 — and fall back gracefully when it is not).
 type Client struct {
-	addr        string
-	dialer      netx.Dialer
-	clock       vclock.Clock
-	dialTimeout time.Duration
-	opTimeout   time.Duration
+	addr string
 }
 
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithClientDialer sets the dialer (default: system network).
-func WithClientDialer(d netx.Dialer) ClientOption { return func(c *Client) { c.dialer = d } }
-
-// WithClientClock sets the deadline clock.
-func WithClientClock(ck vclock.Clock) ClientOption { return func(c *Client) { c.clock = ck } }
+// The client's dial and whole-exchange bounds.
+const (
+	dialTimeout = 3 * time.Second
+	opTimeout   = 10 * time.Second
+)
 
 // NewRemote builds a client for the NWS daemon at addr.
-func NewRemote(addr string, opts ...ClientOption) *Client {
-	c := &Client{
-		addr:        addr,
-		dialer:      netx.System(),
-		clock:       vclock.Real(),
-		dialTimeout: 3 * time.Second,
-		opTimeout:   10 * time.Second,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
-}
+func NewRemote(addr string) *Client { return &Client{addr: addr} }
 
 func (c *Client) connect() (*wire.Conn, error) {
-	raw, err := c.dialer.Dial("tcp", c.addr, c.dialTimeout)
+	raw, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("nws: dial %s: %w", c.addr, err)
 	}
-	if err := netx.SetOpDeadline(raw, c.clock.Now(), c.opTimeout); err != nil {
+	if err := raw.SetDeadline(time.Now().Add(opTimeout)); err != nil {
 		raw.Close()
 		return nil, err
 	}
@@ -93,26 +73,4 @@ func (c *Client) Forecast(src, dst string, res Resource) (float64, bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// LastRemote fetches the most recent raw measurement of a series.
-func (c *Client) LastRemote(src, dst string, res Resource) (Measurement, bool) {
-	conn, err := c.connect()
-	if err != nil {
-		return Measurement{}, false
-	}
-	defer conn.Close()
-	if err := conn.WriteLine(opLast, src, dst, string(res)); err != nil {
-		return Measurement{}, false
-	}
-	toks, err := conn.ReadStatus()
-	if err != nil || len(toks) != 2 {
-		return Measurement{}, false
-	}
-	v, err1 := strconv.ParseFloat(toks[0], 64)
-	ts, err2 := strconv.ParseInt(toks[1], 10, 64)
-	if err1 != nil || err2 != nil {
-		return Measurement{}, false
-	}
-	return Measurement{Src: src, Dst: dst, Res: res, Value: v, Time: time.Unix(ts, 0).UTC()}, true
 }

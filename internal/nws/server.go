@@ -2,11 +2,9 @@ package nws
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"strconv"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -22,19 +20,14 @@ import (
 const (
 	opRecord   = "RECORD"
 	opForecast = "FORECAST"
-	opLast     = "LAST"
 	opQuit     = "QUIT"
 )
 
 // Server exposes a Service over TCP.
 type Server struct {
-	svc      *Service
-	ln       net.Listener
-	logger   *slog.Logger
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	closed   bool
-	shutdown chan struct{}
+	svc    *Service
+	srv    *wire.Server
+	logger *slog.Logger
 }
 
 // ServeNWS starts an NWS daemon around svc on addr. A nil logger
@@ -47,73 +40,19 @@ func ServeNWS(addr string, svc *Service, logger *slog.Logger) (*Server, error) {
 	if logger == nil {
 		logger = obs.NopLogger()
 	}
-	s := &Server{svc: svc, ln: ln, logger: logger, shutdown: make(chan struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{svc: svc, logger: logger}
+	s.srv = wire.Serve(ln, logger, func(<-chan struct{}) wire.Opener { return s.open })
 	return s, nil
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
-// Close stops the server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.shutdown)
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
+// Close stops the server, severing idle client connections.
+func (s *Server) Close() error { return s.srv.Close() }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.shutdown:
-			default:
-				s.logger.Error("accept failed", "err", err)
-			}
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					s.logger.Error("connection handler panic", "panic", fmt.Sprint(r))
-				}
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-func (s *Server) serveConn(raw net.Conn) {
-	conn := wire.NewConn(raw)
-	defer conn.Close()
-	for {
-		toks, err := conn.ReadLine()
-		if err != nil {
-			if err != io.EOF {
-				s.logger.Warn("read failed", "err", err)
-			}
-			return
-		}
-		if len(toks) == 0 {
-			continue
-		}
-		if !s.dispatch(conn, toks[0], toks[1:]) {
-			return
-		}
-	}
+func (s *Server) open(conn *wire.Conn) wire.Session {
+	return wire.Lines(func(toks []string) bool { return s.dispatch(conn, toks[0], toks[1:]) })
 }
 
 func (s *Server) dispatch(conn *wire.Conn, op string, args []string) bool {
@@ -123,8 +62,6 @@ func (s *Server) dispatch(conn *wire.Conn, op string, args []string) bool {
 		err = s.handleRecord(conn, args)
 	case opForecast:
 		err = s.handleForecast(conn, args)
-	case opLast:
-		err = s.handleLast(conn, args)
 	case opQuit:
 		return false
 	default:
@@ -160,19 +97,4 @@ func (s *Server) handleForecast(conn *wire.Conn, args []string) error {
 		return conn.WriteErr(wire.CodeNotFound, "no measurements for series")
 	}
 	return conn.WriteOK(strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// LAST <src> <dst> <res>
-func (s *Server) handleLast(conn *wire.Conn, args []string) error {
-	if len(args) != 3 {
-		return conn.WriteErr(wire.CodeBadRequest, "LAST wants <src> <dst> <res>")
-	}
-	m, ok := s.svc.Last(args[0], args[1], Resource(args[2]))
-	if !ok {
-		return conn.WriteErr(wire.CodeNotFound, "no measurements for series")
-	}
-	return conn.WriteOK(
-		strconv.FormatFloat(m.Value, 'g', -1, 64),
-		wire.Itoa(m.Time.Unix()),
-	)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 func startNWS(t *testing.T) (*Server, *Client) {
@@ -31,11 +32,7 @@ func TestRemoteRecordForecast(t *testing.T) {
 	if !ok || math.Abs(v-12.5) > 1e-9 {
 		t.Fatalf("forecast = %v, %v", v, ok)
 	}
-	m, ok := c.LastRemote("UTK", "d1", Bandwidth)
-	if !ok || m.Value != 12.5 || m.Src != "UTK" || m.Dst != "d1" {
-		t.Fatalf("last = %+v, %v", m, ok)
-	}
-	if _, ok := c.LastRemote("UTK", "ghost", Bandwidth); ok {
+	if _, ok := c.Forecast("UTK", "ghost", Bandwidth); ok {
 		t.Fatal("unknown series should fail")
 	}
 }
@@ -92,6 +89,38 @@ func TestServerBadRequestsKeepConnectionUsable(t *testing.T) {
 	}
 	if _, err := conn.ReadStatus(); err == nil {
 		t.Fatal("unknown op should fail")
+	}
+}
+
+// A client that keeps its connection open between requests must not hold
+// up shutdown: the handler is blocked reading the next request line, which
+// never comes, so Close has to sever the connection itself.
+func TestServerCloseSeversIdleConnections(t *testing.T) {
+	s, c := startNWS(t)
+	conn, err := c.connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// One exchange proves the handler is up before the connection idles.
+	if err := conn.WriteLine(opForecast, "UTK", "d1", string(Bandwidth)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.ReadStatus(); !wire.IsRemote(err, wire.CodeNotFound) {
+		t.Fatalf("FORECAST of an empty series = %v, want NOT_FOUND", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close still waiting on an idle client connection after 1s")
+	}
+	if _, err := conn.ReadLine(); err == nil {
+		t.Fatal("client connection still open after server Close")
 	}
 }
 

@@ -1,7 +1,7 @@
 package obs
 
 // Process identity metrics: build_info and process_uptime_seconds on every
-// ObsMux daemon, so a fleet aggregator can tell members and versions apart
+// daemon's Surface, so a fleet aggregator can tell members and versions apart
 // from the scrape alone. Uptime is clock-injected — a daemon running on a
 // virtual clock reports virtual uptime, keeping simulated fleet studies
 // deterministic.

@@ -198,12 +198,19 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // MetricsHandler serves collect() in Prometheus text format. collect runs
 // per request, so gauges are read live.
 func MetricsHandler(collect func() []Metric) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return expositionHandler(func() string {
 		var b strings.Builder
 		WriteMetrics(&b, collect())
+		return b.String()
+	})
+}
+
+// expositionHandler serves body() as an exposition-format page.
+func expositionHandler(body func() string) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", ContentType)
 		w.WriteHeader(http.StatusOK)
-		fmt.Fprint(w, b.String())
+		fmt.Fprint(w, body())
 	})
 }
 

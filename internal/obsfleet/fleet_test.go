@@ -116,7 +116,7 @@ func newTestFleet(t *testing.T) (*Aggregator, string) {
 // partial fleets.
 func TestFleetEndpointHardening(t *testing.T) {
 	a, _ := newTestFleet(t)
-	ui := httptest.NewServer(a.Mux())
+	ui := httptest.NewServer(a.Surface().Mux())
 	defer ui.Close()
 
 	cases := []struct {
@@ -202,7 +202,7 @@ func TestFleetTraceUnknownIs404WhenFleetHealthy(t *testing.T) {
 		ctrl(depotSrv, "ibp-depot", "D1"), ctrl(recSrv, "maintaind", "M0"),
 	}})
 	a.Sweep()
-	ui := httptest.NewServer(a.Mux())
+	ui := httptest.NewServer(a.Surface().Mux())
 	defer ui.Close()
 	resp, err := http.Get(ui.URL + "/fleet/trace/0123456789abcdef")
 	if err != nil {
@@ -320,7 +320,7 @@ func TestMemberRestartDetection(t *testing.T) {
 	a.Sweep() // baseline
 	setUptime(150)
 	a.Sweep() // uptime grew: not a restart
-	if strings.Contains(a.Exposition(), "fleet_member_restarts_total") {
+	if strings.Contains(a.Surface().Exposition(), "fleet_member_restarts_total") {
 		t.Fatal("restart counter exposed before any restart")
 	}
 	setUptime(5)
@@ -329,7 +329,7 @@ func TestMemberRestartDetection(t *testing.T) {
 	a.Sweep() // growing again: still just the one restart
 
 	want := fmt.Sprintf("fleet_member_restarts_total{member=%q} 1", addr)
-	if expo := a.Exposition(); !strings.Contains(expo, want) {
+	if expo := a.Surface().Exposition(); !strings.Contains(expo, want) {
 		t.Errorf("exposition missing %q:\n%s", want, expo)
 	}
 
@@ -406,7 +406,7 @@ func TestScrapeRaceAgainstLiveCollector(t *testing.T) {
 // more fleet_ prefix and the store would grow a fresh family per sweep.
 func TestSelfScrapeDoesNotCompound(t *testing.T) {
 	a := New(Config{})
-	srv := httptest.NewServer(a.Mux())
+	srv := httptest.NewServer(a.Surface().Mux())
 	t.Cleanup(srv.Close)
 	// Point the aggregator at its own scrape surface, exactly what CLIST
 	// discovery does to a deployed obsd.
@@ -420,7 +420,7 @@ func TestSelfScrapeDoesNotCompound(t *testing.T) {
 			t.Fatalf("self scrape failed: %s", m.lastErr)
 		}
 	}
-	if exp := a.Exposition(); strings.Contains(exp, "fleet_fleet_") {
+	if exp := a.Surface().Exposition(); strings.Contains(exp, "fleet_fleet_") {
 		t.Fatalf("exposition re-wrapped aggregator families:\n%s", exp)
 	}
 	inv := a.Store().Inventory()

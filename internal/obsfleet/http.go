@@ -14,36 +14,28 @@ import (
 	"repro/internal/tsdb"
 )
 
-// Exposition renders the full scrape body: self metrics (via the shared
-// obs writer) followed by the fleet aggregates.
-func (a *Aggregator) Exposition() string {
-	var b strings.Builder
-	obs.WriteMetrics(&b, append(a.SelfMetrics(), obs.RuntimeMetrics()...))
-	rows, types, help := fleetAggregate(a.Snapshot())
-	writeFleet(&b, rows, types, help)
-	return b.String()
-}
-
-// Mux returns obsd's HTTP surface: GET /metrics, GET /healthz, GET
-// /fleet/slo, GET /fleet/report (JSON, ?format=md for markdown), GET
-// /fleet/trace/<traceID>, GET /fleet/query, GET /fleet/series, GET
-// /fleet/budget, and GET /fleet/attribution.
-func (a *Aggregator) Mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.ContentType)
-		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(a.Exposition())) //nolint:errcheck // client went away
-	}))
-	mux.Handle("/healthz", obs.HealthzHandler(nil))
-	mux.Handle("/fleet/slo", a.FleetSLOHandler())
-	mux.Handle("/fleet/report", a.FleetReportHandler())
-	mux.Handle("/fleet/trace/", a.FleetTraceHandler())
-	mux.Handle("/fleet/query", a.FleetQueryHandler())
-	mux.Handle("/fleet/series", a.FleetSeriesHandler())
-	mux.Handle("/fleet/budget", a.FleetBudgetHandler())
-	mux.Handle("/fleet/attribution", a.FleetAttributionHandler())
-	return mux
+// Surface describes obsd's HTTP surface: /metrics (obsd's own series,
+// then the fleet_ aggregates of the last sweep), /healthz, /fleet/slo,
+// /fleet/report (JSON, ?format=md for markdown), /fleet/trace/<traceID>,
+// /fleet/query, /fleet/series, /fleet/budget, and /fleet/attribution.
+func (a *Aggregator) Surface() obs.Surface {
+	return obs.Surface{
+		Component: "obsd", Now: a.clock.Now, Started: a.started,
+		Metrics: a.SelfMetrics,
+		Tail: []func(*strings.Builder){func(b *strings.Builder) {
+			rows, types, help := fleetAggregate(a.Snapshot())
+			writeFleet(b, rows, types, help)
+		}},
+		Routes: map[string]http.Handler{
+			"/fleet/slo":         a.FleetSLOHandler(),
+			"/fleet/report":      a.FleetReportHandler(),
+			"/fleet/trace/":      a.FleetTraceHandler(),
+			"/fleet/query":       a.FleetQueryHandler(),
+			"/fleet/series":      a.FleetSeriesHandler(),
+			"/fleet/budget":      a.FleetBudgetHandler(),
+			"/fleet/attribution": a.FleetAttributionHandler(),
+		},
+	}
 }
 
 // QueryResponse is the /fleet/query document.

@@ -408,6 +408,5 @@ func (a *Aggregator) SelfMetrics() []obs.Metric {
 			Labels: []obs.Label{{Name: "member", Value: addr}},
 		})
 	}
-	ms = append(ms, obs.ProcessMetrics("obsd", a.clock.Now, a.started)...)
 	return ms
 }

@@ -125,7 +125,7 @@ func TestObsdFleetSmoke(t *testing.T) {
 		return addr
 	}
 	for i, s := range srvs {
-		announce(s.ObsMux(), "lbone-server", addrs[i])
+		announce(s.Surface().Mux(), "lbone-server", addrs[i])
 	}
 
 	// --- Three depots; depot A dies for hours [1,3) of the run. ---
@@ -203,19 +203,12 @@ func TestObsdFleetSmoke(t *testing.T) {
 		Clock: clk, Site: geo.UTK.Name, Loc: geo.UTK.Loc, Health: sb,
 	}
 	harnessStart := clk.Now()
-	harnessMux := http.NewServeMux()
-	harnessMux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric {
-		ms := coll.CollectorMetrics("ibp_client_")
-		ms = append(ms, engine.Metrics()...)
-		ms = append(ms, rec.RingMetrics()...)
-		ms = append(ms, obs.ProcessMetrics("xnd", clk.Now, harnessStart)...)
-		return append(ms, obs.RuntimeMetrics()...)
-	}))
-	harnessMux.Handle("/slo", engine.Handler())
-	harnessMux.Handle("/trace/", obs.TraceJSONHandler(rec))
-	harnessMux.Handle("/postmortem/", obs.PostmortemHandler(rec, "xnd", clk.Now))
-	obs.AttachPprof(harnessMux)
-	harnessAddr := announce(harnessMux, "xnd", "xnd-harness")
+	harnessAddr := announce(obs.Surface{
+		Component: "xnd", Now: clk.Now, Started: harnessStart,
+		Metrics: func() []obs.Metric { return coll.CollectorMetrics("ibp_client_") },
+		SLO:     engine, Recorder: rec, Pprof: true,
+		Routes: map[string]http.Handler{"/trace/": obs.TraceJSONHandler(rec)},
+	}.Mux(), "xnd", "xnd-harness")
 
 	// --- Two maintaind shards over the same directory. ---
 	var maintainers []*repaird.Daemon
@@ -238,7 +231,7 @@ func TestObsdFleetSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		maintainers = append(maintainers, md)
-		announce(md.ObsMux(), "maintaind", fmt.Sprintf("maintaind-%d", shard))
+		announce(md.Surface().Mux(), "maintaind", fmt.Sprintf("maintaind-%d", shard))
 	}
 
 	// --- The aggregator discovers everything through CLIST. ---
@@ -338,7 +331,7 @@ func TestObsdFleetSmoke(t *testing.T) {
 
 	// (a) /fleet/slo matches the harness's own SLI view: same firing
 	// set, keyed to the dead depot, attributed to the harness member.
-	ui := httptest.NewServer(agg.Mux())
+	ui := httptest.NewServer(agg.Surface().Mux())
 	defer ui.Close()
 	var fleetSLO obsfleet.FleetSLO
 	getInto(t, ui.URL+"/fleet/slo", &fleetSLO)
@@ -386,7 +379,7 @@ func TestObsdFleetSmoke(t *testing.T) {
 
 	// (c) A fleet histogram bucket carries an exemplar whose trace ID
 	// resolves back through trace assembly.
-	expo := agg.Exposition()
+	expo := agg.Surface().Exposition()
 	exRe := regexp.MustCompile(`fleet_ibp_client_op_latency_seconds_bucket\{[^}]*\} [0-9.e+-]+ # \{trace_id="([0-9a-f]+)"\}`)
 	match := exRe.FindStringSubmatch(expo)
 	if match == nil {

@@ -58,7 +58,7 @@ func TestSpanRingDropsAreCounted(t *testing.T) {
 		Addr: strings.TrimPrefix(member.URL, "http://"), Component: "ibp-depot", Name: "D1",
 	}}})
 	a.Sweep()
-	ui := httptest.NewServer(a.Mux())
+	ui := httptest.NewServer(a.Surface().Mux())
 	defer ui.Close()
 	var report obsfleet.Report
 	getInto(t, ui.URL+"/fleet/report", &report)

@@ -1,12 +1,8 @@
 package registry
 
 import (
-	"errors"
 	"log/slog"
-	"net"
-	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/lbone"
@@ -16,8 +12,8 @@ import (
 
 // The daemon-facing half of the client: what a long-running process does
 // with its registry besides querying it. It keeps its own records alive
-// (a depot record, a control-endpoint record), takes them back out on the
-// way down, and serves the control endpoint it announces.
+// (a depot record, a control-endpoint record) and takes them back out on
+// the way down.
 //
 // The control table's C* verbs are older than views and carry no stamp
 // (DESIGN §9.5); everything else about them is the quorum's: writes need a
@@ -117,46 +113,4 @@ func (c *QuorumClient) AnnounceControl(ci lbone.ControlInfo, interval time.Durat
 		func() error { return c.RegisterControl(ci) },
 		func() error { return c.DeregisterControl(ci.Addr) },
 		interval, logger, stop)
-}
-
-// ServeControl is a daemon's control endpoint from flag to fleet: it
-// listens on listen, serves mux there (with /debug/pprof when pprof is
-// set), and returns the address peers can dial. With a registry client it
-// also announces that address as ci (whose Addr it fills in) until stop
-// closes, and appends the client's registry_client_* samples to the mux's
-// /metrics. c may be nil: a daemon run without a registry still serves.
-func ServeControl(c *QuorumClient, mux *http.ServeMux, listen string, pprof bool,
-	ci lbone.ControlInfo, interval time.Duration, logger *slog.Logger, stop <-chan struct{}) (string, error) {
-	if pprof {
-		obs.AttachPprof(mux)
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return "", err
-	}
-	if logger == nil {
-		logger = obs.NopLogger()
-	}
-	ci.Addr = lbone.AdvertisedControlAddr(ln.Addr().String())
-	var handler http.Handler = mux
-	if c != nil {
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			mux.ServeHTTP(w, r)
-			if r.URL.Path == "/metrics" {
-				var b strings.Builder
-				obs.WriteMetrics(&b, c.Metrics())
-				w.Write([]byte(b.String())) //nolint:errcheck // client went away
-			}
-		})
-	}
-	go func() {
-		logger.Info("metrics listening", "url", "http://"+ci.Addr+"/metrics")
-		if err := http.Serve(ln, handler); err != nil && !errors.Is(err, net.ErrClosed) {
-			logger.Error("metrics listener", "err", err)
-		}
-	}()
-	if c != nil {
-		c.AnnounceControl(ci, interval, logger, stop) //nolint:errcheck // logged, retried
-	}
-	return ci.Addr, nil
 }

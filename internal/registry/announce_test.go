@@ -1,15 +1,10 @@
 package registry
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/lbone"
-	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
@@ -92,73 +87,5 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-	}
-}
-
-// ServeControl is the one copy of what every daemon's main used to spell
-// out: serve the mux, advertise a dialable address, announce it, take it
-// back on stop — and mount the client's own counters on the mux's
-// /metrics, after everything the mux already wrote.
-func TestServeControlAnnouncesAndMountsClientMetrics(t *testing.T) {
-	_, _, addrs := startGroup(t, 3)
-	c := quorumClient(addrs)
-	mux := http.NewServeMux()
-	own := []obs.Metric{{Name: "daemon_up", Help: "Always 1.", Type: "gauge", Value: 1}}
-	mux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric { return own }))
-	mux.Handle("/healthz", obs.HealthzHandler(nil))
-
-	stop := make(chan struct{})
-	addr, err := ServeControl(c, mux, "127.0.0.1:0", false,
-		lbone.ControlInfo{Component: "testd", Name: "testd-0"}, time.Minute, nil, stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := lbone.ControlInfo{Addr: addr, Component: "testd", Name: "testd-0"}
-	if got, err := c.ListControls(); err != nil || len(got) != 1 || got[0] != want {
-		t.Fatalf("controls after ServeControl = %+v, %v", got, err)
-	}
-
-	get := func(addr, path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-	// The mux's own exposition, byte for byte, then the client's series.
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := get(addr, "/metrics")
-	if !strings.HasPrefix(body, rec.Body.String()) {
-		t.Fatalf("/metrics does not begin with the mux's own exposition:\n%s", body)
-	}
-	tail := strings.TrimPrefix(body, rec.Body.String())
-	if !strings.HasPrefix(tail, "# HELP registry_client_ops_total ") ||
-		!strings.Contains(tail, "\nregistry_client_dials_total 3\n") {
-		t.Fatalf("client series not appended after the mux's:\n%s", tail)
-	}
-	if got := get(addr, "/healthz"); got != "ok\n" {
-		t.Fatalf("/healthz through ServeControl = %q", got)
-	}
-
-	close(stop)
-	c.Close()
-	if got, err := c.ListControls(); err != nil || len(got) != 0 {
-		t.Fatalf("controls after stop = %+v, %v", got, err)
-	}
-
-	// Without a registry the endpoint is still served, untouched.
-	bare, err := ServeControl(nil, mux, "127.0.0.1:0", false, lbone.ControlInfo{}, 0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := get(bare, "/metrics"); got != rec.Body.String() {
-		t.Fatalf("/metrics with no client = %q, want the mux's own", got)
 	}
 }

@@ -40,40 +40,32 @@ func (d *Daemon) PromMetrics() []obs.Metric {
 			Value: float64(c.AtRisk), Labels: labels,
 		},
 	}
-	ms = append(ms, d.lim.Metrics("repair_limiter_")...)
-	if d.cfg.SLO != nil {
-		ms = append(ms, d.cfg.SLO.Metrics()...)
-	}
-	ms = append(ms, obs.ProcessMetrics("maintaind", d.clock.Now, d.started)...)
-	if d.cfg.Recorder != nil {
-		ms = append(ms, d.cfg.Recorder.RingMetrics()...)
-	}
-	return append(ms, obs.RuntimeMetrics()...)
+	return append(ms, d.lim.Metrics("repair_limiter_")...)
 }
 
-// ObsMux returns the daemon's HTTP surface: GET /metrics (Prometheus text
-// format), GET /healthz, GET /report (lifetime counters as JSON), and —
-// when an SLO engine is attached — GET /slo.
-func (d *Daemon) ObsMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.MetricsHandler(d.PromMetrics))
-	mux.Handle("/healthz", obs.HealthzHandler(nil))
-	mux.Handle("/report", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Shard string `json:"shard"`
-			Counters
-			QueueDepth int `json:"queue_depth"`
-		}{d.shardKey(), d.Counters(), d.q.depth()})
-	}))
+// Surface describes the daemon's HTTP surface: /metrics, /healthz,
+// /report (lifetime counters as JSON), /slo with an SLO engine, and
+// /trace/ + /postmortem/ with a Recorder.
+func (d *Daemon) Surface() obs.Surface {
+	s := obs.Surface{
+		Component: "maintaind", Now: d.clock.Now, Started: d.started,
+		Metrics: d.PromMetrics, Recorder: d.cfg.Recorder,
+		Routes: map[string]http.Handler{"/report": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			enc.Encode(struct {
+				Shard string `json:"shard"`
+				Counters
+				QueueDepth int `json:"queue_depth"`
+			}{d.shardKey(), d.Counters(), d.q.depth()})
+		})},
+	}
 	if d.cfg.SLO != nil {
-		mux.Handle("/slo", d.cfg.SLO.Handler())
+		s.SLO = d.cfg.SLO
 	}
 	if d.cfg.Recorder != nil {
-		mux.Handle("/trace/", obs.TraceJSONHandler(d.cfg.Recorder))
-		mux.Handle("/postmortem/", obs.PostmortemHandler(d.cfg.Recorder, "maintaind", d.clock.Now))
+		s.Routes["/trace/"] = obs.TraceJSONHandler(d.cfg.Recorder)
 	}
-	return mux
+	return s
 }

@@ -53,10 +53,7 @@ func (m *Monitor) PromMetrics() []obs.Metric {
 			},
 		)
 	}
-	ms = append(ms, m.latencyHistograms()...)
-	ms = append(ms, m.cfg.SLO.Metrics()...)
-	ms = append(ms, obs.ProcessMetrics("stackmon", m.clock.Now, m.started)...)
-	return append(ms, obs.RuntimeMetrics()...)
+	return append(ms, m.latencyHistograms()...)
 }
 
 // latencyHistograms builds one probe-latency histogram per depot from the
@@ -92,22 +89,23 @@ func (m *Monitor) latencyHistograms() []obs.Metric {
 	return ms
 }
 
-// ObsMux returns the monitor's HTTP surface: GET /metrics (Prometheus
-// text format), GET /healthz, GET /report (the current Study as JSON,
-// sample detail included), and — when an SLO engine is attached — GET
-// /slo (objectives, burn rates, and firing alerts as JSON).
-func (m *Monitor) ObsMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.MetricsHandler(m.PromMetrics))
-	mux.Handle("/healthz", obs.HealthzHandler(nil))
-	mux.Handle("/report", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(m.Snapshot(true))
-	}))
-	if m.cfg.SLO != nil {
-		mux.Handle("/slo", m.cfg.SLO.Handler())
+// Surface describes the monitor's HTTP surface: /metrics, /healthz,
+// /report (the current Study as JSON, sample detail included), and — when
+// an SLO engine is attached — /slo (objectives, burn rates, and firing
+// alerts as JSON).
+func (m *Monitor) Surface() obs.Surface {
+	s := obs.Surface{
+		Component: "stackmon", Now: m.clock.Now, Started: m.started,
+		Metrics: m.PromMetrics,
+		Routes: map[string]http.Handler{"/report": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			enc.Encode(m.Snapshot(true))
+		})},
 	}
-	return mux
+	if m.cfg.SLO != nil {
+		s.SLO = m.cfg.SLO
+	}
+	return s
 }

@@ -2,6 +2,7 @@ package stackmon
 
 import (
 	"fmt"
+	"log/slog"
 	"time"
 
 	"repro/internal/depot"
@@ -46,8 +47,8 @@ type SimConfig struct {
 	ProbeOnly bool
 	// Seed drives link jitter deterministically.
 	Seed int64
-	// Logf receives depot state transitions.
-	Logf func(format string, args ...any)
+	// Logger receives depot state transitions (default: discard).
+	Logger *slog.Logger
 	// Objectives, when non-empty, attaches an SLO engine (on the study's
 	// virtual clock) fed from every sweep; RunSimSLO returns it so callers
 	// can line alert firings up against the outage schedule.
@@ -179,7 +180,7 @@ func RunSimSLO(cfg SimConfig) (Study, map[string]string, *slo.Engine, error) {
 		Payload:  payload,
 		Duration: 2 * interval,
 		Clock:    clk,
-		Logf:     cfg.Logf,
+		Logger:   cfg.Logger,
 		SLO:      engine,
 	})
 	if err != nil {

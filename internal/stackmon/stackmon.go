@@ -11,11 +11,13 @@ import (
 	"bytes"
 	"crypto/rand"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/ibp"
+	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/slo"
 	"repro/internal/vclock"
@@ -53,8 +55,9 @@ type Config struct {
 	// Clock drives sweep timing (default the system clock). Simulated
 	// studies pass a vclock.Virtual.
 	Clock vclock.Clock
-	// Logf, when set, receives one line per depot state change.
-	Logf func(format string, args ...any)
+	// Logger receives one record per depot state change (default:
+	// discard).
+	Logger *slog.Logger
 	// SLO, when set, receives every sweep result as SLI samples — probe
 	// liveness as depot_availability, data rounds as download_success —
 	// and its burn-rate rules are evaluated at the end of each sweep, so
@@ -131,6 +134,9 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = DefDuration
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = obs.NopLogger()
 	}
 	clk := cfg.Clock
 	if clk == nil {
@@ -262,12 +268,13 @@ func (m *Monitor) record(addr string, sm Sample) {
 	if sm.DataAttempt {
 		m.cfg.SLO.Record(slo.DownloadSuccess, addr, sm.DataOK)
 	}
-	if m.cfg.Logf != nil && (!known || wasUp != sm.Up) {
-		state := "up"
-		if !sm.Up {
-			state = "DOWN (" + sm.Err + ")"
-		}
-		m.cfg.Logf("stackmon: depot %s %s", addr, state)
+	if known && wasUp == sm.Up {
+		return
+	}
+	if sm.Up {
+		m.cfg.Logger.Info("depot up", "depot", addr)
+	} else {
+		m.cfg.Logger.Warn("depot DOWN", "depot", addr, "err", sm.Err)
 	}
 }
 

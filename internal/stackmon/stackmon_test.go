@@ -138,7 +138,7 @@ func TestMonitorMetricsEndpoint(t *testing.T) {
 	}
 	mon.Sweep()
 
-	srv := httptest.NewServer(mon.ObsMux())
+	srv := httptest.NewServer(mon.Surface().Mux())
 	defer srv.Close()
 
 	body := get(t, srv.URL+"/metrics")
@@ -246,7 +246,7 @@ func get(t *testing.T, url string) string {
 
 func scrape(t *testing.T, mon *Monitor) string {
 	t.Helper()
-	srv := httptest.NewServer(mon.ObsMux())
+	srv := httptest.NewServer(mon.Surface().Mux())
 	defer srv.Close()
 	return get(t, srv.URL+"/metrics")
 }
