@@ -5,8 +5,9 @@
 # wire — its Pool and Conn.CheckIdle carry every registry exchange as well
 # as pooled IBP, and its Server is the accept loop of the depot, L-Bone and
 # NWS daemons). placer-determinism reruns the tests of core's one
-# placement loop and one block reader, and of the registry's quorum pass,
-# often enough to catch an order-dependent placement or read.
+# placement loop and one block reader, of the registry's quorum pass, and
+# of the IBP client's one exchange path, often enough to catch an
+# order-dependent placement, read or report.
 .PHONY: tier1 build vet staticcheck test race bench-module bench-smoke placer-determinism stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race bench-module
@@ -77,7 +78,10 @@ bench-smoke:
 # race detector: the write tests must pick disjoint depots and the read
 # tests must rank, hedge and demote the same way every time. The registry
 # line does the same for the quorum client's pipelined pass: exact exchange,
-# dial and repair counts, twenty times on one P. The depot line reads
+# dial and repair counts, twenty times on one P. The IBP line does it for
+# the one exchange path every verb and batch sub-op takes: outcome parity
+# between plain and batched verbs, cancellation, trace stamps, the breaker
+# and the depot's wire grammar, twenty times on one P. The depot line reads
 # METRICS right after a streamed LOAD, two hundred times at the default
 # GOMAXPROCS, where a count landing after the reply would show.
 DETERMINISM_RUN = 'Place|Upload|Coded|Augment|Maintain|Hedge|Rank|Slow|Decode|Verify|WholeReplica'
@@ -85,6 +89,7 @@ placer-determinism:
 	GOMAXPROCS=1 go test -count=20 -run $(DETERMINISM_RUN) repro/internal/core
 	go test -race -count=5 -run $(DETERMINISM_RUN) repro/internal/core
 	GOMAXPROCS=1 go test -count=20 -run 'Quorum|Session|Repair|Majority|Snapshot|Restart' repro/internal/registry
+	GOMAXPROCS=1 go test -count=20 -run 'Batch|Cancel|Trace|Breaker|Reports|Agree|WireCompat' repro/internal/ibp repro/internal/depot
 	go test -count=200 -run 'TestMetricsCounters$$' repro/internal/depot
 
 # Availability-study smoke: a 24h virtual-clock stackmon simulation over

@@ -375,9 +375,8 @@ func (t *Tools) placeAll(op string, jobs []placeJob, held occupancy, opts Upload
 }
 
 // put stores the job's block on the depot at addr and returns its
-// capabilities: payload bytes with one pipelined ALLOCATE+STORE batch
-// (sequential verbs against depots that predate BATCH), a copy source with
-// ALLOCATE and then a depot-to-depot COPY. An allocation the bytes never
+// capabilities: payload bytes with one pipelined ALLOCATE+STORE batch, a
+// copy source with ALLOCATE and then a depot-to-depot COPY. An allocation the bytes never
 // reached is deleted again, best effort.
 func (t *Tools) put(jb *placeJob, addr string, opts UploadOptions) (ibp.CapSet, error) {
 	var set ibp.CapSet

@@ -299,36 +299,10 @@ func (d *Depot) dispatch(conn *connCtx, toks []string) bool {
 			d.spansMu.Unlock()
 		}()
 	}
-	var err error
-	switch op {
-	case ibp.OpAllocate:
-		err = d.handleAllocate(conn, args)
-	case ibp.OpStore:
-		err = d.handleStore(conn, args)
-	case ibp.OpLoad:
-		err = d.handleLoad(conn, args)
-	case ibp.OpProbe:
-		err = d.handleProbe(conn, args)
-	case ibp.OpExtend:
-		err = d.handleExtend(conn, args)
-	case ibp.OpDelete:
-		err = d.handleDelete(conn, args)
-	case ibp.OpStatus:
-		err = d.handleStatus(conn)
-	case OpMetrics:
-		err = d.handleMetrics(conn)
-	case ibp.OpCopy:
-		err = d.handleCopy(conn, args)
-	case ibp.OpMCopy:
-		err = d.handleMCopy(conn, args)
-	case ibp.OpBatch:
-		err = d.handleBatch(conn, args)
-	case ibp.OpQuit:
+	if op == ibp.OpQuit {
 		return false
-	default:
-		err = conn.WriteErr(wire.CodeUnsupported, "unknown operation %s", op)
 	}
-	if err != nil {
+	if err := d.serve(conn, op, args); err != nil {
 		l := d.cfg.Logger
 		if conn.span != nil && conn.span.TraceID != "" {
 			l = l.With(obs.KeyTrace, conn.span.TraceID)
@@ -339,9 +313,50 @@ func (d *Depot) dispatch(conn *connCtx, toks []string) bool {
 	return true
 }
 
-// resolve authenticates a capability token and returns the live
-// allocation, counting failures in the error metric.
-func (d *Depot) resolve(tok string, want ibp.CapType) (*allocation, *wire.RemoteError) {
+// serve is the depot's one verb switch: a plain request and a batch
+// sub-op both run through it. A returned error means the connection must
+// close; per-op failures are answered on the wire and return nil.
+func (d *Depot) serve(conn *connCtx, op string, args []string) error {
+	switch op {
+	case ibp.OpAllocate:
+		return d.handleAllocate(conn, args)
+	case ibp.OpStore:
+		return d.handleStore(conn, args)
+	case ibp.OpLoad:
+		return d.handleLoad(conn, args)
+	case ibp.OpProbe:
+		return d.handleProbe(conn, args)
+	case ibp.OpExtend:
+		return d.handleExtend(conn, args)
+	case ibp.OpDelete:
+		return d.handleDelete(conn, args)
+	case ibp.OpStatus:
+		return d.handleStatus(conn)
+	case OpMetrics:
+		return d.handleMetrics(conn)
+	case ibp.OpCopy:
+		return d.handleCopy(conn, args)
+	case ibp.OpBatch:
+		return d.handleBatch(conn, args)
+	}
+	return conn.WriteErr(wire.CodeUnsupported, "unknown operation %s", op)
+}
+
+// resolve authenticates the capability token that names verb's target
+// and returns the live allocation, counting failures in the error metric.
+// Inside a batch, an "@<i>" token names the set sub-op i's ALLOCATE minted;
+// ibp.VerbCap picks the capability type either way.
+func (d *Depot) resolve(conn *connCtx, verb, tok string) (*allocation, *wire.RemoteError) {
+	want := ibp.VerbCap(verb)
+	if i, ok := ibp.ParseBatchRef(tok); ok && conn.minted != nil {
+		if i >= len(conn.minted) || conn.minted[i] == (ibp.CapSet{}) {
+			return nil, &wire.RemoteError{
+				Code:    wire.CodeNotFound,
+				Message: fmt.Sprintf("batch reference @%d does not name a completed ALLOCATE", i),
+			}
+		}
+		tok = conn.minted[i].Of(want).Token()
+	}
 	a, rerr := d.resolveInner(tok, want)
 	if rerr != nil {
 		d.metrics.Errors.Add(1)
@@ -457,11 +472,13 @@ func (d *Depot) handleAllocate(conn *connCtx, args []string) error {
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
+	if conn.minted != nil {
+		conn.minted[len(conn.minted)-1] = set
+	}
 	return conn.WriteOK(set.Read.String(), set.Write.String(), set.Manage.String())
 }
 
-// allocate performs ALLOCATE without writing a response, so the batch path
-// can capture the minted capability set for batch-local references.
+// allocate performs ALLOCATE without writing a response.
 func (d *Depot) allocate(conn *connCtx, args []string) (ibp.CapSet, *wire.RemoteError) {
 	fail := func(code, format string, fargs ...any) (ibp.CapSet, *wire.RemoteError) {
 		return ibp.CapSet{}, &wire.RemoteError{Code: code, Message: fmt.Sprintf(format, fargs...)}
@@ -556,7 +573,7 @@ func (d *Depot) handleStore(conn *connCtx, args []string) error {
 		return fmt.Errorf("reading store payload: %w", err)
 	}
 	defer bufpool.Put(data)
-	a, rerr := d.resolve(args[0], ibp.CapWrite)
+	a, rerr := d.resolve(conn, ibp.OpStore, args[0])
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
@@ -589,7 +606,7 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 	if err != nil || n < 0 {
 		return conn.WriteErr(wire.CodeBadRequest, "bad length %q", args[2])
 	}
-	a, rerr := d.resolve(args[0], ibp.CapRead)
+	a, rerr := d.resolve(conn, ibp.OpLoad, args[0])
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
@@ -652,7 +669,7 @@ func (d *Depot) handleProbe(conn *connCtx, args []string) error {
 	if len(args) != 1 {
 		return conn.WriteErr(wire.CodeBadRequest, "PROBE wants <managecap>")
 	}
-	a, rerr := d.resolve(args[0], ibp.CapManage)
+	a, rerr := d.resolve(conn, ibp.OpProbe, args[0])
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
@@ -680,7 +697,7 @@ func (d *Depot) handleExtend(conn *connCtx, args []string) error {
 	if dur > d.cfg.MaxDuration {
 		return conn.WriteErr(wire.CodeDurationCap, "duration %v exceeds depot limit %v", dur, d.cfg.MaxDuration)
 	}
-	a, rerr := d.resolve(args[0], ibp.CapManage)
+	a, rerr := d.resolve(conn, ibp.OpExtend, args[0])
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
@@ -700,7 +717,7 @@ func (d *Depot) handleDelete(conn *connCtx, args []string) error {
 	if len(args) != 1 {
 		return conn.WriteErr(wire.CodeBadRequest, "DELETE wants <managecap>")
 	}
-	a, rerr := d.resolve(args[0], ibp.CapManage)
+	a, rerr := d.resolve(conn, ibp.OpDelete, args[0])
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
@@ -737,7 +754,7 @@ func (d *Depot) handleCopy(conn *connCtx, args []string) error {
 	if err != nil || dst.Type != ibp.CapWrite {
 		return conn.WriteErr(wire.CodeBadRequest, "bad destination capability")
 	}
-	a, rerr := d.resolve(args[0], ibp.CapRead)
+	a, rerr := d.resolve(conn, ibp.OpCopy, args[0])
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
@@ -763,69 +780,6 @@ func (d *Depot) handleCopy(conn *connCtx, args []string) error {
 	d.metrics.Loads.Add(1)
 	d.metrics.BytesOut.Add(n)
 	return conn.WriteOK(wire.Itoa(n), wire.Itoa(newLen))
-}
-
-// handleMCopy fans one local read out to several destinations: a
-// depot-level multicast (IBP's mcopy). Per-destination failures do not
-// fail the whole operation; each result slot is the destination's new
-// length or -1.
-func (d *Depot) handleMCopy(conn *connCtx, args []string) error {
-	if len(args) < 5 {
-		return conn.WriteErr(wire.CodeBadRequest, "MCOPY wants <readcap> <offset> <len> <n> <dst>...")
-	}
-	off, err := wire.ParseInt("offset", args[1])
-	if err != nil || off < 0 {
-		return conn.WriteErr(wire.CodeBadRequest, "bad offset %q", args[1])
-	}
-	n, err := wire.ParseInt("len", args[2])
-	if err != nil || n < 0 || n > wire.MaxBlobLen {
-		return conn.WriteErr(wire.CodeBadRequest, "bad length %q", args[2])
-	}
-	count, err := wire.ParseInt("count", args[3])
-	if err != nil || count <= 0 || int(count) != len(args)-4 {
-		return conn.WriteErr(wire.CodeBadRequest, "destination count mismatch")
-	}
-	dsts := make([]ibp.Cap, 0, count)
-	for _, tok := range args[4:] {
-		dst, err := ibp.ParseCap(tok)
-		if err != nil || dst.Type != ibp.CapWrite {
-			return conn.WriteErr(wire.CodeBadRequest, "bad destination capability")
-		}
-		dsts = append(dsts, dst)
-	}
-	a, rerr := d.resolve(args[0], ibp.CapRead)
-	if rerr != nil {
-		return conn.remoteErr(rerr)
-	}
-	bt := d.clock.Now()
-	a.mu.Lock()
-	have := a.handle.Len()
-	if off+n > have {
-		a.mu.Unlock()
-		return conn.WriteErr(wire.CodeOutOfRange, "read [%d,%d) beyond written length %d", off, off+n, have)
-	}
-	buf := bufpool.Get(int(n))
-	defer bufpool.Put(buf) // per-destination Stores are synchronous
-	err = a.handle.ReadAt(buf, off)
-	a.mu.Unlock()
-	conn.noteBackend(d.clock.Since(bt))
-	if err != nil {
-		return conn.WriteErr(wire.CodeInternal, "read failed")
-	}
-	client := d.outbound()
-	results := make([]string, len(dsts))
-	for i, dst := range dsts {
-		newLen, err := client.Store(dst, buf)
-		if err != nil {
-			d.cfg.Logger.Warn("mcopy destination failed", obs.KeyVerb, ibp.OpMCopy, "dst", dst.Addr, "err", err)
-			results[i] = "-1"
-			continue
-		}
-		results[i] = wire.Itoa(newLen)
-	}
-	d.metrics.Loads.Add(1)
-	d.metrics.BytesOut.Add(n * int64(len(dsts)))
-	return conn.WriteOK(results...)
 }
 
 // outbound returns the client this depot uses for third-party transfers.

@@ -773,49 +773,3 @@ func TestThirdPartyCopy(t *testing.T) {
 		t.Fatalf("self copy: %v", err)
 	}
 }
-
-func TestMCopyFanOut(t *testing.T) {
-	src, c := newDepot(t, Config{})
-	dstA, _ := newDepot(t, Config{Secret: []byte("mcopy-a")})
-	dstB, _ := newDepot(t, Config{Secret: []byte("mcopy-b")})
-
-	srcSet, err := c.Allocate(src.Addr(), 1<<16, time.Hour, ibp.Hard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte("multicast "), 500)
-	if _, err := c.Store(srcSet.Write, data); err != nil {
-		t.Fatal(err)
-	}
-	setA, err := c.Allocate(dstA.Addr(), 1<<16, time.Hour, ibp.Hard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setB, err := c.Allocate(dstB.Addr(), 1<<16, time.Hour, ibp.Hard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fan out to both plus one unreachable destination.
-	ghost := setB.Write
-	ghost.Addr = "127.0.0.1:1"
-	res, err := c.MCopy(srcSet.Read, 10, 2000, []ibp.Cap{setA.Write, ghost, setB.Write})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 || res[0] != 2000 || res[1] != -1 || res[2] != 2000 {
-		t.Fatalf("mcopy results = %v", res)
-	}
-	for _, set := range []ibp.CapSet{setA, setB} {
-		got, err := c.Load(set.Read, 0, 2000)
-		if err != nil || !bytes.Equal(got, data[10:2010]) {
-			t.Fatalf("fanned-out copy mismatch: %v", err)
-		}
-	}
-	// Validation failures.
-	if _, err := c.MCopy(srcSet.Read, 0, 10, nil); err == nil {
-		t.Fatal("empty destination list should fail")
-	}
-	if _, err := c.MCopy(srcSet.Read, 0, 10, []ibp.Cap{setA.Read}); err == nil {
-		t.Fatal("READ destination should fail client-side")
-	}
-}

@@ -10,6 +10,7 @@ package depot
 import (
 	"time"
 
+	"repro/internal/ibp"
 	"repro/internal/wire"
 )
 
@@ -67,7 +68,8 @@ type connCtx struct {
 	d         *Depot
 	queueWait time.Duration // accept-queue wait, charged to the first traced op
 	pending   *pendingTrace
-	span      *ServerSpan // the traced op running, or the last one until the next request
+	span      *ServerSpan  // the traced op running, or the last one until the next request
+	minted    []ibp.CapSet // inside a BATCH: per sub-op so far, the set its ALLOCATE minted (else zero)
 }
 
 // noteBackend charges time spent in the storage backend to the active span.

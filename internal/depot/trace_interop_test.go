@@ -2,97 +2,12 @@ package depot
 
 import (
 	"bytes"
-	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ibp"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
-
-// oldDepotServer mimics a depot that predates the TRACE verb: it answers
-// every request line with the next canned response, keeping the
-// connection open (the real dispatch loop keeps unknown verbs alive too).
-func oldDepotServer(t *testing.T, responses ...string) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		next := 0
-		for {
-			raw, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(raw net.Conn) {
-				defer raw.Close()
-				conn := wire.NewConn(raw)
-				for {
-					if _, err := conn.ReadLine(); err != nil {
-						return
-					}
-					resp := "OK"
-					if next < len(responses) {
-						resp = responses[next]
-						next++
-					}
-					if err := conn.WriteLine(strings.Fields(resp)...); err != nil {
-						return
-					}
-				}
-			}(raw)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestTraceOldDepotInterop is the backward-compatibility regression test:
-// a traced client against a depot that predates the TRACE verb. The depot
-// rejects TRACE with ERR UNSUPPORTED, the operation proceeds untraced on
-// the same connection, the rejection is cached, and the next operation
-// must not send TRACE at all.
-func TestTraceOldDepotInterop(t *testing.T) {
-	// If the client re-sent TRACE on the second operation it would consume
-	// the second STATUS response as the TRACE ack and the final bare "OK"
-	// would fail STATUS parsing — so two clean statuses prove both the
-	// fallback and the cache.
-	addr := oldDepotServer(t,
-		"ERR UNSUPPORTED unknown operation TRACE",
-		"OK 100 0 3600 0",
-		"OK 100 0 3600 0",
-	)
-	root := obs.NewRootSpan()
-	col := obs.NewCollector(16)
-	c := ibp.NewClient(ibp.WithObserver(col), ibp.WithPooling(2)).WithSpan(root)
-	defer c.Close()
-
-	if _, err := c.Status(addr); err != nil {
-		t.Fatalf("first status against old depot: %v", err)
-	}
-	if _, err := c.Status(addr); err != nil {
-		t.Fatalf("second status (TRACE must be skipped after the cached rejection): %v", err)
-	}
-
-	evs := col.Recent(0)
-	if len(evs) != 2 {
-		t.Fatalf("got %d events, want 2", len(evs))
-	}
-	for i, e := range evs {
-		// Client-side correlation still works without depot support...
-		if e.Trace != root.TraceID || e.Span == "" || e.Parent != root.SpanID {
-			t.Errorf("event %d not stamped: %+v", i, e)
-		}
-		// ...but there is no server span to fold in.
-		if e.Server != nil {
-			t.Errorf("event %d has a server span from an old depot: %+v", i, e.Server)
-		}
-	}
-}
 
 // TestTraceUntracedClientNewDepot is the other interop direction: a client
 // that never sends TRACE (an "old client") against a depot that supports

@@ -7,28 +7,22 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/health"
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// The batched verb path: N operations per round trip on one pooled
-// connection. The request stream is "BATCH <n>" followed by n standard
-// single-verb request lines (STORE payloads inline after their lines), all
-// flushed as one network write. The response stream is the batch ack
-// followed by n standard single-verb responses in order.
-//
-// Because sub-requests are byte-identical to ordinary verbs, a depot that
-// predates BATCH answers ERR UNSUPPORTED to the header and then executes
-// the already-pipelined stream as plain operations — the client still reads
-// n responses and the semantics are unchanged. The only feature that
-// genuinely needs a new depot is the batch-local capability reference
-// ("@<i>", resolving to the allocation minted by sub-op i of the same
-// batch); Batch falls back to sequential single verbs when it already knows
-// the depot is old and refs are present.
+// The IBP verb codec. Each batchable verb — ALLOCATE, STORE, LOAD, PROBE,
+// EXTEND and DELETE — is one BatchOp, validated by validate, encoded by
+// writeBatchOp and parsed by readBatchResult, whether it travels alone as a
+// plain request line (Allocate, Store, ...) or as a sub-op of a pipelined
+// BATCH. A batch is "BATCH <n>" followed by n standard request lines (STORE
+// payloads inline after their lines), flushed as one network write; the
+// depot acks the header and answers the n sub-requests in order, each
+// exactly as it would answer the verb alone. A sub-op may name the
+// allocation minted by an earlier ALLOCATE of the same batch with the
+// reference "@<i>", which makes allocate+store one round trip.
 
-// BatchOp describes one sub-operation of a pipelined batch. Verb selects
-// which fields matter:
+// BatchOp describes one operation: a plain verb, or a sub-operation of a
+// pipelined batch. Verb selects which fields matter:
 //
 //   - OpAllocate: MaxSize, Duration, Rel
 //   - OpStore:    Cap or Ref, Data
@@ -37,10 +31,9 @@ import (
 //   - OpProbe:    Cap or Ref
 //   - OpDelete:   Cap or Ref
 //
-// Ref < 0 (the zero value via NewBatchOp helpers uses -1) means Cap names
-// the allocation; Ref >= 0 references the CapSet minted by the ALLOCATE at
-// that index in the same batch, and the appropriate capability (write for
-// STORE, read for LOAD, manage otherwise) is derived server-side.
+// Ref < 0 (the constructors set -1) means Cap names the allocation; Ref >=
+// 0 references the CapSet minted by the ALLOCATE at that index in the same
+// batch, and the depot picks the capability the verb needs (VerbCap).
 type BatchOp struct {
 	Verb     string
 	MaxSize  int64
@@ -51,6 +44,7 @@ type BatchOp struct {
 	Data     []byte
 	Offset   int64
 	Length   int64
+	into     []byte // LOAD: the caller-owned destination LoadIntoCancel reads into
 }
 
 // BatchResult is the outcome of one sub-operation. Exactly one of the
@@ -70,11 +64,6 @@ type BatchResult struct {
 // AllocateOp builds an ALLOCATE sub-op.
 func AllocateOp(maxSize int64, duration time.Duration, rel Reliability) BatchOp {
 	return BatchOp{Verb: OpAllocate, MaxSize: maxSize, Duration: duration, Rel: rel, Ref: -1}
-}
-
-// StoreOp builds a STORE sub-op against an existing write capability.
-func StoreOp(w Cap, data []byte) BatchOp {
-	return BatchOp{Verb: OpStore, Cap: w, Ref: -1, Data: data}
 }
 
 // StoreRefOp builds a STORE sub-op against the allocation minted by the
@@ -108,69 +97,48 @@ func ParseBatchRef(tok string) (int, bool) {
 	return i, true
 }
 
-// usesRefs reports whether any op references a batch-local allocation.
-func usesRefs(ops []BatchOp) bool {
-	for _, op := range ops {
-		if op.Verb != OpAllocate && op.Ref >= 0 {
-			return true
-		}
+// validate checks op client-side so a malformed request fails before it
+// touches the network: a batchable verb, a reference to an ALLOCATE among
+// earlier (the ops ahead of it in its batch; nil for a plain verb) or a
+// capability of the type VerbCap names, a payload under the wire cap, a
+// sane range or duration. Plain verbs and batch sub-ops share it.
+func (op BatchOp) validate(earlier []BatchOp) error {
+	if !Batchable(op.Verb) {
+		return fmt.Errorf("ibp: verb %q not batchable", op.Verb)
 	}
-	return false
-}
-
-// validateBatch sanity-checks ops client-side so malformed batches fail
-// before touching the network: known verbs, refs pointing at earlier
-// ALLOCATEs, capability types matching verbs, payloads under the wire cap.
-func validateBatch(ops []BatchOp) error {
-	if len(ops) == 0 {
-		return errors.New("ibp: empty batch")
+	if op.Verb == OpAllocate {
+		if op.MaxSize <= 0 {
+			return errors.New("ibp: allocation size must be positive")
+		}
+		if !ValidReliability(op.Rel) {
+			return fmt.Errorf("ibp: bad reliability %q", op.Rel)
+		}
+		return nil
 	}
-	if len(ops) > MaxBatchOps {
-		return fmt.Errorf("ibp: batch of %d ops exceeds limit %d", len(ops), MaxBatchOps)
+	if op.Ref >= 0 {
+		if op.Ref >= len(earlier) || earlier[op.Ref].Verb != OpAllocate {
+			return fmt.Errorf("ibp: ref @%d does not name an earlier ALLOCATE", op.Ref)
+		}
+	} else if want := VerbCap(op.Verb); op.Cap.Type != want {
+		return fmt.Errorf("ibp: %s requires a %s capability, got %s", op.Verb, want, op.Cap.Type)
 	}
-	for i, op := range ops {
-		switch op.Verb {
-		case OpAllocate:
-			if op.MaxSize <= 0 {
-				return fmt.Errorf("ibp: batch op %d: allocation size must be positive", i)
-			}
-			if !ValidReliability(op.Rel) {
-				return fmt.Errorf("ibp: batch op %d: bad reliability %q", i, op.Rel)
-			}
-			continue
-		case OpStore, OpLoad, OpExtend, OpProbe, OpDelete:
-		default:
-			return fmt.Errorf("ibp: batch op %d: verb %q not batchable", i, op.Verb)
-		}
-		if op.Ref >= 0 {
-			if op.Ref >= i || ops[op.Ref].Verb != OpAllocate {
-				return fmt.Errorf("ibp: batch op %d: ref @%d does not name an earlier ALLOCATE", i, op.Ref)
-			}
-		} else {
-			want := map[string]CapType{
-				OpStore: CapWrite, OpLoad: CapRead,
-				OpExtend: CapManage, OpProbe: CapManage, OpDelete: CapManage,
-			}[op.Verb]
-			if op.Cap.Type != want {
-				return fmt.Errorf("ibp: batch op %d: %s requires a %s capability, got %s", i, op.Verb, want, op.Cap.Type)
-			}
-		}
-		switch op.Verb {
-		case OpStore:
-			if int64(len(op.Data)) > wire.MaxBlobLen {
-				return fmt.Errorf("ibp: batch op %d: payload exceeds wire limit", i)
-			}
-		case OpLoad:
-			if op.Offset < 0 || op.Length < 0 {
-				return fmt.Errorf("ibp: batch op %d: negative offset or length", i)
-			}
-		case OpExtend:
-			if op.Duration <= 0 {
-				return fmt.Errorf("ibp: batch op %d: duration must be positive", i)
-			}
-		}
+	switch {
+	case op.Verb == OpStore && int64(len(op.Data)) > wire.MaxBlobLen:
+		return errors.New("ibp: store payload exceeds wire limit")
+	case op.Verb == OpLoad && (op.Offset < 0 || op.Length < 0):
+		return errors.New("ibp: load: negative offset or length")
+	case op.Verb == OpExtend && op.Duration <= 0:
+		return errors.New("ibp: extend: duration must be positive")
 	}
 	return nil
+}
+
+// payload is the byte count an op's event is credited with on success.
+func (op BatchOp) payload() int64 {
+	if op.Verb == OpStore {
+		return int64(len(op.Data))
+	}
+	return op.Length
 }
 
 // capToken renders the capability token for op, using an @-reference when
@@ -207,10 +175,9 @@ func writeBatchOp(conn *wire.Conn, op BatchOp) error {
 	}
 }
 
-// readBatchResult parses one sub-response. A *wire.RemoteError lands in
-// res.Err with the connection still usable (the next response follows); any
-// other error means the connection state is unknown and the batch must
-// stop.
+// readBatchResult parses one reply. A *wire.RemoteError lands in res.Err
+// with the connection still usable (the next reply follows); any other
+// error means the connection state is unknown and the exchange must stop.
 func readBatchResult(conn *wire.Conn, op BatchOp, res *BatchResult) error {
 	toks, err := conn.ReadStatus()
 	if err != nil {
@@ -220,80 +187,103 @@ func readBatchResult(conn *wire.Conn, op BatchOp, res *BatchResult) error {
 		}
 		return err
 	}
+	want := 1
 	switch op.Verb {
 	case OpAllocate:
-		if len(toks) != 3 {
-			return fmt.Errorf("ibp: batch allocate: want 3 caps, got %d", len(toks))
-		}
+		want = 3
+	case OpStore:
+		want = 2
+	case OpProbe:
+		want = 5
+	}
+	if len(toks) != want {
+		return fmt.Errorf("ibp: %s: malformed response %v", op.Verb, toks)
+	}
+	switch op.Verb {
+	case OpAllocate:
 		for i, dst := range []*Cap{&res.Caps.Read, &res.Caps.Write, &res.Caps.Manage} {
-			c, err := ParseCap(toks[i])
-			if err != nil {
-				return fmt.Errorf("ibp: batch allocate: %w", err)
+			if *dst, err = ParseCap(toks[i]); err != nil {
+				return fmt.Errorf("ibp: allocate: %w", err)
 			}
-			*dst = c
+		}
+		if res.Caps.Read.Type != CapRead || res.Caps.Write.Type != CapWrite || res.Caps.Manage.Type != CapManage {
+			return errors.New("ibp: allocate: capability types out of order")
 		}
 	case OpStore:
-		if len(toks) != 2 {
-			return fmt.Errorf("ibp: batch store: malformed response %v", toks)
-		}
-		if res.NewLen, err = wire.ParseInt("length", toks[1]); err != nil {
-			return err
-		}
+		res.NewLen, err = wire.ParseInt("length", toks[1])
 	case OpLoad:
-		if len(toks) != 1 {
-			return fmt.Errorf("ibp: batch load: malformed response %v", toks)
-		}
-		n, err := wire.ParseInt("length", toks[0])
-		if err != nil {
+		var n int64
+		if n, err = wire.ParseInt("length", toks[0]); err != nil {
 			return err
 		}
 		if n != op.Length {
-			return fmt.Errorf("ibp: batch load: depot returned %d bytes, want %d", n, op.Length)
+			return fmt.Errorf("ibp: load: depot returned %d bytes, want %d", n, op.Length)
 		}
-		if res.Data, err = conn.ReadBlob(n); err != nil {
+		if op.into == nil {
+			res.Data, err = conn.ReadBlob(n)
 			return err
 		}
+		res.Data = op.into
+		return conn.ReadBlobInto(op.into)
 	case OpExtend:
-		if len(toks) != 1 {
-			return fmt.Errorf("ibp: batch extend: malformed response %v", toks)
-		}
-		exp, err := wire.ParseInt("expires", toks[0])
-		if err != nil {
-			return err
-		}
-		res.Expires = time.Unix(exp, 0).UTC()
+		res.Expires, err = parseUnix(toks[0])
 	case OpProbe:
-		if len(toks) != 5 {
-			return fmt.Errorf("ibp: batch probe: malformed response %v", toks)
-		}
 		if res.Info.MaxSize, err = wire.ParseInt("maxsize", toks[0]); err != nil {
 			return err
 		}
 		if res.Info.Size, err = wire.ParseInt("size", toks[1]); err != nil {
 			return err
 		}
-		exp, err := wire.ParseInt("expires", toks[2])
-		if err != nil {
+		if res.Info.Expires, err = parseUnix(toks[2]); err != nil {
 			return err
 		}
-		res.Info.Expires = time.Unix(exp, 0).UTC()
 		res.Info.Reliability = Reliability(toks[3])
-		ref, err := wire.ParseInt("refcount", toks[4])
-		if err != nil {
-			return err
-		}
+		var ref int64
+		ref, err = wire.ParseInt("refcount", toks[4])
 		res.Info.RefCount = int(ref)
 	case OpDelete:
-		if len(toks) != 1 {
-			return fmt.Errorf("ibp: batch delete: malformed response %v", toks)
-		}
-		ref, err := wire.ParseInt("refcount", toks[0])
-		if err != nil {
-			return err
-		}
+		var ref int64
+		ref, err = wire.ParseInt("refcount", toks[0])
 		res.RefCnt = int(ref)
 	}
-	return nil
+	return err
+}
+
+// parseUnix parses an expiration token (Unix seconds).
+func parseUnix(tok string) (time.Time, error) {
+	sec, err := wire.ParseInt("expires", tok)
+	return time.Unix(sec, 0).UTC(), err
+}
+
+// pipeline is the codec's exchange: it writes ops — under a BATCH header
+// when batched — flushes once, and reads their replies into res. It
+// returns how many ops were answered and the transport error that stopped
+// it.
+func pipeline(conn *wire.Conn, ops []BatchOp, res []BatchResult, batched bool) (int, error) {
+	if batched {
+		if err := conn.WriteLineBuffered(OpBatch, wire.Itoa(int64(len(ops)))); err != nil {
+			return 0, err
+		}
+	}
+	for i := range ops {
+		if err := writeBatchOp(conn, ops[i]); err != nil {
+			return 0, err
+		}
+	}
+	if err := conn.Flush(); err != nil {
+		return 0, err
+	}
+	if batched {
+		if _, err := conn.ReadStatus(); err != nil {
+			return 0, err
+		}
+	}
+	for i := range ops {
+		if err := readBatchResult(conn, ops[i], &res[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(ops), nil
 }
 
 // Batch runs ops against the depot at addr as one pipelined exchange and
@@ -301,170 +291,34 @@ func readBatchResult(conn *wire.Conn, op BatchOp, res *BatchResult) error {
 // may contain non-idempotent STOREs); a connection failure mid-batch fails
 // the unanswered ops with that error while keeping the outcomes of the ops
 // already answered. Each sub-operation is reported to the health scoreboard
-// and the observer individually, exactly as the single-verb path would
-// report it — a batch is N operations, not one.
+// and the observer exactly as the same verb sent alone would be — a batch
+// is N operations, not one.
 //
-// A non-nil error means the batch could not run at all (validation,
-// circuit breaker, or sequential-fallback setup); results is nil then.
+// A non-nil error means the batch could not run at all (validation or the
+// circuit breaker); results is nil then.
 func (c *Client) Batch(addr string, ops []BatchOp) ([]BatchResult, error) {
-	if err := validateBatch(ops); err != nil {
-		return nil, err
+	if len(ops) == 0 {
+		return nil, errors.New("ibp: empty batch")
 	}
-	if usesRefs(ops) && !c.batches.allowed(addr) {
-		// The depot is known to predate BATCH and the batch leans on
-		// batch-local references only a new depot resolves: run the ops as
-		// plain sequential verbs (each reporting its own outcome via
-		// withConn).
-		return c.sequentialBatch(addr, ops)
-	}
-	if c.health != nil {
-		if err := c.health.Allow(addr); err != nil {
-			if c.obs != nil {
-				c.obs.Record(obs.Event{
-					Time: c.clock.Now(), Verb: OpBatch, Depot: addr,
-					Outcome: "circuit-open", Err: err.Error(),
-				})
-			}
-			return nil, err
-		}
-	}
-	start := c.clock.Now()
-	conn, reused, err := c.acquire(addr)
-	results := make([]BatchResult, len(ops))
-	if err != nil {
-		c.finishBatch(addr, ops, results, err, 0, reused, start)
-		return results, nil
-	}
-	answered, err := c.runBatch(conn, addr, ops, results)
-	c.release(addr, conn, err)
-	c.finishBatch(addr, ops, results, err, answered, reused, start)
-	return results, nil
-}
-
-// runBatch performs the pipelined exchange on an acquired connection. It
-// returns how many sub-responses were fully read and the transport error
-// that stopped the exchange (nil when all n were answered). Per-op remote
-// errors are recorded in results and do not stop the exchange.
-func (c *Client) runBatch(conn *wire.Conn, addr string, ops []BatchOp, results []BatchResult) (int, error) {
-	if err := conn.WriteLineBuffered(OpBatch, wire.Itoa(int64(len(ops)))); err != nil {
-		return 0, err
-	}
-	for _, op := range ops {
-		if err := writeBatchOp(conn, op); err != nil {
-			return 0, err
-		}
-	}
-	if err := conn.Flush(); err != nil {
-		return 0, err
-	}
-	// Batch ack. An old depot rejects the header with UNSUPPORTED but still
-	// executes the pipelined sub-requests as ordinary verbs, so either way n
-	// per-op responses follow.
-	if _, err := conn.ReadStatus(); err != nil {
-		if !wire.IsRemote(err, wire.CodeUnsupported) {
-			return 0, err
-		}
-		c.batches.markUnsupported(addr)
+	if len(ops) > MaxBatchOps {
+		return nil, fmt.Errorf("ibp: batch of %d ops exceeds limit %d", len(ops), MaxBatchOps)
 	}
 	for i := range ops {
-		if err := readBatchResult(conn, ops[i], &results[i]); err != nil {
-			results[i].Err = err
-			return i, err
+		if err := ops[i].validate(ops[:i]); err != nil {
+			return nil, fmt.Errorf("%w (batch op %d)", err, i)
 		}
 	}
-	return len(ops), nil
-}
-
-// finishBatch fails every unanswered result with the transport error and
-// emits per-op health reports and observer events. The batch's wall time is
-// split evenly across its ops so aggregate latency stays meaningful; there
-// is deliberately no batch-level health report — outcomes must count once.
-func (c *Client) finishBatch(addr string, ops []BatchOp, results []BatchResult, err error, answered int, reused bool, start time.Time) {
-	for i := answered; i < len(results); i++ {
-		if results[i].Err == nil {
-			if err != nil {
-				results[i].Err = err
-			} else {
-				results[i].Err = errors.New("ibp: batch aborted before this op")
-			}
-		}
-	}
-	elapsed := c.clock.Since(start)
-	perOp := elapsed / time.Duration(len(ops))
-	for i := range results {
-		if c.health != nil {
-			c.health.Report(addr, health.Classify(results[i].Err), perOp)
-		}
-		if c.obs != nil {
-			ev := obs.Event{
-				Time: start, Verb: ops[i].Verb, Depot: addr, Latency: perOp,
-				Outcome: health.Classify(results[i].Err).String(),
-				Reused:  reused, Batched: true,
-			}
-			if results[i].Err != nil {
-				ev.Err = results[i].Err.Error()
-			} else {
-				switch ops[i].Verb {
-				case OpStore:
-					ev.Bytes = int64(len(ops[i].Data))
-				case OpLoad:
-					ev.Bytes = ops[i].Length
-				}
-			}
-			c.obs.Record(ev)
-		}
-	}
-}
-
-// sequentialBatch runs the ops as ordinary single verbs, resolving
-// @-references from the results of earlier ALLOCATEs. Health and observer
-// reporting happen inside the individual calls.
-func (c *Client) sequentialBatch(addr string, ops []BatchOp) ([]BatchResult, error) {
 	results := make([]BatchResult, len(ops))
-	for i, op := range ops {
-		cp := op.Cap
-		if op.Verb != OpAllocate && op.Ref >= 0 {
-			ref := results[op.Ref]
-			if ref.Err != nil {
-				results[i].Err = fmt.Errorf("ibp: batch ref @%d failed: %w", op.Ref, ref.Err)
-				continue
-			}
-			switch op.Verb {
-			case OpStore:
-				cp = ref.Caps.Write
-			case OpLoad:
-				cp = ref.Caps.Read
-			default:
-				cp = ref.Caps.Manage
-			}
-		}
-		switch op.Verb {
-		case OpAllocate:
-			results[i].Caps, results[i].Err = c.Allocate(addr, op.MaxSize, op.Duration, op.Rel)
-		case OpStore:
-			results[i].NewLen, results[i].Err = c.Store(cp, op.Data)
-		case OpLoad:
-			results[i].Data, results[i].Err = c.Load(cp, op.Offset, op.Length)
-		case OpExtend:
-			results[i].Expires, results[i].Err = c.Extend(cp, op.Duration)
-		case OpProbe:
-			results[i].Info, results[i].Err = c.Probe(cp)
-		case OpDelete:
-			results[i].RefCnt, results[i].Err = c.Delete(cp)
-		}
+	if err := c.run(addr, ops, results, true, false, nil, nil); err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
 // AllocateStore mints an allocation and stores payload into it in one
-// round trip (ALLOCATE + STORE @0 in a batch). On a depot that predates
-// BATCH the store sub-op's @-reference fails per-op; AllocateStore detects
-// that and completes the store sequentially with the minted capability, so
-// callers always get 1-RTT behaviour against new depots and correct
-// behaviour against old ones.
-//
-// When the allocate succeeds but the store fails, the CapSet is returned
-// alongside the error so the caller can Delete the orphaned allocation.
+// round trip (ALLOCATE + STORE @0 in a batch). When the allocate succeeds
+// but the store fails, the CapSet is returned alongside the error so the
+// caller can Delete the orphaned allocation.
 func (c *Client) AllocateStore(addr string, maxSize int64, duration time.Duration, rel Reliability, payload []byte) (CapSet, error) {
 	res, err := c.Batch(addr, []BatchOp{
 		AllocateOp(maxSize, duration, rel),
@@ -476,21 +330,5 @@ func (c *Client) AllocateStore(addr string, maxSize int64, duration time.Duratio
 	if res[0].Err != nil {
 		return CapSet{}, res[0].Err
 	}
-	set := res[0].Caps
-	if res[1].Err == nil {
-		return set, nil
-	}
-	// The allocation exists but the batched store failed. If the failure
-	// smells like an old depot rejecting the @-reference (it answers
-	// BAD_REQUEST for the unparseable token), retry the store as a plain
-	// verb against the real capability; otherwise surface the error with
-	// the caps for cleanup.
-	if wire.IsRemote(res[1].Err, wire.CodeBadRequest) && !c.batches.allowed(addr) {
-		if _, serr := c.Store(set.Write, payload); serr == nil {
-			return set, nil
-		} else {
-			return set, serr
-		}
-	}
-	return set, res[1].Err
+	return res[0].Caps, res[1].Err
 }

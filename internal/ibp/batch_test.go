@@ -1,165 +1,14 @@
 package ibp
 
 import (
-	"bytes"
-	"net"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/health"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
-
-// oldDepotServer emulates a depot that predates the BATCH verb: it answers
-// ERR UNSUPPORTED to the header line and then executes the already-pipelined
-// sub-requests as ordinary single verbs — exactly what the real pre-BATCH
-// dispatch loop does with an unknown operation. ALLOCATE/STORE/LOAD are
-// implemented for real against an in-memory map so capability round trips
-// work.
-func oldDepotServer(t *testing.T, secret []byte) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	addr := ln.Addr().String()
-	var mu sync.Mutex
-	allocs := make(map[string][]byte)
-	go func() {
-		for {
-			raw, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(raw net.Conn) {
-				defer raw.Close()
-				conn := wire.NewConn(raw)
-				for {
-					toks, err := conn.ReadLine()
-					if err != nil {
-						return
-					}
-					if len(toks) == 0 {
-						continue
-					}
-					var werr error
-					switch toks[0] {
-					case OpAllocate:
-						key, _ := NewKey()
-						mu.Lock()
-						allocs[key] = []byte{}
-						mu.Unlock()
-						set := MintSet(secret, addr, key)
-						werr = conn.WriteOK(set.Read.String(), set.Write.String(), set.Manage.String())
-					case OpStore:
-						n, perr := wire.ParseInt("len", toks[2])
-						if perr != nil {
-							return
-						}
-						data, rerr := conn.ReadBlob(n)
-						if rerr != nil {
-							return
-						}
-						cap, cerr := ParseToken(addr, toks[1])
-						if cerr != nil {
-							// This is the answer an old depot gives a "@0"
-							// batch reference: it is not a parseable token.
-							werr = conn.WriteErr(wire.CodeBadRequest, "malformed capability")
-							break
-						}
-						mu.Lock()
-						allocs[cap.Key] = append(allocs[cap.Key], data...)
-						total := int64(len(allocs[cap.Key]))
-						mu.Unlock()
-						werr = conn.WriteOK(wire.Itoa(n), wire.Itoa(total))
-					case OpLoad:
-						cap, cerr := ParseToken(addr, toks[1])
-						if cerr != nil {
-							werr = conn.WriteErr(wire.CodeBadRequest, "malformed capability")
-							break
-						}
-						off, _ := wire.ParseInt("off", toks[2])
-						n, _ := wire.ParseInt("len", toks[3])
-						mu.Lock()
-						data := allocs[cap.Key]
-						mu.Unlock()
-						if off+n > int64(len(data)) {
-							werr = conn.WriteErr(wire.CodeOutOfRange, "beyond written length")
-							break
-						}
-						if werr = conn.WriteOK(wire.Itoa(n)); werr == nil {
-							werr = conn.WriteBlob(data[off : off+n])
-						}
-					default:
-						// Unknown verb — including BATCH — is answered and
-						// skipped, leaving the pipelined stream to be handled
-						// as plain operations.
-						werr = conn.WriteErr(wire.CodeUnsupported, "unknown operation %s", toks[0])
-					}
-					if werr != nil {
-						return
-					}
-				}
-			}(raw)
-		}
-	}()
-	return addr
-}
-
-func TestBatchAgainstOldDepot(t *testing.T) {
-	secret := []byte("old-depot-secret")
-	addr := oldDepotServer(t, secret)
-	c := NewClient()
-	payload := []byte("survives the downgrade")
-
-	// AllocateStore leans on a batch-local reference the old depot cannot
-	// resolve; the helper must detect the rejection and finish the store
-	// sequentially with the real minted capability.
-	set, err := c.AllocateStore(addr, 1<<16, time.Hour, Hard, payload)
-	if err != nil {
-		t.Fatalf("AllocateStore against old depot: %v", err)
-	}
-	got, err := c.Load(set.Read, 0, int64(len(payload)))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("load after fallback store: %v", err)
-	}
-	// The rejection must be cached so the next ref-batch skips the wire
-	// attempt entirely and runs sequentially.
-	if c.batches.allowed(addr) {
-		t.Fatal("old depot not marked batch-unsupported")
-	}
-	set2, err := c.AllocateStore(addr, 1<<16, time.Hour, Hard, payload)
-	if err != nil {
-		t.Fatalf("second AllocateStore (sequential path): %v", err)
-	}
-	if got, err := c.Load(set2.Read, 0, int64(len(payload))); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("load after sequential store: %v", err)
-	}
-}
-
-func TestBatchWithoutRefsWorksOnOldDepot(t *testing.T) {
-	// A ref-free batch is pure pipelining: the old depot rejects only the
-	// header and still executes every sub-op, so results come back whole.
-	secret := []byte("old-depot-secret")
-	addr := oldDepotServer(t, secret)
-	c := NewClient()
-	res, err := c.Batch(addr, []BatchOp{
-		AllocateOp(1<<16, time.Hour, Hard),
-		AllocateOp(1<<16, time.Hour, Hard),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("op %d: %v", i, r.Err)
-		}
-		if r.Caps.Read.Type != CapRead {
-			t.Fatalf("op %d returned bad caps", i)
-		}
-	}
-}
 
 func TestBatchValidation(t *testing.T) {
 	c := NewClient()
@@ -199,4 +48,130 @@ func TestParseBatchRef(t *testing.T) {
 			t.Fatalf("ParseBatchRef(%q) should fail", bad)
 		}
 	}
+}
+
+// TestBatchEventsCarryTrace pins the trace stamp on batch sub-ops: under a
+// sampled span every sub-op's event carries the trace, parents onto the
+// span and has its own span ID, exactly as the same verb sent alone would,
+// so a traced upload or refresh shows every ALLOCATE, STORE and EXTEND it
+// ran.
+func TestBatchEventsCarryTrace(t *testing.T) {
+	set := MintSet([]byte("s"), "depot.example:6714", strings.Repeat("ab", KeyLen))
+	exp := wire.Itoa(time.Now().Add(time.Hour).Unix())
+	addr := scriptServer(t,
+		"OK 2", "OK "+set.Read.String()+" "+set.Write.String()+" "+set.Manage.String(), "OK 5 5",
+		"OK 3", "OK "+exp, "OK "+exp, "OK "+exp,
+	)
+	root := obs.NewRootSpan()
+	col := obs.NewCollector(16)
+	c := NewClient(WithObserver(col)).WithSpan(root)
+
+	if _, err := c.AllocateStore(addr, 64, time.Hour, Hard, []byte("hello")); err != nil {
+		t.Fatalf("AllocateStore: %v", err)
+	}
+	extend := ExtendOp(set.Manage, time.Hour)
+	res, err := c.Batch(addr, []BatchOp{extend, extend, extend})
+	if err != nil {
+		t.Fatalf("Batch: %v", err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("extend %d: %v", i, r.Err)
+		}
+	}
+
+	evs := col.TraceEvents(root.TraceID)
+	wantVerbs := []string{OpAllocate, OpStore, OpExtend, OpExtend, OpExtend}
+	if len(evs) != len(wantVerbs) {
+		t.Fatalf("trace holds %d events, want %d: %+v", len(evs), len(wantVerbs), col.Recent(0))
+	}
+	spans := map[string]bool{}
+	for i, e := range evs {
+		if e.Verb != wantVerbs[i] || !e.Batched || e.Parent != root.SpanID || e.Span == "" || e.Span == root.SpanID {
+			t.Errorf("event %d = %+v, want a batched %s parented on %s with its own span", i, e, wantVerbs[i], root.SpanID)
+		}
+		if spans[e.Span] {
+			t.Errorf("event %d reuses span %s", i, e.Span)
+		}
+		spans[e.Span] = true
+	}
+}
+
+// TestSingleAndBatchedVerbsAgree runs each verb alone and as a 1-op batch
+// against the same scripted reply (or with the same bad argument): one
+// codec and one validation mean both paths fail, and fail the same way.
+func TestSingleAndBatchedVerbsAgree(t *testing.T) {
+	key := strings.Repeat("cd", KeyLen)
+	other := MintSet([]byte("s"), "depot.example:6714", key)
+	rows := []struct {
+		name  string
+		reply string
+		op    func(s CapSet) BatchOp // s names the scripted server
+	}{
+		{
+			name:  "caps out of order",
+			reply: "OK " + other.Write.String() + " " + other.Read.String() + " " + other.Manage.String(),
+			op:    func(CapSet) BatchOp { return AllocateOp(64, time.Hour, Hard) },
+		},
+		{
+			name:  "short store reply",
+			reply: "OK 5",
+			op:    func(s CapSet) BatchOp { return BatchOp{Verb: OpStore, Cap: s.Write, Ref: -1, Data: []byte("hello")} },
+		},
+		{
+			name:  "load length mismatch",
+			reply: "OK 3",
+			op:    func(s CapSet) BatchOp { return LoadOp(s.Read, 0, 5) },
+		},
+		{
+			name:  "remote error",
+			reply: "ERR NOT_FOUND gone",
+			op:    func(s CapSet) BatchOp { return BatchOp{Verb: OpProbe, Cap: s.Manage, Ref: -1} },
+		},
+		{
+			name:  "extend duration 0",
+			reply: "OK " + wire.Itoa(time.Now().Unix()),
+			op:    func(s CapSet) BatchOp { return ExtendOp(s.Manage, 0) },
+		},
+		{
+			name:  "wrong capability type",
+			reply: "OK 0",
+			op:    func(s CapSet) BatchOp { return BatchOp{Verb: OpDelete, Cap: s.Read, Ref: -1} },
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			addr := scriptServer(t, row.reply)
+			single := alone(NewClient(), addr, row.op(MintSet([]byte("s"), addr, key)))
+			addr = scriptServer(t, "OK 1", row.reply)
+			res, batched := NewClient().Batch(addr, []BatchOp{row.op(MintSet([]byte("s"), addr, key))})
+			if batched == nil {
+				batched = res[0].Err
+			}
+			if single == nil || batched == nil || health.Classify(single) != health.Classify(batched) {
+				t.Fatalf("single verb: %v (%s); 1-op batch: %v (%s); want the same failure class",
+					single, health.Classify(single), batched, health.Classify(batched))
+			}
+		})
+	}
+}
+
+// alone runs op through its single-verb method against addr.
+func alone(c *Client, addr string, op BatchOp) error {
+	var err error
+	switch op.Verb {
+	case OpAllocate:
+		_, err = c.Allocate(addr, op.MaxSize, op.Duration, op.Rel)
+	case OpStore:
+		_, err = c.Store(op.Cap, op.Data)
+	case OpLoad:
+		_, err = c.Load(op.Cap, op.Offset, op.Length)
+	case OpProbe:
+		_, err = c.Probe(op.Cap)
+	case OpExtend:
+		_, err = c.Extend(op.Cap, op.Duration)
+	case OpDelete:
+		_, err = c.Delete(op.Cap)
+	}
+	return err
 }

@@ -111,6 +111,17 @@ type CapSet struct {
 	Manage Cap
 }
 
+// Of returns the trio's capability of type t.
+func (s CapSet) Of(t CapType) Cap {
+	switch t {
+	case CapRead:
+		return s.Read
+	case CapWrite:
+		return s.Write
+	}
+	return s.Manage
+}
+
 // NewKey generates a fresh random allocation key.
 func NewKey() (string, error) {
 	var b [KeyLen]byte

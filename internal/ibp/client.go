@@ -3,7 +3,6 @@ package ibp
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/health"
@@ -25,33 +24,6 @@ type Client struct {
 	health      *health.Scoreboard
 	obs         obs.Observer
 	span        obs.SpanContext // parent span for this client's operations
-	traces      *traceSupport   // per-depot TRACE support cache, shared across WithSpan copies
-	batches     *traceSupport   // per-depot BATCH support cache (same negotiate-once model)
-}
-
-// traceSupport remembers which depots rejected the TRACE verb, so a client
-// pays the extra negotiation round trip at most once per old depot.
-type traceSupport struct {
-	mu          sync.Mutex
-	unsupported map[string]bool
-}
-
-func (t *traceSupport) allowed(addr string) bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return !t.unsupported[addr]
-}
-
-func (t *traceSupport) markUnsupported(addr string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.unsupported[addr] = true
-	t.mu.Unlock()
 }
 
 // Option configures a Client.
@@ -90,11 +62,10 @@ func WithObserver(o obs.Observer) Option { return func(c *Client) { c.obs = o } 
 func (c *Client) Observer() obs.Observer { return c.obs }
 
 // WithSpan returns a client whose operations run under the given span:
-// sampled contexts are propagated to depots over the wire (via the TRACE
-// verb, when the depot supports it) and stamped onto emitted events, with
-// sc as the parent span. The returned client shares this client's pool,
-// scoreboard, observer, and trace-support cache — deriving one per extent
-// is cheap.
+// sampled contexts are stamped onto emitted events, with sc as the parent
+// span, and a plain verb carries its span to the depot with the TRACE verb.
+// The returned client shares this client's pool, scoreboard and observer —
+// deriving one per extent is cheap.
 func (c *Client) WithSpan(sc obs.SpanContext) *Client {
 	c2 := *c
 	c2.span = sc
@@ -111,8 +82,6 @@ func NewClient(opts ...Option) *Client {
 		clock:       vclock.Real(),
 		dialTimeout: 5 * time.Second,
 		opTimeout:   30 * time.Second,
-		traces:      &traceSupport{unsupported: make(map[string]bool)},
-		batches:     &traceSupport{unsupported: make(map[string]bool)},
 	}
 	for _, o := range opts {
 		o(c)
@@ -154,254 +123,225 @@ func (c *Client) applyDeadline(conn *wire.Conn) error {
 // because a faster replica existed) and are never retried on a fresh dial.
 var ErrCancelled = errors.New("ibp: operation cancelled")
 
-// withConn runs one protocol exchange on a pooled or fresh connection,
-// retrying once on a fresh dial when a reused connection turns out stale.
-// op must be safe to re-run from scratch (all client exchanges are: they
-// buffer their own output). With a scoreboard attached, the depot's
-// circuit breaker is consulted first and the exchange's final outcome is
-// reported back. With an observer attached, one event is emitted per
-// operation; bytes is the payload size credited to a successful exchange.
-func (c *Client) withConn(verb, addr string, bytes int64, retryable bool, op func(conn *wire.Conn) error) error {
-	return c.withConnCancel(verb, addr, bytes, retryable, nil, op)
-}
-
-// withConnCancel is withConn with an optional cancel channel. When cancel
-// fires mid-exchange the connection is closed out from under the operation
-// (unblocking any pending read) and the error collapses to ErrCancelled;
-// health reporting is skipped for cancelled exchanges and the observer sees
-// outcome "cancelled". A nil cancel behaves exactly like withConn.
-func (c *Client) withConnCancel(verb, addr string, bytes int64, retryable bool, cancel <-chan struct{}, op func(conn *wire.Conn) error) error {
+// run is the one exchange path: every operation, a plain verb or a batch
+// sub-op, goes through it and is reported by it. It consults the depot's
+// circuit breaker, runs the exchange on a pooled or fresh connection
+// (retried once on a fresh dial when retryable and a reused connection
+// turns out stale), and then reports each op once: a health outcome (never
+// for a cancelled op, nor for one the breaker refused), an observer event,
+// and under a sampled span a trace stamp with the op's own span ID. A plain
+// verb carries that span to the depot with TRACE and folds the depot's
+// server span into its event; a batch's wall time is split evenly across
+// its ops.
+//
+// The exchange is body, or when body is nil the codec's pipeline of ops.
+// It returns how many ops it answered and the transport error that stopped
+// it; that error fails every unanswered op and closes the connection.
+// cancel, when it fires, abandons the exchange with ErrCancelled. run sets
+// res[i].Err for every op that failed, and returns the error of an
+// exchange that never started (breaker refusal or cancel already fired).
+func (c *Client) run(addr string, ops []BatchOp, res []BatchResult, batched, retryable bool, cancel <-chan struct{}, body func(*wire.Conn) (int, error)) error {
+	select {
+	case <-cancel:
+		// Abandoned before it began: no dial, no report.
+		for i := range res {
+			res[i].Err = ErrCancelled
+		}
+		return ErrCancelled
+	default:
+	}
 	start := c.clock.Now()
-	traced := c.span.Sampled && c.span.Valid()
-	var opSpan, serverTrailer string
-	if traced {
-		opSpan = obs.NewSpanID()
-		inner := op
-		op = func(conn *wire.Conn) error {
-			if err := c.sendTrace(conn, addr, opSpan); err != nil {
-				return err
+	var spans []string
+	if c.span.Sampled && c.span.Valid() {
+		spans = make([]string, len(ops))
+		for i := range spans {
+			spans[i] = obs.NewSpanID()
+		}
+	}
+	if body == nil {
+		body = func(conn *wire.Conn) (int, error) { return pipeline(conn, ops, res, batched) }
+	}
+	op := body
+	var trailer string
+	if spans != nil && !batched {
+		op = func(conn *wire.Conn) (int, error) {
+			if err := conn.WriteLine(OpTrace, c.span.TraceID, spans[0], "1"); err != nil {
+				return 0, err
 			}
-			err := inner(conn)
-			// Grab the depot's span summary before the connection returns to
-			// the pool, and disarm capture so an untraced op reusing the
-			// pooled connection is not surprised by leftover state.
-			serverTrailer = conn.StatusTrailer()
+			if _, err := conn.ReadStatus(); err != nil {
+				return 0, err
+			}
+			conn.CaptureStatusTrailer(obs.TrailerPrefix)
+			n, err := body(conn)
+			// Take the depot's span summary before the connection returns to
+			// the pool, and disarm capture for the next op on it.
+			trailer = conn.StatusTrailer()
 			conn.CaptureStatusTrailer("")
-			return err
+			return n, err
 		}
 	}
 	if cancel != nil {
-		select {
-		case <-cancel:
-			return ErrCancelled
-		default:
-		}
-		inner := op
-		op = func(conn *wire.Conn) error {
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			killed := false
-			go func() {
-				defer close(done)
-				select {
-				case <-cancel:
-					killed = true
-					conn.Close()
-				case <-stop:
-				}
-			}()
-			err := inner(conn)
-			close(stop)
-			<-done
-			if killed {
-				// Even a completed exchange is discarded: the race already
-				// has a winner, and the closed conn must not be pooled.
-				return ErrCancelled
-			}
-			return err
-		}
+		op = cancellable(op, cancel)
 	}
+	var (
+		answered        int
+		reused, retried bool
+		err             error
+	)
 	if c.health != nil {
-		if err := c.health.Allow(addr); err != nil {
-			if c.obs != nil {
-				ev := obs.Event{
-					Time: start, Verb: verb, Depot: addr,
-					Outcome: "circuit-open", Err: err.Error(),
-				}
-				c.stampTrace(&ev, opSpan, "")
-				c.obs.Record(ev)
-			}
-			return err
+		err = c.health.Allow(addr)
+	}
+	refused := err != nil
+	if !refused {
+		answered, reused, retried, err = c.exchange(addr, retryable, op)
+	}
+	latency := c.clock.Since(start) / time.Duration(len(ops))
+	for i := range ops {
+		if i >= answered {
+			res[i].Err = err
 		}
-	}
-	reused, retried, err := c.exchange(addr, retryable, op)
-	elapsed := c.clock.Since(start)
-	cancelled := errors.Is(err, ErrCancelled)
-	if c.health != nil && !cancelled {
-		c.health.Report(addr, health.Classify(err), elapsed)
-	}
-	if c.obs != nil {
+		opErr := res[i].Err
+		outcome := health.Classify(opErr)
 		ev := obs.Event{
-			Time: start, Verb: verb, Depot: addr, Latency: elapsed,
-			Outcome: health.Classify(err).String(),
-			Reused:  reused, Retried: retried,
+			Time: start, Verb: ops[i].Verb, Depot: addr, Latency: latency,
+			Outcome: outcome.String(), Reused: reused, Retried: retried, Batched: batched,
 		}
-		if cancelled {
+		switch {
+		case refused:
+			ev.Outcome = "circuit-open"
+		case errors.Is(opErr, ErrCancelled):
 			ev.Outcome = "cancelled"
+		case c.health != nil:
+			c.health.Report(addr, outcome, latency)
 		}
-		if err != nil {
-			ev.Err = err.Error()
+		if c.obs == nil {
+			continue
+		}
+		if opErr != nil {
+			ev.Err = opErr.Error()
 		} else {
-			ev.Bytes = bytes
+			ev.Bytes = ops[i].payload()
 		}
-		c.stampTrace(&ev, opSpan, serverTrailer)
+		if spans != nil {
+			ev.Trace, ev.Span, ev.Parent = c.span.TraceID, spans[i], c.span.SpanID
+			if ws, ok := obs.ParseWireSpan(trailer); ok {
+				ev.Server = &ws
+			}
+		}
 		c.obs.Record(ev)
 	}
-	return err
-}
-
-// sendTrace propagates the client's span to the depot ahead of the real
-// operation: "TRACE <traceid> <opspan> 1". A depot that predates the verb
-// answers ERR UNSUPPORTED; the rejection is cached per address and the
-// exchange proceeds untraced on the same connection (unknown verbs do not
-// poison it). On acceptance, trailer capture is armed so the depot's
-// server-span token comes back on the operation's own status line.
-func (c *Client) sendTrace(conn *wire.Conn, addr, opSpan string) error {
-	if !c.traces.allowed(addr) {
-		return nil
-	}
-	if err := conn.WriteLine(OpTrace, c.span.TraceID, opSpan, "1"); err != nil {
+	if refused {
 		return err
 	}
-	if _, err := conn.ReadStatus(); err != nil {
-		if wire.IsRemote(err, wire.CodeUnsupported) {
-			c.traces.markUnsupported(addr)
-			return nil
-		}
-		return err
-	}
-	conn.CaptureStatusTrailer(obs.TrailerPrefix)
 	return nil
 }
 
-// stampTrace fills an event's trace-correlation fields when the client is
-// operating under a sampled span.
-func (c *Client) stampTrace(ev *obs.Event, opSpan, serverTrailer string) {
-	if !(c.span.Sampled && c.span.Valid()) {
-		return
-	}
-	ev.Trace = c.span.TraceID
-	ev.Span = opSpan
-	ev.Parent = c.span.SpanID
-	if ws, ok := obs.ParseWireSpan(serverTrailer); ok {
-		ev.Server = &ws
+// cancellable wraps an exchange so that cancel firing mid-exchange closes
+// the connection out from under it (unblocking any pending read) and the
+// exchange fails with ErrCancelled.
+func cancellable(op func(*wire.Conn) (int, error), cancel <-chan struct{}) func(*wire.Conn) (int, error) {
+	return func(conn *wire.Conn) (int, error) {
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		killed := false
+		go func() {
+			defer close(done)
+			select {
+			case <-cancel:
+				killed = true
+				conn.Close()
+			case <-stop:
+			}
+		}()
+		n, err := op(conn)
+		close(stop)
+		<-done
+		if killed {
+			// Even a completed exchange is discarded: the race already has
+			// a winner, and the closed conn must not be pooled.
+			return 0, ErrCancelled
+		}
+		return n, err
 	}
 }
 
-// exchange is withConn without the health or event bookkeeping. It reports
-// whether the exchange ran on a pooled connection and whether it was
-// retried on a fresh dial.
-func (c *Client) exchange(addr string, retryable bool, op func(conn *wire.Conn) error) (reused, retried bool, err error) {
+// exchange runs op on a pooled or fresh connection, retrying once on a
+// fresh dial when retryable and a reused connection turns out stale. It
+// reports how many ops op answered, whether it ran on a pooled connection
+// and whether it was retried.
+func (c *Client) exchange(addr string, retryable bool, op func(*wire.Conn) (int, error)) (answered int, reused, retried bool, err error) {
 	conn, reused, err := c.acquire(addr)
 	if err != nil {
-		return reused, false, err
+		return 0, reused, false, err
 	}
-	err = op(conn)
+	answered, err = op(conn)
 	if err != nil && reused && retryable && isConnReuseError(err) {
 		conn.Close()
 		fresh, derr := c.dialFresh(addr)
 		if derr != nil {
-			return reused, false, err
+			return answered, reused, false, err
 		}
-		err = op(fresh)
+		answered, err = op(fresh)
 		c.release(addr, fresh, err)
-		return reused, true, err
+		return answered, reused, true, err
 	}
 	c.release(addr, conn, err)
-	return reused, false, err
+	return answered, reused, false, err
+}
+
+// do runs one batchable verb as a plain request line through run: written
+// and flushed once, read by the codec, reported like a batch sub-op. On
+// failure the result is zero but for Err.
+func (c *Client) do(addr string, op BatchOp, cancel <-chan struct{}) BatchResult {
+	if err := op.validate(nil); err != nil {
+		return BatchResult{Err: err}
+	}
+	ops, res := [1]BatchOp{op}, [1]BatchResult{}
+	// Only reads and absolute updates are re-sent after a stale pooled
+	// connection: ALLOCATE mints, STORE appends and DELETE decrements.
+	retryable := op.Verb == OpLoad || op.Verb == OpProbe || op.Verb == OpExtend
+	c.run(addr, ops[:], res[:], false, retryable, cancel, nil)
+	if res[0].Err != nil {
+		return BatchResult{Err: res[0].Err}
+	}
+	return res[0]
+}
+
+// call runs a verb outside the codec (STATUS, METRICS, COPY) through run:
+// op names it for the report, and exchange writes its request and parses
+// its reply. A remote error fails the op but keeps the connection.
+func (c *Client) call(addr string, op BatchOp, retryable bool, exchange func(*wire.Conn) error) error {
+	ops, res := [1]BatchOp{op}, [1]BatchResult{}
+	c.run(addr, ops[:], res[:], false, retryable, nil, func(conn *wire.Conn) (int, error) {
+		err := exchange(conn)
+		if err != nil && !wire.IsRemoteAny(err) {
+			return 0, err
+		}
+		res[0].Err = err
+		return 1, nil
+	})
+	return res[0].Err
 }
 
 // Allocate requests a byte array of up to maxSize bytes for duration on the
 // depot at addr, returning the capability trio.
 func (c *Client) Allocate(addr string, maxSize int64, duration time.Duration, rel Reliability) (CapSet, error) {
-	if maxSize <= 0 {
-		return CapSet{}, errors.New("ibp: allocation size must be positive")
-	}
-	if !ValidReliability(rel) {
-		return CapSet{}, fmt.Errorf("ibp: bad reliability %q", rel)
-	}
-	var set CapSet
-	err := c.withConn(OpAllocate, addr, 0, false, func(conn *wire.Conn) error {
-		err := conn.WriteLine(OpAllocate, wire.Itoa(maxSize), wire.Itoa(int64(duration.Seconds())), string(rel))
-		if err != nil {
-			return err
-		}
-		toks, err := conn.ReadStatus()
-		if err != nil {
-			return err
-		}
-		if len(toks) != 3 {
-			return fmt.Errorf("ibp: allocate: want 3 caps, got %d", len(toks))
-		}
-		for i, dst := range []*Cap{&set.Read, &set.Write, &set.Manage} {
-			cap, err := ParseCap(toks[i])
-			if err != nil {
-				return fmt.Errorf("ibp: allocate: %w", err)
-			}
-			*dst = cap
-		}
-		if set.Read.Type != CapRead || set.Write.Type != CapWrite || set.Manage.Type != CapManage {
-			return errors.New("ibp: allocate: capability types out of order")
-		}
-		return nil
-	})
-	if err != nil {
-		return CapSet{}, err
-	}
-	return set, nil
+	r := c.do(addr, AllocateOp(maxSize, duration, rel), nil)
+	return r.Caps, r.Err
 }
 
 // Store appends data to the byte array named by the write capability and
 // returns the new total length.
 func (c *Client) Store(w Cap, data []byte) (int64, error) {
-	if w.Type != CapWrite {
-		return 0, fmt.Errorf("ibp: store requires a WRITE capability, got %s", w.Type)
-	}
-	var newLen int64
-	// Store is append-only and therefore NOT idempotent: never retry it
-	// on a stale pooled connection.
-	err := c.withConn(OpStore, w.Addr, int64(len(data)), false, func(conn *wire.Conn) error {
-		if err := conn.WriteLine(OpStore, w.Token(), wire.Itoa(int64(len(data)))); err != nil {
-			return err
-		}
-		if err := conn.WriteBlob(data); err != nil {
-			return err
-		}
-		toks, err := conn.ReadStatus()
-		if err != nil {
-			return err
-		}
-		if len(toks) != 2 {
-			return fmt.Errorf("ibp: store: malformed response %v", toks)
-		}
-		newLen, err = wire.ParseInt("length", toks[1])
-		return err
-	})
-	return newLen, err
+	r := c.do(w.Addr, BatchOp{Verb: OpStore, Cap: w, Ref: -1, Data: data}, nil)
+	return r.NewLen, r.Err
 }
 
 // Load reads length bytes at offset from the byte array named by the read
 // capability.
 func (c *Client) Load(r Cap, offset, length int64) ([]byte, error) {
-	var buf []byte
-	// Load buffers internally, so a retry on a stale pooled connection is
-	// safe.
-	err := c.load(r, offset, length, nil, func(conn *wire.Conn, n int64) error {
-		var err error
-		buf, err = conn.ReadBlob(n)
-		return err
-	})
-	return buf, err
+	res := c.do(r.Addr, LoadOp(r, offset, length), nil)
+	return res.Data, res.Err
 }
 
 // LoadIntoCancel reads len(dst) bytes at offset into the caller-owned dst,
@@ -411,139 +351,32 @@ func (c *Client) Load(r Cap, offset, length int64) ([]byte, error) {
 // ErrCancelled — the transfer engine abandons the losing side of a hedged
 // read this way. A nil cancel never fires. dst is only valid once the call
 // returns nil; a cancelled or failed call may have written any prefix of
-// it.
+// it (a retry on a stale pooled connection overwrites it from the start).
 func (c *Client) LoadIntoCancel(dst []byte, r Cap, offset int64, cancel <-chan struct{}) error {
-	// Reading into dst is idempotent — a retry on a stale pooled connection
-	// simply overwrites from the start (cancelled exchanges never retry:
-	// ErrCancelled is not a conn-reuse error).
-	return c.load(r, offset, int64(len(dst)), cancel, func(conn *wire.Conn, n int64) error {
-		return conn.ReadBlobInto(dst)
-	})
-}
-
-func (c *Client) load(r Cap, offset, length int64, cancel <-chan struct{}, consume func(*wire.Conn, int64) error) error {
-	if r.Type != CapRead {
-		return fmt.Errorf("ibp: load requires a READ capability, got %s", r.Type)
-	}
-	if offset < 0 || length < 0 {
-		return fmt.Errorf("ibp: load: negative offset or length")
-	}
-	return c.withConnCancel(OpLoad, r.Addr, length, true, cancel, func(conn *wire.Conn) error {
-		if err := conn.WriteLine(OpLoad, r.Token(), wire.Itoa(offset), wire.Itoa(length)); err != nil {
-			return err
-		}
-		toks, err := conn.ReadStatus()
-		if err != nil {
-			return err
-		}
-		if len(toks) != 1 {
-			return fmt.Errorf("ibp: load: malformed response %v", toks)
-		}
-		n, err := wire.ParseInt("length", toks[0])
-		if err != nil {
-			return err
-		}
-		if n != length {
-			return fmt.Errorf("ibp: load: depot returned %d bytes, want %d", n, length)
-		}
-		return consume(conn, n)
-	})
+	op := LoadOp(r, offset, int64(len(dst)))
+	op.into = dst
+	return c.do(r.Addr, op, cancel).Err
 }
 
 // Probe returns the metadata of the allocation named by the manage
 // capability.
 func (c *Client) Probe(m Cap) (AllocInfo, error) {
-	if m.Type != CapManage {
-		return AllocInfo{}, fmt.Errorf("ibp: probe requires a MANAGE capability, got %s", m.Type)
-	}
-	var info AllocInfo
-	err := c.withConn(OpProbe, m.Addr, 0, true, func(conn *wire.Conn) error {
-		if err := conn.WriteLine(OpProbe, m.Token()); err != nil {
-			return err
-		}
-		toks, err := conn.ReadStatus()
-		if err != nil {
-			return err
-		}
-		if len(toks) != 5 {
-			return fmt.Errorf("ibp: probe: malformed response %v", toks)
-		}
-		if info.MaxSize, err = wire.ParseInt("maxsize", toks[0]); err != nil {
-			return err
-		}
-		if info.Size, err = wire.ParseInt("size", toks[1]); err != nil {
-			return err
-		}
-		exp, err := wire.ParseInt("expires", toks[2])
-		if err != nil {
-			return err
-		}
-		info.Expires = time.Unix(exp, 0).UTC()
-		info.Reliability = Reliability(toks[3])
-		ref, err := wire.ParseInt("refcount", toks[4])
-		if err != nil {
-			return err
-		}
-		info.RefCount = int(ref)
-		return nil
-	})
-	if err != nil {
-		return AllocInfo{}, err
-	}
-	return info, nil
+	r := c.do(m.Addr, BatchOp{Verb: OpProbe, Cap: m, Ref: -1}, nil)
+	return r.Info, r.Err
 }
 
 // Extend pushes the allocation's expiration to now+duration (the Refresh
 // tool uses this; paper §2.3). It returns the new expiration.
 func (c *Client) Extend(m Cap, duration time.Duration) (time.Time, error) {
-	if m.Type != CapManage {
-		return time.Time{}, fmt.Errorf("ibp: extend requires a MANAGE capability, got %s", m.Type)
-	}
-	var out time.Time
-	err := c.withConn(OpExtend, m.Addr, 0, true, func(conn *wire.Conn) error {
-		if err := conn.WriteLine(OpExtend, m.Token(), wire.Itoa(int64(duration.Seconds()))); err != nil {
-			return err
-		}
-		toks, err := conn.ReadStatus()
-		if err != nil {
-			return err
-		}
-		if len(toks) != 1 {
-			return fmt.Errorf("ibp: extend: malformed response %v", toks)
-		}
-		exp, err := wire.ParseInt("expires", toks[0])
-		if err != nil {
-			return err
-		}
-		out = time.Unix(exp, 0).UTC()
-		return nil
-	})
-	return out, err
+	r := c.do(m.Addr, ExtendOp(m, duration), nil)
+	return r.Expires, r.Err
 }
 
 // Delete decrements the allocation's reference count; the depot frees the
 // byte array when it reaches zero. It returns the remaining count.
 func (c *Client) Delete(m Cap) (int, error) {
-	if m.Type != CapManage {
-		return 0, fmt.Errorf("ibp: delete requires a MANAGE capability, got %s", m.Type)
-	}
-	var ref int64
-	// Delete decrements a refcount: not idempotent, never retried.
-	err := c.withConn(OpDelete, m.Addr, 0, false, func(conn *wire.Conn) error {
-		if err := conn.WriteLine(OpDelete, m.Token()); err != nil {
-			return err
-		}
-		toks, err := conn.ReadStatus()
-		if err != nil {
-			return err
-		}
-		if len(toks) != 1 {
-			return fmt.Errorf("ibp: delete: malformed response %v", toks)
-		}
-		ref, err = wire.ParseInt("refcount", toks[0])
-		return err
-	})
-	return int(ref), err
+	r := c.do(m.Addr, BatchOp{Verb: OpDelete, Cap: m, Ref: -1}, nil)
+	return r.RefCnt, r.Err
 }
 
 // Copy asks the depot holding src to transfer length bytes at offset
@@ -562,7 +395,7 @@ func (c *Client) Copy(src Cap, offset, length int64, dst Cap) (int64, error) {
 	}
 	var newLen int64
 	// Copy appends at the destination: not idempotent, never retried.
-	err := c.withConn(OpCopy, src.Addr, length, false, func(conn *wire.Conn) error {
+	err := c.call(src.Addr, BatchOp{Verb: OpCopy, Length: length}, false, func(conn *wire.Conn) error {
 		err := conn.WriteLine(OpCopy, src.Token(), wire.Itoa(offset), wire.Itoa(length), dst.String())
 		if err != nil {
 			return err
@@ -580,50 +413,6 @@ func (c *Client) Copy(src Cap, offset, length int64, dst Cap) (int64, error) {
 	return newLen, err
 }
 
-// MCopy is the multicast form of Copy: one read on the source depot fans
-// out to several destination allocations. It returns per-destination
-// results in order ("ok" entries are the destinations' new lengths;
-// failed destinations carry -1). The call errors only when the source
-// read itself fails.
-func (c *Client) MCopy(src Cap, offset, length int64, dsts []Cap) ([]int64, error) {
-	if src.Type != CapRead {
-		return nil, fmt.Errorf("ibp: mcopy requires a READ source capability, got %s", src.Type)
-	}
-	if len(dsts) == 0 {
-		return nil, fmt.Errorf("ibp: mcopy needs at least one destination")
-	}
-	toks := []string{OpMCopy, src.Token(), wire.Itoa(offset), wire.Itoa(length), wire.Itoa(int64(len(dsts)))}
-	for _, d := range dsts {
-		if d.Type != CapWrite {
-			return nil, fmt.Errorf("ibp: mcopy destination must be WRITE, got %s", d.Type)
-		}
-		toks = append(toks, d.String())
-	}
-	var out []int64
-	err := c.withConn(OpMCopy, src.Addr, length*int64(len(dsts)), false, func(conn *wire.Conn) error {
-		if err := conn.WriteLine(toks...); err != nil {
-			return err
-		}
-		res, err := conn.ReadStatus()
-		if err != nil {
-			return err
-		}
-		if len(res) != len(dsts) {
-			return fmt.Errorf("ibp: mcopy: want %d results, got %d", len(dsts), len(res))
-		}
-		out = out[:0]
-		for _, tok := range res {
-			v, err := wire.ParseInt("result", tok)
-			if err != nil {
-				return err
-			}
-			out = append(out, v)
-		}
-		return nil
-	})
-	return out, err
-}
-
 // DepotMetrics is the operation-counter snapshot a depot reports via the
 // METRICS verb.
 type DepotMetrics struct {
@@ -635,7 +424,7 @@ type DepotMetrics struct {
 // Metrics fetches the operation counters of the depot at addr.
 func (c *Client) Metrics(addr string) (DepotMetrics, error) {
 	var m DepotMetrics
-	err := c.withConn("METRICS", addr, 0, true, func(conn *wire.Conn) error {
+	err := c.call(addr, BatchOp{Verb: "METRICS"}, true, func(conn *wire.Conn) error {
 		if err := conn.WriteLine("METRICS"); err != nil {
 			return err
 		}
@@ -666,7 +455,7 @@ func (c *Client) Metrics(addr string) (DepotMetrics, error) {
 // Status asks the depot at addr for its capacity and duration limits.
 func (c *Client) Status(addr string) (DepotStatus, error) {
 	var st DepotStatus
-	err := c.withConn(OpStatus, addr, 0, true, func(conn *wire.Conn) error {
+	err := c.call(addr, BatchOp{Verb: OpStatus}, true, func(conn *wire.Conn) error {
 		if err := conn.WriteLine(OpStatus); err != nil {
 			return err
 		}

@@ -58,52 +58,6 @@ func testCaps(addr string) (src Cap, dsts []Cap) {
 	return set.Read, []Cap{set.Write, other.Write, third.Write}
 }
 
-func TestMCopyPartialFailureOrderPreserved(t *testing.T) {
-	// The depot reports per-destination results; failed slots carry -1 and
-	// MUST stay in request order so callers can match them to their caps.
-	addr := scriptServer(t, "OK 4096 -1 4096")
-	src, dsts := testCaps(addr)
-	c := NewClient()
-	res, err := c.MCopy(src, 0, 4096, dsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 || res[0] != 4096 || res[1] != -1 || res[2] != 4096 {
-		t.Fatalf("results = %v, want [4096 -1 4096]", res)
-	}
-}
-
-func TestMCopyAllDestinationsFailed(t *testing.T) {
-	addr := scriptServer(t, "OK -1 -1 -1")
-	src, dsts := testCaps(addr)
-	res, err := NewClient().MCopy(src, 0, 10, dsts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range res {
-		if v != -1 {
-			t.Fatalf("slot %d = %d, want -1", i, v)
-		}
-	}
-}
-
-func TestMCopyResultCountMismatch(t *testing.T) {
-	addr := scriptServer(t, "OK 10 10")
-	src, dsts := testCaps(addr)
-	if _, err := NewClient().MCopy(src, 0, 10, dsts); err == nil {
-		t.Fatal("short result list should error")
-	}
-}
-
-func TestMCopySourceReadFailure(t *testing.T) {
-	addr := scriptServer(t, "ERR NOT_FOUND missing")
-	src, dsts := testCaps(addr)
-	_, err := NewClient().MCopy(src, 0, 10, dsts)
-	if !wire.IsRemote(err, wire.CodeNotFound) {
-		t.Fatalf("err = %v, want remote NOT_FOUND", err)
-	}
-}
-
 func TestClientConsultsBreakerBeforeDialing(t *testing.T) {
 	sb := health.New(health.Config{FailureThreshold: 2, BaseBackoff: time.Hour, Seed: 1})
 	dials := 0

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -22,17 +21,6 @@ func WithPooling(maxIdle int) Option {
 	return func(c *Client) {
 		if maxIdle > 0 {
 			c.pool = wire.NewPool(maxIdle)
-		}
-	}
-}
-
-// WithPoolIdleAge bounds how long a pooled connection may sit idle before
-// the pool drops it (default 90s; <=0 disables the age check). Apply after
-// WithPooling.
-func WithPoolIdleAge(d time.Duration) Option {
-	return func(c *Client) {
-		if c.pool != nil {
-			c.pool.SetMaxIdleAge(d)
 		}
 	}
 }

@@ -12,24 +12,44 @@ const (
 	OpDelete   = "DELETE"
 	OpStatus   = "STATUS"
 	OpCopy     = "COPY"
-	OpMCopy    = "MCOPY"
 	OpQuit     = "QUIT"
 	// OpTrace precedes another operation on the same connection and carries
-	// trace context ("TRACE <traceid> <parentspan> <flags>"). Depots that
-	// predate it answer ERR UNSUPPORTED and the exchange proceeds untraced —
-	// the request line of the operation itself never changes, which is what
-	// keeps old peers interoperable.
+	// trace context ("TRACE <traceid> <parentspan> <flags>"); the depot
+	// answers that operation's status line with its server span as a ts=
+	// trailer. The operation's own request line never changes.
 	OpTrace = "TRACE"
 	// OpBatch announces n pipelined sub-operations ("BATCH <n>") that follow
 	// on the same connection, each in the standard single-verb request
-	// format. A supporting depot acks "OK <n>" and may honour batch-local
-	// capability references ("@<i>"); an old depot answers ERR UNSUPPORTED
-	// and then — because sub-requests are byte-identical to single verbs —
-	// executes the pipelined stream as ordinary operations, so the client
-	// still collects every per-op response. Only @-references need the new
-	// depot.
+	// format. The depot acks "OK <n>", answers each sub-op exactly as it
+	// would the verb alone, and resolves batch-local capability references
+	// ("@<i>") through VerbCap.
 	OpBatch = "BATCH"
 )
+
+// Batchable reports whether verb may travel inside a BATCH: the six verbs
+// whose request and reply framing every depot knows.
+func Batchable(verb string) bool {
+	switch verb {
+	case OpAllocate, OpStore, OpLoad, OpProbe, OpExtend, OpDelete:
+		return true
+	}
+	return false
+}
+
+// VerbCap is the one verb → capability-type table: STORE needs a WRITE
+// capability, LOAD (and COPY, for its source) a READ one, and PROBE,
+// EXTEND and DELETE a MANAGE one. The client validates against it and the
+// depot resolves every capability token — a batch's "@<i>" references
+// included — with it.
+func VerbCap(verb string) CapType {
+	switch verb {
+	case OpStore:
+		return CapWrite
+	case OpLoad, OpCopy:
+		return CapRead
+	}
+	return CapManage
+}
 
 // MaxBatchOps bounds the sub-operations of one BATCH exchange on both
 // sides of the wire.

@@ -11,11 +11,10 @@ import (
 // shared by the IBP client (opt-in, ibp.WithPooling) and the registry's
 // quorum client (always on).
 
-// DefaultMaxIdleAge is how long a parked connection stays reusable. A
-// server restart leaves every parked conn to it stale; without an age
-// limit each subsequent operation would burn a round trip discovering
-// that.
-const DefaultMaxIdleAge = 90 * time.Second
+// maxIdleAge is how long a parked connection stays reusable. A server
+// restart leaves every parked conn to it stale; without an age limit each
+// subsequent operation would burn a round trip discovering that.
+const maxIdleAge = 90 * time.Second
 
 // idleConn is a parked connection stamped with its park time.
 type idleConn struct {
@@ -26,29 +25,22 @@ type idleConn struct {
 // Pool keeps idle framed connections per server address. Safe for
 // concurrent use.
 type Pool struct {
-	mu         sync.Mutex
-	idle       map[string][]idleConn
-	maxIdle    int
-	maxIdleAge time.Duration
-	now        func() time.Time // wall clock; swappable in tests
-	closed     bool
+	mu      sync.Mutex
+	idle    map[string][]idleConn
+	maxIdle int
+	now     func() time.Time // wall clock; swappable in tests
+	closed  bool
 }
 
 // NewPool returns a pool parking up to maxIdle connections per address,
-// each for at most DefaultMaxIdleAge.
+// each for at most maxIdleAge.
 func NewPool(maxIdle int) *Pool {
 	return &Pool{
-		idle:       make(map[string][]idleConn),
-		maxIdle:    maxIdle,
-		maxIdleAge: DefaultMaxIdleAge,
-		now:        time.Now,
+		idle:    make(map[string][]idleConn),
+		maxIdle: maxIdle,
+		now:     time.Now,
 	}
 }
-
-// SetMaxIdleAge bounds how long a parked connection may sit idle before
-// Get drops it (<=0 disables the age check). Call before the pool is
-// shared between goroutines.
-func (p *Pool) SetMaxIdleAge(d time.Duration) { p.maxIdleAge = d }
 
 // Get returns an idle connection to addr, or nil. Connections parked
 // longer than the idle age are dropped rather than returned: their peer
@@ -58,12 +50,12 @@ func (p *Pool) Get(addr string) *Conn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	conns := p.idle[addr]
-	cutoff := p.now().Add(-p.maxIdleAge)
+	cutoff := p.now().Add(-maxIdleAge)
 	for len(conns) > 0 {
 		ic := conns[len(conns)-1]
 		conns = conns[:len(conns)-1]
 		p.idle[addr] = conns
-		if p.maxIdleAge > 0 && ic.parked.Before(cutoff) {
+		if ic.parked.Before(cutoff) {
 			ic.conn.Close()
 			continue
 		}
