@@ -8,7 +8,7 @@
 # placement loop and one block reader, of the registry's quorum pass, and
 # of the IBP client's one exchange path, often enough to catch an
 # order-dependent placement, read or report.
-.PHONY: tier1 build vet staticcheck test race bench-module bench-smoke placer-determinism stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
+.PHONY: tier1 build vet staticcheck test race bench-module bench-smoke fuzz-smoke placer-determinism stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race bench-module
 
@@ -70,6 +70,22 @@ bench-smoke:
 		esac; \
 	done
 	@echo "bench-smoke: four workloads ran, verified, 0 failed operations"
+
+# `go test` only replays each fuzz target's seed corpus; nothing else ever
+# mutates an input. This runs every Fuzz target for 10 s of mutation, one
+# `go test -fuzz` per target since it takes one at a time (~1.5 min). The
+# exNode pair covers the hand-written XML codec: FuzzUnmarshal's round trip
+# and the differential check against the encoding/xml oracle. A failing
+# input lands in the package's testdata/fuzz/; commit it as a seed with
+# the fix.
+FUZZ_TARGETS = wire:FuzzUnquote wire:FuzzReadBlob wire:FuzzReadBlobPooled wire:FuzzReadLine \
+	ibp:FuzzParseCap erasure:FuzzMulSlice exnode:FuzzUnmarshal exnode:FuzzCodecAgreesWithEncodingXML
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t#*:}; \
+		echo "fuzz-smoke: $$pkg $$name"; \
+		go test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s ./internal/$$pkg || exit 1; \
+	done
 
 # Every write path places through core's one placer (placeAll), whose
 # parallel mode claims depots under a lock; the read side's hedging and

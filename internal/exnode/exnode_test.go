@@ -390,64 +390,111 @@ func TestMappingsByDepot(t *testing.T) {
 }
 
 func TestXMLRoundTripRandomProperty(t *testing.T) {
-	// Random valid exnodes must survive serialization exactly.
+	// Random valid exnodes must survive serialization exactly, and the
+	// codec must agree with the encoding/xml oracle on each: the same
+	// bytes out, the same ExNode back.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		// One exNode in three carries text XML must escape or replace;
+		// it round-trips up to the U+FFFD replacements.
+		special := rng.Intn(3) == 0
+		text := func(prefix string) string {
+			if special {
+				return prefix + randomText(rng)
+			}
+			return fmt.Sprintf("%s-%d", prefix, rng.Intn(1000))
+		}
 		size := int64(rng.Intn(100000) + 1)
-		x := New(fmt.Sprintf("prop-%d", seed), size)
-		x.Created = time.Unix(rng.Int63n(4_000_000_000), 0).UTC()
+		x := New(text("prop"), size)
+		if rng.Intn(2) == 0 {
+			x.Created = time.Unix(rng.Int63n(4_000_000_000), 0).UTC()
+		}
+		if rng.Intn(2) == 0 {
+			x.Comment = text("comment")
+		}
+		if rng.Intn(3) == 0 {
+			x.Cipher, x.IV = "aes256-ctr", strings.Repeat("0f", 16)
+		}
+		mint := func(i int) ibp.CapSet {
+			key, err := ibp.NewKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ibp.MintSet(secret, fmt.Sprintf("h%d:%d", i, 6714+i), key)
+		}
 		n := rng.Intn(12) + 1
 		for i := 0; i < n; i++ {
 			off := rng.Int63n(size)
 			length := rng.Int63n(size-off) + 1
-			key, err := ibp.NewKey()
-			if err != nil {
-				return false
-			}
-			set := ibp.MintSet(secret, fmt.Sprintf("h%d:%d", i, 6714+i), key)
+			set := mint(i)
 			m := &Mapping{
 				Offset: off, Length: length,
 				Read: set.Read, Write: set.Write, Manage: set.Manage,
 				// One replica index per mapping: random extents may
 				// overlap, and overlap within a replica is invalid.
 				Replica:   i,
-				Depot:     fmt.Sprintf("D%d", rng.Intn(9)),
+				Depot:     text("D"),
 				Bandwidth: float64(rng.Intn(1000)) / 10,
-				Expires:   time.Unix(rng.Int63n(4_000_000_000), 0).UTC(),
+			}
+			if rng.Intn(4) != 0 {
+				m.Expires = time.Unix(rng.Int63n(4_000_000_000), 0).UTC()
 			}
 			if rng.Intn(2) == 0 {
 				m.Checksum = strings.Repeat("ab", 32)
 			}
 			x.Add(m)
 		}
+		if rng.Intn(2) == 0 { // a Reed-Solomon group over the whole file
+			k, p := rng.Intn(4)+1, rng.Intn(3)
+			group := text("g")
+			for b := 0; b < k+p; b++ {
+				set := mint(n + b)
+				fn := FuncRSData
+				if b >= k {
+					fn = FuncRSParity
+				}
+				x.Add(&Mapping{
+					Offset: 0, Length: size, Function: fn, Group: group,
+					BlockIndex: b, DataBlocks: k, ParityBlocks: p,
+					BlockSize: (size + int64(k) - 1) / int64(k),
+					Read:      set.Read, Write: set.Write, Manage: set.Manage,
+				})
+			}
+		}
 		blob, err := Marshal(x)
-		if err != nil {
+		oblob, oerr := oracleMarshal(x)
+		if err != nil || oerr != nil || !bytes.Equal(blob, oblob) {
+			t.Logf("seed %d: Marshal differs from encoding/xml (%v, %v):\n%s\n%s", seed, err, oerr, blob, oblob)
 			return false
 		}
 		back, err := Unmarshal(blob)
-		if err != nil {
+		oback, oerr := oracleUnmarshal(blob)
+		if err != nil || oerr != nil || !sameExNode(back, oback) {
+			t.Logf("seed %d: Unmarshal disagrees with encoding/xml (%v, %v)", seed, err, oerr)
 			return false
 		}
-		if back.Name != x.Name || back.Size != x.Size || !back.Created.Equal(x.Created) {
-			return false
+		if special {
+			again, _ := Marshal(back)
+			return bytes.Equal(again, blob)
 		}
-		if len(back.Mappings) != len(x.Mappings) {
-			return false
-		}
-		for i := range x.Mappings {
-			a, b := x.Mappings[i], back.Mappings[i]
-			if a.Offset != b.Offset || a.Length != b.Length || a.Read != b.Read ||
-				a.Write != b.Write || a.Manage != b.Manage || a.Replica != b.Replica ||
-				a.Depot != b.Depot || a.Bandwidth != b.Bandwidth ||
-				!a.Expires.Equal(b.Expires) || a.Checksum != b.Checksum {
-				return false
-			}
-		}
-		return true
+		return sameExNode(back, x)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomText draws up to eight pieces of text that XML escapes, replaces
+// or passes through: the specials, controls, a non-character, a stray
+// byte, and multi-byte runes.
+func randomText(rng *rand.Rand) string {
+	pieces := []string{"a", "Z", "0", " ", "<", "&", ">", `"`, "'", "\t", "\n", "\r",
+		"é", "\uFFFD", "\uFFFE", "\x01", "\xff", "😀", "]]>", "&amp;"}
+	var b strings.Builder
+	for n := rng.Intn(9); n > 0; n-- {
+		b.WriteString(pieces[rng.Intn(len(pieces))])
+	}
+	return b.String()
 }
 
 func TestMerge(t *testing.T) {

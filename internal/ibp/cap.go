@@ -77,31 +77,54 @@ func ParseCap(s string) (Cap, error) {
 	if !ok {
 		return Cap{}, fmt.Errorf("%w: missing #tag in %q", ErrBadCap, s)
 	}
-	parts := strings.Split(body, "/")
-	if len(parts) != 3 {
+	addr, keyType, _ := strings.Cut(body, "/")
+	c, ok := split(addr, keyType, tag)
+	if !ok {
 		return Cap{}, fmt.Errorf("%w: want addr/key/type in %q", ErrBadCap, s)
 	}
-	c := Cap{Addr: parts[0], Key: parts[1], Type: CapType(parts[2]), Tag: tag}
 	if err := c.validate(); err != nil {
 		return Cap{}, err
 	}
 	return c, nil
 }
 
+// split assembles a capability from its address, "key/type" and tag,
+// reporting false unless keyType holds exactly one slash.
+func split(addr, keyType, tag string) (Cap, bool) {
+	key, typ, ok := strings.Cut(keyType, "/")
+	if !ok || strings.Contains(typ, "/") {
+		return Cap{}, false
+	}
+	return Cap{Addr: addr, Key: key, Type: CapType(typ), Tag: tag}, true
+}
+
 func (c Cap) validate() error {
 	if c.Addr == "" || !strings.Contains(c.Addr, ":") {
 		return fmt.Errorf("%w: bad depot address %q", ErrBadCap, c.Addr)
 	}
-	if b, err := hex.DecodeString(c.Key); err != nil || len(b) != KeyLen {
+	if !isHex(c.Key, KeyLen) {
 		return fmt.Errorf("%w: bad key %q", ErrBadCap, c.Key)
 	}
 	if !c.Type.valid() {
 		return fmt.Errorf("%w: bad type %q", ErrBadCap, c.Type)
 	}
-	if b, err := hex.DecodeString(c.Tag); err != nil || len(b) != TagLen {
+	if !isHex(c.Tag, TagLen) {
 		return fmt.Errorf("%w: bad tag", ErrBadCap)
 	}
 	return nil
+}
+
+// isHex reports whether s is the hex encoding of n bytes, in either case.
+func isHex(s string, n int) bool {
+	if len(s) != 2*n {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+			return false
+		}
+	}
+	return true
 }
 
 // CapSet is the trio returned by a successful allocation.
@@ -169,7 +192,14 @@ func computeTag(secret []byte, key string, t CapType) string {
 // token (the depot already knows its own address).
 func (c Cap) Token() string { return c.Key + "/" + string(c.Type) + "#" + c.Tag }
 
-// ParseToken parses the wire token form; addr is supplied by context.
+// ParseToken parses the wire token form; addr is supplied by context. It
+// is ParseCap("ibp://"+addr+"/"+tok) without building that string: only
+// a failure, or an addr holding '/' or '#' that would move the split,
+// takes the long way, for the same result and error.
 func ParseToken(addr, tok string) (Cap, error) {
+	keyType, tag, hasTag := strings.Cut(tok, "#")
+	if c, ok := split(addr, keyType, tag); ok && hasTag && !strings.ContainsAny(addr, "/#") && c.validate() == nil {
+		return c, nil
+	}
 	return ParseCap("ibp://" + addr + "/" + tok)
 }

@@ -1,6 +1,8 @@
 package ibp
 
 import (
+	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,6 +107,57 @@ func TestTokenRoundTrip(t *testing.T) {
 	}
 	if got != c {
 		t.Fatalf("token round trip: %+v != %+v", got, c)
+	}
+}
+
+func TestParseTokenMatchesParseCapProperty(t *testing.T) {
+	// ParseToken(addr, tok) is ParseCap of the composed string: the same
+	// capability, or an ErrBadCap with the same message, including for
+	// addresses whose '/' or '#' moves where the composed string splits.
+	key, _ := NewKey()
+	c := MintCap(secret, "h:1", key, CapWrite)
+	addrs := []string{"h:1", "depot.example.org:6714", "", "noport", "h:1/" + key, "h#1:2", "a/b/c:1", "h:1#"}
+	toks := []string{c.Token(), "WRITE#" + c.Tag, key + "/WRITE", key + "/WRITE/x#" + c.Tag,
+		key + "/EXEC#" + c.Tag, strings.ToUpper(c.Token()), "#", "", "/#", c.Token() + "#x"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		addr, tok := addrs[rng.Intn(len(addrs))], toks[rng.Intn(len(toks))]
+		if rng.Intn(4) == 0 { // flip one byte
+			b := []byte(tok + "x")
+			b[rng.Intn(len(b))] = "/#:aZ0"[rng.Intn(6)]
+			tok = string(b)
+		}
+		got, err := ParseToken(addr, tok)
+		want, werr := ParseCap("ibp://" + addr + "/" + tok)
+		if err != nil || werr != nil {
+			return err != nil && werr != nil && errors.Is(err, ErrBadCap) && err.Error() == werr.Error()
+		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkParseCap(b *testing.B) {
+	key, _ := NewKey()
+	s := MintCap(secret, "depot.example.org:6714", key, CapRead).String()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseCap(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkParseToken(b *testing.B) {
+	key, _ := NewKey()
+	tok := MintCap(secret, "depot.example.org:6714", key, CapRead).Token()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseToken("depot.example.org:6714", tok); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

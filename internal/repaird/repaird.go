@@ -33,6 +33,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exnode"
+	"repro/internal/ibp"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/slo"
@@ -330,7 +332,11 @@ func (d *Daemon) pass(r Risk) {
 			if errors.Is(err, registry.ErrVersionConflict) {
 				// Another writer (a user, or a sibling daemon racing a
 				// reconfiguration) got there first; the next sweep sees
-				// the merged truth. Work done on depots is not lost.
+				// the merged truth. The replicas this pass added are
+				// then named by no stored exNode: release them now
+				// instead of leaving them allocated until their lease
+				// runs out.
+				d.releaseAdded(r.Name, x, out)
 				d.mu.Lock()
 				d.c.Conflicts++
 				d.mu.Unlock()
@@ -347,6 +353,36 @@ func (d *Daemon) pass(r Risk) {
 	d.cfg.Logger.Info("repaird: pass",
 		"file", r.Name, "score", fmt.Sprintf("%.2f", r.Score), "reason", r.Reason,
 		"refreshed", rep.Refreshed, "trimmed", rep.TrimmedDead, "added", rep.AddedReplicas)
+}
+
+// releaseAdded deletes from IBP the replicas a pass added to out but
+// could not publish: the mappings whose read capability neither x nor the
+// exNode now stored under name holds. The directory is read again because
+// a conflict does not prove the put missed: the quorum client has
+// reported one for a put that landed. When that read fails, nothing is
+// released and the leases reclaim the bytes.
+func (d *Daemon) releaseAdded(name string, x, out *exnode.ExNode) {
+	cur, _, err := d.cfg.Tools.LoadExNode(name)
+	if err != nil {
+		d.cfg.Logger.Warn("repaird: not releasing unpublished replicas", "file", name, "err", err)
+		return
+	}
+	named := map[ibp.Cap]bool{}
+	for _, ms := range [][]*exnode.Mapping{x.Mappings, cur.Mappings} {
+		for _, m := range ms {
+			named[m.Read] = true
+		}
+	}
+	var added []int
+	for i, m := range out.Mappings {
+		if !named[m.Read] {
+			added = append(added, i)
+		}
+	}
+	if len(added) > 0 {
+		// Trim logs each failed delete; its only error is a bad index.
+		d.cfg.Tools.Trim(out, core.TrimOptions{Indices: added, DeleteFromIBP: true}) //nolint:errcheck // indices come from out
+	}
 }
 
 // fail records a failed pass. The file stays out of the queue until the

@@ -25,10 +25,11 @@ import (
 // core.ExNodeDirectory and DirectoryLister. exNodes round-trip through
 // the serializer so callers never alias the stored copy.
 type fakeDir struct {
-	mu     sync.Mutex
-	bytes  map[string][]byte
-	vers   map[string]int64
-	putErr error // next Put returns this once
+	mu       sync.Mutex
+	bytes    map[string][]byte
+	vers     map[string]int64
+	putErr   error // next Put returns this once
+	putLands bool  // ...after storing the blob, as a put that landed yet reported a conflict
 }
 
 func newFakeDir() *fakeDir {
@@ -38,10 +39,10 @@ func newFakeDir() *fakeDir {
 func (d *fakeDir) PutExNode(name string, x *exnode.ExNode, prev int64) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.putErr != nil {
-		err := d.putErr
-		d.putErr = nil
-		return 0, err
+	putErr := d.putErr
+	d.putErr = nil
+	if putErr != nil && !d.putLands {
+		return 0, putErr
 	}
 	if d.vers[name] != prev {
 		return 0, registry.ErrVersionConflict
@@ -52,6 +53,9 @@ func (d *fakeDir) PutExNode(name string, x *exnode.ExNode, prev int64) (int64, e
 	}
 	d.bytes[name] = b
 	d.vers[name] = prev + 1
+	if putErr != nil {
+		return 0, putErr
+	}
 	return prev + 1, nil
 }
 
@@ -376,46 +380,75 @@ func TestSweepDrainRepairsDegradedFile(t *testing.T) {
 }
 
 func TestDrainCountsVersionConflict(t *testing.T) {
-	e := newEnv(t)
-	a := e.addDepot("A", faultnet.Windows{Down: []faultnet.Window{
-		{From: envStart.Add(time.Minute), To: envStart.Add(1000 * time.Hour)},
-	}})
-	b := e.addDepot("B", nil)
-	e.addDepot("C", nil)
+	// A pass that loses the CAS race releases the replica it added, which
+	// nothing names. One whose put landed although it reported a conflict
+	// keeps it: the directory names it.
+	for _, landed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("landed=%v", landed), func(t *testing.T) {
+			e := newEnv(t)
+			a := e.addDepot("A", faultnet.Windows{Down: []faultnet.Window{
+				{From: envStart.Add(time.Minute), To: envStart.Add(1000 * time.Hour)},
+			}})
+			b := e.addDepot("B", nil)
+			spare := e.addDepot("C", nil)
 
-	payload := bytes.Repeat([]byte{7}, 16<<10)
-	x, err := e.tools.Upload("contended", payload, core.UploadOptions{
-		Replicas: 2, Depots: []lbone.DepotInfo{a, b}, Duration: 240 * time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.tools.StoreExNode("contended", x, 0); err != nil {
-		t.Fatal(err)
-	}
-	e.clk.Advance(2 * time.Minute)
+			payload := bytes.Repeat([]byte{7}, 16<<10)
+			x, err := e.tools.Upload("contended", payload, core.UploadOptions{
+				Replicas: 2, Depots: []lbone.DepotInfo{a, b}, Duration: 240 * time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.tools.StoreExNode("contended", x, 0); err != nil {
+				t.Fatal(err)
+			}
+			e.clk.Advance(2 * time.Minute)
 
-	d, err := New(Config{
-		Tools:    e.tools,
-		Avail:    fakeAvail{a.Addr: 0.0},
-		Maintain: core.MaintainOptions{MinCoverage: 2, Depots: e.infos},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Sweep(); err != nil {
-		t.Fatal(err)
-	}
-	e.dir.mu.Lock()
-	e.dir.putErr = registry.ErrVersionConflict // a racing writer wins the CAS
-	e.dir.mu.Unlock()
-	d.Drain()
-	c := d.Counters()
-	if c.Conflicts != 1 {
-		t.Fatalf("conflicts = %d, want 1", c.Conflicts)
-	}
-	if c.PassFailures != 0 {
-		t.Fatalf("a lost CAS race must not count as a failure: %+v", c)
+			d, err := New(Config{
+				Tools:    e.tools,
+				Avail:    fakeAvail{a.Addr: 0.0},
+				Maintain: core.MaintainOptions{MinCoverage: 2, Depots: e.infos},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Sweep(); err != nil {
+				t.Fatal(err)
+			}
+			e.dir.mu.Lock()
+			e.dir.putErr = registry.ErrVersionConflict // a racing writer wins the CAS
+			e.dir.putLands = landed
+			e.dir.mu.Unlock()
+			d.Drain()
+			c := d.Counters()
+			if c.Conflicts != 1 {
+				t.Fatalf("conflicts = %d, want 1", c.Conflicts)
+			}
+			if c.PassFailures != 0 {
+				t.Fatalf("a lost CAS race must not count as a failure: %+v", c)
+			}
+			if c.ReplicasAdded != 1 {
+				t.Fatalf("replicas added = %d, want 1 (on the spare depot)", c.ReplicasAdded)
+			}
+			st, err := e.tools.IBP.Status(spare.Addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			named := 0
+			if landed {
+				named = 1
+				stored, _, err := e.tools.LoadExNode("contended")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(stored.MappingsByDepot("C")) != 1 {
+					t.Fatalf("the landed exNode does not name the spare depot's replica")
+				}
+			}
+			if st.Allocations != named {
+				t.Fatalf("spare depot holds %d allocation(s) after the conflict, want %d", st.Allocations, named)
+			}
+		})
 	}
 }
 

@@ -279,8 +279,14 @@ func (c *Conn) CopyBlob(w io.Writer, n int64) error {
 }
 
 // Quote encodes a free-form string as a single protocol token using URL-ish
-// percent escaping of spaces, percent signs, and control characters.
+// percent escaping of spaces, percent signs, and control characters. The
+// one exception is a lone NUL byte: its escape, %00, is the empty-string
+// marker, so it travels raw. NUL is not whitespace to WriteLine or
+// ReadLine, and Unquote passes unescaped bytes through.
 func Quote(s string) string {
+	if s == "\x00" {
+		return s
+	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		ch := s[i]
