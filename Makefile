@@ -5,9 +5,9 @@
 # wire — its Pool and Conn.CheckIdle carry every registry exchange as well
 # as pooled IBP, and its Server is the accept loop of the depot, L-Bone and
 # NWS daemons). placer-determinism reruns the tests of core's one
-# placement loop and one block reader, of the registry's quorum pass, and
-# of the IBP client's one exchange path, often enough to catch an
-# order-dependent placement, read or report.
+# placement loop and one block reader, core's checked Examples, the
+# registry's quorum pass, and the IBP client's one exchange path, often
+# enough to catch an order-dependent placement, read, report or output.
 .PHONY: tier1 build vet staticcheck test race bench-module bench-smoke fuzz-smoke placer-determinism stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race bench-module
@@ -99,10 +99,15 @@ fuzz-smoke:
 # between plain and batched verbs, cancellation, trace stamps, the breaker
 # and the depot's wire grammar, twenty times on one P. The depot line reads
 # METRICS right after a streamed LOAD, two hundred times at the default
-# GOMAXPROCS, where a count landing after the reply would show.
+# GOMAXPROCS, where a count landing after the reply would show. The
+# Example line checks core's Example* functions, whose // Output: must not
+# depend on loopback ports, wall time, random IVs or goroutine order, twenty
+# times on one P; `go test -count` runs examples only once per process, so
+# the line loops over twenty processes.
 DETERMINISM_RUN = 'Place|Upload|Coded|Augment|Maintain|Hedge|Rank|Slow|Decode|Verify|WholeReplica'
 placer-determinism:
 	GOMAXPROCS=1 go test -count=20 -run $(DETERMINISM_RUN) repro/internal/core
+	for i in $$(seq 20); do GOMAXPROCS=1 go test -count=1 -run '^Example' repro/internal/core || exit 1; done
 	go test -race -count=5 -run $(DETERMINISM_RUN) repro/internal/core
 	GOMAXPROCS=1 go test -count=20 -run 'Quorum|Session|Repair|Majority|Snapshot|Restart' repro/internal/registry
 	GOMAXPROCS=1 go test -count=20 -run 'Batch|Cancel|Trace|Breaker|Reports|Agree|WireCompat' repro/internal/ibp repro/internal/depot

@@ -100,10 +100,7 @@ func runTest1(cfg experiments.Config) {
 func runTest2(cfg experiments.Config) {
 	banner("Test 2: Availability and Download Times to Multiple Sites (paper §3.2)")
 	start := time.Now()
-	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
-		Seed:                 cfg.Seed,
-		HarvardDepotOverride: experiments.Test2HarvardIncident(72 * time.Hour),
-	})
+	tb, err := experiments.NewTestbed(experiments.TestbedConfig{Seed: cfg.Seed, Depots: experiments.Test2Depots()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,12 +116,8 @@ func runTest2(cfg experiments.Config) {
 func runTest3(cfg experiments.Config) {
 	banner("Test 3: Simulating Network Unavailability (paper §3.3)")
 	start := time.Now()
-	failFrom, end := experiments.Test3FailWindow(cfg)
 	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
-		Seed:                 cfg.Seed,
-		StableLinks:          true,
-		HarvardDepotOverride: experiments.Test3HarvardAvailability(failFrom, end),
-		UCSB3Override:        experiments.Test3UCSB3Availability(failFrom, end),
+		Seed: cfg.Seed, StableLinks: true, Depots: experiments.Test3Depots(cfg),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -152,8 +152,7 @@ func cmdSim(args []string) error {
 		nDepots  = fs.Int("depots", 14, "simulated depot count")
 		duration = fs.Duration("duration", 24*time.Hour, "virtual study length")
 		interval = fs.Duration("interval", stackmon.DefInterval, "sweep interval")
-		payload  = fs.Int("payload", 16<<10, "data-round payload bytes")
-		probes   = fs.Bool("probe-only", false, "skip the store/load round")
+		payload  = fs.Int("payload", 16<<10, "data-round payload bytes (0 = probe-only)")
 		seed     = fs.Int64("seed", 1, "deterministic seed for link jitter")
 		outages  = fs.String("outages", "", `scripted outages as "NAME:FROM-TO,..." offsets, e.g. "D02:6h-9h,D05:1h-3h"`)
 		jsonOut  = fs.String("json", "", "also write the full study as JSON here")
@@ -164,17 +163,12 @@ func cmdSim(args []string) error {
 	fs.Parse(args)
 
 	cfg := stackmon.SimConfig{
+		Depots:   stackmon.SimDepots(*nDepots),
 		Duration: *duration, Interval: *interval,
-		Payload: *payload, ProbeOnly: *probes, Seed: *seed,
+		Payload: *payload, Seed: *seed,
 	}
 	if *sloOn || *sloOut != "" {
 		cfg.Objectives = slo.DefaultObjectives()
-	}
-	if *nDepots != 14 {
-		cfg.Depots = make([]string, *nDepots)
-		for i := range cfg.Depots {
-			cfg.Depots[i] = fmt.Sprintf("D%02d", i+1)
-		}
 	}
 	var err error
 	if cfg.Outages, err = parseOutages(*outages); err != nil {
@@ -186,7 +180,7 @@ func cmdSim(args []string) error {
 	}
 
 	start := time.Now()
-	st, addrOf, engine, err := stackmon.RunSimSLO(cfg)
+	st, addrOf, engine, err := stackmon.RunSim(cfg)
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/exnode"
-	"repro/internal/faultnet"
 	"repro/internal/geo"
 )
 
@@ -56,12 +55,8 @@ func TestRSDownloadSurvivesTwoDepotLosses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill two of the five depots (one data, one parity block).
-	now := e.clk.Now()
 	for _, n := range []string{"D1", "D5"} {
-		e.model.AddDepot(e.depots[n].Addr(), faultnet.DepotState{
-			Site:  "UTK",
-			Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-		})
+		e.Kill(n, time.Hour)
 	}
 	got, _, err := tl.Download(x, DownloadOptions{})
 	if err != nil {
@@ -71,10 +66,7 @@ func TestRSDownloadSurvivesTwoDepotLosses(t *testing.T) {
 		t.Fatal("RS recovery mismatch after two losses")
 	}
 	// Kill a third: only 2 of 5 blocks remain < k=3.
-	e.model.AddDepot(e.depots["D2"].Addr(), faultnet.DepotState{
-		Site:  "UTK",
-		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-	})
+	e.Kill("D2", time.Hour)
 	if _, _, err := tl.Download(x, DownloadOptions{}); err == nil {
 		t.Fatal("download with fewer than k surviving blocks should fail")
 	}
@@ -105,11 +97,7 @@ func TestUploadXORSurvivesOneLoss(t *testing.T) {
 	if stored >= 2*int64(len(data)) {
 		t.Fatalf("XOR stored %d bytes for %d of data — worse than replication", stored, len(data))
 	}
-	now := e.clk.Now()
-	e.model.AddDepot(e.depots["D2"].Addr(), faultnet.DepotState{
-		Site:  "UTK",
-		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-	})
+	e.Kill("D2", time.Hour)
 	got, _, err := tl.Download(x, DownloadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -118,10 +106,7 @@ func TestUploadXORSurvivesOneLoss(t *testing.T) {
 		t.Fatal("XOR recovery mismatch")
 	}
 	// Two losses exceed XOR tolerance.
-	e.model.AddDepot(e.depots["D3"].Addr(), faultnet.DepotState{
-		Site:  "UTK",
-		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-	})
+	e.Kill("D3", time.Hour)
 	if _, _, err := tl.Download(x, DownloadOptions{}); err == nil {
 		t.Fatal("XOR with two losses should fail")
 	}
@@ -191,11 +176,7 @@ func TestHybridReplicaPlusParity(t *testing.T) {
 		t.Fatal("replica should serve when available")
 	}
 	// Replica depot dies: coded recovery takes over.
-	now := e.clk.Now()
-	e.model.AddDepot(e.depots["R"].Addr(), faultnet.DepotState{
-		Site:  "UTK",
-		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-	})
+	e.Kill("R", time.Hour)
 	got, rep2, err := tl.Download(hybrid, DownloadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -251,11 +232,7 @@ func TestDecodeNeverGuessesTheCode(t *testing.T) {
 				}
 				for _, b := range tc.down {
 					if m.BlockIndex == b {
-						now := e.clk.Now()
-						e.model.AddDepot(m.Read.Addr, faultnet.DepotState{
-							Site:  "UTK",
-							Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-						})
+						e.Kill(m.Depot, time.Hour)
 					}
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/nws"
+	"repro/internal/testbed"
 )
 
 func TestUploadDownloadRoundTrip(t *testing.T) {
@@ -88,7 +89,7 @@ func TestDownloadFailsOverWhenDepotDown(t *testing.T) {
 	e := newEnv(t)
 	// Depot A goes down an hour from now; B holds the second copy.
 	e.addDepot("A", geo.UTK, faultnet.Windows{Down: []faultnet.Window{
-		{From: envStart.Add(time.Hour), To: envStart.Add(3 * time.Hour)},
+		{From: testbed.Start.Add(time.Hour), To: testbed.Start.Add(3 * time.Hour)},
 	}})
 	e.addDepot("B", geo.UCSD, nil)
 	tl := e.tools(geo.UTK, false)
@@ -102,7 +103,7 @@ func TestDownloadFailsOverWhenDepotDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.clk.Advance(90 * time.Minute)
+	e.Clock.Advance(90 * time.Minute)
 	// Static strategy prefers A (same site as client) — which is down, so
 	// the download must fail over to B and still succeed.
 	got, rep, err := tl.Download(x, DownloadOptions{Strategy: StrategyStatic})
@@ -122,23 +123,22 @@ func TestDownloadFailsOverWhenDepotDown(t *testing.T) {
 
 func TestDownloadFailsWhenAllReplicasDown(t *testing.T) {
 	e := newEnv(t)
-	down := faultnet.Windows{Down: []faultnet.Window{{From: envStart, To: envStart.Add(time.Hour)}}}
+	down := faultnet.Windows{Down: []faultnet.Window{{From: testbed.Start, To: testbed.Start.Add(time.Hour)}}}
 	e.addDepot("A", geo.UTK, down)
 	e.addDepot("B", geo.UCSD, down)
 	tl := e.tools(geo.UTK, false)
 	// Upload during a clear window: advance past the outage, upload, then
 	// jump back is impossible — instead upload to depots with a later
 	// outage.
-	e.clk.Advance(2 * time.Hour) // everything back up
+	e.Clock.Advance(2 * time.Hour) // everything back up
 	data := payload(1 << 10)
 	x, err := tl.Upload("f", data, UploadOptions{Replicas: 2, Depots: e.infosFor("A", "B")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Pull both depots down again with a fresh scripted window.
-	now := e.clk.Now()
-	e.model.AddDepot(e.depots["A"].Addr(), faultnet.DepotState{Site: "UTK", Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}}})
-	e.model.AddDepot(e.depots["B"].Addr(), faultnet.DepotState{Site: "UCSD", Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}}})
+	e.Kill("A", time.Hour)
+	e.Kill("B", time.Hour)
 	_, rep, err := tl.Download(x, DownloadOptions{})
 	if err == nil {
 		t.Fatal("download with every replica down should fail")
@@ -151,8 +151,8 @@ func TestDownloadFailsWhenAllReplicasDown(t *testing.T) {
 func TestDownloadStrategyNWSPrefersFastDepot(t *testing.T) {
 	e := newEnv(t)
 	// UCSB link is 10x faster than UCSD link from Harvard.
-	e.model.SetLink("HARVARD", "UCSB", faultnet.Link{RTT: 30 * time.Millisecond, Mbps: 50})
-	e.model.SetLink("HARVARD", "UCSD", faultnet.Link{RTT: 30 * time.Millisecond, Mbps: 5})
+	e.Model.SetLink("HARVARD", "UCSB", faultnet.Link{RTT: 30 * time.Millisecond, Mbps: 50})
+	e.Model.SetLink("HARVARD", "UCSD", faultnet.Link{RTT: 30 * time.Millisecond, Mbps: 5})
 	e.addDepot("SB", geo.UCSB, nil)
 	e.addDepot("SD", geo.UCSD, nil)
 	tl := e.tools(geo.Harvard, true)
@@ -166,12 +166,12 @@ func TestDownloadStrategyNWSPrefersFastDepot(t *testing.T) {
 	// First download may pick either; by the second the feedback loop has
 	// bandwidth history for at least one depot. Prime both explicitly.
 	for _, name := range []string{"SD", "SB"} {
-		addr := e.depots[name].Addr()
-		start := e.clk.Now()
+		addr := e.Depots[name].Addr()
+		start := e.Clock.Now()
 		if _, err := tl.IBP.Load(x.MappingsByDepot(name)[0].Read, 0, 1024); err != nil {
 			t.Fatalf("prime %s: %v", name, err)
 		}
-		elapsed := e.clk.Since(start)
+		elapsed := e.Clock.Since(start)
 		tl.NWS.Record("HARVARD", addr, nws.Bandwidth, float64(1024*8)/1e6/elapsed.Seconds())
 	}
 	_, rep, err := tl.Download(x, DownloadOptions{Strategy: StrategyNWS})
@@ -214,7 +214,7 @@ func TestChecksumDetectsCorruptionAndFailsOver(t *testing.T) {
 	}
 	// A starts silently corrupting reads. Static strategy prefers A
 	// (local), hits the checksum mismatch, and must fail over to B.
-	e.model.SetDepotCorruption(dA.Addr(), true)
+	e.Model.SetDepotCorruption(dA.Addr(), true)
 	got, rep, err := tl.Download(x, DownloadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestParallelDownloadMatchesSequential(t *testing.T) {
 func TestListAndFormat(t *testing.T) {
 	e := newEnv(t)
 	e.addDepot("A", geo.UTK, nil)
-	down := faultnet.Windows{Down: []faultnet.Window{{From: envStart, To: envStart.Add(100 * time.Hour)}}}
+	down := faultnet.Windows{Down: []faultnet.Window{{From: testbed.Start, To: testbed.Start.Add(100 * time.Hour)}}}
 	e.addDepot("B", geo.UCSD, nil)
 	tl := e.tools(geo.UTK, false)
 	data := payload(10 << 10)
@@ -306,7 +306,7 @@ func TestListAndFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Take B down after upload.
-	e.model.AddDepot(e.depots["B"].Addr(), faultnet.DepotState{Site: "UCSD", Avail: down})
+	e.SetAvail("B", down)
 	entries := tl.List(x)
 	if len(entries) != 2 {
 		t.Fatalf("entries = %d", len(entries))
@@ -336,7 +336,7 @@ func TestRefreshExtendsExpirations(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := x.Mappings[0].Expires
-	e.clk.Advance(30 * time.Minute)
+	e.Clock.Advance(30 * time.Minute)
 	n, err := tl.Refresh(x, 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +372,7 @@ func TestTrim(t *testing.T) {
 	if trimmed.Replicas() != 1 || len(trimmed.Mappings) != 1 {
 		t.Fatalf("trimmed: %d replicas, %d mappings", trimmed.Replicas(), len(trimmed.Mappings))
 	}
-	if e.depots["B"].AllocationCount() != 1 {
+	if e.Depots["B"].AllocationCount() != 1 {
 		t.Fatal("trim without DeleteFromIBP should keep the allocation")
 	}
 	// Original exnode untouched.
@@ -389,7 +389,7 @@ func TestTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.depots["A"].AllocationCount() != 0 {
+	if e.Depots["A"].AllocationCount() != 0 {
 		t.Fatal("DeleteFromIBP should free the byte array")
 	}
 }
@@ -412,7 +412,7 @@ func TestTrimExpired(t *testing.T) {
 	m := *y.Mappings[0]
 	m.Replica = 1
 	x.Add(&m)
-	e.clk.Advance(2 * time.Hour) // first allocation expires
+	e.Clock.Advance(2 * time.Hour) // first allocation expires
 	trimmed, err := tl.Trim(x, TrimOptions{Expired: true})
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +475,7 @@ func TestRouteMovesFile(t *testing.T) {
 			t.Fatal("routed exnode still references the old depot")
 		}
 	}
-	if e.depots["A"].AllocationCount() != 0 {
+	if e.Depots["A"].AllocationCount() != 0 {
 		t.Fatal("route should delete the old replica from IBP")
 	}
 	got, _, err := tl.Download(routed, DownloadOptions{})

@@ -94,7 +94,7 @@ func TestUploadLayoutDigestsOwnBytes(t *testing.T) {
 	e.addDepot("B", geo.UTK, nil)
 	tl := e.tools(geo.UTK, false)
 	data := payload(1000)
-	a, b := e.infos["A"], e.infos["B"]
+	a, b := e.Infos["A"], e.Infos["B"]
 	layout := Layout{
 		{{Depot: a, Offset: 0, Length: 300}, {Depot: b, Offset: 300, Length: 700}},
 		{{Depot: b, Offset: 0, Length: 500}, {Depot: a, Offset: 500, Length: 500}},
@@ -145,7 +145,7 @@ func TestUploadDigestCatchesFlippingDepot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.model.SetDepotCorruption(flipper.Addr(), true)
+	e.Model.SetDepotCorruption(flipper.Addr(), true)
 	got, rep, err := tl.Download(x, DownloadOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -8,12 +8,13 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/nws"
+	"repro/internal/testbed"
 )
 
 func TestMaxAttemptsPerExtentBoundsFailover(t *testing.T) {
 	e := newEnv(t)
 	down := faultnet.Windows{Down: []faultnet.Window{
-		{From: envStart.Add(time.Hour), To: envStart.Add(100 * time.Hour)},
+		{From: testbed.Start.Add(time.Hour), To: testbed.Start.Add(100 * time.Hour)},
 	}}
 	e.addDepot("A", geo.UTK, down)
 	e.addDepot("B", geo.UCSD, nil)
@@ -23,7 +24,7 @@ func TestMaxAttemptsPerExtentBoundsFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.clk.Advance(2 * time.Hour) // A is now down; static prefers A.
+	e.Clock.Advance(2 * time.Hour) // A is now down; static prefers A.
 	// With one attempt allowed, the download must fail rather than fall
 	// over to B.
 	_, rep, err := tl.Download(x, DownloadOptions{
@@ -129,7 +130,7 @@ func TestRemoteNWSWithTools(t *testing.T) {
 	// Tools work against a remote NWS daemon exactly like a local service.
 	e := newEnv(t)
 	d := e.addDepot("A", geo.UTK, nil)
-	svc := nws.NewService(e.clk)
+	svc := nws.NewService(e.Clock)
 	srv, err := nws.ServeNWS("127.0.0.1:0", svc, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ func TestVerifyAudit(t *testing.T) {
 		t.Fatalf("healthy exnode: %s", res)
 	}
 	// Corrupt depot A: verify must localize the bad copy while B stays ok.
-	e.model.SetDepotCorruption(dA.Addr(), true)
+	e.Model.SetDepotCorruption(dA.Addr(), true)
 	res = tl.Verify(x)
 	if res.Corrupt != 1 || res.OK != 1 {
 		t.Fatalf("after corruption: %s", res)
@@ -184,17 +185,13 @@ func TestVerifyAudit(t *testing.T) {
 		}
 	}
 	// Take B down: its segment reports unavailable.
-	now := e.clk.Now()
-	e.model.AddDepot(e.depots["B"].Addr(), faultnet.DepotState{
-		Site:  "UCSD",
-		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-	})
+	e.Kill("B", time.Hour)
 	res = tl.Verify(x)
 	if res.Unavailable != 1 {
 		t.Fatalf("after outage: %s", res)
 	}
 	// Without checksums everything is unchecked.
-	e.model.SetDepotCorruption(dA.Addr(), false)
+	e.Model.SetDepotCorruption(dA.Addr(), false)
 	y, err := tl.Upload("g", data, UploadOptions{Depots: e.infosFor("A")})
 	if err != nil {
 		t.Fatal(err)
@@ -215,11 +212,8 @@ func TestVerifyAudit(t *testing.T) {
 	if res := tl.Verify(z); res.OK != 5 {
 		t.Fatalf("healthy coded exnode: %s", res)
 	}
-	e.model.SetDepotCorruption(e.depots["C1"].Addr(), true)
-	e.model.AddDepot(e.depots["C2"].Addr(), faultnet.DepotState{
-		Site:  "UTK",
-		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-	})
+	e.Model.SetDepotCorruption(e.Depots["C1"].Addr(), true)
+	e.Kill("C2", time.Hour)
 	res = tl.Verify(z)
 	if res.OK != 3 || res.Corrupt != 1 || res.Unavailable != 1 {
 		t.Fatalf("coded exnode with a corrupt and a down depot: %s", res)
@@ -235,7 +229,7 @@ func TestDownloadBudget(t *testing.T) {
 	e := newEnv(t)
 	e.addDepot("A", geo.UTK, nil)
 	// Slow remote link so extents take real virtual time.
-	e.model.SetLink("HARVARD", "UTK", faultnet.Link{RTT: 50 * time.Millisecond, Mbps: 1})
+	e.Model.SetLink("HARVARD", "UTK", faultnet.Link{RTT: 50 * time.Millisecond, Mbps: 1})
 	tl := e.tools(geo.Harvard, false)
 	data := payload(400 << 10) // ~3.3 s at 1 Mbit/s
 	x, err := tl.Upload("f", data, UploadOptions{Fragments: 8, Depots: e.infosFor("A")})
@@ -269,7 +263,7 @@ func TestDownloadBudgetParallel(t *testing.T) {
 	// ErrBudgetExceeded rather than silently fetching past the budget.
 	e := newEnv(t)
 	e.addDepot("A", geo.UTK, nil)
-	e.model.SetLink("HARVARD", "UTK", faultnet.Link{RTT: 50 * time.Millisecond, Mbps: 1})
+	e.Model.SetLink("HARVARD", "UTK", faultnet.Link{RTT: 50 * time.Millisecond, Mbps: 1})
 	tl := e.tools(geo.Harvard, false)
 	data := payload(400 << 10) // ~3.3 s at 1 Mbit/s
 	x, err := tl.Upload("f", data, UploadOptions{Fragments: 8, Depots: e.infosFor("A")})

@@ -18,16 +18,16 @@ import (
 func (e *env) healthTools(site geo.Site, sb *health.Scoreboard) *Tools {
 	e.t.Helper()
 	client := ibp.NewClient(
-		ibp.WithDialer(e.model.DialerFrom(site.Name)),
-		ibp.WithClock(e.clk),
+		ibp.WithDialer(e.Model.DialerFrom(site.Name)),
+		ibp.WithClock(e.Clock),
 		ibp.WithDialTimeout(2*time.Second),
 		ibp.WithOpTimeout(60*time.Second),
 		ibp.WithHealth(sb),
 	)
 	return &Tools{
 		IBP:    client,
-		LBone:  RegistrySource{Reg: e.reg},
-		Clock:  e.clk,
+		LBone:  RegistrySource{Reg: e.Registry},
+		Clock:  e.Clock,
 		Site:   site.Name,
 		Loc:    site.Loc,
 		Health: sb,
@@ -45,7 +45,7 @@ func TestDownloadBreakerSkipsDeadDepot(t *testing.T) {
 	sb := health.New(health.Config{
 		FailureThreshold: 2,
 		BaseBackoff:      10 * time.Minute,
-		Clock:            e.clk,
+		Clock:            e.Clock,
 		Seed:             1,
 	})
 	tl := e.healthTools(geo.Harvard, sb)
@@ -65,10 +65,10 @@ func TestDownloadBreakerSkipsDeadDepot(t *testing.T) {
 
 	// The link to the near depot goes down before the download and stays
 	// down: every dial to it now hangs for the full 2s dial timeout.
-	e.model.SetLink(geo.Harvard.Name, geo.UNC.Name, faultnet.Link{
+	e.Model.SetLink(geo.Harvard.Name, geo.UNC.Name, faultnet.Link{
 		RTT: 40 * time.Millisecond, Mbps: 20,
 		Avail: faultnet.Windows{Down: []faultnet.Window{
-			{From: e.clk.Now(), To: e.clk.Now().Add(time.Hour)},
+			{From: e.Clock.Now(), To: e.Clock.Now().Add(time.Hour)},
 		}},
 	})
 
@@ -80,7 +80,7 @@ func TestDownloadBreakerSkipsDeadDepot(t *testing.T) {
 		t.Fatal("download corrupted")
 	}
 
-	nearAddr := e.depots["near"].Addr()
+	nearAddr := e.Depots["near"].Addr()
 	if st, _ := sb.State(nearAddr); st != health.StateOpen {
 		t.Fatalf("near depot breaker state = %v, want open", st)
 	}
@@ -118,14 +118,14 @@ func TestUploadPlacementAvoidsOpenCircuit(t *testing.T) {
 	sb := health.New(health.Config{
 		FailureThreshold: 1,
 		BaseBackoff:      10 * time.Minute,
-		Clock:            e.clk,
+		Clock:            e.Clock,
 		Seed:             1,
 	})
 	tl := e.healthTools(geo.UTK, sb)
 
 	// Trip depot a's breaker directly: one reported timeout is enough at
 	// threshold 1.
-	aAddr := e.depots["a"].Addr()
+	aAddr := e.Depots["a"].Addr()
 	sb.Report(aAddr, health.Timeout, 2*time.Second)
 	if st, _ := sb.State(aAddr); st != health.StateOpen {
 		t.Fatalf("state = %v, want open", st)
@@ -157,11 +157,11 @@ func TestCodedAndThirdPartyPlacementAvoidOpenCircuit(t *testing.T) {
 	sb := health.New(health.Config{
 		FailureThreshold: 1,
 		BaseBackoff:      10 * time.Minute,
-		Clock:            e.clk,
+		Clock:            e.Clock,
 		Seed:             1,
 	})
 	tl := e.healthTools(geo.UTK, sb)
-	aAddr := e.depots["a"].Addr()
+	aAddr := e.Depots["a"].Addr()
 	sb.Report(aAddr, health.Timeout, 2*time.Second)
 	if st, _ := sb.State(aAddr); st != health.StateOpen {
 		t.Fatalf("state = %v, want open", st)

@@ -109,11 +109,7 @@ func TestMaintainDoesNotTrimDownDepots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := e.clk.Now()
-	e.model.AddDepot(e.depots["A"].Addr(), faultnet.DepotState{
-		Site:  "UTK",
-		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-	})
+	e.Kill("A", time.Hour)
 	out, rep, err := tl.Maintain(x, MaintainOptions{MinCoverage: 2, RefreshBelow: time.Minute})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +152,7 @@ func TestMaintainProbesEachMappingOnce(t *testing.T) {
 	}
 	tl := e.tools(geo.UTK, false)
 	probes := &probeCounter{}
-	tl.IBP = ibp.NewClient(ibp.WithDialer(e.model.DialerFrom("UTK")), ibp.WithClock(e.clk), ibp.WithObserver(probes))
+	tl.IBP = ibp.NewClient(ibp.WithDialer(e.Model.DialerFrom("UTK")), ibp.WithClock(e.Clock), ibp.WithObserver(probes))
 	x, err := tl.Upload("f", payload(16<<10), UploadOptions{
 		Replicas: 2, Fragments: 2, Depots: e.infosFor("A", "B", "C", "D"), Duration: 48 * time.Hour,
 	})
@@ -228,15 +224,8 @@ func TestWholeReplicaBaselineLosesWhereExtentsWin(t *testing.T) {
 	for _, m := range x.Mappings {
 		byReplica[m.Replica] = append(byReplica[m.Replica], m.Depot)
 	}
-	kill := func(name string) {
-		now := e.clk.Now()
-		e.model.AddDepot(e.depots[name].Addr(), faultnet.DepotState{
-			Site:  "UTK",
-			Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-		})
-	}
-	kill(byReplica[0][0])
-	kill(byReplica[1][1])
+	e.Kill(byReplica[0][0], time.Hour)
+	e.Kill(byReplica[1][1], time.Hour)
 
 	// Whole-replica baseline: every copy has a dead fragment → fails.
 	if _, rep, err := downloadWholeReplica(tl, x, DownloadOptions{}); err == nil {
@@ -266,11 +255,7 @@ func TestWholeReplicaSucceedsWhenACopyIsIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill A: copy on B is intact; the baseline fails over to it.
-	now := e.clk.Now()
-	e.model.AddDepot(e.depots["A"].Addr(), faultnet.DepotState{
-		Site:  "UTK",
-		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-	})
+	e.Kill("A", time.Hour)
 	got, rep, err := downloadWholeReplica(tl, x, DownloadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -324,12 +309,8 @@ func TestAugmentThirdParty(t *testing.T) {
 	}
 	// Kill the source depots: the copied replica alone serves the file,
 	// proving real bytes moved depot-to-depot.
-	now := e.clk.Now()
 	for _, n := range []string{"SRC1", "SRC2"} {
-		e.model.AddDepot(e.depots[n].Addr(), faultnet.DepotState{
-			Site:  "UTK",
-			Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-		})
+		e.Kill(n, time.Hour)
 	}
 	got, _, err := tl.Download(aug, DownloadOptions{})
 	if err != nil || !bytes.Equal(got, data) {
@@ -346,12 +327,60 @@ func TestAugmentThirdPartyNeedsAvailableReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := e.clk.Now()
-	e.model.AddDepot(e.depots["A"].Addr(), faultnet.DepotState{
-		Site:  "UTK",
-		Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-	})
+	e.Kill("A", time.Hour)
 	if _, err := tl.Augment(x, AugmentOptions{ThirdParty: true, Depots: e.infosFor("B")}); err == nil {
 		t.Fatal("third-party augment with no available source should fail")
 	}
+}
+
+// TestThirdPartyCopyCrossesTheWAN pins that a depot's COPY dials through
+// the simulated WAN from the depot's own site, like every client: the
+// source is at UCSD, the target at UCSB and the client at UTK, so only the
+// depot-to-depot transfer uses the UCSD↔UCSB link.
+func TestThirdPartyCopyCrossesTheWAN(t *testing.T) {
+	e := newEnv(t)
+	e.addDepot("SRC", geo.UCSD, nil)
+	e.addDepot("DST", geo.UCSB, nil)
+	tl := e.tools(geo.UTK, false)
+	x, err := tl.Upload("f", payload(1<<20), UploadOptions{Depots: e.infosFor("SRC"), Duration: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	augment := func() (*exnode.ExNode, error) {
+		return tl.Augment(x, AugmentOptions{ThirdParty: true, Depots: e.infosFor("DST"), Duration: time.Hour})
+	}
+
+	t.Run("link down", func(t *testing.T) {
+		now := e.Clock.Now()
+		e.Model.SetLink(geo.UCSD.Name, geo.UCSB.Name, faultnet.Link{
+			RTT: 12 * time.Millisecond, Mbps: 5,
+			Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
+		})
+		if _, err := augment(); err == nil {
+			t.Fatal("COPY over a downed UCSD↔UCSB link succeeded")
+		}
+		st, err := tl.IBP.Status(e.Infos["DST"].Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Allocations != 0 {
+			t.Fatalf("target holds %d allocation(s) after the failed augment", st.Allocations)
+		}
+	})
+
+	t.Run("slow link", func(t *testing.T) {
+		// 1 MiB at 0.5 Mbit/s is 16.8 s on the wire.
+		e.Model.SetLink(geo.UCSD.Name, geo.UCSB.Name, faultnet.Link{RTT: 12 * time.Millisecond, Mbps: 0.5})
+		before := e.Clock.Now()
+		aug, err := augment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if took := e.Clock.Since(before); took < 16*time.Second {
+			t.Fatalf("1 MiB COPY over a 0.5 Mbit/s link took %v of virtual time, want >= 16s", took)
+		}
+		if aug.Replicas() != 2 {
+			t.Fatalf("replicas = %d, want 2", aug.Replicas())
+		}
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/exnode"
-	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/lbone"
 )
@@ -102,12 +101,8 @@ func TestSiteDiverseUploadSurvivesSiteOutage(t *testing.T) {
 		}
 	}
 	// Kill all of UTK; downloads still succeed from UCSD.
-	now := e.clk.Now()
 	for _, n := range []string{"A1", "A2"} {
-		e.model.AddDepot(e.depots[n].Addr(), faultnet.DepotState{
-			Site:  "UTK",
-			Avail: faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(time.Hour)}}},
-		})
+		e.Kill(n, time.Hour)
 	}
 	got, _, err := tl.Download(x, DownloadOptions{})
 	if err != nil {

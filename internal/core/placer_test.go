@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/exnode"
-	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/health"
 	"repro/internal/lbone"
@@ -20,12 +19,11 @@ import (
 // setDown takes the named depot off (or back onto) the simulated network
 // from now on, without closing the daemon.
 func (e *env) setDown(name string, down bool) {
-	st := faultnet.DepotState{Site: e.infos[name].Site}
 	if down {
-		now := e.clk.Now()
-		st.Avail = faultnet.Windows{Down: []faultnet.Window{{From: now, To: now.Add(1000 * time.Hour)}}}
+		e.Kill(name, 1000*time.Hour)
+	} else {
+		e.SetAvail(name, nil)
 	}
-	e.model.AddDepot(e.depots[name].Addr(), st)
 }
 
 // depotsOf returns the sorted depot names holding the mappings that pass
@@ -52,7 +50,7 @@ func TestUploadFailoverKeepsCopiesApart(t *testing.T) {
 			for _, n := range []string{"A", "B", "C"} {
 				e.addDepot(n, geo.UTK, nil)
 			}
-			e.depots["A"].Close()
+			e.Depots["A"].Close()
 			tl := e.tools(geo.UTK, false)
 			data := payload(16 << 10)
 
@@ -77,7 +75,7 @@ func TestUploadFailoverKeepsCopiesApart(t *testing.T) {
 			if !errors.Is(err, ErrNoDisjointDepot) {
 				t.Fatalf("two copies, one live depot: err = %v, want ErrNoDisjointDepot", err)
 			}
-			if n := e.depots["B"].AllocationCount(); n != 0 {
+			if n := e.Depots["B"].AllocationCount(); n != 0 {
 				t.Fatalf("B holds %d allocations after the failed upload", n)
 			}
 		})
@@ -93,7 +91,7 @@ func TestCodedUploadFailsOverPerBlock(t *testing.T) {
 	for _, n := range names {
 		e.addDepot(n, geo.UTK, nil)
 	}
-	e.depots["D2"].Close()
+	e.Depots["D2"].Close()
 	tl := e.tools(geo.UTK, false)
 	data := payload(30 << 10)
 	opts := CodedOptions{DataBlocks: 3, ParityBlocks: 2, Checksum: true, Depots: e.infosFor(names...)}
@@ -132,7 +130,7 @@ func TestCodedUploadFailsOverPerBlock(t *testing.T) {
 		t.Fatalf("five blocks, four live depots: err = %v, want ErrNoDisjointDepot", err)
 	}
 	for _, n := range names {
-		if c := e.depots[n].AllocationCount(); n != "D2" && c != 0 {
+		if c := e.Depots[n].AllocationCount(); n != "D2" && c != 0 {
 			t.Errorf("depot %s holds %d leaked allocations", n, c)
 		}
 	}
@@ -157,7 +155,7 @@ func TestAugmentAvoidsSurvivorDepot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.depots["B"].Close()
+			e.Depots["B"].Close()
 
 			var out *exnode.ExNode
 			if thirdParty {
@@ -176,7 +174,7 @@ func TestAugmentAvoidsSurvivorDepot(t *testing.T) {
 			if !slices.Equal(added, []string{"C"}) {
 				t.Fatalf("repair copy on %v, want C (A holds the survivor, B is down)", added)
 			}
-			e.depots["A"].Close()
+			e.Depots["A"].Close()
 			got, _, err := tl.Download(out, DownloadOptions{})
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("download after losing the old survivor too: %v", err)
@@ -292,7 +290,7 @@ func TestEveryWritePathSharesPlacerBehaviour(t *testing.T) {
 			t.Fatalf("err = %v, want a failure on %s", err, refuser)
 		}
 		for _, n := range []string{"a", "b", "c"} {
-			if c := e.depots[n].AllocationCount(); c != 0 {
+			if c := e.Depots[n].AllocationCount(); c != 0 {
 				t.Errorf("depot %s holds %d allocations after the failed write", n, c)
 			}
 		}
@@ -307,9 +305,9 @@ func TestEveryWritePathSharesPlacerBehaviour(t *testing.T) {
 	for _, p := range paths {
 		t.Run(p.name+"/open circuit is demoted", func(t *testing.T) {
 			e := newBed(t)
-			sb := health.New(health.Config{FailureThreshold: 1, BaseBackoff: 10 * time.Minute, Clock: e.clk, Seed: 1})
+			sb := health.New(health.Config{FailureThreshold: 1, BaseBackoff: 10 * time.Minute, Clock: e.Clock, Seed: 1})
 			tl := e.healthTools(geo.UTK, sb)
-			sb.Report(e.depots["a"].Addr(), health.Timeout, 2*time.Second)
+			sb.Report(e.Depots["a"].Addr(), health.Timeout, 2*time.Second)
 			log, rep := logged(tl), &UploadReport{}
 			x, err := p.run(t, e, tl, e.infosFor("a", "b", "c"), rep)
 			if p.oneCandidate {
@@ -328,7 +326,7 @@ func TestEveryWritePathSharesPlacerBehaviour(t *testing.T) {
 		})
 		t.Run(p.name+"/first candidate refuses", func(t *testing.T) {
 			e := newBed(t)
-			e.depots["a"].Close()
+			e.Depots["a"].Close()
 			tl := e.tools(geo.UTK, false)
 			log, rep := logged(tl), &UploadReport{}
 			x, err := p.run(t, e, tl, e.infosFor("a", "b", "c"), rep)
@@ -355,7 +353,7 @@ func TestEveryWritePathSharesPlacerBehaviour(t *testing.T) {
 		})
 		t.Run(p.name+"/unplaceable block aborts and reclaims", func(t *testing.T) {
 			e := newBed(t)
-			e.depots["a"].Close()
+			e.Depots["a"].Close()
 			tl := e.tools(geo.UTK, false)
 			rep := &UploadReport{}
 			_, err := p.run(t, e, tl, e.infosFor("a", "b"), rep)

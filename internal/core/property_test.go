@@ -49,7 +49,7 @@ func TestDownloadRandomLayoutsProperty(t *testing.T) {
 					continue
 				}
 				frags = append(frags, FragmentSpec{
-					Depot:  e.infos[names[rng.Intn(len(names))]],
+					Depot:  e.Infos[names[rng.Intn(len(names))]],
 					Offset: points[i],
 					Length: points[i+1] - points[i],
 				})

@@ -8,6 +8,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/health"
+	"repro/internal/testbed"
 )
 
 // Regression tests for the repair path. Each of these pinned a real bug
@@ -27,7 +28,7 @@ func TestAugmentThirdPartyCleansUpOnPartialFailure(t *testing.T) {
 	e.addDepot("SRC1", geo.UTK, nil)
 	e.addDepot("SRC2", geo.UTK, nil)
 	e.addDepot("DST1", geo.Harvard, nil)
-	dead := faultnet.Windows{Down: []faultnet.Window{{From: envStart.Add(-time.Hour), To: envStart.Add(24 * time.Hour)}}}
+	dead := faultnet.Windows{Down: []faultnet.Window{{From: testbed.Start.Add(-time.Hour), To: testbed.Start.Add(24 * time.Hour)}}}
 	e.addDepot("DST2", geo.Harvard, dead)
 	tl := e.tools(geo.UTK, false)
 
@@ -53,7 +54,7 @@ func TestAugmentThirdPartyCleansUpOnPartialFailure(t *testing.T) {
 	}); err == nil {
 		t.Fatal("third-party augment with a dead target should fail")
 	}
-	st, err := tl.IBP.Status(e.depots["DST1"].Addr())
+	st, err := tl.IBP.Status(e.Depots["DST1"].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestMaintainRefreshesBeforeExpiryNotTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 5 virtual minutes before the allocations lapse.
-	e.clk.Advance(115 * time.Minute)
+	e.Clock.Advance(115 * time.Minute)
 	opts := MaintainOptions{MinCoverage: 2, RefreshBelow: time.Hour, RefreshTo: 72 * time.Hour}
 	out, rep, err := tl.Maintain(x, opts)
 	if err != nil {
@@ -222,7 +223,7 @@ func TestMaintainRefreshesBeforeExpiryNotTrim(t *testing.T) {
 	}
 	// Sail past the original expiry: the refresh must have carried both
 	// allocations across, leaving the next pass nothing to do.
-	e.clk.Advance(24 * time.Hour)
+	e.Clock.Advance(24 * time.Hour)
 	out2, rep2, err := tl.Maintain(out, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +247,7 @@ func TestMaintainDoesNotTrimWhileCircuitOpen(t *testing.T) {
 	e.addDepot("B", geo.UCSD, nil)
 	e.addDepot("C", geo.UNC, nil)
 	tl := e.tools(geo.UTK, false)
-	tl.Health = health.New(health.Config{FailureThreshold: 3, Clock: e.clk})
+	tl.Health = health.New(health.Config{FailureThreshold: 3, Clock: e.Clock})
 	data := payload(8 << 10)
 	x, err := tl.Upload("f", data, UploadOptions{
 		Replicas: 2, Depots: e.infosFor("A", "B"), Duration: 48 * time.Hour, Checksum: true,

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/faultnet"
 	"repro/internal/geo"
+	"repro/internal/testbed"
 	"repro/internal/transfer"
 )
 
@@ -23,7 +24,7 @@ func TestStreamReadNeverSkipsFailedExtent(t *testing.T) {
 	// The depot is scheduled to be down between T+10min and T+20min; the
 	// schedule is baked in up front so pooled connections see it too.
 	e.addDepot("A", geo.UTK, faultnet.Windows{Down: []faultnet.Window{
-		{From: envStart.Add(10 * time.Minute), To: envStart.Add(20 * time.Minute)},
+		{From: testbed.Start.Add(10 * time.Minute), To: testbed.Start.Add(20 * time.Minute)},
 	}})
 	tl := e.tools(geo.UTK, false)
 	data := payload(200_000)
@@ -51,7 +52,7 @@ func TestStreamReadNeverSkipsFailedExtent(t *testing.T) {
 	}
 
 	// Jump into the outage: the next extent's fetch must fail.
-	e.clk.Advance(10 * time.Minute)
+	e.Clock.Advance(10 * time.Minute)
 	if _, err := r.Read(make([]byte, 1)); err == nil {
 		t.Fatal("read against a dead depot should fail")
 	}
@@ -59,7 +60,7 @@ func TestStreamReadNeverSkipsFailedExtent(t *testing.T) {
 	// Jump past the outage: the depot is healthy again. The old reader
 	// would now silently serve extent 2, dropping extent 1's bytes; the
 	// fixed reader stays failed.
-	e.clk.Advance(15 * time.Minute)
+	e.Clock.Advance(15 * time.Minute)
 	buf := make([]byte, extLen)
 	n, err := r.Read(buf)
 	if err == nil {
@@ -81,7 +82,7 @@ func TestStreamReadNeverSkipsFailedExtent(t *testing.T) {
 func TestStreamBudgetEnforced(t *testing.T) {
 	e := newEnv(t)
 	e.addDepot("slow", geo.UTK, nil)
-	e.model.SetLink(geo.Harvard.Name, geo.UTK.Name, faultnet.Link{RTT: 50 * time.Millisecond, Mbps: 1})
+	e.Model.SetLink(geo.Harvard.Name, geo.UTK.Name, faultnet.Link{RTT: 50 * time.Millisecond, Mbps: 1})
 	tl := e.tools(geo.Harvard, false)
 	data := payload(400 << 10)
 	x, err := tl.Upload("budget.dat", data, UploadOptions{Fragments: 8, Depots: e.infosFor("slow")})
@@ -119,7 +120,7 @@ func TestStreamReportCountsFailovers(t *testing.T) {
 	// stream starts (the schedule is set up front so pooled connections
 	// from the upload observe it too).
 	e.addDepot("near", geo.UNC, faultnet.Windows{Down: []faultnet.Window{
-		{From: envStart.Add(5 * time.Minute), To: envStart.Add(2 * time.Hour)},
+		{From: testbed.Start.Add(5 * time.Minute), To: testbed.Start.Add(2 * time.Hour)},
 	}})
 	e.addDepot("far", geo.UCSD, nil)
 	tl := e.tools(geo.Harvard, false)
@@ -130,7 +131,7 @@ func TestStreamReportCountsFailovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.clk.Advance(5 * time.Minute)
+	e.Clock.Advance(5 * time.Minute)
 	r, rep, err := tl.OpenReader(x, DownloadOptions{Strategy: StrategyStatic})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +201,7 @@ func TestStreamReadahead(t *testing.T) {
 	e.addDepot("A", geo.UTK, nil)
 	e.addDepot("B", geo.UTK, nil)
 	tl := e.tools(geo.UTK, false)
-	tl.Transfer = transfer.New(transfer.Config{MaxPerDepot: 2, Clock: e.clk})
+	tl.Transfer = transfer.New(transfer.Config{MaxPerDepot: 2, Clock: e.Clock})
 	data := payload(256 << 10)
 	x, err := tl.Upload("ra.dat", data, UploadOptions{
 		Replicas: 2, Fragments: 8, Depots: e.infosFor("A", "B"),

@@ -23,15 +23,15 @@ func hedgeEnv(t *testing.T, withHealth bool) (*env, *Tools, []byte, *exnode.ExNo
 	e := newEnv(t)
 	// Hedging races two live transfers; pace wall time against virtual time
 	// so the race resolves by simulated speed, not syscall latency.
-	e.model.SetWallPacing(faultnet.DefaultWallPacing)
+	e.Model.SetWallPacing(faultnet.DefaultWallPacing)
 	e.addDepot("near-slow", geo.UNC, nil)
 	e.addDepot("far-fast", geo.UCSD, nil)
 	// Harvard→UNC: short hop, starved bandwidth. Harvard→UCSD: fast.
-	e.model.SetLink(geo.Harvard.Name, geo.UNC.Name, faultnet.Link{RTT: 10 * time.Millisecond, Mbps: 0.1})
-	e.model.SetLink(geo.Harvard.Name, geo.UCSD.Name, faultnet.Link{RTT: 10 * time.Millisecond, Mbps: 100})
+	e.Model.SetLink(geo.Harvard.Name, geo.UNC.Name, faultnet.Link{RTT: 10 * time.Millisecond, Mbps: 0.1})
+	e.Model.SetLink(geo.Harvard.Name, geo.UCSD.Name, faultnet.Link{RTT: 10 * time.Millisecond, Mbps: 100})
 	tl := e.tools(geo.Harvard, false)
 	if withHealth {
-		tl = e.healthTools(geo.Harvard, health.New(health.Config{Clock: e.clk, Seed: 1}))
+		tl = e.healthTools(geo.Harvard, health.New(health.Config{Clock: e.Clock, Seed: 1}))
 	}
 	data := payload(200 << 10)
 	x, err := tl.Upload("hedge.dat", data, UploadOptions{
@@ -68,7 +68,7 @@ func TestHedgedDownloadBeatsSlowDepot(t *testing.T) {
 	tl.Transfer = transfer.New(transfer.Config{
 		Hedge:      true,
 		HedgeAfter: 150 * time.Millisecond,
-		Clock:      e.clk,
+		Clock:      e.Clock,
 	})
 	got, fastRep, err := tl.Download(x, DownloadOptions{Strategy: StrategyStatic})
 	if err != nil {
@@ -116,7 +116,7 @@ func TestHedgedStreamBeatsSlowDepot(t *testing.T) {
 	tl.Transfer = transfer.New(transfer.Config{
 		Hedge:      true,
 		HedgeAfter: 150 * time.Millisecond,
-		Clock:      e.clk,
+		Clock:      e.Clock,
 	})
 	r, rep, err := tl.OpenReader(x, DownloadOptions{Strategy: StrategyStatic})
 	if err != nil {
@@ -141,7 +141,7 @@ func TestHedgedStreamBeatsSlowDepot(t *testing.T) {
 // slowEngine is the engine both slow-replica tests read through: a fixed
 // 150ms (virtual) hedge threshold on the reader's own scoreboard.
 func slowEngine(e *env, sb *health.Scoreboard) *transfer.Engine {
-	return transfer.New(transfer.Config{Hedge: true, HedgeAfter: 150 * time.Millisecond, Health: sb, Clock: e.clk})
+	return transfer.New(transfer.Config{Hedge: true, HedgeAfter: 150 * time.Millisecond, Health: sb, Clock: e.Clock})
 }
 
 // servedOnlyBy fails the test unless every attempt of every extent went to
@@ -187,8 +187,8 @@ func TestReadOnlyClientStopsHedgingSlowReplica(t *testing.T) {
 	// a time under its racing backup, and the fast depot would measure as
 	// slow too. A 5s round trip is one jump and 50ms of paced wall time,
 	// which the backup finishes inside.
-	e.model.SetLink(geo.Harvard.Name, geo.UNC.Name, faultnet.Link{RTT: 5 * time.Second, Mbps: 100})
-	sb := health.New(health.Config{Clock: e.clk, Seed: 1})
+	e.Model.SetLink(geo.Harvard.Name, geo.UNC.Name, faultnet.Link{RTT: 5 * time.Second, Mbps: 100})
+	sb := health.New(health.Config{Clock: e.Clock, Seed: 1})
 	reader := e.healthTools(geo.Harvard, sb)
 	reader.Transfer = slowEngine(e, sb)
 	var hedges int64
@@ -224,7 +224,7 @@ func TestConcurrentCodedDownloadsShareDecode(t *testing.T) {
 	e.addDepot("B", geo.UTK, nil)
 	e.addDepot("C", geo.UTK, nil)
 	tl := e.tools(geo.UTK, false)
-	tl.Transfer = transfer.New(transfer.Config{MaxPerDepot: 2, Clock: e.clk})
+	tl.Transfer = transfer.New(transfer.Config{MaxPerDepot: 2, Clock: e.Clock})
 	data := payload(96 << 10)
 	x, err := tl.UploadRS("rs.dat", data, CodedOptions{
 		DataBlocks: 2, ParityBlocks: 1, Depots: e.infosFor("A", "B", "C"),
@@ -274,7 +274,7 @@ func TestParallelDownloadRespectsDepotLimit(t *testing.T) {
 	e := newEnv(t)
 	e.addDepot("A", geo.UTK, nil)
 	tl := e.tools(geo.UTK, false)
-	tl.Transfer = transfer.New(transfer.Config{MaxPerDepot: 2, Clock: e.clk})
+	tl.Transfer = transfer.New(transfer.Config{MaxPerDepot: 2, Clock: e.Clock})
 	data := payload(256 << 10)
 	x, err := tl.Upload("lim.dat", data, UploadOptions{Fragments: 16, Depots: e.infosFor("A")})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faultnet"
 	"repro/internal/geo"
+	"repro/internal/testbed"
 )
 
 // TestParallelUploadAbortsAndCleansUp kills one of two depots just after a
@@ -23,7 +24,7 @@ func TestParallelUploadAbortsAndCleansUp(t *testing.T) {
 	// fragments (allocate+store costs >2ms of virtual time), so all of
 	// B's fragments fail over to A, which cannot take them all.
 	e.addDepot("B", geo.UTK, faultnet.Windows{Down: []faultnet.Window{
-		{From: envStart.Add(2 * time.Millisecond), To: envStart.Add(time.Hour)},
+		{From: testbed.Start.Add(2 * time.Millisecond), To: testbed.Start.Add(time.Hour)},
 	}})
 	tl := e.tools(geo.UTK, false)
 
@@ -95,7 +96,7 @@ func TestSequentialUploadCleansUpOnFailure(t *testing.T) {
 // needed a failover: the trail must keep the failed attempt.
 func TestUploadReportTimeline(t *testing.T) {
 	e := newEnv(t)
-	down := faultnet.Windows{Down: []faultnet.Window{{From: envStart, To: envStart.Add(time.Hour)}}}
+	down := faultnet.Windows{Down: []faultnet.Window{{From: testbed.Start, To: testbed.Start.Add(time.Hour)}}}
 	e.addDepot("DEAD", geo.UTK, down)
 	e.addDepot("LIVE", geo.UCSD, nil)
 	tl := e.tools(geo.UTK, false)
@@ -141,7 +142,7 @@ func TestUploadReportTimeline(t *testing.T) {
 func TestDownloadReportTimeline(t *testing.T) {
 	e := newEnv(t)
 	e.addDepot("A", geo.UTK, faultnet.Windows{Down: []faultnet.Window{
-		{From: envStart.Add(time.Hour), To: envStart.Add(3 * time.Hour)},
+		{From: testbed.Start.Add(time.Hour), To: testbed.Start.Add(3 * time.Hour)},
 	}})
 	e.addDepot("B", geo.UCSD, nil)
 	tl := e.tools(geo.UTK, false)
@@ -151,7 +152,7 @@ func TestDownloadReportTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.clk.Advance(90 * time.Minute)
+	e.Clock.Advance(90 * time.Minute)
 	_, rep, err := tl.Download(x, DownloadOptions{Strategy: StrategyStatic})
 	if err != nil {
 		t.Fatal(err)
@@ -188,14 +189,14 @@ func TestCodedAndLayoutUploadsReclaimOnFailure(t *testing.T) {
 			if n == closed {
 				continue
 			}
-			if c := e.depots[n].AllocationCount(); c != 0 {
+			if c := e.Depots[n].AllocationCount(); c != 0 {
 				t.Errorf("%s: depot %s holds %d leaked allocations", what, n, c)
 			}
 		}
 	}
 
 	// A three-fragment layout whose last depot is closed.
-	e.depots["D4"].Close()
+	e.Depots["D4"].Close()
 	infos := e.infosFor("D0", "D1", "D4")
 	layout := Layout{{
 		{Depot: infos[0], Offset: 0, Length: 10 << 10},
@@ -209,7 +210,7 @@ func TestCodedAndLayoutUploadsReclaimOnFailure(t *testing.T) {
 
 	// RS 3+2 over five depots with the fourth closed: blocks 0-2 land, block
 	// 3 has nowhere to go (a coded block has one depot and no failover).
-	e.depots["D3"].Close()
+	e.Depots["D3"].Close()
 	_, err := tl.UploadRS("c", payload(30<<10), CodedOptions{
 		DataBlocks: 3, ParityBlocks: 2, Depots: e.infosFor(names...),
 	})

@@ -100,6 +100,7 @@ func TestAllocateStoreOneRoundTrip(t *testing.T) {
 func batchFaultSetup(t *testing.T) (*faultnet.Model, *vclock.Virtual, *health.Scoreboard, *ibp.Client, string, []ibp.CapSet) {
 	t.Helper()
 	clock := vclock.NewVirtual(time.Unix(1_000_000, 0))
+	// Own model, not the testbed: package testbed imports depot.
 	model := faultnet.NewModel(clock, 42)
 	model.SetLink("client", "site-a", faultnet.Link{RTT: 10 * time.Millisecond, Mbps: 1})
 

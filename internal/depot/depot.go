@@ -36,8 +36,8 @@ type Config struct {
 	// Clock drives expirations (default: real time).
 	Clock vclock.Clock
 	// Dialer opens outbound connections for third-party COPY transfers
-	// (default: the system network; the experiment harness injects the
-	// simulated WAN so depot-to-depot traffic is shaped too).
+	// (default: the system network; testbed.New sets the simulated WAN
+	// from the depot's site, so depot-to-depot traffic is shaped too).
 	Dialer netx.Dialer
 	// Logger receives per-connection errors as structured records with
 	// depot/verb/trace attrs (default: discard). Build it with

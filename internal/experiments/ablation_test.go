@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/lbone"
+	"repro/internal/testbed"
 )
 
 // The design choices the paper calls out (DESIGN §5), each as a number with
@@ -54,7 +55,7 @@ func sitesOf(n int, s geo.Site) []geo.Site {
 // succeeded. Rounds fall at fixed virtual times from the end of the
 // outage-free grace period, step apart whatever each download cost.
 func retrieved(tb *Testbed, rounds int, step time.Duration, get func() error) float64 {
-	start := Start.Add(OutageGrace)
+	start := testbed.Start.Add(OutageGrace)
 	ok := 0
 	for i := 0; i < rounds; i++ {
 		tb.advanceTo(start.Add(time.Duration(i) * step))
@@ -141,11 +142,11 @@ func placement(policy core.Placement) func(*testing.T) float64 {
 		tb, infos := flakyFleet(t, 31, 1, geo.UTK, geo.UTK, geo.UCSD, geo.UCSD)
 		var down []faultnet.Window
 		for h := 0; h < 200; h += 2 {
-			from := Start.Add(OutageGrace + time.Duration(h)*time.Hour)
+			from := testbed.Start.Add(OutageGrace + time.Duration(h)*time.Hour)
 			down = append(down, faultnet.Window{From: from, To: from.Add(time.Hour)})
 		}
 		for _, info := range infos[:2] {
-			tb.Model.AddDepot(info.Addr, faultnet.DepotState{Site: info.Site, Avail: faultnet.Windows{Down: down}})
+			tb.SetAvail(info.Name, faultnet.Windows{Down: down})
 		}
 		tools := tb.Tools(geo.UTK, false)
 		x, err := tools.Upload("plc", experimentPayload(32<<10), core.UploadOptions{
@@ -180,11 +181,11 @@ func storedPerUserByte(upload func(*core.Tools, []byte, []lbone.DepotInfo) (*exn
 		for _, d := range tb.Depots {
 			stored += d.UsedBytes()
 		}
-		gone := faultnet.Windows{Down: []faultnet.Window{{From: Start, To: Start.Add(24 * time.Hour)}}}
+		gone := faultnet.Windows{Down: []faultnet.Window{{From: testbed.Start, To: testbed.Start.Add(24 * time.Hour)}}}
 		for i := range infos {
 			for j := i + 1; j < len(infos); j++ {
 				for _, k := range []int{i, j} {
-					tb.Model.AddDepot(infos[k].Addr, faultnet.DepotState{Site: infos[k].Site, Avail: gone})
+					tb.SetAvail(infos[k].Name, gone)
 				}
 				got, _, err := tools.Download(x, core.DownloadOptions{})
 				if err != nil {
@@ -193,7 +194,7 @@ func storedPerUserByte(upload func(*core.Tools, []byte, []lbone.DepotInfo) (*exn
 					t.Errorf("without %s and %s: wrong bytes", infos[i].Name, infos[j].Name)
 				}
 				for _, k := range []int{i, j} {
-					tb.Model.AddDepot(infos[k].Addr, faultnet.DepotState{Site: infos[k].Site})
+					tb.SetAvail(infos[k].Name, nil)
 				}
 			}
 		}

@@ -182,10 +182,7 @@ func TestRunTest1Small(t *testing.T) {
 }
 
 func TestRunTest2Small(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{
-		Seed:                 42,
-		HarvardDepotOverride: Test2HarvardIncident(72 * time.Hour),
-	})
+	tb, err := NewTestbed(TestbedConfig{Seed: 42, Depots: Test2Depots()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +256,7 @@ func TestRunTest2Small(t *testing.T) {
 func TestRunTest3Small(t *testing.T) {
 	cfg := smallCfg(160)
 	cfg.Interval = 150 * time.Second
-	failFrom, end := Test3FailWindow(cfg)
-	tb, err := NewTestbed(TestbedConfig{
-		Seed:                 42,
-		StableLinks:          true,
-		HarvardDepotOverride: Test3HarvardAvailability(failFrom, end),
-		UCSB3Override:        Test3UCSB3Availability(failFrom, end),
-	})
+	tb, err := NewTestbed(TestbedConfig{Seed: 42, StableLinks: true, Depots: Test3Depots(cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/nws"
 	"repro/internal/stats"
+	"repro/internal/testbed"
 )
 
 // Config scales an experiment run. Zero values take the paper's
@@ -240,19 +241,25 @@ func (r *Test2Result) SiteRun(name string) *SiteRun {
 	return nil
 }
 
-// Test2HarvardIncident is the scripted depot outage of §3.2 ("the IBP
-// depot went down for a period of time during the tests. The depot has
-// automatic restart as a cron job"): down for six hours on day two, then
-// flapping briefly as cron brings it back.
-func Test2HarvardIncident(total time.Duration) faultnet.Availability {
-	dayTwo := Start.Add(30 * time.Hour)
-	return faultnet.All{
-		faultnet.NewRenewalProcess(Start.Add(OutageGrace), faultnet.ForAvailability(0.97, 15*time.Minute), 15*time.Minute, 771),
-		faultnet.Windows{Down: []faultnet.Window{
-			{From: dayTwo, To: dayTwo.Add(6 * time.Hour)},
-			{From: dayTwo.Add(7 * time.Hour), To: dayTwo.Add(7*time.Hour + 30*time.Minute)},
-		}},
+// Test2Depots is the paper's testbed with the scripted depot outage of
+// §3.2 at Harvard ("the IBP depot went down for a period of time during
+// the tests. The depot has automatic restart as a cron job"): down for six
+// hours on day two, then flapping briefly as cron brings it back.
+func Test2Depots() []DepotSpec {
+	dayTwo := testbed.Start.Add(30 * time.Hour)
+	specs := PaperDepots()
+	for i := range specs {
+		if specs[i].Name == "HARVARD" {
+			specs[i].Avail = faultnet.All{
+				faultnet.NewRenewalProcess(testbed.Start.Add(OutageGrace), faultnet.ForAvailability(0.97, 15*time.Minute), 15*time.Minute, 771),
+				faultnet.Windows{Down: []faultnet.Window{
+					{From: dayTwo, To: dayTwo.Add(6 * time.Hour)},
+					{From: dayTwo.Add(7 * time.Hour), To: dayTwo.Add(7*time.Hour + 30*time.Minute)},
+				}},
+			}
+		}
 	}
+	return specs
 }
 
 // RunTest2 executes Test 2 from the three vantage points, interleaved
@@ -319,46 +326,43 @@ type Test3Result struct {
 	DeletedIBP int // byte arrays removed from depots
 }
 
-// Test3HarvardAvailability is the flaky cron-restart loop of §3.3: the
-// Harvard depot alternates 30 minutes up / 30 minutes down (≈50 %,
-// matching the measured 48.24 %), and is pinned down for the final-failure
-// window along with UCSB3.
-func Test3HarvardAvailability(failFrom, end time.Time) faultnet.Availability {
-	var downs []faultnet.Window
-	for t := Start.Add(OutageGrace); t.Before(end); t = t.Add(time.Hour) {
-		downs = append(downs, faultnet.Window{From: t.Add(30 * time.Minute), To: t.Add(time.Hour)})
-	}
-	downs = append(downs, faultnet.Window{From: failFrom, To: end})
-	return faultnet.Windows{Down: downs}
-}
-
-// Test3UCSB3Availability gives UCSB3 ~94 % availability with down windows
-// placed only while Harvard is up — so the doubly-stored first sixth never
-// loses both copies until the scripted final window, reproducing the
-// paper's 1,150 successes followed by 75 failures.
-func Test3UCSB3Availability(failFrom, end time.Time) faultnet.Availability {
-	var downs []faultnet.Window
-	for t := Start.Add(OutageGrace); t.Before(end); t = t.Add(2 * time.Hour) {
-		downs = append(downs, faultnet.Window{From: t.Add(5 * time.Minute), To: t.Add(13 * time.Minute)})
-	}
-	downs = append(downs, faultnet.Window{From: failFrom, To: end})
-	return faultnet.Windows{Down: downs}
-}
-
-// Test3FailWindow computes the scripted final-failure window for a run.
-func Test3FailWindow(cfg Config) (failFrom, end time.Time) {
+// Test3Depots is the paper's testbed with the depot schedules of §3.3,
+// scripted for a run of cfg:
+//   - Harvard's flaky cron-restart loop alternates 30 minutes up and 30
+//     down (≈50 %, matching the measured 48.24 %);
+//   - UCSB3 is ~94 % available, with down windows placed only while
+//     Harvard is up, so the doubly-stored first sixth never loses both
+//     copies until the final window;
+//   - both are pinned down for that final window, the last 1/16 of the run,
+//     reproducing the paper's 1,150 successes followed by 75 failures.
+func Test3Depots(cfg Config) []DepotSpec {
 	cfg = cfg.withDefaults(3_000_000, 1225, 150*time.Second)
-	failRounds := cfg.Rounds / 16 // ≈75 of 1225, scaled for short runs
-	if failRounds < 1 {
-		failRounds = 1
+	failRounds := max(cfg.Rounds/16, 1) // ≈75 of 1225, scaled for short runs
+	end := testbed.Start.Add(time.Duration(cfg.Rounds) * cfg.Interval).Add(time.Hour)
+	failFrom := testbed.Start.Add(time.Duration(cfg.Rounds-failRounds) * cfg.Interval)
+	// every is down for [off, off+length) of each period after the grace,
+	// and from failFrom on.
+	every := func(period, off, length time.Duration) faultnet.Availability {
+		var downs []faultnet.Window
+		for t := testbed.Start.Add(OutageGrace); t.Before(end); t = t.Add(period) {
+			downs = append(downs, faultnet.Window{From: t.Add(off), To: t.Add(off + length)})
+		}
+		return faultnet.Windows{Down: append(downs, faultnet.Window{From: failFrom, To: end})}
 	}
-	end = Start.Add(time.Duration(cfg.Rounds) * cfg.Interval).Add(time.Hour)
-	failFrom = Start.Add(time.Duration(cfg.Rounds-failRounds) * cfg.Interval)
-	return failFrom, end
+	specs := PaperDepots()
+	for i := range specs {
+		switch specs[i].Name {
+		case "HARVARD":
+			specs[i].Avail = every(time.Hour, 30*time.Minute, 30*time.Minute)
+		case "UCSB3":
+			specs[i].Avail = every(2*time.Hour, 5*time.Minute, 8*time.Minute)
+		}
+	}
+	return specs
 }
 
-// RunTest3 executes Test 3 on a testbed built with the Test 3 overrides
-// (see Test3HarvardAvailability / Test3UCSB3Availability).
+// RunTest3 executes Test 3 on a testbed built from Test3Depots(cfg) with
+// StableLinks.
 func RunTest3(tb *Testbed, cfg Config) (*Test3Result, error) {
 	cfg = cfg.withDefaults(3_000_000, 1225, 150*time.Second)
 	uploader := tb.Tools(geo.UTK, false)

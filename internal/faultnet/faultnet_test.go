@@ -92,7 +92,8 @@ func TestForAvailability(t *testing.T) {
 	}
 }
 
-// simDepot starts a real depot and registers it in a model.
+// simDepot starts a real depot and registers it in a model. (Not the
+// testbed: package testbed imports faultnet.)
 func simDepot(t *testing.T, m *Model, clock vclock.Clock, site string, st DepotState) *depot.Depot {
 	t.Helper()
 	d, err := depot.Serve("127.0.0.1:0", depot.Config{

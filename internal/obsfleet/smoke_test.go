@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/depot"
 	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/health"
@@ -59,11 +58,9 @@ import (
 	"repro/internal/registry"
 	"repro/internal/repaird"
 	"repro/internal/slo"
+	"repro/internal/testbed"
 	"repro/internal/tsdb"
-	"repro/internal/vclock"
 )
-
-var smokeStart = time.Date(2002, 1, 11, 15, 0, 0, 0, time.UTC)
 
 func smokePayload(n int) []byte {
 	out := make([]byte, n)
@@ -81,8 +78,12 @@ func TestObsdFleetSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	clk := vclock.NewVirtual(smokeStart)
-	model := faultnet.NewModel(clk, 11)
+	tb, err := testbed.New(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tb.Close)
+	clk, model := tb.Clock, tb.Model
 	model.SetDefaultLink(faultnet.Link{RTT: 40 * time.Millisecond, Mbps: 20})
 
 	// --- Three registry replicas (real TCP, always up). ---
@@ -129,8 +130,8 @@ func TestObsdFleetSmoke(t *testing.T) {
 	}
 
 	// --- Three depots; depot A dies for hours [1,3) of the run. ---
-	outageFrom := smokeStart.Add(time.Hour)
-	outageTo := smokeStart.Add(3 * time.Hour)
+	outageFrom := testbed.Start.Add(time.Hour)
+	outageTo := testbed.Start.Add(3 * time.Hour)
 	// Depot A shares the client's site, and its machine drops off the
 	// network for the same window: the client burns its dial timeout
 	// against it instead of getting a fast refusal, which is the wall
@@ -145,23 +146,11 @@ func TestObsdFleetSmoke(t *testing.T) {
 	}
 	serveDepot := func(name string, site geo.Site, avail faultnet.Availability) depotBox {
 		t.Helper()
-		rec := obs.NewFlightRecorder(0)
-		d, err := depot.Serve("127.0.0.1:0", depot.Config{
-			Secret: []byte("obsd-smoke-" + name), Capacity: 64 << 20,
-			Clock: clk, Recorder: rec,
-		})
+		d, err := tb.Add(testbed.Spec{Name: name, Site: site, Avail: avail})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { d.Close() })
-		model.AddDepot(d.Addr(), faultnet.DepotState{Site: site.Name, Avail: avail})
-		return depotBox{
-			info: lbone.DepotInfo{
-				Addr: d.Addr(), Name: name, Site: site.Name, Loc: site.Loc,
-				Capacity: 64 << 20, MaxDuration: 30 * 24 * time.Hour,
-			},
-			ctrl: announce(d.ObsMux(), "ibp-depot", name),
-		}
+		return depotBox{info: tb.Infos[name], ctrl: announce(d.ObsMux(), "ibp-depot", name)}
 	}
 	dead := serveDepot("A", geo.UTK, faultnet.Windows{Down: []faultnet.Window{{From: outageFrom, To: outageTo}}})
 	liveB := serveDepot("B", geo.UCSD, nil)

@@ -11,15 +11,19 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/depot"
 	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/ibp"
-	"repro/internal/lbone"
 	"repro/internal/obs"
 	"repro/internal/registry"
-	"repro/internal/vclock"
+	"repro/internal/testbed"
 )
+
+type replicaObs struct {
+	replica string
+	ok      bool
+	at      time.Time
+}
 
 // The acceptance experiment for the replicated registry, run entirely in
 // virtual time against an injected fault schedule:
@@ -34,26 +38,25 @@ import (
 //
 // Every per-replica failure the client observes is checked against the
 // schedule: nothing may fail outside its scripted outage window.
-
-var accStart = time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC)
-
-type replicaObs struct {
-	replica string
-	ok      bool
-	at      time.Time
-}
-
 func TestQuorumSurvivesMinorityKillDetectsMajorityKill(t *testing.T) {
-	clk := vclock.NewVirtual(accStart)
-	model := faultnet.NewModel(clk, 7)
+	// Two data depots, always up: depot failures are a different
+	// experiment — this one isolates registry-replica failures.
+	tb, err := testbed.New(7,
+		testbed.Spec{Name: "UTK-d", Site: geo.UTK},
+		testbed.Spec{Name: "UCSD-d", Site: geo.UCSD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tb.Close)
+	clk, model := tb.Clock, tb.Model
 	model.SetDefaultLink(faultnet.Link{RTT: 40 * time.Millisecond, Mbps: 20})
 	model.SetLocalLink(faultnet.Link{RTT: time.Millisecond, Mbps: 100})
 
 	// The fault schedule. Replica 0 is down for [1h,6h); replica 1 for
 	// [3h,6h). Minority phase: (1h,3h). Majority phase: (3h,6h).
 	windows := []faultnet.Windows{
-		{Down: []faultnet.Window{{From: accStart.Add(time.Hour), To: accStart.Add(6 * time.Hour)}}},
-		{Down: []faultnet.Window{{From: accStart.Add(3 * time.Hour), To: accStart.Add(6 * time.Hour)}}},
+		{Down: []faultnet.Window{{From: testbed.Start.Add(time.Hour), To: testbed.Start.Add(6 * time.Hour)}}},
+		{Down: []faultnet.Window{{From: testbed.Start.Add(3 * time.Hour), To: testbed.Start.Add(6 * time.Hour)}}},
 		{},
 	}
 
@@ -77,21 +80,6 @@ func TestQuorumSurvivesMinorityKillDetectsMajorityKill(t *testing.T) {
 		if err := rep.Reconfigure(view); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// Two data depots, always up: depot failures are a different
-	// experiment — this one isolates registry-replica failures.
-	depotAddrs := make([]string, 2)
-	for i, site := range []geo.Site{geo.UTK, geo.UCSD} {
-		d, err := depot.Serve("127.0.0.1:0", depot.Config{
-			Secret: []byte("registry-acc"), Capacity: 64 << 20, Clock: clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		depotAddrs[i] = d.Addr()
-		model.AddDepot(d.Addr(), faultnet.DepotState{Site: site.Name})
 	}
 
 	// The quorum client dials through the fault model and reports every
@@ -127,12 +115,8 @@ func TestQuorumSurvivesMinorityKillDetectsMajorityKill(t *testing.T) {
 	}
 
 	// --- Phase A: healthy. Register depots, upload, publish. ---
-	for i, site := range []geo.Site{geo.UTK, geo.UCSD} {
-		err := qc.RegisterDepot(lbone.DepotInfo{
-			Addr: depotAddrs[i], Name: site.Name + "-d", Site: site.Name, Loc: site.Loc,
-			Capacity: 64 << 20, MaxDuration: 30 * 24 * time.Hour,
-		})
-		if err != nil {
+	for _, name := range []string{"UTK-d", "UCSD-d"} {
+		if err := qc.RegisterDepot(tb.Infos[name]); err != nil {
 			t.Fatalf("healthy register: %v", err)
 		}
 	}

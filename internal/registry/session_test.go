@@ -135,6 +135,7 @@ registry_client_query_snapshot_hits_total 0
 func TestParkedSessionToDeadMinorityIsOneTolerated(t *testing.T) {
 	start := time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(start)
+	// Own model, not the testbed: it shapes registry replicas only, no depots.
 	model := faultnet.NewModel(clk, 3)
 	model.SetLocalLink(faultnet.Link{RTT: time.Millisecond, Mbps: 100})
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/depot"
 	"repro/internal/exnode"
 	"repro/internal/faultnet"
 	"repro/internal/geo"
@@ -16,7 +15,7 @@ import (
 	"repro/internal/lbone"
 	"repro/internal/registry"
 	"repro/internal/slo"
-	"repro/internal/vclock"
+	"repro/internal/testbed"
 )
 
 // ---- fakes ----
@@ -94,64 +93,48 @@ func (f fakeAvail) Availability(addr string) (float64, bool) {
 
 // ---- environment ----
 
-var envStart = time.Date(2002, 1, 11, 15, 0, 0, 0, time.UTC)
-
+// env is a testbed with every depot at UTK, a fake directory, and Tools
+// at UTK over both.
 type env struct {
-	t      *testing.T
-	clk    *vclock.Virtual
-	model  *faultnet.Model
-	reg    *lbone.Registry
-	infos  []lbone.DepotInfo
-	byName map[string]lbone.DepotInfo
-	dir    *fakeDir
-	tools  *core.Tools
+	*testbed.Testbed
+	t     *testing.T
+	infos []lbone.DepotInfo // in start order
+	dir   *fakeDir
+	tools *core.Tools
 }
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
-	clk := vclock.NewVirtual(envStart)
-	model := faultnet.NewModel(clk, 1)
-	model.SetLocalLink(faultnet.Link{RTT: time.Millisecond, Mbps: 100})
-	e := &env{
-		t: t, clk: clk, model: model,
-		reg:    lbone.NewRegistry(0, clk.Now),
-		byName: map[string]lbone.DepotInfo{},
-		dir:    newFakeDir(),
+	tb, err := testbed.New(1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(tb.Close)
+	tb.Model.SetLocalLink(faultnet.Link{RTT: time.Millisecond, Mbps: 100})
+	e := &env{Testbed: tb, t: t, dir: newFakeDir()}
 	e.tools = &core.Tools{
 		IBP: ibp.NewClient(
-			ibp.WithDialer(model.DialerFrom("UTK")),
-			ibp.WithClock(clk),
+			ibp.WithDialer(tb.Model.DialerFrom("UTK")),
+			ibp.WithClock(tb.Clock),
 			ibp.WithDialTimeout(time.Second),
 		),
-		LBone:     core.RegistrySource{Reg: e.reg},
+		LBone:     core.RegistrySource{Reg: tb.Registry},
 		Directory: e.dir,
-		Clock:     clk,
+		Clock:     tb.Clock,
 		Site:      "UTK",
 		Loc:       geo.UTK.Loc,
 	}
 	return e
 }
 
-// addDepot starts a depot; avail == nil means always up.
+// addDepot starts a depot at UTK; avail == nil means always up.
 func (e *env) addDepot(name string, avail faultnet.Availability) lbone.DepotInfo {
 	e.t.Helper()
-	d, err := depot.Serve("127.0.0.1:0", depot.Config{
-		Secret: []byte(name), Capacity: 1 << 30, Clock: e.clk,
-	})
-	if err != nil {
+	if _, err := e.Add(testbed.Spec{Name: name, Site: geo.UTK, Avail: avail}); err != nil {
 		e.t.Fatal(err)
 	}
-	e.t.Cleanup(func() { d.Close() })
-	e.model.AddDepot(d.Addr(), faultnet.DepotState{Site: "UTK", Avail: avail})
-	info := lbone.DepotInfo{
-		Addr: d.Addr(), Name: name, Site: "UTK",
-		Loc: geo.UTK.Loc, Capacity: 1 << 30, MaxDuration: 240 * time.Hour,
-	}
-	e.reg.Register(info)
-	e.infos = append(e.infos, info)
-	e.byName[name] = info
-	return info
+	e.infos = append(e.infos, e.Infos[name])
+	return e.Infos[name]
 }
 
 // ---- EffectiveCoverage ----
@@ -166,7 +149,7 @@ func mkMapping(addr string, off, length int64, expires time.Time) *exnode.Mappin
 }
 
 func TestEffectiveCoverageReplicas(t *testing.T) {
-	now := envStart
+	now := testbed.Start
 	lease := now.Add(time.Hour)
 	x := &exnode.ExNode{Name: "f", Size: 100}
 	m1 := mkMapping("a:1", 0, 100, lease)
@@ -187,7 +170,7 @@ func TestEffectiveCoverageReplicas(t *testing.T) {
 }
 
 func TestEffectiveCoverageCodedGroup(t *testing.T) {
-	now := envStart
+	now := testbed.Start
 	lease := now.Add(time.Hour)
 	x := &exnode.ExNode{Name: "rs", Size: 300}
 	// One replica plus a 3+2 RS group protecting the whole file.
@@ -283,7 +266,7 @@ func TestSweepDrainRepairsDegradedFile(t *testing.T) {
 	e := newEnv(t)
 	// A dies one minute in and never comes back; B, C, D stay up.
 	a := e.addDepot("A", faultnet.Windows{Down: []faultnet.Window{
-		{From: envStart.Add(time.Minute), To: envStart.Add(1000 * time.Hour)},
+		{From: testbed.Start.Add(time.Minute), To: testbed.Start.Add(1000 * time.Hour)},
 	}})
 	b := e.addDepot("B", nil)
 	e.addDepot("C", nil)
@@ -300,7 +283,7 @@ func TestSweepDrainRepairsDegradedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold, err := e.tools.Upload("cold", payload, core.UploadOptions{
-		Replicas: 2, Depots: []lbone.DepotInfo{e.byName["C"], e.byName["D"]}, Duration: 240 * time.Hour,
+		Replicas: 2, Depots: []lbone.DepotInfo{e.Infos["C"], e.Infos["D"]}, Duration: 240 * time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -308,12 +291,12 @@ func TestSweepDrainRepairsDegradedFile(t *testing.T) {
 	if _, err := e.tools.StoreExNode("cold", cold, 0); err != nil {
 		t.Fatal(err)
 	}
-	e.clk.Advance(2 * time.Minute) // A is now down
+	e.Clock.Advance(2 * time.Minute) // A is now down
 
-	eng := slo.New(slo.Config{Clock: e.clk})
+	eng := slo.New(slo.Config{Clock: e.Clock})
 	d, err := New(Config{
 		Tools: e.tools,
-		Avail: fakeAvail{a.Addr: 0.0, b.Addr: 0.99, e.byName["C"].Addr: 0.99, e.byName["D"].Addr: 0.99},
+		Avail: fakeAvail{a.Addr: 0.0, b.Addr: 0.99, e.Infos["C"].Addr: 0.99, e.Infos["D"].Addr: 0.99},
 		SLO:   eng,
 		Maintain: core.MaintainOptions{
 			MinCoverage: 2,
@@ -387,7 +370,7 @@ func TestDrainCountsVersionConflict(t *testing.T) {
 		t.Run(fmt.Sprintf("landed=%v", landed), func(t *testing.T) {
 			e := newEnv(t)
 			a := e.addDepot("A", faultnet.Windows{Down: []faultnet.Window{
-				{From: envStart.Add(time.Minute), To: envStart.Add(1000 * time.Hour)},
+				{From: testbed.Start.Add(time.Minute), To: testbed.Start.Add(1000 * time.Hour)},
 			}})
 			b := e.addDepot("B", nil)
 			spare := e.addDepot("C", nil)
@@ -402,7 +385,7 @@ func TestDrainCountsVersionConflict(t *testing.T) {
 			if _, err := e.tools.StoreExNode("contended", x, 0); err != nil {
 				t.Fatal(err)
 			}
-			e.clk.Advance(2 * time.Minute)
+			e.Clock.Advance(2 * time.Minute)
 
 			d, err := New(Config{
 				Tools:    e.tools,
@@ -468,18 +451,18 @@ func TestRunLoopOnVirtualClock(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("run loop stalled at %d sweeps", d.Counters().Sweeps)
 		}
-		e.clk.Advance(10 * time.Minute)
+		e.Clock.Advance(10 * time.Minute)
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
-	e.clk.Advance(10 * time.Minute) // release a Run blocked in After
+	e.Clock.Advance(10 * time.Minute) // release a Run blocked in After
 	<-done
 }
 
 // The metrics surface stays well-formed with zero activity.
 func TestPromMetricsSmoke(t *testing.T) {
 	e := newEnv(t)
-	d, err := New(Config{Tools: e.tools, SLO: slo.New(slo.Config{Clock: e.clk})})
+	d, err := New(Config{Tools: e.tools, SLO: slo.New(slo.Config{Clock: e.Clock})})
 	if err != nil {
 		t.Fatal(err)
 	}

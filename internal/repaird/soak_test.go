@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/depot"
 	"repro/internal/experiments"
 	"repro/internal/faultnet"
 	"repro/internal/geo"
@@ -39,7 +38,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/slo"
 	"repro/internal/stackmon"
-	"repro/internal/vclock"
+	"repro/internal/testbed"
 )
 
 type soakReport struct {
@@ -79,11 +78,34 @@ func TestRepairFleetChurnSoak(t *testing.T) {
 		lease    = 8 * time.Hour
 		target   = 2
 	)
-	start := time.Date(2002, 1, 11, 15, 0, 0, 0, time.UTC)
-	clk := vclock.NewVirtual(start)
-	model := faultnet.NewModel(clk, 4242)
+	// --- 21 data depots churning on the paper's availability schedule ---
+	// Outage processes start one virtual hour in, so setup runs on a
+	// healthy testbed; after that every depot follows its renewal process.
+	specs := experiments.PaperDepots()
+	fleet := make([]testbed.Spec, nDepots)
+	for i := range fleet {
+		spec := specs[i%len(specs)]
+		fleet[i] = testbed.Spec{Name: fmt.Sprintf("%s-%02d", spec.Name, i), Site: spec.Site}
+		if spec.Availability < 1 {
+			fleet[i].Avail = faultnet.NewRenewalProcess(testbed.Start.Add(time.Hour),
+				faultnet.ForAvailability(spec.Availability, spec.MeanDown),
+				spec.MeanDown, int64(i)*101+7)
+		}
+	}
+	tb, err := testbed.New(4242, fleet...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tb.Close)
+	clk, model := tb.Clock, tb.Model
 	model.SetDefaultLink(faultnet.Link{RTT: 20 * time.Millisecond, Mbps: 50})
 	model.SetLocalLink(faultnet.Link{RTT: time.Millisecond, Mbps: 100})
+	var infos []lbone.DepotInfo
+	var depotAddrs []string
+	for _, f := range fleet {
+		infos = append(infos, tb.Infos[f.Name])
+		depotAddrs = append(depotAddrs, tb.Infos[f.Name].Addr)
+	}
 
 	// --- quorum registry: three always-up replicas, four shards ---
 	// (registry-replica churn is PR 7's acceptance experiment; this soak
@@ -113,35 +135,6 @@ func TestRepairFleetChurnSoak(t *testing.T) {
 		registry.WithTimeouts(2*time.Second, 30*time.Second),
 	)
 	dir := registry.NewDirectory(qc)
-
-	// --- 21 data depots churning on the paper's availability schedule ---
-	// Outage processes start one virtual hour in, so setup runs on a
-	// healthy testbed; after that every depot follows its renewal process.
-	specs := experiments.PaperDepots()
-	var infos []lbone.DepotInfo
-	var depotAddrs []string
-	for i := 0; i < nDepots; i++ {
-		spec := specs[i%len(specs)]
-		d, err := depot.Serve("127.0.0.1:0", depot.Config{
-			Secret: []byte(fmt.Sprintf("soak-%d", i)), Capacity: 1 << 30, Clock: clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		var avail faultnet.Availability
-		if spec.Availability < 1 {
-			avail = faultnet.NewRenewalProcess(start.Add(time.Hour),
-				faultnet.ForAvailability(spec.Availability, spec.MeanDown),
-				spec.MeanDown, int64(i)*101+7)
-		}
-		model.AddDepot(d.Addr(), faultnet.DepotState{Site: spec.Site.Name, Avail: avail})
-		infos = append(infos, lbone.DepotInfo{
-			Addr: d.Addr(), Name: fmt.Sprintf("%s-%02d", spec.Name, i), Site: spec.Site.Name,
-			Loc: spec.Site.Loc, Capacity: 1 << 30, MaxDuration: 240 * time.Hour,
-		})
-		depotAddrs = append(depotAddrs, d.Addr())
-	}
 
 	// --- the shared signal plane: health scoreboard, stackmon, NWS ---
 	hb := health.New(health.Config{FailureThreshold: 3, Clock: clk, Seed: 1})
@@ -286,8 +279,8 @@ func TestRepairFleetChurnSoak(t *testing.T) {
 
 	// --- end of churn: heal the testbed, run one last repair round, and
 	// read every file back ---
-	for i, addr := range depotAddrs {
-		model.AddDepot(addr, faultnet.DepotState{Site: specs[i%len(specs)].Site.Name})
+	for _, f := range fleet {
+		tb.SetAvail(f.Name, nil)
 	}
 	clk.Advance(30 * time.Minute)
 	mon.Sweep() // successful probes close any open circuits
@@ -353,7 +346,7 @@ func TestRepairFleetChurnSoak(t *testing.T) {
 		t.Error("durability SLI recorded no samples")
 	}
 
-	report.VirtualHours = clk.Now().Sub(start).Hours()
+	report.VirtualHours = clk.Now().Sub(testbed.Start).Hours()
 	outDir := os.Getenv("REPAIR_SOAK_DIR")
 	if outDir == "" {
 		outDir = t.TempDir()

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/depot"
 	"repro/internal/faultnet"
 	"repro/internal/geo"
 	"repro/internal/health"
@@ -22,10 +21,8 @@ import (
 	"repro/internal/lbone"
 	"repro/internal/obs"
 	"repro/internal/slo"
-	"repro/internal/vclock"
+	"repro/internal/testbed"
 )
-
-var e2eStart = time.Date(2002, 1, 11, 15, 0, 0, 0, time.UTC)
 
 func e2ePayload(n int) []byte {
 	out := make([]byte, n)
@@ -36,37 +33,20 @@ func e2ePayload(n int) []byte {
 }
 
 func TestOutageFiresAlertAndCutsMatchingBundle(t *testing.T) {
-	clk := vclock.NewVirtual(e2eStart)
-	model := faultnet.NewModel(clk, 1)
-	model.SetDefaultLink(faultnet.Link{RTT: 40 * time.Millisecond, Mbps: 20})
-	model.SetLocalLink(faultnet.Link{RTT: time.Millisecond, Mbps: 100})
-	reg := lbone.NewRegistry(0, clk.Now)
-
 	// The fault schedule: depot A dies an hour in and stays dead for two.
-	outageFrom := e2eStart.Add(time.Hour)
-	outageTo := e2eStart.Add(3 * time.Hour)
-
-	serve := func(name string, site geo.Site, avail faultnet.Availability) lbone.DepotInfo {
-		t.Helper()
-		d, err := depot.Serve("127.0.0.1:0", depot.Config{
-			Secret:   []byte("slo-e2e-" + name),
-			Capacity: 64 << 20,
-			Clock:    clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		model.AddDepot(d.Addr(), faultnet.DepotState{Site: site.Name, Avail: avail})
-		info := lbone.DepotInfo{
-			Addr: d.Addr(), Name: name, Site: site.Name, Loc: site.Loc,
-			Capacity: 64 << 20, MaxDuration: 30 * 24 * time.Hour,
-		}
-		reg.Register(info)
-		return info
+	outageFrom := testbed.Start.Add(time.Hour)
+	outageTo := testbed.Start.Add(3 * time.Hour)
+	tb, err := testbed.New(1,
+		testbed.Spec{Name: "A", Site: geo.UTK, Avail: faultnet.Windows{Down: []faultnet.Window{{From: outageFrom, To: outageTo}}}},
+		testbed.Spec{Name: "B", Site: geo.UCSD})
+	if err != nil {
+		t.Fatal(err)
 	}
-	dead := serve("A", geo.UTK, faultnet.Windows{Down: []faultnet.Window{{From: outageFrom, To: outageTo}}})
-	live := serve("B", geo.UCSD, nil)
+	t.Cleanup(tb.Close)
+	clk := tb.Clock
+	tb.Model.SetDefaultLink(faultnet.Link{RTT: 40 * time.Millisecond, Mbps: 20})
+	tb.Model.SetLocalLink(faultnet.Link{RTT: time.Millisecond, Mbps: 100})
+	dead, live := tb.Infos["A"], tb.Infos["B"]
 
 	// Production wiring in miniature: one flight recorder behind the
 	// logger-free paths, one SLO engine fed by the same IBP event stream
@@ -89,7 +69,7 @@ func TestOutageFiresAlertAndCutsMatchingBundle(t *testing.T) {
 		},
 	})
 	client := ibp.NewClient(
-		ibp.WithDialer(model.DialerFrom("UTK")),
+		ibp.WithDialer(tb.Model.DialerFrom("UTK")),
 		ibp.WithClock(clk),
 		ibp.WithDialTimeout(2*time.Second),
 		ibp.WithOpTimeout(60*time.Second),
@@ -97,7 +77,7 @@ func TestOutageFiresAlertAndCutsMatchingBundle(t *testing.T) {
 		ibp.WithObserver(obs.Tee(rec, slo.ObserveIBP(engine))),
 	)
 	tl := &core.Tools{
-		IBP: client, LBone: core.RegistrySource{Reg: reg},
+		IBP: client, LBone: core.RegistrySource{Reg: tb.Registry},
 		Clock: clk, Site: geo.UTK.Name, Loc: geo.UTK.Loc, Health: sb,
 	}
 
