@@ -103,7 +103,10 @@ fuzz-smoke:
 # Example line checks core's Example* functions, whose // Output: must not
 # depend on loopback ports, wall time, random IVs or goroutine order, twenty
 # times on one P; `go test -count` runs examples only once per process, so
-# the line loops over twenty processes.
+# the line loops over twenty processes. The SLO line reruns the burn and
+# budget tests (one Burn over one history, the bucket-boundary window) and
+# the twice-run stackmon study, which must produce byte-equal output,
+# twenty times on one P.
 DETERMINISM_RUN = 'Place|Upload|Coded|Augment|Maintain|Hedge|Rank|Slow|Decode|Verify|WholeReplica'
 placer-determinism:
 	GOMAXPROCS=1 go test -count=20 -run $(DETERMINISM_RUN) repro/internal/core
@@ -112,6 +115,8 @@ placer-determinism:
 	GOMAXPROCS=1 go test -count=20 -run 'Quorum|Session|Repair|Majority|Snapshot|Restart' repro/internal/registry
 	GOMAXPROCS=1 go test -count=20 -run 'Batch|Cancel|Trace|Breaker|Reports|Agree|WireCompat' repro/internal/ibp repro/internal/depot
 	go test -count=200 -run 'TestMetricsCounters$$' repro/internal/depot
+	GOMAXPROCS=1 go test -count=20 -run 'TestBurn|TestWindowing|TestRecordSamples|TestSimIsReproducible' \
+		repro/internal/slo repro/internal/obsfleet repro/internal/stackmon
 
 # Availability-study smoke: a 24h virtual-clock stackmon simulation over
 # faultnet (finishes in seconds of wall time) with two scripted outages,

@@ -4,17 +4,20 @@ package clitest
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exnode"
+	"repro/internal/slo"
 )
 
 var binDir string
@@ -247,6 +250,84 @@ func TestCLIFullWorkflow(t *testing.T) {
 	out = run(t, "xnd", "health", "-lbone", lboneAddr)
 	if !strings.Contains(out, "depot health scoreboard (2 depots)") {
 		t.Fatalf("health -lbone output: %s", out)
+	}
+}
+
+// TestCLISloAndMetrics reads the two surfaces only xnd renders: a live
+// stackmon's /slo through `xnd slo` (rendered and -json), and a depot's
+// METRICS counters through `xnd metrics` (human and -prom).
+func TestCLISloAndMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real binaries")
+	}
+	addrs := freePorts(t, 2)
+	depotAddr, monAddr := addrs[0], addrs[1]
+	daemon(t, "ibp-depot", "-listen", depotAddr, "-capacity", "1048576")
+	waitListening(t, depotAddr)
+	// One probe-only sweep at start; the next is an hour away.
+	daemon(t, "stackmon", "run", "-depots", depotAddr, "-interval", "1h", "-payload", "0",
+		"-slo", "-metrics-listen", monAddr)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		if c, err := net.DialTimeout("tcp", monAddr, 200*time.Millisecond); err == nil {
+			c.Close()
+			if _, body := get(t, "http://"+monAddr+"/metrics"); strings.Contains(body, "stackmon_sweeps_total 1") {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("stackmon never finished its first sweep")
+		}
+	}
+
+	out := run(t, "xnd", "slo", monAddr)
+	for _, want := range []string{
+		"depot-availability (depot_availability, target 95.00%, window 24h0m0s)",
+		fmt.Sprintf("  %-24s good %6d  bad %4d  err %6.2f%%  budget %7.2f%%", depotAddr, 1, 0, 0.0, 100.0),
+		"no firing alerts",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("xnd slo output lacks %q:\n%s", want, out)
+		}
+	}
+	var st slo.Status
+	if err := json.Unmarshal([]byte(run(t, "xnd", "slo", "-json", monAddr)), &st); err != nil {
+		t.Fatalf("xnd slo -json: %v", err)
+	}
+	var avail *slo.ObjectiveStatus
+	for i := range st.Objectives {
+		if st.Objectives[i].Name == "depot-availability" {
+			avail = &st.Objectives[i]
+		}
+	}
+	if avail == nil || len(avail.Keys) != 1 {
+		t.Fatalf("xnd slo -json depot-availability = %+v, want one key", avail)
+	}
+	if k := avail.Keys[0]; k.Key != depotAddr || k.Good != 1 || k.Bad != 0 || k.BudgetRemaining != 1 || k.LatencyP50 <= 0 {
+		t.Errorf("xnd slo -json key = %+v, want %s with 1 good sweep, the whole budget and a probe latency", k, depotAddr)
+	}
+
+	counters := []string{"allocates", "stores", "loads", "probes", "extends", "deletes",
+		"bytes_in", "bytes_out", "errors", "reaped", "connects", "restores", "cap_violations"}
+	out = run(t, "xnd", "metrics", depotAddr)
+	if !strings.HasPrefix(out, "depot "+depotAddr+" counters:\n") {
+		t.Errorf("xnd metrics header: %q", out)
+	}
+	for _, c := range counters {
+		if !regexp.MustCompile(`(?m)^  ` + c + ` +\d+$`).MatchString(out) {
+			t.Errorf("xnd metrics lacks a %s row:\n%s", c, out)
+		}
+	}
+	// The monitor's STATUS and this invocation each connected.
+	if m := regexp.MustCompile(`(?m)^  connects +(\d+)$`).FindStringSubmatch(out); m == nil || m[1] == "0" {
+		t.Errorf("xnd metrics connects row = %q, want > 0", m)
+	}
+	out = run(t, "xnd", "metrics", "-prom", depotAddr)
+	for _, c := range counters {
+		name := "ibp_depot_" + c + "_total"
+		if !strings.Contains(out, "# TYPE "+name+" counter\n") ||
+			!regexp.MustCompile(`(?m)^`+name+` \d+$`).MatchString(out) {
+			t.Errorf("xnd metrics -prom lacks counter %s:\n%s", name, out)
+		}
 	}
 }
 

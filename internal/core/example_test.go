@@ -223,10 +223,8 @@ func ExampleTools_UploadRS() {
 		fmt.Println()
 	}
 	check("all up:")
-	// Kill the depots of the first two XOR blocks (which of the six
-	// depots those are goes by their loopback ports).
-	for i := range 2 {
-		tb.Kill(files[2].x.Mappings[i].Depot, 100*time.Hour)
+	for i, name := range []string{"D1", "D2"} {
+		tb.Kill(name, 100*time.Hour)
 		check(fmt.Sprintf("%d down:", i+1))
 	}
 	// Output:

@@ -9,7 +9,9 @@
 package lbone
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"strings"
 	"time"
 
@@ -155,8 +157,10 @@ func (r *Registry) alive(d DepotInfo) bool {
 	return r.ttl <= 0 || r.clock.Now().Sub(d.LastSeen) <= r.ttl
 }
 
-// Query returns live depots matching req, ordered by proximity when
-// req.Near is set (otherwise by name for determinism).
+// Query returns live depots matching req, ordered by name (address
+// breaks a tie) and then, when req.Near is set, stably by proximity:
+// equidistant depots (one site's) come back in name order, never in map
+// order.
 func (r *Registry) Query(req Requirements) []DepotInfo {
 	var out []DepotInfo
 	for _, d := range r.entries {
@@ -171,10 +175,11 @@ func (r *Registry) Query(req Requirements) []DepotInfo {
 		}
 		out = append(out, d)
 	}
+	slices.SortFunc(out, func(a, b DepotInfo) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.Addr, b.Addr))
+	})
 	if req.Near != nil {
 		geo.SortByDistance(*req.Near, out)
-	} else {
-		sortByName(out)
 	}
 	if req.Max > 0 && len(out) > req.Max {
 		out = out[:req.Max]
@@ -194,12 +199,4 @@ func (r *Registry) LiveLen() int {
 		}
 	}
 	return n
-}
-
-func sortByName(ds []DepotInfo) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j].Name < ds[j-1].Name; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
 }

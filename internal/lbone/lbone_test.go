@@ -2,6 +2,7 @@ package lbone
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -55,6 +56,15 @@ func TestRegistryProximityOrdering(t *testing.T) {
 	got = r.Query(Requirements{Near: &near, Max: 1})
 	if len(got) != 1 || got[0].Name != "UTK1" {
 		t.Fatalf("max: %v", names(got))
+	}
+	// Same-site depots tie on distance; the tie goes by name, never by
+	// the registry map's iteration order.
+	for _, n := range []string{"UTK5", "UTK3", "UTK4", "UTK2"} {
+		r.Register(depotAt(n, geo.UTK, 1, time.Hour))
+	}
+	want := []string{"UTK1", "UTK2", "UTK3", "UTK4", "UTK5", "UNC1", "UCSB1"}
+	if got := names(r.Query(Requirements{Near: &near})); !slices.Equal(got, want) {
+		t.Fatalf("same-site ties: %v, want %v", got, want)
 	}
 }
 

@@ -4,11 +4,12 @@ package obsfleet
 // slo_sli_good_total / slo_sli_bad_total counters; the sweep records
 // them (member-labeled) into the time-series store, and the ledger
 // integrates burn over any trailing window on the virtual clock: per
-// objective, the fraction of the error budget consumed is
+// objective, the fraction of the error budget consumed is slo.Burn over
+// the good/bad increases in the window,
 //
-//	consumed = error_ratio / (1 - target)
+//	consumed = error_ratio / (1 - target),  error_ratio = bad / (good + bad)
 //
-// where error_ratio = bad / (good + bad) increases over the window.
+// — the same function, over the same counters, as the member's own /slo.
 // consumed > 1 means the objective's budget is spent — the soak fails
 // (ROADMAP item 5: runs pass or fail on error-budget burn, not vibes).
 // The ledger also reports the worst burn window: the consecutive-sweep
@@ -23,6 +24,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/slo"
 	"repro/internal/tsdb"
 )
 
@@ -86,154 +88,117 @@ func (a *Aggregator) FleetBudget(at time.Time, window time.Duration) BudgetRepor
 	return rep
 }
 
-// budgetObjKind pairs an objective's identity with its target.
-type budgetObjKind struct {
-	name   string
-	sli    string
-	target float64
-}
-
 // knownObjectives collects the objectives the current fleet declares,
 // deduplicated by name (every member runs the same config; first wins).
-func (a *Aggregator) knownObjectives() []budgetObjKind {
+func (a *Aggregator) knownObjectives() []slo.ObjectiveStatus {
 	seen := map[string]bool{}
-	var out []budgetObjKind
+	var out []slo.ObjectiveStatus
 	for _, m := range a.Snapshot() {
 		if m.slo == nil {
 			continue
 		}
 		for _, o := range m.slo.Objectives {
-			if seen[o.Name] {
-				continue
+			if !seen[o.Name] {
+				seen[o.Name] = true
+				out = append(out, o)
 			}
-			seen[o.Name] = true
-			out = append(out, budgetObjKind{name: o.Name, sli: string(o.SLI), target: o.Target})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // budgetObjective builds one objective's ledger from the retained
 // good/bad counter series.
-func (a *Aggregator) budgetObjective(obj budgetObjKind, at time.Time, window time.Duration) BudgetObjective {
+func (a *Aggregator) budgetObjective(obj slo.ObjectiveStatus, at time.Time, window time.Duration) BudgetObjective {
 	bo := BudgetObjective{
-		Name: obj.name, SLI: obj.sli, Target: obj.target,
+		Name: obj.Name, SLI: string(obj.SLI), Target: obj.Target,
 		Members: []BudgetMember{}, Verdict: "no-data",
 	}
-	budget := 1 - obj.target
-	if budget <= 0 {
-		budget = 1e-9 // a 100% target has no budget; avoid dividing by zero
-	}
-	matchers := []tsdb.Label{{Name: "sli", Value: obj.sli}}
-	goodInc, _ := a.store.Query(tsdb.Expr{Fn: "increase", Name: "slo_sli_good_total", Matchers: matchers}, at, window)
-	badInc, _ := a.store.Query(tsdb.Expr{Fn: "increase", Name: "slo_sli_bad_total", Matchers: matchers}, at, window)
-
-	type cell struct{ good, bad float64 }
-	rows := map[[2]string]*cell{} // (member, key) -> increases
-	var order [][2]string
-	note := func(results []tsdb.Result, bad bool) {
+	matchers := []tsdb.Label{{Name: "sli", Value: bo.SLI}}
+	rows := map[[2]string]*BudgetMember{} // (member, key) -> increases
+	for _, counter := range []string{"slo_sli_good_total", "slo_sli_bad_total"} {
+		results, _ := a.store.Query(tsdb.Expr{Fn: "increase", Name: counter, Matchers: matchers}, at, window)
 		for _, r := range results {
-			var member, key string
+			var row BudgetMember
 			for _, l := range r.Labels {
 				switch l.Name {
 				case "member":
-					member = l.Value
+					row.Member = l.Value
 				case "key":
-					key = l.Value
+					row.Key = l.Value
 				}
 			}
-			id := [2]string{member, key}
-			c := rows[id]
-			if c == nil {
-				c = &cell{}
-				rows[id] = c
-				order = append(order, id)
+			id := [2]string{row.Member, row.Key}
+			if rows[id] == nil {
+				rows[id] = &row
 			}
-			if bad {
-				c.bad += r.Value
+			if counter == "slo_sli_bad_total" {
+				rows[id].Bad += r.Value
 			} else {
-				c.good += r.Value
+				rows[id].Good += r.Value
 			}
 		}
 	}
-	note(goodInc, false)
-	note(badInc, true)
 	if len(rows) == 0 {
 		return bo
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i][0] != order[j][0] {
-			return order[i][0] < order[j][0]
+	for _, bm := range rows {
+		if total := bm.Good + bm.Bad; total > 0 {
+			bm.Ratio = bm.Bad / total
 		}
-		return order[i][1] < order[j][1]
-	})
-	for _, id := range order {
-		c := rows[id]
-		bm := BudgetMember{Member: id[0], Key: id[1], Good: c.good, Bad: c.bad, Verdict: "pass"}
-		if total := c.good + c.bad; total > 0 {
-			bm.Ratio = c.bad / total
-			bm.Consumed = bm.Ratio / budget
-		}
+		bm.Consumed = slo.Burn(bm.Good, bm.Bad, obj.Target)
+		bm.Verdict = "pass"
 		if bm.Consumed > 1 {
 			bm.Verdict = "fail"
 		}
-		bo.Good += c.good
-		bo.Bad += c.bad
-		bo.Members = append(bo.Members, bm)
+		bo.Good += bm.Good
+		bo.Bad += bm.Bad
+		bo.Members = append(bo.Members, *bm)
 	}
+	sort.Slice(bo.Members, func(i, j int) bool {
+		x, y := bo.Members[i], bo.Members[j]
+		return x.Member < y.Member || x.Member == y.Member && x.Key < y.Key
+	})
 	if total := bo.Good + bo.Bad; total > 0 {
 		bo.Ratio = bo.Bad / total
-		bo.Consumed = bo.Ratio / budget
+		bo.Consumed = slo.Burn(bo.Good, bo.Bad, obj.Target)
 		bo.Verdict = "pass"
 		if bo.Consumed > 1 {
 			bo.Verdict = "fail"
 		}
 	}
-	bo.Remaining = 1 - bo.Consumed
-	if bo.Remaining < 0 {
-		bo.Remaining = 0
-	}
-	bo.Worst = a.worstBurnWindow(obj, at, window, budget)
+	bo.Remaining = max(1-bo.Consumed, 0)
+	bo.Worst = a.worstBurnWindow(bo, at, window)
 	return bo
 }
 
 // worstBurnWindow walks consecutive sweep steps of the fleet-summed
 // good/bad counters and reports the step with the highest burn.
-func (a *Aggregator) worstBurnWindow(obj budgetObjKind, at time.Time, window time.Duration, budget float64) *BurnWindow {
-	matchers := []tsdb.Label{{Name: "sli", Value: obj.sli}}
+func (a *Aggregator) worstBurnWindow(bo BudgetObjective, at time.Time, window time.Duration) *BurnWindow {
+	matchers := []tsdb.Label{{Name: "sli", Value: bo.SLI}}
 	type step struct{ good, bad float64 }
 	steps := map[int64]*step{} // step end time (UnixNano) -> fleet sums
 	var times []int64
 	from := at.Add(-window)
 	collect := func(name string, bad bool) {
 		for _, v := range a.store.Select(name, matchers) {
-			var prev *tsdb.Point
-			for i := range v.Points {
-				p := v.Points[i]
-				if !p.T.After(from) || p.T.After(at) {
-					prev = &v.Points[i]
+			for _, d := range tsdb.Increases(v.Points) {
+				if !d.T.After(from) || d.T.After(at) {
 					continue
 				}
-				if prev != nil {
-					d := p.V - prev.V
-					if d < 0 { // counter reset: post-reset value is the increase
-						d = p.V
-					}
-					ns := p.T.UnixNano()
-					s := steps[ns]
-					if s == nil {
-						s = &step{}
-						steps[ns] = s
-						times = append(times, ns)
-					}
-					if bad {
-						s.bad += d
-					} else {
-						s.good += d
-					}
+				ns := d.T.UnixNano()
+				s := steps[ns]
+				if s == nil {
+					s = &step{}
+					steps[ns] = s
+					times = append(times, ns)
 				}
-				prev = &v.Points[i]
+				if bad {
+					s.bad += d.V
+				} else {
+					s.good += d.V
+				}
 			}
 		}
 	}
@@ -248,8 +213,8 @@ func (a *Aggregator) worstBurnWindow(obj budgetObjKind, at time.Time, window tim
 	for _, ns := range times {
 		s := steps[ns]
 		end := time.Unix(0, ns).UTC()
-		if total := s.good + s.bad; total > 0 {
-			burn := (s.bad / total) / budget
+		if s.good+s.bad > 0 {
+			burn := slo.Burn(s.good, s.bad, bo.Target)
 			if worst == nil || burn > worst.Burn {
 				worst = &BurnWindow{From: prevT, To: end, Burn: burn}
 			}

@@ -71,7 +71,7 @@ func (e *Engine) Metrics() []obs.Metric {
 			out = append(out, obs.Metric{
 				Name: "slo_error_budget_remaining_ratio", Type: "gauge",
 				Help:  "Fraction of the objective's error budget left over its window (negative when overspent).",
-				Value: 1 - burn(good, bad, o.Target),
+				Value: 1 - Burn(float64(good), float64(bad), o.Target),
 				Labels: []obs.Label{
 					{Name: "objective", Value: o.Name},
 					{Name: "key", Value: k.key},

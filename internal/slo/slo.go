@@ -28,6 +28,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/stats"
+	"repro/internal/tsdb"
 	"repro/internal/vclock"
 )
 
@@ -97,7 +98,7 @@ func DefaultObjectives() []Objective {
 type Config struct {
 	Clock      vclock.Clock        // default wall clock
 	Objectives []Objective         // default DefaultObjectives()
-	Bucket     time.Duration       // sliding-window bucket width (default 1m)
+	Bucket     time.Duration       // window resolution: totals are sampled once per bucket (default 1m)
 	Logger     *slog.Logger        // alert transitions logged here when set
 	Recorder   *obs.FlightRecorder // alert transitions retained here when set
 	OnAlert    func(Alert)         // called on every fire/resolve transition
@@ -142,19 +143,13 @@ type fireKey struct {
 	objective, rule, key string
 }
 
-// bucket is one time slot of a series ring; idx is the absolute bucket
-// number since the epoch, so stale ring slots are detected by mismatch.
-type bucket struct {
-	idx       int64
-	good, bad int64
-}
-
-// series holds one (SLI, key)'s sliding window plus lifetime totals and a
-// bounded latency sample ring.
+// series holds one (SLI, key)'s lifetime totals, the store series their
+// history lives in, and a bounded latency sample ring.
 type series struct {
-	buckets   []bucket
 	totalGood int64
 	totalBad  int64
+	bucket    int64          // the bucket whose start the totals were last appended at
+	counters  [2]tsdb.Sample // slo_sli_good_total, slo_sli_bad_total for this (SLI, key)
 
 	lat *ring.Ring[float64]
 }
@@ -165,7 +160,7 @@ type series struct {
 type Engine struct {
 	mu      sync.Mutex
 	cfg     Config
-	span    time.Duration // longest window any rule or objective needs
+	store   *tsdb.Store // per-bucket samples of every series' lifetime totals
 	series  map[sliKey]*series
 	active  map[fireKey]*Firing
 	history *ring.Ring[Firing]
@@ -182,7 +177,6 @@ func New(cfg Config) *Engine {
 	if cfg.Bucket <= 0 {
 		cfg.Bucket = time.Minute
 	}
-	span := cfg.Bucket
 	for i := range cfg.Objectives {
 		o := &cfg.Objectives[i]
 		if o.Window <= 0 {
@@ -191,18 +185,10 @@ func New(cfg Config) *Engine {
 		if len(o.Rules) == 0 {
 			o.Rules = DefaultRules()
 		}
-		if o.Window > span {
-			span = o.Window
-		}
-		for _, r := range o.Rules {
-			if r.Long > span {
-				span = r.Long
-			}
-		}
 	}
 	return &Engine{
 		cfg:     cfg,
-		span:    span,
+		store:   tsdb.New(tsdb.Config{}),
 		series:  make(map[sliKey]*series),
 		active:  make(map[fireKey]*Firing),
 		history: ring.New[Firing](maxFirings),
@@ -220,22 +206,24 @@ func (e *Engine) Objectives() []Objective {
 func (e *Engine) seriesFor(k sliKey) *series {
 	s := e.series[k]
 	if s == nil {
-		n := int(e.span/e.cfg.Bucket) + 2
-		s = &series{buckets: make([]bucket, n), lat: ring.New[float64](maxLatencySamples)}
-		for i := range s.buckets {
-			s.buckets[i].idx = -1
+		labels := []tsdb.Label{{Name: "key", Value: k.key}, {Name: "sli", Value: string(k.sli)}}
+		s = &series{
+			bucket: -1,
+			counters: [2]tsdb.Sample{
+				{Name: "slo_sli_good_total", Labels: labels},
+				{Name: "slo_sli_bad_total", Labels: labels},
+			},
+			lat: ring.New[float64](maxLatencySamples),
 		}
 		e.series[k] = s
 	}
 	return s
 }
 
-func (e *Engine) bucketIndex(t time.Time) int64 {
-	return t.UnixNano() / int64(e.cfg.Bucket)
-}
-
 // Record feeds one good/bad event for (sli, key) at the engine clock's
-// current time.
+// current time. The first event of a bucket first appends the series'
+// totals to the store, stamped at the bucket's start, so the store holds
+// each bucket's opening totals; Record allocates nothing otherwise.
 func (e *Engine) Record(sli SLI, key string, good bool) {
 	if e == nil {
 		return
@@ -243,16 +231,15 @@ func (e *Engine) Record(sli SLI, key string, good bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.seriesFor(sliKey{sli, key})
-	idx := e.bucketIndex(e.cfg.Clock.Now())
-	b := &s.buckets[int(idx)%len(s.buckets)]
-	if b.idx != idx {
-		*b = bucket{idx: idx}
+	width := int64(e.cfg.Bucket)
+	if b := e.cfg.Clock.Now().UnixNano() / width; b != s.bucket {
+		s.bucket = b
+		s.counters[0].Value, s.counters[1].Value = float64(s.totalGood), float64(s.totalBad)
+		e.store.Append(time.Unix(0, b*width), s.counters[:])
 	}
 	if good {
-		b.good++
 		s.totalGood++
 	} else {
-		b.bad++
 		s.totalBad++
 	}
 }
@@ -267,28 +254,30 @@ func (e *Engine) RecordLatency(sli SLI, key string, seconds float64) {
 	e.seriesFor(sliKey{sli, key}).lat.Push(seconds)
 }
 
-// window sums the good/bad counts over the trailing window ending now.
+// window counts the good/bad events over [now-window, now]: the store's
+// increase from the first bucket-start sample inside the window to the
+// live totals. Mid-bucket that is every bucket starting inside the window
+// plus the current one; exactly on a boundary it includes the bucket that
+// starts at now-window. A window narrower than a bucket reads one bucket.
 func (s *series) window(e *Engine, now time.Time, window time.Duration) (good, bad int64) {
-	nowIdx := e.bucketIndex(now)
-	n := int64(window / e.cfg.Bucket)
-	if n < 1 {
-		n = 1
-	}
-	lo := nowIdx - n + 1
-	for i := range s.buckets {
-		b := s.buckets[i]
-		if b.idx >= lo && b.idx <= nowIdx {
-			good += b.good
-			bad += b.bad
+	from := now.Add(-max(window, e.cfg.Bucket))
+	since := func(counter tsdb.Sample, total int64) int64 {
+		inc := tsdb.Increase(append(e.store.Range(counter.Key(), from, now), tsdb.Point{T: now, V: float64(total)}))
+		if math.IsNaN(inc) { // no bucket opened inside the window: nothing recorded
+			return 0
 		}
+		return int64(inc)
 	}
-	return good, bad
+	return since(s.counters[0], s.totalGood), since(s.counters[1], s.totalBad)
 }
 
-// burn converts windowed counts into a burn rate against the objective:
-// the observed error ratio divided by the budgeted one. Zero events burn
-// nothing.
-func burn(good, bad int64, target float64) float64 {
+// Burn converts good/bad counts into a burn rate against target: the
+// observed error ratio divided by the budgeted one, 1 − target. Zero
+// events burn nothing; a target of 1 has no budget, so any bad event burns
+// at 1e9. Every burn and budget figure in the stack — the rule windows,
+// /slo, slo_error_budget_remaining_ratio and obsd's /fleet/budget — is
+// this function.
+func Burn(good, bad, target float64) float64 {
 	total := good + bad
 	if total == 0 {
 		return 0
@@ -297,7 +286,7 @@ func burn(good, bad int64, target float64) float64 {
 	if budget <= 0 {
 		budget = 1e-9
 	}
-	return (float64(bad) / float64(total)) / budget
+	return (bad / total) / budget
 }
 
 // Evaluate walks every (objective, rule, key), updates firing state, and
@@ -320,23 +309,23 @@ func (e *Engine) Evaluate() []Alert {
 			for _, r := range o.Rules {
 				lGood, lBad := s.window(e, now, r.Long)
 				sGood, sBad := s.window(e, now, r.Short)
-				bLong := burn(lGood, lBad, o.Target)
-				bShort := burn(sGood, sBad, o.Target)
+				bLong := Burn(float64(lGood), float64(lBad), o.Target)
+				bShort := Burn(float64(sGood), float64(sBad), o.Target)
 				fk := fireKey{o.Name, r.Name, k.key}
 				f := e.active[fk]
-				shouldFire := lGood+lBad > 0 && bLong >= r.Burn && bShort >= r.Burn
+				a := Alert{
+					Objective: o.Name, Rule: r.Name, Key: k.key, Severity: r.Severity,
+					BurnLong: bLong, BurnShort: bShort,
+				}
 				switch {
-				case shouldFire && f == nil:
-					nf := &Firing{
+				case f == nil && lGood+lBad > 0 && bLong >= r.Burn && bShort >= r.Burn:
+					f = &Firing{
 						Objective: o.Name, Rule: r.Name, Key: k.key,
 						Severity: r.Severity, FiredAt: now, PeakBurn: bLong,
 					}
-					e.active[fk] = nf
-					fired = append(fired, Alert{
-						Objective: o.Name, Rule: r.Name, Key: k.key,
-						Severity: r.Severity, Firing: true,
-						BurnLong: bLong, BurnShort: bShort, Since: now,
-					})
+					e.active[fk] = f
+					a.Firing, a.Since = true, now
+					fired = append(fired, a)
 				case f != nil && bLong < r.Burn:
 					// Resolve on the long window alone: the short window
 					// going quiet just means the incident stopped burning
@@ -344,22 +333,15 @@ func (e *Engine) Evaluate() []Alert {
 					f.ResolvedAt = now
 					e.history.Push(*f)
 					delete(e.active, fk)
-					resolved = append(resolved, Alert{
-						Objective: o.Name, Rule: r.Name, Key: k.key,
-						Severity: r.Severity, Firing: false,
-						BurnLong: bLong, BurnShort: bShort, Since: f.FiredAt,
-					})
+					a.Since = f.FiredAt
+					resolved = append(resolved, a)
+					continue
 				case f != nil:
-					if bLong > f.PeakBurn {
-						f.PeakBurn = bLong
-					}
+					f.PeakBurn = max(f.PeakBurn, bLong)
 				}
-				if f := e.active[fk]; f != nil {
-					out = append(out, Alert{
-						Objective: o.Name, Rule: r.Name, Key: k.key,
-						Severity: r.Severity, Firing: true,
-						BurnLong: bLong, BurnShort: bShort, Since: f.FiredAt,
-					})
+				if f != nil {
+					a.Firing, a.Since = true, f.FiredAt
+					out = append(out, a)
 				}
 			}
 		}
@@ -496,7 +478,7 @@ func (e *Engine) Snapshot() Status {
 			if total := good + bad; total > 0 {
 				ks.ErrorRatio = float64(bad) / float64(total)
 			}
-			ks.BudgetRemaining = 1 - burn(good, bad, o.Target)
+			ks.BudgetRemaining = 1 - Burn(float64(good), float64(bad), o.Target)
 			ks.LatencyP50, ks.LatencyP95, ks.LatencyP99 = s.latQuantiles()
 			os.Keys = append(os.Keys, ks)
 		}

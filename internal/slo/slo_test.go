@@ -2,6 +2,7 @@ package slo
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func testEngine(clk vclock.Clock) *Engine {
 
 func TestBurnMath(t *testing.T) {
 	cases := []struct {
-		good, bad int64
+		good, bad float64
 		target    float64
 		want      float64
 	}{
@@ -38,10 +39,12 @@ func TestBurnMath(t *testing.T) {
 		{good: 0, bad: 10, target: 0.9, want: 10},   // total outage, 10x budget
 		{good: 100, bad: 0, target: 0.99, want: 0},  // perfectly healthy
 		{good: 50, bad: 50, target: 0.99, want: 50}, // half bad vs 1% budget
+		{good: 1, bad: 1, target: 1, want: 0.5e9},   // no budget: the 1e-9 floor
+		{good: 7, bad: 0, target: 1, want: 0},       // no budget, nothing bad
 	}
 	for _, c := range cases {
-		if got := burn(c.good, c.bad, c.target); got < c.want-1e-9 || got > c.want+1e-9 {
-			t.Errorf("burn(%d, %d, %v) = %v, want %v", c.good, c.bad, c.target, got, c.want)
+		if got := Burn(c.good, c.bad, c.target); math.Abs(got-c.want) > 1e-9*math.Max(1, c.want) {
+			t.Errorf("Burn(%v, %v, %v) = %v, want %v", c.good, c.bad, c.target, got, c.want)
 		}
 	}
 }
@@ -66,6 +69,35 @@ func TestWindowingExcludesOldBuckets(t *testing.T) {
 	}
 	if s.totalGood != 10 || s.totalBad != 5 {
 		t.Errorf("lifetime totals = %d/%d, want 10/5", s.totalGood, s.totalBad)
+	}
+}
+
+// TestRecordSamplesOncePerBucket pins what the store costs: one sample of
+// each counter per bucket a series records in, none from reads (every
+// /metrics scrape evaluates), and no allocation for a Record inside a
+// bucket that is already open.
+func TestRecordSamplesOncePerBucket(t *testing.T) {
+	clk := vclock.NewVirtual(testStart.Add(30 * time.Second))
+	e := testEngine(clk)
+	for range 3 {
+		for i := range 50 {
+			e.Record(IBPOps, "d1", i%10 != 0)
+			e.Evaluate()
+		}
+		e.Snapshot()
+		e.Metrics()
+		clk.Advance(time.Minute)
+	}
+	inv := e.store.Inventory()
+	if inv.SeriesCount != 2 || inv.Series[0].Samples != 3 || inv.Series[1].Samples != 3 {
+		t.Fatalf("store holds %+v, want 2 series of 3 samples", inv.Series)
+	}
+	e.Record(IBPOps, "d1", true) // opens the current bucket
+	if n := testing.AllocsPerRun(100, func() { e.Record(IBPOps, "d1", false) }); n != 0 {
+		t.Errorf("Record inside an open bucket allocates %v times", n)
+	}
+	if good, bad := e.series[sliKey{IBPOps, "d1"}].window(e, clk.Now(), 10*time.Minute); good != 136 || bad != 116 {
+		t.Errorf("10m window = %d good, %d bad; want 136, 116", good, bad)
 	}
 }
 

@@ -1,6 +1,10 @@
 package stackmon
 
 import (
+	"bytes"
+	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -140,4 +144,57 @@ func TestSimSLOAlertsAlignWithOutages(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSimIsReproducible runs make slo-smoke's study twice in-process, each
+// from a fresh fleet on fresh loopback ports, and requires byte-equal
+// output under depot names: the study JSON (sample times and Mbit/s
+// included) and the SLO engine's firings. A sweep probes depots in name
+// order, so each depot draws the same link jitter every run.
+func TestSimIsReproducible(t *testing.T) {
+	cfg := SimConfig{
+		Depots:     SimDepots(4),
+		Outages:    []SimOutage{{Depot: "D02", From: 6 * time.Hour, To: 9 * time.Hour}},
+		Duration:   14 * time.Hour,
+		Interval:   5 * time.Minute,
+		Payload:    16 << 10,
+		Seed:       1,
+		Objectives: slo.DefaultObjectives(),
+	}
+	run := func() (study, firings []byte) {
+		st, addrOf, engine, err := RunSim(cfg)
+		if err != nil {
+			t.Fatalf("RunSim: %v", err)
+		}
+		nameOf := map[string]string{}
+		var pairs []string
+		for name, addr := range addrOf {
+			nameOf[addr] = name
+			pairs = append(pairs, addr, name)
+		}
+		named := strings.NewReplacer(pairs...)
+		sort.Slice(st.Depots, func(i, j int) bool { return nameOf[st.Depots[i].Addr] < nameOf[st.Depots[j].Addr] })
+		s, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := json.Marshal(engine.Firings())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []byte(named.Replace(string(s))), []byte(named.Replace(string(f)))
+	}
+	study1, firings1 := run()
+	study2, firings2 := run()
+	if !bytes.Equal(study1, study2) {
+		i := 0
+		for i < min(len(study1), len(study2)) && study1[i] == study2[i] {
+			i++
+		}
+		t.Errorf("study JSON differs between runs at byte %d of %d:\n%.200s\n%.200s",
+			i, len(study1), study1[max(i-100, 0):], study2[max(i-100, 0):])
+	}
+	if !bytes.Equal(firings1, firings2) {
+		t.Errorf("firings differ between runs:\n%s\n%s", firings1, firings2)
+	}
 }

@@ -153,7 +153,10 @@ func New(cfg Config) (*Monitor, error) {
 // Interval returns the sweep cadence in effect.
 func (m *Monitor) Interval() time.Duration { return m.cfg.Interval }
 
-// depotSet merges the static set with discovery, deduplicated, sorted.
+// depotSet is the static set in its given order, then each discovered
+// depot not already in it, in discovery order (the L-Bone lists by name).
+// A sweep probes in this order, so which depot draws which link jitter
+// goes by the operator's list and depot names, never by address.
 func (m *Monitor) depotSet() []string {
 	seen := map[string]bool{}
 	var out []string
@@ -171,7 +174,6 @@ func (m *Monitor) depotSet() []string {
 			add(a)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -196,7 +196,7 @@ func (st *Store) Query(e Expr, to time.Time, window time.Duration) ([]Result, er
 		case "rate":
 			val = rate(pts)
 		case "increase":
-			val = increase(pts)
+			val = Increase(pts)
 		case "delta":
 			val = delta(pts)
 		case "avg_over_time":
@@ -244,7 +244,7 @@ func (st *Store) histogramQuantile(e Expr, from, to time.Time) []Result {
 			continue // a _bucket series without le is not a histogram row
 		}
 		pts := clip(v.Points, from, to)
-		inc := increase(pts)
+		inc := Increase(pts)
 		if math.IsNaN(inc) {
 			continue
 		}
@@ -293,27 +293,39 @@ func clip(pts []Point, from, to time.Time) []Point {
 	return pts[lo:hi]
 }
 
-// increase sums the counter's growth across the window, treating a value
-// going backwards as a reset: the post-reset value is all new increase.
-// Fewer than two points cannot witness any growth: NaN.
-func increase(pts []Point) float64 {
+// Increases returns the counter's growth between consecutive points,
+// each stamped at the later point's time. A value going backwards is a
+// reset (the daemon restarted): the post-reset value is all new increase.
+// This is the store's one reset rule; Increase and every per-step reader
+// of a counter go through it.
+func Increases(pts []Point) []Point {
+	out := make([]Point, 0, max(len(pts)-1, 0))
+	for i := 1; i < len(pts); i++ {
+		d := pts[i].V - pts[i-1].V
+		if d < 0 {
+			d = pts[i].V
+		}
+		out = append(out, Point{T: pts[i].T, V: d})
+	}
+	return out
+}
+
+// Increase sums the counter's growth across pts. Fewer than two points
+// cannot witness any growth: NaN.
+func Increase(pts []Point) float64 {
 	if len(pts) < 2 {
 		return math.NaN()
 	}
 	var sum float64
-	for i := 1; i < len(pts); i++ {
-		d := pts[i].V - pts[i-1].V
-		if d < 0 { // counter reset: daemon restarted mid-window
-			d = pts[i].V
-		}
-		sum += d
+	for _, d := range Increases(pts) {
+		sum += d.V
 	}
 	return sum
 }
 
-// rate is increase per second of covered time.
+// rate is Increase per second of covered time.
 func rate(pts []Point) float64 {
-	inc := increase(pts)
+	inc := Increase(pts)
 	if math.IsNaN(inc) {
 		return math.NaN()
 	}

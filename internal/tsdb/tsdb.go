@@ -190,6 +190,19 @@ func (st *Store) Select(name string, matchers []Label) []SeriesView {
 	return st.selectLocked(name, matchers)
 }
 
+// Range returns the points of the one series with the given key (as
+// SeriesKey renders it) with from <= T <= to, oldest first: the window
+// read of a caller that knows its series, without Select's scan. An
+// unknown key yields nil.
+func (st *Store) Range(key string, from, to time.Time) []Point {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if s := st.series[key]; s != nil {
+		return clip(s.points.Last(nil, 0), from, to)
+	}
+	return nil
+}
+
 func (st *Store) selectLocked(name string, matchers []Label) []SeriesView {
 	var out []SeriesView
 	for _, s := range st.series {
