@@ -97,13 +97,16 @@ fuzz-smoke:
 # dial and repair counts, twenty times on one P. The IBP line does it for
 # the one exchange path every verb and batch sub-op takes: outcome parity
 # between plain and batched verbs, cancellation, trace stamps, the breaker
-# and the depot's wire grammar, twenty times on one P. The depot line reads
-# METRICS right after a streamed LOAD, two hundred times at the default
-# GOMAXPROCS, where a count landing after the reply would show. The
-# Example line checks core's Example* functions, whose // Output: must not
-# depend on loopback ports, wall time, random IVs or goroutine order, twenty
-# times on one P; `go test -count` runs examples only once per process, so
-# the line loops over twenty processes. The SLO line reruns the burn and
+# and the depot's wire grammar, twenty times on one P. The same line races
+# the depot's zero-copy LOADs against the DELETEs and STOREs that recycle a
+# mem allocation's pooled storage: a LOAD must stream its own bytes or fail
+# before its OK. The next depot line reads METRICS right after a streamed
+# LOAD, two hundred times at the default GOMAXPROCS, where a count landing
+# after the reply would show. The Example line checks core's Example*
+# functions, whose // Output: must not depend on loopback ports, wall time,
+# random IVs or goroutine order, twenty times on one P; `go test -count`
+# runs examples only once per process, so the line loops over twenty
+# processes. The SLO line reruns the burn and
 # budget tests (one Burn over one history, the bucket-boundary window) and
 # the twice-run stackmon study, which must produce byte-equal output,
 # twenty times on one P.
@@ -113,7 +116,7 @@ placer-determinism:
 	for i in $$(seq 20); do GOMAXPROCS=1 go test -count=1 -run '^Example' repro/internal/core || exit 1; done
 	go test -race -count=5 -run $(DETERMINISM_RUN) repro/internal/core
 	GOMAXPROCS=1 go test -count=20 -run 'Quorum|Session|Repair|Majority|Snapshot|Restart' repro/internal/registry
-	GOMAXPROCS=1 go test -count=20 -run 'Batch|Cancel|Trace|Breaker|Reports|Agree|WireCompat' repro/internal/ibp repro/internal/depot
+	GOMAXPROCS=1 go test -count=20 -run 'Batch|Cancel|Trace|Breaker|Reports|Agree|WireCompat|StreamedLoad' repro/internal/ibp repro/internal/depot
 	go test -count=200 -run 'TestMetricsCounters$$' repro/internal/depot
 	GOMAXPROCS=1 go test -count=20 -run 'TestBurn|TestWindowing|TestRecordSamples|TestSimIsReproducible' \
 		repro/internal/slo repro/internal/obsfleet repro/internal/stackmon

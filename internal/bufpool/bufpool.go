@@ -25,8 +25,14 @@
 //     sub-slices previously handed to other code.
 //  3. A function that receives a borrowed buffer as an argument (e.g.
 //     Handle.Append, wire.Conn.WriteBlob) must not retain it past return.
-//     If it needs the bytes later it must copy them. Every Backend and
-//     wire implementation in this repository honours that.
+//     If it needs the bytes later it must copy them. One callee is the
+//     exception: depot.OwningAppender.AppendOwned, which the depot's STORE
+//     handler calls with the payload buffer, may keep that buffer as a mem
+//     allocation's storage and reports whether it did. Such a buffer comes
+//     back when the allocation is removed and no LOAD still streams it. A
+//     mem depot's resident bytes per stored byte therefore follow the size
+//     classes: 1.0 for 1 MiB blocks (stackbench's bulk_bare), about 1.5
+//     for 349 526-byte RS blocks in 512 KiB classes (degraded_full).
 //  4. A function that returns a borrowed buffer to its caller (e.g.
 //     ibp.Client.Load with pooling) must say so in its doc comment; the
 //     caller then owns it and decides whether to Put.
@@ -132,19 +138,6 @@ func Put(p []byte) {
 	w := wrapPool.Get().(*buf)
 	w.b = p[:c]
 	classes[ci].Put(w)
-}
-
-// Grow returns a buffer of length n carrying over the contents of p (like
-// append, but pooled): p is released back to the pool and must not be used
-// afterwards. Contents beyond len(p) are undefined.
-func Grow(p []byte, n int) []byte {
-	if n <= cap(p) {
-		return p[:n]
-	}
-	np := Get(n)
-	copy(np, p)
-	Put(p)
-	return np
 }
 
 // Snapshot returns the pool traffic counters.

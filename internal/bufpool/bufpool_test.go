@@ -74,23 +74,6 @@ func TestPutForeignBuffer(t *testing.T) {
 	Put(b)
 }
 
-func TestGrow(t *testing.T) {
-	b := Get(100)
-	for i := range b {
-		b[i] = byte(i)
-	}
-	g := Grow(b, 4096)
-	if len(g) != 4096 {
-		t.Fatalf("len %d", len(g))
-	}
-	for i := 0; i < 100; i++ {
-		if g[i] != byte(i) {
-			t.Fatalf("contents lost at %d", i)
-		}
-	}
-	Put(g)
-}
-
 func TestConcurrentChurn(t *testing.T) {
 	// Exercise the pool from many goroutines; run under -race this is the
 	// basic "no shared buffer handed to two owners" check.

@@ -27,10 +27,6 @@ func outstandingBuffers() int64 {
 // back, so Gets − Puts after N cycles equals its value before them. A
 // leak of one buffer per cycle leaves it N higher, for good.
 func TestAugmentReleasesDownloadBuffer(t *testing.T) {
-	// Nothing is in flight yet, and nothing in the stack keeps a pool
-	// buffer between operations (depot storage is not pool-backed), so
-	// this is the count to come back to.
-	before := outstandingBuffers()
 	e := newEnv(t)
 	e.addDepot("A", geo.UTK, nil)
 	e.addDepot("B", geo.UCSD, nil)
@@ -44,6 +40,12 @@ func TestAugmentReleasesDownloadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A mem depot keeps each STORE's pooled payload buffer as the
+	// allocation's storage until it is deleted, so the base copy on A holds
+	// its buffers for the whole test. Nothing else keeps a pool buffer
+	// between operations, and nothing is in flight once Upload has
+	// returned: this is the count every cycle comes back to.
+	before := outstandingBuffers()
 
 	// One repair cycle: add a replica on B, then drop it again so every
 	// cycle starts from the same single-replica state.

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bufpool"
 )
@@ -61,6 +62,31 @@ type SegmentWriter interface {
 	WriteSegment(w io.Writer, off, n int64) (int64, error)
 }
 
+// OwningAppender is an optional Handle capability: AppendOwned appends p,
+// a bufpool buffer, like Append, but may keep p itself as the byte array's
+// storage instead of copying it, and reports whether it did. When it did,
+// p belongs to the handle, the one exception to bufpool's rule 3, and the
+// caller must neither touch nor Put it again; when it did not, p is still
+// the caller's. The depot hands each STORE payload over this way, so a
+// stored byte is copied once, from the socket into its storage.
+type OwningAppender interface {
+	AppendOwned(p []byte) (n int64, owned bool, err error)
+}
+
+// SegmentLender is an optional Handle capability for byte arrays held in
+// memory: LendSegment returns the range [off, off+n) of the storage
+// itself, with no copy, and pins it. The bytes stay valid and unchanged,
+// across later appends and a Remove alike, until the returned Lease is
+// released; only then may the storage go back to the pool. The depot pins
+// before it answers a LOAD OK, so a LOAD racing a DELETE either streams
+// the bytes it answered for or fails before the OK.
+type SegmentLender interface {
+	LendSegment(off, n int64) ([]byte, Lease, error)
+}
+
+// A Lease keeps a lent segment's storage out of the pool until Release.
+type Lease interface{ Release() }
+
 // ErrAllocFull is returned when an append would exceed the allocation size.
 var ErrAllocFull = errors.New("depot: allocation full")
 
@@ -92,7 +118,11 @@ type PersistentBackend interface {
 // ---- In-memory backend ----
 
 // MemBackend stores byte arrays in process memory. It is the default for
-// tests and for simulated depots in the experiment harness.
+// tests and for simulated depots in the experiment harness. A byte array's
+// storage is a bufpool buffer: the first STORE's payload buffer itself,
+// later ones appended in place or grown into a larger pooled buffer. The
+// buffer goes back to the pool when the array is removed, or when the last
+// LOAD still streaming it lets go, whichever is later.
 type MemBackend struct {
 	mu   sync.Mutex
 	data map[string]*memHandle
@@ -118,59 +148,136 @@ func (b *MemBackend) Create(key string, maxSize int64) (Handle, error) {
 // Remove implements Backend.
 func (b *MemBackend) Remove(key string) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.data[key]; !ok {
+	h, ok := b.data[key]
+	delete(b.data, key)
+	b.mu.Unlock()
+	if !ok {
 		return fmt.Errorf("depot: remove: no such key %s", key)
 	}
-	delete(b.data, key)
+	h.free()
 	return nil
 }
 
+// errRemoved answers an append to a byte array removed under it.
+var errRemoved = errors.New("depot: byte array removed")
+
+// memBuf is one pooled storage buffer of a mem handle. refs counts the
+// handle while the buffer is its storage, plus one per lent segment; the
+// last Release puts the buffer back in the pool.
+type memBuf struct {
+	b    []byte // the whole buffer, as bufpool.Get returned it
+	refs atomic.Int32
+}
+
+func newMemBuf(p []byte) *memBuf {
+	m := &memBuf{b: p[:cap(p)]}
+	m.refs.Store(1)
+	return m
+}
+
+// Release implements Lease. A nil memBuf (an empty array's storage) holds
+// nothing.
+func (m *memBuf) Release() {
+	if m != nil && m.refs.Add(-1) == 0 {
+		bufpool.Put(m.b)
+	}
+}
+
 type memHandle struct {
-	mu  sync.Mutex
-	buf []byte
-	max int64
+	mu      sync.Mutex
+	buf     *memBuf // nil until the first append and after Remove
+	size    int64   // bytes written: buf.b[:size]
+	max     int64
+	removed bool
+}
+
+// stored returns the bytes written so far; the caller holds h.mu.
+func (h *memHandle) stored() []byte {
+	if h.buf == nil {
+		return nil
+	}
+	return h.buf.b[:h.size]
 }
 
 func (h *memHandle) Append(p []byte) (int64, error) {
+	n, _, err := h.append(p, false)
+	return n, err
+}
+
+// AppendOwned implements OwningAppender: the first append into an empty
+// array keeps p as its storage.
+func (h *memHandle) AppendOwned(p []byte) (int64, bool, error) {
+	return h.append(p, true)
+}
+
+func (h *memHandle) append(p []byte, own bool) (int64, bool, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if int64(len(h.buf))+int64(len(p)) > h.max {
-		return int64(len(h.buf)), ErrAllocFull
+	if h.removed {
+		return 0, false, errRemoved
 	}
-	h.buf = append(h.buf, p...)
-	return int64(len(h.buf)), nil
+	end := h.size + int64(len(p))
+	if end > h.max {
+		return h.size, false, ErrAllocFull
+	}
+	owned := own && h.buf == nil
+	switch {
+	case owned:
+		h.buf = newMemBuf(p)
+	case h.buf != nil && end <= int64(len(h.buf.b)):
+		// In place: a lent segment ends at or before h.size, so no reader
+		// sees these bytes change.
+		copy(h.buf.b[h.size:], p)
+	default:
+		grown := bufpool.Get(int(end))
+		copy(grown, h.stored())
+		copy(grown[h.size:], p)
+		h.buf.Release()
+		h.buf = newMemBuf(grown)
+	}
+	h.size = end
+	return end, owned, nil
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > int64(len(h.buf)) {
+	s := h.stored()
+	if off < 0 || off+int64(len(p)) > int64(len(s)) {
 		return io.ErrUnexpectedEOF
 	}
-	copy(p, h.buf[off:])
+	copy(p, s[off:])
 	return nil
 }
 
 func (h *memHandle) Len() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return int64(len(h.buf))
+	return h.size
 }
 
-// WriteSegment implements SegmentWriter. Only the slice header is read under
-// the lock: bytes [0, len) never change after being written (append may
-// reallocate, but the old array stays intact), so the write to w can run
-// unlocked and concurrent appends are never observed.
-func (h *memHandle) WriteSegment(w io.Writer, off, n int64) (int64, error) {
+// LendSegment implements SegmentLender: the lease is a reference on the
+// storage buffer, so neither a grow nor a Remove can hand it back to the
+// pool while the segment is out.
+func (h *memHandle) LendSegment(off, n int64) ([]byte, Lease, error) {
 	h.mu.Lock()
-	buf := h.buf
-	h.mu.Unlock()
-	if off < 0 || n < 0 || off+n > int64(len(buf)) {
-		return 0, io.ErrUnexpectedEOF
+	defer h.mu.Unlock()
+	s := h.stored()
+	if off < 0 || n < 0 || off+n > int64(len(s)) {
+		return nil, nil, io.ErrUnexpectedEOF
 	}
-	m, err := w.Write(buf[off : off+n])
-	return int64(m), err
+	if h.buf != nil {
+		h.buf.refs.Add(1)
+	}
+	return s[off : off+n : off+n], h.buf, nil
+}
+
+// free gives the storage back, now or when its last lease is released.
+func (h *memHandle) free() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.buf.Release()
+	h.buf, h.size, h.removed = nil, 0, true
 }
 
 func (h *memHandle) Close() error { return nil }

@@ -566,22 +566,25 @@ func (d *Depot) handleStore(conn *connCtx, args []string) error {
 	}
 	// The payload follows the request line regardless of capability
 	// validity, so consume it before replying with any error. The buffer is
-	// pooled: Append copies out of it (the Handle contract forbids
-	// retention), so it goes back to the pool on every path.
+	// pooled: a handle that takes ownership keeps it as storage, and every
+	// other path puts it back.
 	data, err := conn.ReadBlobPooled(n)
 	if err != nil {
 		return fmt.Errorf("reading store payload: %w", err)
 	}
-	defer bufpool.Put(data)
 	a, rerr := d.resolve(conn, ibp.OpStore, args[0])
 	if rerr != nil {
+		bufpool.Put(data)
 		return conn.remoteErr(rerr)
 	}
 	bt := d.clock.Now()
 	a.mu.Lock()
-	newLen, err := a.handle.Append(data)
+	newLen, owned, err := appendPooled(a.handle, data)
 	a.mu.Unlock()
 	conn.noteBackend(d.clock.Since(bt))
+	if !owned {
+		bufpool.Put(data)
+	}
 	if err != nil {
 		if errors.Is(err, ErrAllocFull) {
 			return conn.WriteErr(wire.CodeNoSpace, "append exceeds allocation size %d", a.maxSize)
@@ -589,9 +592,20 @@ func (d *Depot) handleStore(conn *connCtx, args []string) error {
 		return conn.WriteErr(wire.CodeInternal, "append failed")
 	}
 	d.metrics.Stores.Add(1)
-	d.metrics.BytesIn.Add(int64(len(data)))
-	conn.noteBytes(int64(len(data)))
-	return conn.WriteOK(wire.Itoa(int64(len(data))), wire.Itoa(newLen))
+	d.metrics.BytesIn.Add(n)
+	conn.noteBytes(n)
+	return conn.WriteOK(wire.Itoa(n), wire.Itoa(newLen))
+}
+
+// appendPooled appends the bufpool buffer p to h, handing p itself over
+// when h takes ownership of it (OwningAppender). It reports whether h did;
+// if not, p is still the caller's to Put.
+func appendPooled(h Handle, p []byte) (int64, bool, error) {
+	if o, ok := h.(OwningAppender); ok {
+		return o.AppendOwned(p)
+	}
+	n, err := h.Append(p)
+	return n, false, err
 }
 
 func (d *Depot) handleLoad(conn *connCtx, args []string) error {
@@ -610,40 +624,28 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
-	// Zero-copy fast path: stream the segment straight from the backend to
-	// the wire. Traced operations take the buffered path so the span's
-	// backend-time attribution stays exact (streaming interleaves backend
-	// reads with network writes).
-	if sw, ok := a.handle.(SegmentWriter); ok && conn.span == nil {
-		a.mu.Lock()
-		have := a.handle.Len()
-		a.mu.Unlock()
-		if off+n > have {
-			return conn.WriteErr(wire.CodeOutOfRange, "read [%d,%d) beyond written length %d", off, off+n, have)
-		}
-		// Counted before the reply, like every other LOAD: a client holding
-		// its payload must find the load in METRICS.
-		d.metrics.Loads.Add(1)
-		d.metrics.BytesOut.Add(n)
-		if err := conn.WriteOK(wire.Itoa(n)); err != nil {
-			return err
-		}
-		// Once the OK is written the payload must follow whole; any failure
-		// here leaves the stream unframed, so the error closes the
-		// connection rather than attempting an in-band reply.
-		if _, err := sw.WriteSegment(conn.PayloadWriter(), off, n); err != nil {
-			return fmt.Errorf("streaming load payload: %w", err)
-		}
-		return conn.Flush()
-	}
-	bt := d.clock.Now()
 	a.mu.Lock()
 	have := a.handle.Len()
+	a.mu.Unlock()
 	if off+n > have {
-		a.mu.Unlock()
 		return conn.WriteErr(wire.CodeOutOfRange, "read [%d,%d) beyond written length %d", off, off+n, have)
 	}
+	// Zero-copy fast paths: send the stored bytes themselves (a lent
+	// segment) or stream them straight from the backend to the wire.
+	// Traced operations take the buffered path so the span's backend-time
+	// attribution stays exact (streaming interleaves backend reads with
+	// network writes).
+	if conn.span == nil {
+		if l, ok := a.handle.(SegmentLender); ok {
+			return d.loadLent(conn, l, off, n)
+		}
+		if sw, ok := a.handle.(SegmentWriter); ok {
+			return d.loadStreamed(conn, sw, off, n)
+		}
+	}
+	bt := d.clock.Now()
 	buf := bufpool.Get(int(n))
+	a.mu.Lock()
 	err = a.handle.ReadAt(buf, off)
 	a.mu.Unlock()
 	conn.noteBackend(d.clock.Since(bt))
@@ -663,6 +665,46 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 	err = conn.WriteBlob(buf)
 	bufpool.Put(buf)
 	return err
+}
+
+// loadLent answers a LOAD with the stored bytes themselves. The segment is
+// pinned before the OK is written, so a DELETE or reap racing this LOAD
+// cannot hand the storage back to the pool, to be refilled by another
+// allocation, while it is on its way to the wire; a segment already gone
+// is answered with an error instead of the OK.
+func (d *Depot) loadLent(conn *connCtx, l SegmentLender, off, n int64) error {
+	seg, lease, err := l.LendSegment(off, n)
+	if err != nil {
+		return conn.WriteErr(wire.CodeNotFound, "no such allocation")
+	}
+	defer lease.Release()
+	// Counted before the reply, like every other LOAD: a client holding
+	// its payload must find the load in METRICS.
+	d.metrics.Loads.Add(1)
+	d.metrics.BytesOut.Add(n)
+	if err := conn.WriteOK(wire.Itoa(n)); err != nil {
+		return err
+	}
+	// WriteBlob flushes before returning, so the lease outlives every
+	// reference to the segment.
+	return conn.WriteBlob(seg)
+}
+
+// loadStreamed answers a LOAD by streaming the segment from the backend.
+func (d *Depot) loadStreamed(conn *connCtx, sw SegmentWriter, off, n int64) error {
+	// Counted before the reply, as in loadLent.
+	d.metrics.Loads.Add(1)
+	d.metrics.BytesOut.Add(n)
+	if err := conn.WriteOK(wire.Itoa(n)); err != nil {
+		return err
+	}
+	// Once the OK is written the payload must follow whole; any failure
+	// here leaves the stream unframed, so the error closes the connection
+	// rather than attempting an in-band reply.
+	if _, err := sw.WriteSegment(conn.PayloadWriter(), off, n); err != nil {
+		return fmt.Errorf("streaming load payload: %w", err)
+	}
+	return conn.Flush()
 }
 
 func (d *Depot) handleProbe(conn *connCtx, args []string) error {

@@ -3,7 +3,6 @@ package depot
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -159,12 +158,12 @@ func TestPooledBufferAliasingFileBackend(t *testing.T) {
 	}
 }
 
-// TestMemHandleWriteSegmentConcurrentAppend exercises the zero-copy LOAD
-// invariant directly: WriteSegment snapshots the slice header under the
-// lock and streams the immutable prefix unlocked, so appends arriving
-// mid-stream must never disturb in-flight reads. The race detector guards
-// the locking discipline; the byte check guards the snapshot semantics.
-func TestMemHandleWriteSegmentConcurrentAppend(t *testing.T) {
+// TestMemHandleLendSegmentConcurrentAppend exercises the zero-copy LOAD
+// invariant directly: a lent segment is a pinned view of the storage, so
+// appends arriving while it is out, in place or into a grown buffer, must
+// never disturb it. The race detector guards the locking discipline; the
+// byte check guards the pin.
+func TestMemHandleLendSegmentConcurrentAppend(t *testing.T) {
 	h := &memHandle{max: 1 << 20}
 	if _, err := h.Append(bytes.Repeat([]byte{0xAB}, 4096)); err != nil {
 		t.Fatal(err)
@@ -186,25 +185,27 @@ func TestMemHandleWriteSegmentConcurrentAppend(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		var sink bytes.Buffer
-		n, err := h.WriteSegment(&sink, 0, 4096)
-		if err != nil || n != 4096 {
-			t.Fatalf("WriteSegment: n=%d err=%v", n, err)
+		seg, lease, err := h.LendSegment(0, 4096)
+		if err != nil || len(seg) != 4096 {
+			t.Fatalf("LendSegment: len=%d err=%v", len(seg), err)
 		}
+		var sink bytes.Buffer
+		sink.Write(seg)
+		lease.Release()
 		for j, b := range sink.Bytes() {
 			if b != 0xAB {
-				t.Fatalf("byte %d: got %#x, want 0xAB — append disturbed a streamed segment", j, b)
+				t.Fatalf("byte %d: got %#x, want 0xAB — append disturbed a lent segment", j, b)
 			}
 		}
 	}
 	close(stop)
 	wg.Wait()
 
-	// Out-of-range segments must fail without writing.
-	if _, err := h.WriteSegment(io.Discard, 0, 1<<30); err == nil {
-		t.Fatal("out-of-range WriteSegment should fail")
+	// Out-of-range segments fail without pinning anything.
+	if _, _, err := h.LendSegment(0, 1<<30); err == nil {
+		t.Fatal("out-of-range LendSegment should fail")
 	}
-	if _, err := h.WriteSegment(io.Discard, -1, 16); err == nil {
-		t.Fatal("negative offset WriteSegment should fail")
+	if _, _, err := h.LendSegment(-1, 16); err == nil {
+		t.Fatal("negative offset LendSegment should fail")
 	}
 }

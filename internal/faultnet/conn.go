@@ -17,6 +17,7 @@ type shapedConn struct {
 	depot   DepotState
 	jitter  float64
 	srcSite string
+	pacer   pacer
 
 	mu        sync.Mutex
 	vdeadline time.Time
@@ -48,7 +49,7 @@ func (c *shapedConn) charge(n int, rtt bool) error {
 	if rtt {
 		d += c.link.RTT
 	}
-	c.model.advanceClock(d)
+	c.model.advanceClock(d, &c.pacer)
 	now := c.model.clock.Now()
 
 	c.mu.Lock()

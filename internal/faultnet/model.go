@@ -174,8 +174,9 @@ const DefaultWallPacing = 100
 // cost, so code that races concurrent transfers — hedged reads — would
 // see wall-clock completion order bear no relation to simulated speed.
 // With pacing, a virtually-slow transfer is also wall-slow in proportion
-// and races resolve the way they would on a real network. Only transfer
-// charges and dial latencies are paced; experiment-level clock jumps
+// and races resolve the way they would on a real network. Each connection
+// paces its own charges (see pacer). Only transfer charges and dial
+// latencies are paced; experiment-level clock jumps
 // (Advance on the virtual clock directly) stay free, so long simulated
 // monitoring runs remain fast unless they actually move bytes.
 func (m *Model) SetWallPacing(div int) {
@@ -183,20 +184,50 @@ func (m *Model) SetWallPacing(div int) {
 }
 
 // advanceClock moves simulated time forward by d: virtual clocks advance
-// directly (plus a proportional pacing sleep when SetWallPacing is on),
-// real clocks sleep.
-func (m *Model) advanceClock(d time.Duration) {
+// directly (plus a proportional pacing sleep through p when SetWallPacing
+// is on), real clocks sleep.
+func (m *Model) advanceClock(d time.Duration, p *pacer) {
 	if d <= 0 {
 		return
 	}
 	if v, ok := m.clock.(*vclock.Virtual); ok {
 		v.Advance(d)
 		if div := m.pacing.Load(); div > 0 {
-			time.Sleep(d / time.Duration(div))
+			p.pace(d / time.Duration(div))
 		}
 		return
 	}
 	m.clock.Sleep(d)
+}
+
+// minPacingSleep is the shortest wall sleep a pacer takes. The runtime
+// rounds shorter sleeps up to about a millisecond whenever nothing else is
+// runnable (always so at GOMAXPROCS=1): a transfer paced 3 µs per 4 KiB
+// chunk would really take 1 ms per chunk, and lose a hedged race it should
+// win by orders of magnitude.
+const minPacingSleep = time.Millisecond
+
+// pacer keeps one connection's wall time from running ahead of its paced
+// share of simulated time. Charges below minPacingSleep are carried and
+// slept once they add up to it; a remainder the connection never reaches
+// is forgiven.
+type pacer struct {
+	mu  sync.Mutex
+	due time.Time // the wall time the charges so far are paid up to
+}
+
+func (p *pacer) pace(d time.Duration) {
+	p.mu.Lock()
+	now := time.Now()
+	if p.due.Before(now) {
+		p.due = now
+	}
+	p.due = p.due.Add(d)
+	wait := p.due.Sub(now)
+	p.mu.Unlock()
+	if wait >= minPacingSleep {
+		time.Sleep(wait)
+	}
 }
 
 func (m *Model) dial(srcSite, network, addr string, timeout time.Duration) (net.Conn, error) {
@@ -220,28 +251,29 @@ func (m *Model) dial(srcSite, network, addr string, timeout time.Duration) (net.
 	}
 	// Link outage: the connection attempt hangs until the dial timeout.
 	if !link.avail().UpAt(now) {
-		m.advanceClock(timeout)
+		m.advanceClock(timeout, new(pacer))
 		return nil, &net.OpError{Op: "dial", Net: network, Err: timeoutError{"link down: dial timed out"}}
 	}
 	// Depot process down: fast refusal after one round trip.
 	if !st.avail().UpAt(now) {
-		m.advanceClock(link.RTT)
+		m.advanceClock(link.RTT, new(pacer))
 		return nil, &net.OpError{Op: "dial", Net: network, Err: fmt.Errorf("faultnet: connection refused (depot down)")}
 	}
 	raw, err := net.DialTimeout(network, addr, 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	// Connection establishment costs one RTT.
-	m.advanceClock(link.RTT)
-	return &shapedConn{
+	c := &shapedConn{
 		Conn:    raw,
 		model:   m,
 		link:    link,
 		depot:   st,
 		jitter:  jitter,
 		srcSite: srcSite,
-	}, nil
+	}
+	// Connection establishment costs one RTT.
+	m.advanceClock(link.RTT, &c.pacer)
+	return c, nil
 }
 
 // timeoutError satisfies net.Error with Timeout() == true.

@@ -100,11 +100,6 @@ func (c *Client) dialFresh(addr string) (*wire.Conn, error) {
 		raw.Close()
 		return nil, fmt.Errorf("ibp: set deadline: %w", err)
 	}
-	if c.pool != nil {
-		// The connection will be parked for reuse: pay for the large
-		// transfer buffers once and amortize them over many operations.
-		return wire.NewLongConn(raw), nil
-	}
 	return wire.NewConn(raw), nil
 }
 

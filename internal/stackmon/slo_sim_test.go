@@ -85,10 +85,11 @@ func TestSimSLOAlertsAlignWithOutages(t *testing.T) {
 
 	// Determinism: a rerun must reproduce the same firing interval at sweep
 	// granularity. (Link jitter comes from the model's one seeded RNG, drawn
-	// once per dial. A sweep visits depots in address order, and listeners
-	// get fresh ephemeral ports each run, so which depot draws which jitter
-	// value, and where in the sweep it is probed, changes from run to run.
-	// Timestamps shift by milliseconds — but never across a sweep boundary.)
+	// once per dial. A sweep visits depots one at a time in name order, so
+	// each depot draws the same jitter values and holds the same place in
+	// the sweep every run, though its listener gets a fresh ephemeral port.
+	// The check is at sweep granularity: a firing must never move across a
+	// sweep boundary.)
 	_, _, engine2, err := RunSim(cfg)
 	if err != nil {
 		t.Fatalf("RunSim (rerun): %v", err)

@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/bufpool"
 )
 
 // FuzzUnquote hardens the token unescaper: no panic, and Quote∘Unquote is
@@ -115,7 +117,7 @@ func FuzzReadBlobPooled(f *testing.F) {
 		if int64(len(p)) != n || !bytes.Equal(p, data[:n]) {
 			t.Fatalf("ReadBlobPooled(%d) bad payload", n)
 		}
-		c.ReleaseBlob(p)
+		bufpool.Put(p)
 	})
 }
 

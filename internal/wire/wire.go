@@ -58,37 +58,20 @@ type Conn struct {
 	captured      string
 }
 
-// Buffer sizes for the two connection lifetimes. Lines flush eagerly, so
-// a payload write that meets or exceeds the bufio size bypasses the
-// buffer entirely and goes source → kernel in one write; 256 KiB hits
-// that bypass for the common large-extent sizes while staying
-// cache-friendly (1 MiB measured slower). But half a megabyte of bufio
-// per connection is only worth paying when the connection is reused —
-// a one-shot dial-per-op exchange would spend more time allocating and
-// zeroing buffers than filling them, so it gets a small pair.
-const (
-	pooledBufSize  = 256 * 1024
-	oneShotBufSize = 64 * 1024
-)
+// bufSize sizes each connection's bufio pair for protocol lines, not
+// payloads. bufio hands a read or write at least this large straight to
+// the kernel, so a payload travels between the socket and its source or
+// destination directly and only its first bufSize bytes at most pass
+// through the buffer; a larger buffer would copy more of every payload.
+// It holds a whole MaxLineLen line.
+const bufSize = 32 << 10
 
-// NewConn wraps a network connection with protocol framing, sized for a
-// short-lived connection. Use NewLongConn for connections that will carry
-// many operations (pooled client conns, server accept loops).
+// NewConn wraps a network connection with protocol framing.
 func NewConn(c net.Conn) *Conn {
-	return newConnSize(c, oneShotBufSize)
-}
-
-// NewLongConn wraps a long-lived network connection with protocol
-// framing and large transfer buffers.
-func NewLongConn(c net.Conn) *Conn {
-	return newConnSize(c, pooledBufSize)
-}
-
-func newConnSize(c net.Conn, size int) *Conn {
 	return &Conn{
 		raw: c,
-		br:  bufio.NewReaderSize(c, size),
-		bw:  bufio.NewWriterSize(c, size),
+		br:  bufio.NewReaderSize(c, bufSize),
+		bw:  bufio.NewWriterSize(c, bufSize),
 	}
 }
 
@@ -151,9 +134,12 @@ func (c *Conn) PayloadWriter() io.Writer { return c.bw }
 // ReadLine reads one line and splits it into tokens. It returns io.EOF when
 // the peer closed the connection cleanly before any bytes arrived.
 func (c *Conn) ReadLine() ([]string, error) {
-	line, err := c.br.ReadString('\n')
+	// The read buffer holds a whole MaxLineLen line, so a line that fills
+	// it without ending is too long, and a peer's line costs no more than
+	// the buffer.
+	b, err := c.br.ReadSlice('\n')
 	if err != nil {
-		if err == io.EOF && line == "" {
+		if err == io.EOF && len(b) == 0 {
 			return nil, io.EOF
 		}
 		if err == io.EOF {
@@ -164,10 +150,10 @@ func (c *Conn) ReadLine() ([]string, error) {
 		}
 		return nil, err
 	}
-	if len(line) > MaxLineLen {
+	if len(b) > MaxLineLen {
 		return nil, ErrLineTooLong
 	}
-	line = strings.TrimRight(line, "\r\n")
+	line := strings.TrimRight(string(b), "\r\n")
 	if line == "" {
 		return []string{}, nil
 	}
@@ -262,20 +248,6 @@ func (c *Conn) ReadBlobPooled(n int64) ([]byte, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// ReleaseBlob returns a buffer obtained from ReadBlobPooled to the pool. It
-// is a thin alias for bufpool.Put so ReadBlobPooled call sites outside the
-// data-path packages need not import bufpool directly.
-func (c *Conn) ReleaseBlob(p []byte) { bufpool.Put(p) }
-
-// CopyBlob streams exactly n payload bytes from the connection to w.
-func (c *Conn) CopyBlob(w io.Writer, n int64) error {
-	if err := checkBlobLen(n); err != nil {
-		return err
-	}
-	_, err := io.CopyN(w, c.br, n)
-	return err
 }
 
 // Quote encodes a free-form string as a single protocol token using URL-ish

@@ -82,21 +82,6 @@ func TestBlobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCopyBlob(t *testing.T) {
-	c1, c2 := pipe(t)
-	payload := bytes.Repeat([]byte("xyz"), 1000)
-	go func() {
-		c1.WriteBlob(payload)
-	}()
-	var buf bytes.Buffer
-	if err := c2.CopyBlob(&buf, int64(len(payload))); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), payload) {
-		t.Fatal("CopyBlob mismatch")
-	}
-}
-
 func TestReadBlobRejectsBadLength(t *testing.T) {
 	_, c2 := pipe(t)
 	if _, err := c2.ReadBlob(-1); err == nil {
@@ -212,13 +197,25 @@ func TestParseInt(t *testing.T) {
 func TestLineTooLong(t *testing.T) {
 	c1, c2 := pipe(t)
 	go func() {
-		// A single token longer than the 64 KiB read buffer.
+		// A single token longer than the read buffer.
 		big := strings.Repeat("a", 70*1024)
 		raw := append([]byte(big), '\n')
 		c1.WriteBlob(raw)
 	}()
 	if _, err := c2.ReadLine(); err != ErrLineTooLong {
 		t.Fatalf("got %v, want ErrLineTooLong", err)
+	}
+}
+
+// TestLongestLineFits: a line of MaxLineLen bytes, newline included, reads
+// back whole, so the framing buffer holds the longest legal line.
+func TestLongestLineFits(t *testing.T) {
+	c1, c2 := pipe(t)
+	tok := strings.Repeat("a", MaxLineLen-1)
+	go c1.WriteLine(tok)
+	toks, err := c2.ReadLine()
+	if err != nil || len(toks) != 1 || toks[0] != tok {
+		t.Fatalf("got %d tokens, %v; want the one %d-byte token", len(toks), err, len(tok))
 	}
 }
 
