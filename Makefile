@@ -98,10 +98,10 @@ fuzz-smoke:
 # the one exchange path every verb and batch sub-op takes: outcome parity
 # between plain and batched verbs, cancellation, trace stamps, the breaker
 # and the depot's wire grammar, twenty times on one P. The same line races
-# the depot's zero-copy LOADs against the DELETEs and STOREs that recycle a
-# mem allocation's pooled storage: a LOAD must stream its own bytes or fail
-# before its OK. The next depot line reads METRICS right after a streamed
-# LOAD, two hundred times at the default GOMAXPROCS, where a count landing
+# the depot's lent-segment LOADs against the DELETEs and STOREs that
+# recycle their storage, on mem, file and pack depots: a LOAD must send its
+# own bytes or fail before its OK. The next depot line reads METRICS right
+# after a LOAD, two hundred times at the default GOMAXPROCS, where a count landing
 # after the reply would show. The Example line checks core's Example*
 # functions, whose // Output: must not depend on loopback ports, wall time,
 # random IVs or goroutine order, twenty times on one P; `go test -count`

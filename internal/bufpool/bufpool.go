@@ -29,10 +29,14 @@
 //     exception: depot.OwningAppender.AppendOwned, which the depot's STORE
 //     handler calls with the payload buffer, may keep that buffer as a mem
 //     allocation's storage and reports whether it did. Such a buffer comes
-//     back when the allocation is removed and no LOAD still streams it. A
-//     mem depot's resident bytes per stored byte therefore follow the size
-//     classes: 1.0 for 1 MiB blocks (stackbench's bulk_bare), about 1.5
-//     for 349 526-byte RS blocks in 512 KiB classes (degraded_full).
+//     back when the allocation is removed and no depot.Lease on it is
+//     still held. A mem depot's resident bytes per stored byte therefore
+//     follow the size classes: 1.0 for 1 MiB blocks (stackbench's
+//     bulk_bare), about 1.5 for 349 526-byte RS blocks in 512 KiB classes
+//     (degraded_full). A segment depot.Handle.Lend returns is not the
+//     caller's to Put either: when it is a pooled pread copy (file, or
+//     pack with no mapping), its Lease owns the buffer and Release puts
+//     it back.
 //  4. A function that returns a borrowed buffer to its caller (e.g.
 //     ibp.Client.Load with pooling) must say so in its doc comment; the
 //     caller then owns it and decides whether to Put.

@@ -21,14 +21,10 @@ import (
 	"repro/internal/bufpool"
 )
 
-// copyChunkSize is the pooled scratch-buffer size for streaming file-backed
-// segments to the wire.
-const copyChunkSize = 256 << 10
-
 // Backend abstracts the local storage a depot serves ("Local Access" /
 // "Physical" layers of the stack diagram). Implementations must be safe for
-// concurrent use across distinct handles; per-handle calls are serialized
-// by the depot.
+// concurrent use across distinct handles; per-handle calls other than
+// Lend are serialized by the depot.
 type Backend interface {
 	// Create makes an empty byte array able to hold up to maxSize bytes.
 	Create(key string, maxSize int64) (Handle, error)
@@ -38,6 +34,13 @@ type Backend interface {
 
 // Handle is one byte array held by a backend.
 type Handle interface {
+	// Lend returns the byte range [off, off+n) pinned: the bytes stay
+	// valid and unchanged, across later appends and a Remove alike, until
+	// the Lease is released. It may run concurrently with any call on the
+	// handle or the backend. A range out of bounds, or storage already
+	// released, fails and pins nothing. Every LOAD and COPY sends a lent
+	// segment, pinned before the OK.
+	Lend(off, n int64) ([]byte, Lease, error)
 	// Append writes p at the current end and returns the new length. The
 	// callee must not retain p past return (p is typically a pooled buffer
 	// the depot releases immediately after); copy if the bytes are needed
@@ -51,17 +54,6 @@ type Handle interface {
 	Close() error
 }
 
-// SegmentWriter is an optional Handle capability: WriteSegment streams the
-// byte range [off, off+n) directly to w without materializing it in an
-// intermediate buffer. Because byte arrays are append-only, a written range
-// is immutable and implementations may stream it outside any handle lock;
-// the depot uses this to serve LOAD responses zero-copy. A short write or
-// any error leaves w in an unknown state — the caller must treat the
-// destination as broken.
-type SegmentWriter interface {
-	WriteSegment(w io.Writer, off, n int64) (int64, error)
-}
-
 // OwningAppender is an optional Handle capability: AppendOwned appends p,
 // a bufpool buffer, like Append, but may keep p itself as the byte array's
 // storage instead of copying it, and reports whether it did. When it did,
@@ -73,19 +65,14 @@ type OwningAppender interface {
 	AppendOwned(p []byte) (n int64, owned bool, err error)
 }
 
-// SegmentLender is an optional Handle capability for byte arrays held in
-// memory: LendSegment returns the range [off, off+n) of the storage
-// itself, with no copy, and pins it. The bytes stay valid and unchanged,
-// across later appends and a Remove alike, until the returned Lease is
-// released; only then may the storage go back to the pool. The depot pins
-// before it answers a LOAD OK, so a LOAD racing a DELETE either streams
-// the bytes it answered for or fails before the OK.
-type SegmentLender interface {
-	LendSegment(off, n int64) ([]byte, Lease, error)
-}
-
-// A Lease keeps a lent segment's storage out of the pool until Release.
+// A Lease keeps a lent segment's bytes in place until Release.
 type Lease interface{ Release() }
+
+// inRange reports whether [off, off+n) lies within size bytes, without
+// overflowing on huge requests.
+func inRange(off, n, size int64) bool {
+	return off >= 0 && n >= 0 && n <= size-off
+}
 
 // ErrAllocFull is returned when an append would exceed the allocation size.
 var ErrAllocFull = errors.New("depot: allocation full")
@@ -122,7 +109,7 @@ type PersistentBackend interface {
 // storage is a bufpool buffer: the first STORE's payload buffer itself,
 // later ones appended in place or grown into a larger pooled buffer. The
 // buffer goes back to the pool when the array is removed, or when the last
-// LOAD still streaming it lets go, whichever is later.
+// lease on it is released, whichever is later.
 type MemBackend struct {
 	mu   sync.Mutex
 	data map[string]*memHandle
@@ -158,26 +145,28 @@ func (b *MemBackend) Remove(key string) error {
 	return nil
 }
 
-// errRemoved answers an append to a byte array removed under it.
+// errRemoved answers an append to, or a lend from, a byte array whose
+// storage is already gone.
 var errRemoved = errors.New("depot: byte array removed")
 
-// memBuf is one pooled storage buffer of a mem handle. refs counts the
-// handle while the buffer is its storage, plus one per lent segment; the
-// last Release puts the buffer back in the pool.
-type memBuf struct {
+// pooledBuf is one bufpool buffer shared by reference count: a mem
+// handle's storage, or the pread copy a file or unmapped pack segment is
+// lent in. refs counts the handle while the buffer is its storage, plus
+// one per lent segment; the last Release puts the buffer back in the pool.
+type pooledBuf struct {
 	b    []byte // the whole buffer, as bufpool.Get returned it
 	refs atomic.Int32
 }
 
-func newMemBuf(p []byte) *memBuf {
-	m := &memBuf{b: p[:cap(p)]}
+func newPooledBuf(p []byte) *pooledBuf {
+	m := &pooledBuf{b: p[:cap(p)]}
 	m.refs.Store(1)
 	return m
 }
 
-// Release implements Lease. A nil memBuf (an empty array's storage) holds
-// nothing.
-func (m *memBuf) Release() {
+// Release implements Lease. A nil pooledBuf (an empty array's storage)
+// holds nothing.
+func (m *pooledBuf) Release() {
 	if m != nil && m.refs.Add(-1) == 0 {
 		bufpool.Put(m.b)
 	}
@@ -185,8 +174,8 @@ func (m *memBuf) Release() {
 
 type memHandle struct {
 	mu      sync.Mutex
-	buf     *memBuf // nil until the first append and after Remove
-	size    int64   // bytes written: buf.b[:size]
+	buf     *pooledBuf // nil until the first append and after Remove
+	size    int64      // bytes written: buf.b[:size]
 	max     int64
 	removed bool
 }
@@ -223,7 +212,7 @@ func (h *memHandle) append(p []byte, own bool) (int64, bool, error) {
 	owned := own && h.buf == nil
 	switch {
 	case owned:
-		h.buf = newMemBuf(p)
+		h.buf = newPooledBuf(p)
 	case h.buf != nil && end <= int64(len(h.buf.b)):
 		// In place: a lent segment ends at or before h.size, so no reader
 		// sees these bytes change.
@@ -233,20 +222,19 @@ func (h *memHandle) append(p []byte, own bool) (int64, bool, error) {
 		copy(grown, h.stored())
 		copy(grown[h.size:], p)
 		h.buf.Release()
-		h.buf = newMemBuf(grown)
+		h.buf = newPooledBuf(grown)
 	}
 	h.size = end
 	return end, owned, nil
 }
 
 func (h *memHandle) ReadAt(p []byte, off int64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.stored()
-	if off < 0 || off+int64(len(p)) > int64(len(s)) {
-		return io.ErrUnexpectedEOF
+	seg, lease, err := h.Lend(off, int64(len(p)))
+	if err != nil {
+		return err
 	}
-	copy(p, s[off:])
+	copy(p, seg)
+	lease.Release()
 	return nil
 }
 
@@ -256,14 +244,14 @@ func (h *memHandle) Len() int64 {
 	return h.size
 }
 
-// LendSegment implements SegmentLender: the lease is a reference on the
-// storage buffer, so neither a grow nor a Remove can hand it back to the
-// pool while the segment is out.
-func (h *memHandle) LendSegment(off, n int64) ([]byte, Lease, error) {
+// Lend implements Handle with the storage itself, no copy: the lease is a
+// reference on the storage buffer, so neither a grow nor a Remove can hand
+// it back to the pool while the segment is out.
+func (h *memHandle) Lend(off, n int64) ([]byte, Lease, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := h.stored()
-	if off < 0 || n < 0 || off+n > int64(len(s)) {
+	if !inRange(off, n, int64(len(s))) {
 		return nil, nil, io.ErrUnexpectedEOF
 	}
 	if h.buf != nil {
@@ -411,13 +399,29 @@ func (h *fileHandle) Append(p []byte) (int64, error) {
 func (h *fileHandle) ReadAt(p []byte, off int64) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > h.size {
+	if !inRange(off, int64(len(p)), h.size) {
 		return io.ErrUnexpectedEOF
 	}
-	if _, err := h.f.ReadAt(p, off); err != nil {
+	return pread(h.f, p, off)
+}
+
+// pread fills p from f at off; a short read is an error.
+func pread(f *os.File, p []byte, off int64) error {
+	if _, err := f.ReadAt(p, off); err != nil {
 		return fmt.Errorf("depot: read: %w", err)
 	}
 	return nil
+}
+
+// lendPread lends [off, off+n) of f as a pread into a pooled buffer, which
+// the lease puts back.
+func lendPread(f *os.File, off, n int64) ([]byte, Lease, error) {
+	p := bufpool.Get(int(n))
+	if err := pread(f, p, off); err != nil {
+		bufpool.Put(p)
+		return nil, nil, err
+	}
+	return p, newPooledBuf(p), nil
 }
 
 func (h *fileHandle) Len() int64 {
@@ -426,23 +430,17 @@ func (h *fileHandle) Len() int64 {
 	return h.size
 }
 
-// WriteSegment implements SegmentWriter. The size check happens under the
-// lock; the copy itself runs unlocked because written file ranges are never
-// rewritten, and os.File.ReadAt is safe for concurrent use.
-func (h *fileHandle) WriteSegment(w io.Writer, off, n int64) (int64, error) {
+// Lend implements Handle with a pread into a pooled buffer, which the
+// lease puts back. The bytes are copied before the depot's OK, so a reap
+// that closes the file afterwards cannot cut the LOAD short. (sendfile
+// would save the copy but read the file after the OK, under a reap.)
+func (h *fileHandle) Lend(off, n int64) ([]byte, Lease, error) {
 	h.mu.Lock()
-	size := h.size
-	h.mu.Unlock()
-	if off < 0 || n < 0 || off+n > size {
-		return 0, io.ErrUnexpectedEOF
+	defer h.mu.Unlock()
+	if !inRange(off, n, h.size) {
+		return nil, nil, io.ErrUnexpectedEOF
 	}
-	chunk := bufpool.Get(copyChunkSize)
-	defer bufpool.Put(chunk)
-	m, err := io.CopyBuffer(w, io.NewSectionReader(h.f, off, n), chunk)
-	if err != nil {
-		return m, fmt.Errorf("depot: stream read: %w", err)
-	}
-	return m, nil
+	return lendPread(h.f, off, n)
 }
 
 func (h *fileHandle) Close() error { return h.f.Close() }

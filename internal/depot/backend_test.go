@@ -2,6 +2,7 @@ package depot
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"testing/quick"
@@ -12,19 +13,27 @@ func netDial(addr string) (net.Conn, error) {
 	return net.Dial("tcp", addr)
 }
 
-func backends(t *testing.T) map[string]Backend {
+// backends returns one fresh backend of each kind; bundleCap is the pack
+// backend's (0 for the default).
+func backends(t *testing.T, bundleCap int64) map[string]Backend {
 	fb, err := NewFileBackend(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	pb, err := NewPackBackend(t.TempDir(), bundleCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pb.Close() })
 	return map[string]Backend{
 		"mem":  NewMemBackend(),
 		"file": fb,
+		"pack": pb,
 	}
 }
 
 func TestBackendAppendRead(t *testing.T) {
-	for name, b := range backends(t) {
+	for name, b := range backends(t, 0) {
 		t.Run(name, func(t *testing.T) {
 			h, err := b.Create("aaaaaaaaaaaaaaaa", 1024)
 			if err != nil {
@@ -63,7 +72,7 @@ func TestBackendAppendRead(t *testing.T) {
 }
 
 func TestBackendCapacity(t *testing.T) {
-	for name, b := range backends(t) {
+	for name, b := range backends(t, 0) {
 		t.Run(name, func(t *testing.T) {
 			h, err := b.Create("bbbbbbbbbbbbbbbb", 4)
 			if err != nil {
@@ -81,7 +90,7 @@ func TestBackendCapacity(t *testing.T) {
 }
 
 func TestBackendDuplicateAndRemove(t *testing.T) {
-	for name, b := range backends(t) {
+	for name, b := range backends(t, 0) {
 		t.Run(name, func(t *testing.T) {
 			h, err := b.Create("cccccccccccccccc", 10)
 			if err != nil {
@@ -109,12 +118,9 @@ func TestBackendDuplicateAndRemove(t *testing.T) {
 
 func TestBackendAppendReadProperty(t *testing.T) {
 	// Property: any sequence of appends reads back as their concatenation,
-	// identically on both backends.
-	fb, err := NewFileBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := NewMemBackend()
+	// identically on every backend, and Lend agrees with ReadAt on every
+	// range.
+	bs := backends(t, 0)
 	i := 0
 	f := func(chunks [][]byte) bool {
 		i++
@@ -126,7 +132,7 @@ func TestBackendAppendReadProperty(t *testing.T) {
 		if len(want) > 1<<16 {
 			return true
 		}
-		for _, b := range []Backend{mem, Backend(fb)} {
+		for name, b := range bs {
 			h, err := b.Create(key, 1<<16)
 			if err != nil {
 				return false
@@ -148,6 +154,10 @@ func TestBackendAppendReadProperty(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				return false
 			}
+			if err := lendAgrees(h, want); err != nil {
+				t.Errorf("%s: %v", name, err)
+				return false
+			}
 			h.Close()
 		}
 		return true
@@ -155,6 +165,37 @@ func TestBackendAppendReadProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lendAgrees checks that h lends want[off:off+n] for every range of a
+// short array (a sample of them for a long one), that ReadAt reads the
+// same, and that a negative or out-of-range Lend fails.
+func lendAgrees(h Handle, want []byte) error {
+	size := int64(len(want))
+	step := size/16 + 1
+	for off := int64(0); off <= size; off += step {
+		for n := int64(0); off+n <= size; n += step {
+			seg, lease, err := h.Lend(off, n)
+			if err != nil {
+				return fmt.Errorf("Lend(%d, %d): %v", off, n, err)
+			}
+			ok := bytes.Equal(seg, want[off:off+n])
+			lease.Release()
+			if !ok {
+				return fmt.Errorf("Lend(%d, %d) disagrees with the appended bytes", off, n)
+			}
+			got := make([]byte, n)
+			if err := h.ReadAt(got, off); err != nil || !bytes.Equal(got, want[off:off+n]) {
+				return fmt.Errorf("ReadAt(%d, %d) = %v, disagrees with Lend", off, n, err)
+			}
+		}
+	}
+	for _, r := range [][2]int64{{0, size + 1}, {size, 1}, {-1, 1}, {0, -1}, {1, 1<<63 - 1}} {
+		if _, _, err := h.Lend(r[0], r[1]); err == nil {
+			return fmt.Errorf("Lend(%d, %d) beyond %d bytes succeeded", r[0], r[1], size)
+		}
+	}
+	return nil
 }
 
 func keyFor(i int) string {

@@ -620,68 +620,16 @@ func (d *Depot) handleLoad(conn *connCtx, args []string) error {
 	if err != nil || n < 0 {
 		return conn.WriteErr(wire.CodeBadRequest, "bad length %q", args[2])
 	}
-	a, rerr := d.resolve(conn, ibp.OpLoad, args[0])
+	seg, lease, rerr := d.lend(conn, ibp.OpLoad, args[0], off, n)
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
-	a.mu.Lock()
-	have := a.handle.Len()
-	a.mu.Unlock()
-	if off+n > have {
-		return conn.WriteErr(wire.CodeOutOfRange, "read [%d,%d) beyond written length %d", off, off+n, have)
-	}
-	// Zero-copy fast paths: send the stored bytes themselves (a lent
-	// segment) or stream them straight from the backend to the wire.
-	// Traced operations take the buffered path so the span's backend-time
-	// attribution stays exact (streaming interleaves backend reads with
-	// network writes).
-	if conn.span == nil {
-		if l, ok := a.handle.(SegmentLender); ok {
-			return d.loadLent(conn, l, off, n)
-		}
-		if sw, ok := a.handle.(SegmentWriter); ok {
-			return d.loadStreamed(conn, sw, off, n)
-		}
-	}
-	bt := d.clock.Now()
-	buf := bufpool.Get(int(n))
-	a.mu.Lock()
-	err = a.handle.ReadAt(buf, off)
-	a.mu.Unlock()
-	conn.noteBackend(d.clock.Since(bt))
-	if err != nil {
-		bufpool.Put(buf)
-		return conn.WriteErr(wire.CodeInternal, "read failed")
-	}
+	defer lease.Release()
+	// Counted before the reply: a client holding its payload must find
+	// the load in METRICS.
 	d.metrics.Loads.Add(1)
 	d.metrics.BytesOut.Add(n)
 	conn.noteBytes(n)
-	if err := conn.WriteOK(wire.Itoa(n)); err != nil {
-		bufpool.Put(buf)
-		return err
-	}
-	// WriteBlob flushes before returning, so nothing downstream still
-	// references the pooled buffer afterwards.
-	err = conn.WriteBlob(buf)
-	bufpool.Put(buf)
-	return err
-}
-
-// loadLent answers a LOAD with the stored bytes themselves. The segment is
-// pinned before the OK is written, so a DELETE or reap racing this LOAD
-// cannot hand the storage back to the pool, to be refilled by another
-// allocation, while it is on its way to the wire; a segment already gone
-// is answered with an error instead of the OK.
-func (d *Depot) loadLent(conn *connCtx, l SegmentLender, off, n int64) error {
-	seg, lease, err := l.LendSegment(off, n)
-	if err != nil {
-		return conn.WriteErr(wire.CodeNotFound, "no such allocation")
-	}
-	defer lease.Release()
-	// Counted before the reply, like every other LOAD: a client holding
-	// its payload must find the load in METRICS.
-	d.metrics.Loads.Add(1)
-	d.metrics.BytesOut.Add(n)
 	if err := conn.WriteOK(wire.Itoa(n)); err != nil {
 		return err
 	}
@@ -690,21 +638,29 @@ func (d *Depot) loadLent(conn *connCtx, l SegmentLender, off, n int64) error {
 	return conn.WriteBlob(seg)
 }
 
-// loadStreamed answers a LOAD by streaming the segment from the backend.
-func (d *Depot) loadStreamed(conn *connCtx, sw SegmentWriter, off, n int64) error {
-	// Counted before the reply, as in loadLent.
-	d.metrics.Loads.Add(1)
-	d.metrics.BytesOut.Add(n)
-	if err := conn.WriteOK(wire.Itoa(n)); err != nil {
-		return err
+// lend resolves the capability tok of a LOAD or COPY (verb) and pins
+// [off, off+n) of its byte array, timed as the operation's backend time.
+// It runs before any reply, so a DELETE or reap racing the operation
+// cannot take the bytes away while they are on their way out.
+func (d *Depot) lend(conn *connCtx, verb, tok string, off, n int64) ([]byte, Lease, *wire.RemoteError) {
+	a, rerr := d.resolve(conn, verb, tok)
+	if rerr != nil {
+		return nil, nil, rerr
 	}
-	// Once the OK is written the payload must follow whole; any failure
-	// here leaves the stream unframed, so the error closes the connection
-	// rather than attempting an in-band reply.
-	if _, err := sw.WriteSegment(conn.PayloadWriter(), off, n); err != nil {
-		return fmt.Errorf("streaming load payload: %w", err)
+	bt := d.clock.Now()
+	seg, lease, err := a.handle.Lend(off, n)
+	conn.noteBackend(d.clock.Since(bt))
+	if err == nil {
+		return seg, lease, nil
 	}
-	return conn.Flush()
+	a.mu.Lock()
+	have := a.handle.Len()
+	a.mu.Unlock()
+	if !inRange(off, n, have) {
+		return nil, nil, &wire.RemoteError{Code: wire.CodeOutOfRange,
+			Message: fmt.Sprintf("read [%d,%d) beyond written length %d", off, off+n, have)}
+	}
+	return nil, nil, &wire.RemoteError{Code: wire.CodeNotFound, Message: "no such allocation"}
 }
 
 func (d *Depot) handleProbe(conn *connCtx, args []string) error {
@@ -796,26 +752,12 @@ func (d *Depot) handleCopy(conn *connCtx, args []string) error {
 	if err != nil || dst.Type != ibp.CapWrite {
 		return conn.WriteErr(wire.CodeBadRequest, "bad destination capability")
 	}
-	a, rerr := d.resolve(conn, ibp.OpCopy, args[0])
+	seg, lease, rerr := d.lend(conn, ibp.OpCopy, args[0], off, n)
 	if rerr != nil {
 		return conn.remoteErr(rerr)
 	}
-	bt := d.clock.Now()
-	a.mu.Lock()
-	have := a.handle.Len()
-	if off+n > have {
-		a.mu.Unlock()
-		return conn.WriteErr(wire.CodeOutOfRange, "read [%d,%d) beyond written length %d", off, off+n, have)
-	}
-	buf := bufpool.Get(int(n))
-	defer bufpool.Put(buf) // Store is synchronous and does not retain buf
-	err = a.handle.ReadAt(buf, off)
-	a.mu.Unlock()
-	conn.noteBackend(d.clock.Since(bt))
-	if err != nil {
-		return conn.WriteErr(wire.CodeInternal, "read failed")
-	}
-	newLen, err := d.outbound().Store(dst, buf)
+	defer lease.Release() // Store is synchronous and does not retain seg
+	newLen, err := d.outbound().Store(dst, seg)
 	if err != nil {
 		return conn.WriteErr(wire.CodeUnavailable, "store to %s failed: %v", dst.Addr, err)
 	}

@@ -2,6 +2,7 @@ package depot
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +120,20 @@ func TestLoadBeyondWrittenLength(t *testing.T) {
 	}
 	if _, err := c.Load(set.Read, 5, 10); !wire.IsRemote(err, wire.CodeOutOfRange) {
 		t.Fatalf("out-of-range load error = %v, want OUT_OF_RANGE", err)
+	}
+	// A range whose end overflows int64 is out of range too, not a
+	// handler panic. The client refuses such a length, so send it raw.
+	raw, err := netDial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	conn := wire.NewConn(raw)
+	if err := conn.WriteLine(ibp.OpLoad, set.Read.Token(), "1", wire.Itoa(math.MaxInt64)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.ReadStatus(); !wire.IsRemote(err, wire.CodeOutOfRange) {
+		t.Fatalf("overflowing load error = %v, want OUT_OF_RANGE", err)
 	}
 }
 

@@ -32,8 +32,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"repro/internal/bufpool"
 )
 
 // DefaultBundleCap is the reservation ceiling of one bundle file. A Create
@@ -54,13 +52,18 @@ type packRecord struct {
 	Meta   *AllocMeta `json:"meta,omitempty"`
 }
 
-// packBundle is one open bundle file.
+// packBundle is one open bundle file, guarded by the backend's mu; mm and
+// f stay valid while a pin is held.
 type packBundle struct {
-	seq  int
-	f    *os.File
-	mm   []byte // read-only shared mapping of the file; nil → pread fallback
-	tail int64  // bytes reserved so far
-	live int    // live allocations referencing this bundle
+	b       *PackBackend
+	seq     int
+	f       *os.File
+	mm      []byte // read-only shared mapping of the file; nil → pread fallback
+	tail    int64  // bytes reserved so far
+	live    int    // live allocations referencing this bundle
+	pins    int    // lent segments and reads in flight
+	retired bool   // dropped or closed: no new pins; the last unpin unmaps
+	dropped bool   // the file is deleted once unmapped
 }
 
 // packEntry is the in-memory index entry of one allocation.
@@ -179,7 +182,7 @@ func (b *PackBackend) replay() error {
 	// bundles left behind by removes are collected now.
 	for seq, bun := range b.bundles {
 		if bun.live == 0 {
-			b.dropBundle(bun)
+			b.retire(bun, true)
 			continue
 		}
 		if b.active == nil || seq > b.active.seq {
@@ -217,25 +220,45 @@ func (b *PackBackend) openBundle(seq int) (*packBundle, error) {
 			size = b.bundleCap
 		}
 	}
-	mm, err := mmapFile(f, size)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("depot: pack bundle %d: %w", seq, err)
-	}
-	bun := &packBundle{seq: seq, f: f, mm: mm}
+	bun := &packBundle{b: b, seq: seq, f: f, mm: mmapFile(f, size)}
 	b.bundles[seq] = bun
 	return bun, nil
 }
 
-// dropBundle closes and deletes a fully-dead bundle. Caller holds b.mu.
-func (b *PackBackend) dropBundle(bun *packBundle) {
+// retire takes no more pins on bun and unmaps it now or at its last
+// unpin; drop, for a fully-dead bundle, deletes its file too. Caller holds
+// b.mu.
+func (b *PackBackend) retire(bun *packBundle, drop bool) {
+	bun.retired, bun.dropped = true, drop
+	if b.active == bun {
+		b.active = nil
+	}
+	if bun.pins == 0 {
+		b.unmap(bun)
+	}
+}
+
+// unmap releases a retired, unpinned bundle's mapping and file, and
+// deletes a dropped one. Caller holds b.mu.
+func (b *PackBackend) unmap(bun *packBundle) {
 	munmapFile(bun.mm)
 	bun.mm = nil
 	bun.f.Close()
-	os.Remove(b.bundlePath(bun.seq))
-	delete(b.bundles, bun.seq)
-	if b.active == bun {
-		b.active = nil
+	if bun.dropped {
+		os.Remove(b.bundlePath(bun.seq))
+		delete(b.bundles, bun.seq)
+	}
+}
+
+// Release implements Lease: it unpins the bundle, unmapping a retired one
+// at its last unpin.
+func (bun *packBundle) Release() {
+	b := bun.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	bun.pins--
+	if bun.pins == 0 && bun.retired {
+		b.unmap(bun)
 	}
 }
 
@@ -302,7 +325,7 @@ func (b *PackBackend) Remove(key string) error {
 	bun := e.bundle
 	bun.live--
 	if bun.live == 0 && bun != b.active {
-		b.dropBundle(bun)
+		b.retire(bun, true)
 	}
 	b.mu.Unlock()
 	return b.record(packRecord{Op: "remove", Key: key})
@@ -341,9 +364,9 @@ func (b *PackBackend) LoadMeta() (map[string]AllocMeta, error) {
 	return out, nil
 }
 
-// Close flushes the journal and closes every bundle. The depot does not
-// call this (backends outlive connections); it exists for orderly daemon
-// shutdown and tests.
+// Close flushes the journal and closes every bundle, each once no segment
+// of it is lent. The depot does not call this (backends outlive
+// connections); it exists for orderly daemon shutdown and tests.
 func (b *PackBackend) Close() error {
 	b.jmu.Lock()
 	b.jw.Flush()
@@ -351,15 +374,16 @@ func (b *PackBackend) Close() error {
 	b.jmu.Unlock()
 	b.mu.Lock()
 	for _, bun := range b.bundles {
-		munmapFile(bun.mm)
-		bun.mm = nil
-		bun.f.Close()
+		if !bun.retired {
+			b.retire(bun, false)
+		}
 	}
 	b.mu.Unlock()
 	return err
 }
 
-// Bundles reports how many bundle files are open (for tests).
+// Bundles reports how many bundle files are open, counting a dropped one
+// until its last lent segment is released (for tests).
 func (b *PackBackend) Bundles() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -394,25 +418,44 @@ func (h *packHandle) Append(p []byte) (int64, error) {
 	return newSize, nil
 }
 
-func (h *packHandle) ReadAt(p []byte, off int64) error {
-	e := h.e
+// pin checks [off, off+n) against the allocation and pins its bundle,
+// which the caller releases. It returns the range's bytes in the bundle's
+// mapping, or nil when the bundle has no mapping that long (an old bundle
+// may be shorter than the current capacity).
+func (h *packHandle) pin(off, n int64) (*packBundle, []byte, error) {
+	b, e := h.b, h.e
 	e.mu.Lock()
 	size := e.size
 	e.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > size {
-		return io.ErrUnexpectedEOF
+	if !inRange(off, n, size) {
+		return nil, nil, io.ErrUnexpectedEOF
 	}
-	// Written ranges are immutable, so the mapping (when present and long
-	// enough — an old bundle may be shorter than the current capacity) is
-	// a syscall-free copy out of the page cache.
-	if mm := e.bundle.mm; mm != nil && e.off+off+int64(len(p)) <= int64(len(mm)) {
-		copy(p, mm[e.off+off:])
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	bun := e.bundle
+	if bun.retired {
+		return nil, nil, errRemoved
+	}
+	bun.pins++
+	if at := e.off + off; bun.mm != nil && at+n <= int64(len(bun.mm)) {
+		return bun, bun.mm[at : at+n : at+n], nil
+	}
+	return bun, nil, nil
+}
+
+// ReadAt copies out of the pinned mapping, or preads under the pin when
+// there is none.
+func (h *packHandle) ReadAt(p []byte, off int64) error {
+	bun, seg, err := h.pin(off, int64(len(p)))
+	if err != nil {
+		return err
+	}
+	defer bun.Release()
+	if seg != nil {
+		copy(p, seg)
 		return nil
 	}
-	if _, err := e.bundle.f.ReadAt(p, e.off+off); err != nil {
-		return fmt.Errorf("depot: pack read: %w", err)
-	}
-	return nil
+	return pread(bun.f, p, h.e.off+off)
 }
 
 func (h *packHandle) Len() int64 {
@@ -421,33 +464,19 @@ func (h *packHandle) Len() int64 {
 	return h.e.size
 }
 
-// WriteSegment implements SegmentWriter the same way fileHandle does:
-// bounds under the lock, the copy unlocked — written ranges of a bundle
-// are immutable and os.File.ReadAt is concurrency-safe.
-func (h *packHandle) WriteSegment(w io.Writer, off, n int64) (int64, error) {
-	e := h.e
-	e.mu.Lock()
-	size := e.size
-	e.mu.Unlock()
-	if off < 0 || n < 0 || off+n > size {
-		return 0, io.ErrUnexpectedEOF
-	}
-	// With a mapping the segment goes to w straight from the page cache —
-	// zero copies on our side, no read syscalls.
-	if mm := e.bundle.mm; mm != nil && e.off+off+n <= int64(len(mm)) {
-		m, err := w.Write(mm[e.off+off : e.off+off+n])
-		if err != nil {
-			return int64(m), err
-		}
-		return int64(m), nil
-	}
-	chunk := bufpool.Get(copyChunkSize)
-	defer bufpool.Put(chunk)
-	m, err := io.CopyBuffer(w, io.NewSectionReader(e.bundle.f, e.off+off, n), chunk)
+// Lend implements Handle with the bundle's mapping itself, the pin its
+// lease, so a Remove that drops the bundle defers the munmap. Without a
+// mapping it preads into a pooled buffer under the pin instead.
+func (h *packHandle) Lend(off, n int64) ([]byte, Lease, error) {
+	bun, seg, err := h.pin(off, n)
 	if err != nil {
-		return m, fmt.Errorf("depot: pack stream read: %w", err)
+		return nil, nil, err
 	}
-	return m, nil
+	if seg != nil {
+		return seg, bun, nil
+	}
+	defer bun.Release()
+	return lendPread(bun.f, h.e.off+off, n)
 }
 
 func (h *packHandle) Close() error { return nil }

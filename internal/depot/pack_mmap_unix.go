@@ -9,18 +9,18 @@ import (
 
 // mmapFile maps size bytes of f read-only and shared. Writes to the file
 // through pwrite stay visible through the mapping (one page cache), so the
-// pack engine's read path can skip the syscall entirely. A nil return with
-// nil error means the platform or the file refused the mapping; callers
-// fall back to pread.
-func mmapFile(f *os.File, size int64) ([]byte, error) {
+// pack engine's read path can skip the syscall entirely. nil means the
+// platform or the file refused the mapping, which degrades reads to pread
+// but breaks nothing.
+func mmapFile(f *os.File, size int64) []byte {
 	if size <= 0 || size > int64(int(^uint(0)>>1)) {
-		return nil, nil
+		return nil
 	}
 	mm, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, nil // degraded, not broken: pread still works
+		return nil
 	}
-	return mm, nil
+	return mm
 }
 
 func munmapFile(mm []byte) {

@@ -3,6 +3,7 @@ package depot
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -32,14 +33,11 @@ func TestPackBackendRoundTrip(t *testing.T) {
 	if string(got) != "hello pack" {
 		t.Fatalf("read back %q", got)
 	}
-	var sink bytes.Buffer
-	sw, ok := h.(SegmentWriter)
-	if !ok {
-		t.Fatal("pack handle should implement SegmentWriter")
+	seg, lease, err := h.Lend(6, 4)
+	if err != nil || string(seg) != "pack" {
+		t.Fatalf("Lend: err=%v got %q", err, seg)
 	}
-	if n, err := sw.WriteSegment(&sink, 6, 4); err != nil || n != 4 || sink.String() != "pack" {
-		t.Fatalf("WriteSegment: n=%d err=%v got %q", n, err, sink.String())
-	}
+	lease.Release()
 	if _, err := h.Append(bytes.Repeat([]byte("x"), 2048)); err != ErrAllocFull {
 		t.Fatalf("overfull append err = %v, want ErrAllocFull", err)
 	}
@@ -185,5 +183,105 @@ func TestDepotOnPackBackendSurvivesRestart(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("read after restart: %q", got)
+	}
+}
+
+// TestPackLendOutlivesBundleDrop: a lent pack segment is the bundle's
+// mapping itself, pinned. Removing the last allocation of a sealed bundle
+// drops the bundle, but its munmap and file deletion wait for the lease;
+// closing the backend waits the same way.
+func TestPackLendOutlivesBundleDrop(t *testing.T) {
+	dir := t.TempDir()
+	const size = 4096
+	pb, err := NewPackBackend(dir, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine := bytes.Repeat([]byte{0x11}, size)
+	h, err := pb.Create("mine", size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Append(mine); err != nil {
+		t.Fatal(err)
+	}
+	next, err := pb.Create("next", size) // seals mine's bundle
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, lease, err := h.Lend(0, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.Remove("mine"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.Lend(0, 1); err == nil {
+		t.Fatal("a dropped bundle lent a segment")
+	}
+	if err := h.ReadAt(make([]byte, 1), 0); err == nil {
+		t.Fatal("a dropped bundle was read")
+	}
+	if got := pb.Bundles(); got != 2 {
+		t.Fatalf("bundles while a segment of the dropped one is lent = %d, want 2", got)
+	}
+	if !bytes.Equal(seg, mine) {
+		t.Fatal("a lent segment changed after its bundle was dropped")
+	}
+	lease.Release()
+	if got := pb.Bundles(); got != 1 {
+		t.Fatalf("bundles after the last lease = %d, want 1", got)
+	}
+	if _, err := os.Stat(pb.bundlePath(0)); !os.IsNotExist(err) {
+		t.Fatalf("dropped bundle file after the last lease: %v, want it deleted", err)
+	}
+
+	if _, err := next.Append([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	seg, lease, err = next.Lend(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if string(seg) != "next" {
+		t.Fatalf("a lent segment read %q after Close, want %q", seg, "next")
+	}
+	if _, _, err := next.Lend(0, 4); err == nil {
+		t.Fatal("a closed backend lent a segment")
+	}
+	lease.Release()
+	if _, err := os.Stat(pb.bundlePath(1)); err != nil {
+		t.Fatalf("Close deleted a live bundle: %v", err)
+	}
+}
+
+// TestPackLendWithoutMapping covers bundles with no mapping (the pread
+// build, or an old bundle shorter than the capacity): Lend preads into a
+// pooled buffer under the pin, and ReadAt preads straight into p.
+func TestPackLendWithoutMapping(t *testing.T) {
+	pb, err := NewPackBackend(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Close()
+	h, err := pb.Create("k", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("preads under the pin")
+	if _, err := h.Append(want); err != nil {
+		t.Fatal(err)
+	}
+	pb.mu.Lock()
+	for _, bun := range pb.bundles {
+		munmapFile(bun.mm)
+		bun.mm = nil
+	}
+	pb.mu.Unlock()
+	if err := lendAgrees(h, want); err != nil {
+		t.Fatal(err)
 	}
 }

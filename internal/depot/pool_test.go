@@ -107,8 +107,8 @@ func TestPooledBufferAliasing(t *testing.T) {
 }
 
 // TestPooledBufferAliasingFileBackend repeats the concurrent hammer on the
-// file backend, whose LOAD path streams via SectionReader with a pooled
-// chunk buffer.
+// file backend, whose LOAD sends a pooled buffer the segment is pread
+// into.
 func TestPooledBufferAliasingFileBackend(t *testing.T) {
 	fb, err := NewFileBackend(t.TempDir())
 	if err != nil {
@@ -185,9 +185,9 @@ func TestMemHandleLendSegmentConcurrentAppend(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		seg, lease, err := h.LendSegment(0, 4096)
+		seg, lease, err := h.Lend(0, 4096)
 		if err != nil || len(seg) != 4096 {
-			t.Fatalf("LendSegment: len=%d err=%v", len(seg), err)
+			t.Fatalf("Lend: len=%d err=%v", len(seg), err)
 		}
 		var sink bytes.Buffer
 		sink.Write(seg)
@@ -202,10 +202,10 @@ func TestMemHandleLendSegmentConcurrentAppend(t *testing.T) {
 	wg.Wait()
 
 	// Out-of-range segments fail without pinning anything.
-	if _, _, err := h.LendSegment(0, 1<<30); err == nil {
-		t.Fatal("out-of-range LendSegment should fail")
+	if _, _, err := h.Lend(0, 1<<30); err == nil {
+		t.Fatal("out-of-range Lend should fail")
 	}
-	if _, _, err := h.LendSegment(-1, 16); err == nil {
-		t.Fatal("negative offset LendSegment should fail")
+	if _, _, err := h.Lend(-1, 16); err == nil {
+		t.Fatal("negative offset Lend should fail")
 	}
 }

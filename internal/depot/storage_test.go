@@ -73,14 +73,14 @@ func TestStreamedLoadPinsAcrossRemove(t *testing.T) {
 	if _, err := h.Append(mine); err != nil {
 		t.Fatal(err)
 	}
-	seg, lease, err := h.(SegmentLender).LendSegment(0, int64(len(mine)))
+	seg, lease, err := h.Lend(0, int64(len(mine)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Remove("mine"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h.(SegmentLender).LendSegment(0, 1); err == nil {
+	if _, _, err := h.Lend(0, 1); err == nil {
 		t.Fatal("a removed byte array lent a segment")
 	}
 	if _, err := h.Append([]byte{1}); err == nil {
@@ -106,63 +106,79 @@ func TestStreamedLoadPinsAcrossRemove(t *testing.T) {
 	}
 }
 
+// onEveryBackend runs f on a fresh depot over each backend. A pack bundle
+// holds exactly one allocation of size bytes, so a DELETE of an allocation
+// whose bundle is sealed drops the bundle, and the mapping a LOAD is sent
+// from with it.
+func onEveryBackend(t *testing.T, size int64, f func(t *testing.T, d *Depot)) {
+	for kind, be := range backends(t, size) {
+		t.Run(kind, func(t *testing.T) {
+			d, _ := newDepot(t, Config{Backend: be})
+			f(t, d)
+		})
+	}
+}
+
 // TestStreamedLoadOutlivesDelete holds a LOAD mid-stream across a DELETE
 // of its allocation and STOREs that refill pooled buffers of the same size
 // class. The payload is more than loopback's socket buffers take in
 // before the reader reads, so the depot is normally still writing it when
 // the DELETE lands; the reader must still get the bytes the depot
-// answered OK for.
+// answered OK for, on every backend.
 func TestStreamedLoadOutlivesDelete(t *testing.T) {
-	d, _ := newDepot(t, Config{})
-	c := ibp.NewClient(ibp.WithPooling(1))
-	defer c.Close()
 	const size = 8 << 20
-	mine := bytes.Repeat([]byte{0x11}, size)
-	set, err := c.AllocateStore(d.Addr(), size, time.Hour, ibp.Hard, mine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := net.Dial("tcp", d.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	conn := wire.NewConn(raw)
-	if err := conn.WriteLine(ibp.OpLoad, set.Read.Token(), "0", wire.Itoa(size)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.ReadStatus(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Delete(set.Manage); err != nil {
-		t.Fatal(err)
-	}
-	other := bytes.Repeat([]byte{0x22}, size)
-	for i := 0; i < 4; i++ {
-		if _, err := c.AllocateStore(d.Addr(), size, time.Hour, ibp.Hard, other); err != nil {
+	onEveryBackend(t, size, func(t *testing.T, d *Depot) {
+		c := ibp.NewClient(ibp.WithPooling(1))
+		defer c.Close()
+		mine := bytes.Repeat([]byte{0x11}, size)
+		set, err := c.AllocateStore(d.Addr(), size, time.Hour, ibp.Hard, mine)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	got, err := conn.ReadBlob(size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i := bytes.IndexByte(got, 0x22); i >= 0 {
-		t.Fatalf("byte %d of a LOAD answered before its DELETE came from a later STORE: its storage went back to the pool mid-stream", i)
-	}
+		other := bytes.Repeat([]byte{0x22}, size)
+		refill := func() {
+			if _, err := c.AllocateStore(d.Addr(), size, time.Hour, ibp.Hard, other); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Sealing mine's pack bundle lets the DELETE drop it.
+		refill()
+		raw, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		conn := wire.NewConn(raw)
+		if err := conn.WriteLine(ibp.OpLoad, set.Read.Token(), "0", wire.Itoa(size)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.ReadStatus(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Delete(set.Manage); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			refill()
+		}
+		got, err := conn.ReadBlob(size)
+		if err != nil {
+			t.Fatalf("a LOAD answered OK before its DELETE broke off: %v", err)
+		}
+		if i := bytes.IndexByte(got, 0x22); i >= 0 {
+			t.Fatalf("byte %d of a LOAD answered before its DELETE came from a later STORE: its storage went back to the pool mid-stream", i)
+		}
+	})
 }
 
-// TestStreamedLoadRacingDelete races zero-copy LOADs against DELETEs and
-// the STOREs that refill the pooled storage those DELETEs give back, over
-// real connections. Every allocation holds its own fill byte, so a LOAD
-// that streamed storage recycled under it would return another
-// allocation's bytes. A LOAD may fail (its allocation is gone) but must
-// never return foreign or torn bytes. Run under -race.
+// TestStreamedLoadRacingDelete races LOADs against DELETEs and the STOREs
+// that refill the storage those DELETEs give back, over real connections
+// and on every backend. Every allocation holds its own fill byte, so a
+// LOAD that sent storage recycled under it would return another
+// allocation's bytes. A LOAD may be refused (its allocation is gone) but
+// must never return foreign or torn bytes, nor break off after its OK.
+// Run under -race.
 func TestStreamedLoadRacingDelete(t *testing.T) {
-	d, _ := newDepot(t, Config{})
-	c := ibp.NewClient(ibp.WithPooling(8))
-	defer c.Close()
-
 	const (
 		slots   = 4
 		size    = 64 << 10
@@ -170,88 +186,99 @@ func TestStreamedLoadRacingDelete(t *testing.T) {
 		readers = 4
 		iters   = 60
 	)
-	type slot struct {
-		set  ibp.CapSet
-		fill byte
-	}
-	var mu sync.Mutex
-	var table [slots]slot
-	var next byte
-	store := func() (slot, error) {
-		mu.Lock()
-		next++
-		fill := next
-		mu.Unlock()
-		set, err := c.AllocateStore(d.Addr(), size, time.Hour, ibp.Hard, bytes.Repeat([]byte{fill}, size))
-		return slot{set, fill}, err
-	}
-	for k := range table {
-		s, err := store()
-		if err != nil {
-			t.Fatal(err)
+	onEveryBackend(t, size, func(t *testing.T, d *Depot) {
+		c := ibp.NewClient(ibp.WithPooling(8))
+		defer c.Close()
+		// Readers dial per LOAD: a pooled client would retry a LOAD that
+		// broke off on a fresh connection and hide the break.
+		rc := ibp.NewClient()
+		type slot struct {
+			set  ibp.CapSet
+			fill byte
 		}
-		table[k] = s
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, writers+readers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				s, err := store()
-				if err != nil {
-					errs <- err
-					return
-				}
-				k := (w + i) % slots
-				mu.Lock()
-				old := table[k]
-				table[k] = s
-				mu.Unlock()
-				if _, err := c.Delete(old.set.Manage); err != nil {
-					errs <- fmt.Errorf("delete: %w", err)
-					return
-				}
+		var mu sync.Mutex
+		var table [slots]slot
+		var next byte
+		store := func() (slot, error) {
+			mu.Lock()
+			next++
+			fill := next
+			mu.Unlock()
+			set, err := c.AllocateStore(d.Addr(), size, time.Hour, ibp.Hard, bytes.Repeat([]byte{fill}, size))
+			return slot{set, fill}, err
+		}
+		for k := range table {
+			s, err := store()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	var loaded atomic.Int64
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 2*iters; i++ {
-				mu.Lock()
-				s := table[rng.Intn(slots)]
-				mu.Unlock()
-				off := rng.Intn(size)
-				got, err := c.Load(s.set.Read, int64(off), int64(size-off))
-				if err != nil {
-					continue // its allocation was deleted first
-				}
-				loaded.Add(1)
-				if len(got) != size-off {
-					errs <- fmt.Errorf("fill %#x: got %d bytes, want %d", s.fill, len(got), size-off)
-					return
-				}
-				for j, b := range got {
-					if b != s.fill {
-						errs <- fmt.Errorf("fill %#x: byte %d is %#x: a LOAD streamed another allocation's bytes", s.fill, off+j, b)
+			table[k] = s
+		}
+
+		var wg sync.WaitGroup
+		errs := make(chan error, writers+readers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					s, err := store()
+					if err != nil {
+						errs <- err
+						return
+					}
+					k := (w + i) % slots
+					mu.Lock()
+					old := table[k]
+					table[k] = s
+					mu.Unlock()
+					if _, err := c.Delete(old.set.Manage); err != nil {
+						errs <- fmt.Errorf("delete: %w", err)
 						return
 					}
 				}
-			}
-		}(int64(r))
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if loaded.Load() == 0 {
-		t.Fatal("no LOAD succeeded: the race was never run")
-	}
+			}(w)
+		}
+		var loaded atomic.Int64
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < 2*iters; i++ {
+					mu.Lock()
+					s := table[rng.Intn(slots)]
+					mu.Unlock()
+					off := rng.Intn(size)
+					got, err := rc.Load(s.set.Read, int64(off), int64(size-off))
+					if wire.IsRemoteAny(err) {
+						continue // its allocation was deleted first
+					}
+					if err != nil {
+						errs <- fmt.Errorf("fill %#x: a LOAD broke off: %w", s.fill, err)
+						return
+					}
+					loaded.Add(1)
+					if len(got) != size-off {
+						errs <- fmt.Errorf("fill %#x: got %d bytes, want %d", s.fill, len(got), size-off)
+						return
+					}
+					for j, b := range got {
+						if b != s.fill {
+							errs <- fmt.Errorf("fill %#x: byte %d is %#x: a LOAD sent another allocation's bytes", s.fill, off+j, b)
+							return
+						}
+					}
+				}
+			}(int64(r))
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if loaded.Load() == 0 {
+			t.Fatal("no LOAD succeeded: the race was never run")
+		}
+	})
 }

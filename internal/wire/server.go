@@ -137,9 +137,6 @@ func (s *Server) serve(raw net.Conn, open Opener) {
 		delete(s.conns, raw)
 		s.mu.Unlock()
 	}()
-	// Default (small) wire buffers: dial-per-op clients create a fresh
-	// server conn per exchange, and large payloads bypass the buffer in
-	// both directions anyway.
 	conn := NewConn(raw)
 	defer conn.Close()
 	var sess Session

@@ -82,9 +82,6 @@ func (c *Conn) Close() error { return c.raw.Close() }
 // connection. The zero time clears it.
 func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
 
-// RemoteAddr reports the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
-
 // NetConn exposes the underlying network connection, so deadline helpers
 // that type-assert for richer conn capabilities (netx.VirtualDeadliner on
 // simulated links) work on framed connections too.
@@ -124,13 +121,6 @@ func (c *Conn) WriteLineBuffered(tokens ...string) error {
 // their own; only the Buffered variants need an explicit Flush.
 func (c *Conn) Flush() error { return c.bw.Flush() }
 
-// PayloadWriter exposes the buffered write side for streaming an announced
-// payload directly from its source (e.g. a backend segment) without an
-// intermediate full-size buffer. The caller must write exactly the announced
-// byte count and then call Flush; writing short or failing partway leaves the
-// connection unframed and it must be closed.
-func (c *Conn) PayloadWriter() io.Writer { return c.bw }
-
 // ReadLine reads one line and splits it into tokens. It returns io.EOF when
 // the peer closed the connection cleanly before any bytes arrived.
 func (c *Conn) ReadLine() ([]string, error) {
@@ -163,10 +153,7 @@ func (c *Conn) ReadLine() ([]string, error) {
 // WriteBlob writes exactly len(p) payload bytes and flushes. The length must
 // have been announced on a preceding line.
 func (c *Conn) WriteBlob(p []byte) error {
-	if len(p) > MaxBlobLen {
-		return fmt.Errorf("wire: blob of %d bytes exceeds limit: %w", len(p), ErrBlobTooLarge)
-	}
-	if _, err := c.bw.Write(p); err != nil {
+	if err := c.WriteBlobBuffered(p); err != nil {
 		return err
 	}
 	return c.bw.Flush()
