@@ -5,9 +5,10 @@
 # wire — its Pool and Conn.CheckIdle carry every registry exchange as well
 # as pooled IBP, and its Server is the accept loop of the depot, L-Bone and
 # NWS daemons). placer-determinism reruns the tests of core's one
-# placement loop and one block reader, core's checked Examples, the
-# registry's quorum pass, and the IBP client's one exchange path, often
-# enough to catch an order-dependent placement, read, report or output.
+# placement loop and one block reader, its sealed and shared-decode
+# pooled buffers, core's checked Examples, the registry's quorum pass, and
+# the IBP client's one exchange path, often enough to catch an
+# order-dependent placement, read, report, output or buffer release.
 .PHONY: tier1 build vet staticcheck test race bench-module bench-smoke fuzz-smoke placer-determinism stackmon-smoke slo-smoke registry-smoke repair-smoke obsd-smoke
 
 tier1: build vet staticcheck test race bench-module
@@ -110,7 +111,7 @@ fuzz-smoke:
 # budget tests (one Burn over one history, the bucket-boundary window) and
 # the twice-run stackmon study, which must produce byte-equal output,
 # twenty times on one P.
-DETERMINISM_RUN = 'Place|Upload|Coded|Augment|Maintain|Hedge|Rank|Slow|Decode|Verify|WholeReplica'
+DETERMINISM_RUN = 'Place|Upload|Coded|Augment|Maintain|Hedge|Rank|Slow|Decode|Verify|WholeReplica|Seal|Shared'
 placer-determinism:
 	GOMAXPROCS=1 go test -count=20 -run $(DETERMINISM_RUN) repro/internal/core
 	for i in $$(seq 20); do GOMAXPROCS=1 go test -count=1 -run '^Example' repro/internal/core || exit 1; done

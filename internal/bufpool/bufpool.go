@@ -39,7 +39,11 @@
 //     it back.
 //  4. A function that returns a borrowed buffer to its caller (e.g.
 //     ibp.Client.Load with pooling) must say so in its doc comment; the
-//     caller then owns it and decides whether to Put.
+//     caller then owns it and decides whether to Put. A buffer several
+//     callers share comes with a release instead: transfer.Engine.GroupDo
+//     hands one decoded coding group to every caller that asked for it,
+//     each calls its release once it has copied what it needs, and the
+//     last release Puts the buffer.
 //  5. Never Put a buffer twice, and never Put a sub-slice: only the exact
 //     slice (same base pointer and capacity) returned by Get.
 //

@@ -46,12 +46,7 @@ func (t *Tools) UploadRS(name string, data []byte, opts CodedOptions) (*exnode.E
 	if err != nil {
 		return nil, err
 	}
-	blocks := erasure.Split(data, opts.DataBlocks)
-	parity, err := rs.Encode(blocks)
-	if err != nil {
-		return nil, err
-	}
-	return t.uploadCodingGroup(name, data, blocks, parity, exnode.FuncRSParity, opts)
+	return t.uploadCodingGroup(name, data, rs.EncodeInto, exnode.FuncRSParity, opts)
 }
 
 // UploadXOR stores data as k data blocks plus one XOR parity block — the
@@ -61,27 +56,34 @@ func (t *Tools) UploadXOR(name string, data []byte, opts CodedOptions) (*exnode.
 		return nil, errors.New("core: coded upload needs DataBlocks >= 1")
 	}
 	opts.ParityBlocks = 1
-	blocks := erasure.Split(data, opts.DataBlocks)
-	parity, err := erasure.XORParity(blocks)
-	if err != nil {
-		return nil, err
-	}
-	return t.uploadCodingGroup(name, data, blocks, [][]byte{parity}, exnode.FuncParity, opts)
+	return t.uploadCodingGroup(name, data, erasure.XORParityInto, exnode.FuncParity, opts)
 }
 
-// uploadCodingGroup places the k+m blocks of one coding group. Every block
-// protects the whole file, so the placer keeps all of them on different
-// depots: block i starts at depots[i%len] and fails over round the list.
-func (t *Tools) uploadCodingGroup(name string, data []byte, blocks, parity [][]byte, parityFn exnode.Function, opts CodedOptions) (*exnode.ExNode, error) {
+// uploadCodingGroup encodes data into k data and m parity blocks and places
+// them. Every block protects the whole file, so the placer keeps all of
+// them on different depots: block i starts at depots[i%len] and fails over
+// round the list. The data blocks that lie wholly inside data are slices of
+// it; the padded last one and the parity blocks are pooled buffers, put
+// back once the placer has returned.
+func (t *Tools) uploadCodingGroup(name string, data []byte, encode func(parity, data [][]byte) error, parityFn exnode.Function, opts CodedOptions) (*exnode.ExNode, error) {
 	depots, err := t.placementDepots("coded upload", opts.Depots, opts.Duration, nil)
 	if err != nil {
 		return nil, err
 	}
-	k, m := len(blocks), len(parity)
+	k, m := opts.DataBlocks, opts.ParityBlocks
+	size := erasure.BlockSize(len(data), k)
+	all := make([][]byte, k+m)
+	for i := len(data) / size; i < len(all); i++ {
+		all[i] = bufpool.Get(size)
+		defer bufpool.Put(all[i])
+	}
+	erasure.SplitInto(all[:k], data)
+	if err := encode(all[k:], all[:k]); err != nil {
+		return nil, err
+	}
 	group := codingGroupID(name, 0)
 	x := exnode.New(name, int64(len(data)))
 	x.Created = t.clock().Now()
-	all := append(append([][]byte{}, blocks...), parity...)
 	plan := make([]planJob, len(all))
 	for i := range plan {
 		plan[i] = planJob{j: i, ext: exnode.Extent{End: x.Size}}
@@ -99,7 +101,7 @@ func (t *Tools) uploadCodingGroup(name string, data []byte, blocks, parity [][]b
 			mp.Function = parityFn
 		}
 		mp.Group, mp.BlockIndex = group, i
-		mp.DataBlocks, mp.ParityBlocks, mp.BlockSize = k, m, int64(len(all[i]))
+		mp.DataBlocks, mp.ParityBlocks, mp.BlockSize = k, m, int64(size)
 	}
 	return validated(x, err)
 }
@@ -124,12 +126,13 @@ func (t *Tools) recoverFromCoding(x *exnode.ExNode, ext exnode.Extent, dst []byt
 		if !(g.Offset <= ext.Start && ext.End <= g.Offset+g.Length) {
 			continue // group does not protect this extent
 		}
-		data, err := t.decodeGroupShared(ms, opts, sc)
+		data, release, err := t.decodeGroupShared(ms, opts, sc)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		copy(dst, data[ext.Start-g.Offset:ext.End-g.Offset])
+		release()
 		return fmt.Sprintf("coded(%s)", g.Group), nil
 	}
 	return "", lastErr
@@ -138,32 +141,45 @@ func (t *Tools) recoverFromCoding(x *exnode.ExNode, ext exnode.Extent, dst []byt
 // decodeGroupShared collapses concurrent decodes of one coding group
 // through the transfer engine's singleflight: parallel extent workers (or
 // readahead fetches) that all lost their replicas pay for one decode — k
-// block loads — instead of k loads each. The shared slice is copied out by
-// every caller and never written.
-func (t *Tools) decodeGroupShared(ms []*exnode.Mapping, opts DownloadOptions, sc obs.SpanContext) ([]byte, error) {
+// block loads — instead of k loads each. Every caller copies out of the
+// shared payload, never writes it, and then calls release, exactly once;
+// the last release puts the payload back in the pool.
+func (t *Tools) decodeGroupShared(ms []*exnode.Mapping, opts DownloadOptions, sc obs.SpanContext) (data []byte, release func(), err error) {
 	if t.Transfer == nil {
-		return t.decodeGroup(ms, opts, sc)
+		data, err = t.decodeGroup(ms, opts, sc)
+		return data, func() { bufpool.Put(data) }, err
 	}
-	data, shared, err := t.Transfer.GroupDo(ms[0].Group, func() ([]byte, error) {
+	data, release, shared, err := t.Transfer.GroupDo(ms[0].Group, func() ([]byte, error) {
 		return t.decodeGroup(ms, opts, sc)
 	})
 	if shared {
 		t.logf("core: coded group %s: reused a concurrent decode", ms[0].Group)
 	}
-	return data, err
+	return data, release, err
 }
 
 // decodeGroup loads the group's surviving blocks, in BlockIndex order, and
-// reconstructs the original group payload. All k data blocks are simply
-// joined; otherwise the code is the one a remaining parity mapping names —
+// reconstructs the group payload into one pooled buffer, which the caller
+// owns: data block i sits at i×BlockSize, so a surviving data block loads
+// straight into its place, a missing one is rebuilt there, and the buffer
+// is the payload without a join. When all k data blocks load, nothing is
+// decoded; otherwise the code is the one a remaining parity mapping names —
 // never guessed, since Maintain may have trimmed every parity mapping.
 func (t *Tools) decodeGroup(ms []*exnode.Mapping, opts DownloadOptions, sc obs.SpanContext) ([]byte, error) {
 	g := ms[0]
-	k, m := g.DataBlocks, g.ParityBlocks
+	k, m, size := g.DataBlocks, g.ParityBlocks, int(g.BlockSize)
+	if int64(k)*g.BlockSize < g.Length {
+		return nil, fmt.Errorf("core: coded group %s: %d blocks of %d bytes cannot hold %d", g.Group, k, size, g.Length)
+	}
+	out := bufpool.Get(k * size)
+	data := make([][]byte, k) // data block i's place in out
+	for i := range data {
+		data[i] = out[i*size : (i+1)*size]
+	}
 	blocks := make([][]byte, k+m)
 	defer func() {
-		for _, b := range blocks {
-			bufpool.Put(b) // a nil (missing) block is ignored
+		for _, b := range blocks[k:] {
+			bufpool.Put(b) // a nil (missing) parity block is ignored
 		}
 	}()
 	var code exnode.Function
@@ -171,40 +187,43 @@ func (t *Tools) decodeGroup(ms []*exnode.Mapping, opts DownloadOptions, sc obs.S
 		if mp.Function != exnode.FuncRSData {
 			code = mp.Function
 		}
-		if allDataPresent(blocks, k) {
+		i := mp.BlockIndex
+		if allDataPresent(blocks, k) || i < 0 || i >= len(blocks) || blocks[i] != nil || mp.BlockSize != g.BlockSize {
 			continue
 		}
-		if mp.BlockIndex < 0 || mp.BlockIndex >= len(blocks) || blocks[mp.BlockIndex] != nil {
-			continue
+		var buf []byte
+		if i < k {
+			buf = data[i]
+		} else {
+			buf = bufpool.Get(size)
 		}
-		buf := bufpool.Get(int(mp.BlockSize))
 		if err := t.load(mp, 0, buf, opts, nil, sc); err != nil {
-			bufpool.Put(buf)
-			t.logf("core: coded block %d (%s) unusable: %v", mp.BlockIndex, mp.Depot, err)
+			if i >= k {
+				bufpool.Put(buf)
+			}
+			t.logf("core: coded block %d (%s) unusable: %v", i, mp.Depot, err)
 			continue
 		}
-		blocks[mp.BlockIndex] = buf
+		blocks[i] = buf
 	}
-	var dataBlocks [][]byte
 	var err error
 	switch {
 	case allDataPresent(blocks, k):
-		dataBlocks = blocks[:k]
 	case code == exnode.FuncRSParity:
-		rs, rerr := erasure.NewRS(k, m)
-		if rerr != nil {
-			return nil, rerr
+		var rs *erasure.RS
+		if rs, err = erasure.NewRS(k, m); err == nil {
+			err = rs.DecodeInto(data, blocks)
 		}
-		dataBlocks, err = rs.Decode(blocks)
 	case code == exnode.FuncParity:
-		dataBlocks, err = erasure.XORRecover(blocks)
+		err = erasure.XORRecoverInto(data, blocks)
 	default:
 		err = fmt.Errorf("core: coded group %s: data blocks missing and no parity mapping left to name the code", g.Group)
 	}
 	if err != nil {
+		bufpool.Put(out)
 		return nil, err
 	}
-	return erasure.Join(dataBlocks, int(g.Length)), nil
+	return out, nil
 }
 
 func allDataPresent(blocks [][]byte, k int) bool {

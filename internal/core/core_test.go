@@ -245,7 +245,7 @@ func TestStreamingReaderMatchesDownload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, rep, err := tl.OpenReader(x, DownloadOptions{})
+	r, rep, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,45 +178,34 @@ func (t *Tools) DownloadRange(x *exnode.ExNode, offset, length int64, opts Downl
 				x.Name, er.Start, er.End, er.Err)
 		}
 	}
-	buf, err := t.unsealRange(x, buf, offset, opts)
-	if err != nil {
+	if err := t.unsealRange(x, buf, offset, opts); err != nil {
+		bufpool.Put(buf)
 		return nil, report, err
 	}
 	return buf, report, nil
 }
 
-// unsealRange decrypts downloaded bytes when the exNode is encrypted. CTR
-// mode makes arbitrary offsets decryptable independently.
-//
-// unsealRange consumes buf: on the plaintext path it is returned
-// unchanged (still owned by the caller), on every other path — fresh
-// plaintext or error — buf is released to the pool and must not be
-// touched again by the caller.
-func (t *Tools) unsealRange(x *exnode.ExNode, buf []byte, offset int64, opts DownloadOptions) ([]byte, error) {
+// unsealRange decrypts downloaded bytes in place when the exNode is
+// encrypted; buf stays the caller's either way. CTR mode makes arbitrary
+// offsets decryptable independently.
+func (t *Tools) unsealRange(x *exnode.ExNode, buf []byte, offset int64, opts DownloadOptions) error {
 	if !x.Encrypted() || opts.Raw {
-		return buf, nil
+		return nil
 	}
 	if opts.DecryptionKey == nil {
-		bufpool.Put(buf)
-		return nil, ErrEncrypted
+		return ErrEncrypted
 	}
 	if x.Cipher != sealing.CipherAES256CTR {
-		bufpool.Put(buf)
-		return nil, fmt.Errorf("core: unsupported cipher %q", x.Cipher)
+		return fmt.Errorf("core: unsupported cipher %q", x.Cipher)
 	}
 	iv, err := sealing.DecodeIV(x.IV)
 	if err != nil {
-		bufpool.Put(buf)
-		return nil, err
+		return err
 	}
-	plain, err := sealing.UnsealAt(opts.DecryptionKey, iv, buf, offset)
-	// Decryption produced a fresh plaintext buffer either way; the
-	// ciphertext one goes back to the pool.
-	bufpool.Put(buf)
-	if err != nil {
-		return nil, fmt.Errorf("core: unsealing %q: %w", x.Name, err)
+	if err := sealing.XORKeyStreamAt(buf, buf, opts.DecryptionKey, iv, offset); err != nil {
+		return fmt.Errorf("core: unsealing %q: %w", x.Name, err)
 	}
-	return plain, nil
+	return nil
 }
 
 // staticDirectoryIfNeeded resolves depot locations through the L-Bone only

@@ -163,23 +163,18 @@ func (jb *placeJob) size() int64 {
 	return int64(len(jb.payload))
 }
 
-// digest is the checksum of one distinct payload: the first job to store
-// it hashes it, and every job that stores the same bytes reuses the sum.
-type digest struct {
-	once sync.Once
-	sum  string
-}
-
-// digests gives each payload job the digest it shares with every job whose
-// payload is the same bytes. Same bytes means the same backing memory —
-// first byte and length — not the same file range: the replicas of a
-// fragment are one subslice of the write's data, while every block of a
-// coding group covers the whole file and holds different bytes.
-func digests(jobs []placeJob) []*digest {
+// digests starts, on wg, one goroutine per distinct payload that hashes it,
+// and returns for each payload job the digest it shares with every job
+// whose payload is the same bytes; the sum is there once wg is done. Same
+// bytes means the same backing memory — first byte and length — not the
+// same file range: the replicas of a fragment are one subslice of the
+// write's data, while every block of a coding group covers the whole file
+// and holds different bytes.
+func digests(jobs []placeJob, wg *sync.WaitGroup) []*string {
 	same := func(a, b []byte) bool {
 		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 	}
-	out := make([]*digest, len(jobs))
+	out := make([]*string, len(jobs))
 	for i := range jobs {
 		if jobs[i].src != nil {
 			continue
@@ -190,7 +185,13 @@ func digests(jobs []placeJob) []*digest {
 			}
 		}
 		if out[i] == nil {
-			out[i] = &digest{}
+			sum, payload := new(string), jobs[i].payload
+			out[i] = sum
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				*sum = integrity.Sum(payload)
+			}()
 		}
 	}
 	return out
@@ -211,10 +212,11 @@ func placeJobs(plan []planJob, depots []lbone.DepotInfo, policy Placement) []pla
 // failing over down the list — in order or on opts.Parallelism goroutines,
 // and returns one replica mapping per job. Of opts it also reads Duration
 // and Reliability (defaulting both), Checksum (each distinct payload is
-// hashed once, however many jobs store it) and Report. The first job to
-// run out of candidates aborts the rest (ErrUploadAborted marks those never
-// tried), whatever was stored is deleted again, and the report keeps the
-// trail of every attempt either way.
+// hashed once, however many jobs store it, while the STOREs run) and
+// Report. The first job to run out of candidates aborts the rest
+// (ErrUploadAborted marks those never tried), whatever was stored is
+// deleted again, and the report keeps the trail of every attempt either
+// way.
 //
 // One rule holds across jobs: no depot takes a block whose file range
 // overlaps a block of the same file it already holds, be that one stored
@@ -280,9 +282,13 @@ func (t *Tools) placeAll(op string, jobs []placeJob, held occupancy, opts Upload
 		return shared
 	}
 
-	var sums []*digest
+	// With checksums on, each distinct payload is hashed while the first
+	// STOREs are in flight; every hash is joined before placeAll returns,
+	// so none outlives the caller's hold on the payloads.
+	var hashing sync.WaitGroup
+	var sums []*string
 	if opts.Checksum {
-		sums = digests(jobs)
+		sums = digests(jobs, &hashing)
 	}
 
 	// First-error abort: once any job exhausts its candidates, siblings stop
@@ -324,10 +330,6 @@ func (t *Tools) placeAll(op string, jobs []placeJob, held occupancy, opts Upload
 				}
 				if jb.src != nil {
 					m.Checksum = jb.src.Checksum // same bytes, same digest
-				} else if sums != nil {
-					d := sums[i]
-					d.once.Do(func() { d.sum = integrity.Sum(jb.payload) })
-					m.Checksum = d.sum
 				}
 				return m, nil
 			}
@@ -355,6 +357,13 @@ func (t *Tools) placeAll(op string, jobs []placeJob, held occupancy, opts Upload
 			aborted.Store(true)
 		}
 	})
+
+	hashing.Wait()
+	for i, sum := range sums {
+		if sum != nil && results[i] != nil {
+			results[i].Checksum = *sum
+		}
+	}
 
 	var firstErr error
 	for _, fr := range rep.Fragments {

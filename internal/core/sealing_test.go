@@ -106,7 +106,7 @@ func TestEncryptedStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := tl.OpenReader(x, DownloadOptions{DecryptionKey: key})
+	r, _, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{DecryptionKey: key})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ type streamReader struct {
 	sched    int                    // next extent index to schedule
 	next     int                    // next extent index to consume
 	buf      []byte                 // unread remainder of the current extent
-	cur      []byte                 // pooled buffer backing buf (nil when buf owns its bytes)
+	cur      []byte                 // pooled buffer backing buf
 	err      error                  // latched permanent error
 	report   *Report
 	closed   bool
@@ -46,15 +46,10 @@ type extentRes struct {
 	data []byte
 }
 
-// OpenReader returns a streaming reader over the whole file. The Report is
-// filled in as extents are consumed and is complete once Read returns
-// io.EOF: Bytes and Failovers reflect actual progress, not the requested
-// range.
-func (t *Tools) OpenReader(x *exnode.ExNode, opts DownloadOptions) (io.ReadCloser, *Report, error) {
-	return t.OpenRangeReader(x, 0, x.Size, opts)
-}
-
 // OpenRangeReader returns a streaming reader over [offset, offset+length).
+// The Report is filled in as extents are consumed and is complete once Read
+// returns io.EOF: Bytes and Failovers reflect actual progress, not the
+// requested range.
 func (t *Tools) OpenRangeReader(x *exnode.ExNode, offset, length int64, opts DownloadOptions) (io.ReadCloser, *Report, error) {
 	if err := x.Validate(); err != nil {
 		return nil, nil, err
@@ -156,19 +151,14 @@ func (r *streamReader) Read(p []byte) (int, error) {
 			r.err = res.er.Err
 			return 0, r.err
 		}
-		// unsealRange consumes res.data: on the plaintext path it comes
-		// back as data, otherwise it is already released to the pool.
-		data, err := r.t.unsealRange(r.x, res.data, ext.Start, r.opts)
-		if err != nil {
+		if err := r.t.unsealRange(r.x, res.data, ext.Start, r.opts); err != nil {
+			bufpool.Put(res.data)
 			r.err = err
 			return 0, err
 		}
 		r.report.Bytes += ext.Len()
 		r.next++ // advance only once the extent is fully in hand
-		r.buf = data
-		if !r.x.Encrypted() || r.opts.Raw {
-			r.cur = data
-		}
+		r.buf, r.cur = res.data, res.data
 	}
 	n := copy(p, r.buf)
 	r.buf = r.buf[n:]

@@ -33,7 +33,7 @@ func TestStreamReaderPooledAllocs(t *testing.T) {
 	}
 
 	streamAll := func() {
-		r, _, err := tl.OpenReader(x, DownloadOptions{})
+		r, _, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestStreamReaderPooledAllocs(t *testing.T) {
 	// growth): measure the reader alone by draining into a fixed sink.
 	sink := make([]byte, 64<<10)
 	drain := func() {
-		r, _, err := tl.OpenReader(x, DownloadOptions{})
+		r, _, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestStreamReadNeverSkipsFailedExtent(t *testing.T) {
 	}
 	extLen := int(x.Boundaries(0, x.Size)[0].Len())
 
-	r, rep, err := tl.OpenReader(x, DownloadOptions{})
+	r, rep, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestStreamBudgetEnforced(t *testing.T) {
 	}
 	// Each 50 KiB extent takes ~0.4s of virtual time at 1 Mbps; a 1s budget
 	// admits only the first couple of extents.
-	r, rep, err := tl.OpenReader(x, DownloadOptions{Budget: time.Second})
+	r, rep, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{Budget: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestStreamReportCountsFailovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Clock.Advance(5 * time.Minute)
-	r, rep, err := tl.OpenReader(x, DownloadOptions{Strategy: StrategyStatic})
+	r, rep, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{Strategy: StrategyStatic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestStreamSeedMatchesDownload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, stRep, err := tl.OpenReader(x, opts)
+	r, stRep, err := tl.OpenRangeReader(x, 0, x.Size, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestStreamReadahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, rep, err := tl.OpenReader(x, DownloadOptions{Readahead: 3})
+	r, rep, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{Readahead: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestStreamCloseWithInflightReadahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := tl.OpenReader(x, DownloadOptions{Readahead: 4})
+	r, _, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{Readahead: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestHedgedStreamBeatsSlowDepot(t *testing.T) {
 		HedgeAfter: 150 * time.Millisecond,
 		Clock:      e.Clock,
 	})
-	r, rep, err := tl.OpenReader(x, DownloadOptions{Strategy: StrategyStatic})
+	r, rep, err := tl.OpenRangeReader(x, 0, x.Size, DownloadOptions{Strategy: StrategyStatic})
 	if err != nil {
 		t.Fatal(err)
 	}

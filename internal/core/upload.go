@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/exnode"
 	"repro/internal/geo"
 	"repro/internal/ibp"
@@ -98,6 +99,9 @@ func (t *Tools) upload(name string, data []byte, opts UploadOptions, held occupa
 	if err != nil {
 		return nil, err
 	}
+	if opts.EncryptionKey != nil {
+		defer bufpool.Put(data) // the placer has returned: nothing reads it
+	}
 	var plan []planJob
 	for r := 0; r < opts.Replicas; r++ {
 		for j, ext := range splitUniform(int64(len(data)), opts.fragmentsFor(r)) {
@@ -125,7 +129,9 @@ func validated(x *exnode.ExNode, err error) (*exnode.ExNode, error) {
 }
 
 // sealIfRequested encrypts data for upload when a key is given, recording
-// the cipher metadata on the exNode. It returns the bytes to store.
+// the cipher metadata on the exNode. It returns the bytes to store: data
+// itself, or the ciphertext in a bufpool buffer, which the caller puts
+// back once the placer has returned.
 func (t *Tools) sealIfRequested(x *exnode.ExNode, data, key []byte) ([]byte, error) {
 	if key == nil {
 		return data, nil
@@ -134,8 +140,9 @@ func (t *Tools) sealIfRequested(x *exnode.ExNode, data, key []byte) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	sealed, err := sealing.Seal(key, iv, data)
-	if err != nil {
+	sealed := bufpool.Get(len(data))
+	if err := sealing.XORKeyStreamAt(sealed, data, key, iv, 0); err != nil {
+		bufpool.Put(sealed)
 		return nil, fmt.Errorf("core: sealing %q: %w", x.Name, err)
 	}
 	x.Cipher = sealing.CipherAES256CTR
@@ -185,6 +192,9 @@ func (t *Tools) UploadLayout(name string, data []byte, layout Layout, opts Uploa
 	data, err := t.sealIfRequested(x, data, opts.EncryptionKey)
 	if err != nil {
 		return nil, err
+	}
+	if opts.EncryptionKey != nil {
+		defer bufpool.Put(data)
 	}
 	var jobs []placeJob
 	for r, frags := range layout {

@@ -59,6 +59,7 @@ const maxConns = 128
 // Depot is a running IBP depot daemon.
 type Depot struct {
 	cfg     Config
+	tags    *ibp.Tagger // mints and verifies capabilities under cfg.Secret
 	srv     *wire.Server
 	clock   vclock.Clock
 	started time.Time
@@ -115,6 +116,7 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 	cfg.Logger = cfg.Logger.With(obs.KeyDepot, cfg.Advertised)
 	d := &Depot{
 		cfg:     cfg,
+		tags:    ibp.NewTagger(cfg.Secret),
 		clock:   cfg.Clock,
 		started: cfg.Clock.Now(),
 		sem:     make(chan struct{}, maxConns),
@@ -372,7 +374,7 @@ func (d *Depot) resolveInner(tok string, want ibp.CapType) (*allocation, *wire.R
 	if cap.Type != want {
 		return nil, &wire.RemoteError{Code: wire.CodeCapMismatch, Message: fmt.Sprintf("operation requires %s capability", want)}
 	}
-	if !ibp.VerifyCap(d.cfg.Secret, cap) {
+	if !d.tags.VerifyCap(cap) {
 		d.metrics.Violations.Add(1)
 		return nil, &wire.RemoteError{Code: wire.CodeDenied, Message: "capability verification failed"}
 	}
@@ -553,7 +555,7 @@ func (d *Depot) allocate(conn *connCtx, args []string) (ibp.CapSet, *wire.Remote
 	d.persistMeta(a)
 
 	d.metrics.Allocates.Add(1)
-	return ibp.MintSet(d.cfg.Secret, d.cfg.Advertised, key), nil
+	return d.tags.MintSet(d.cfg.Advertised, key), nil
 }
 
 func (d *Depot) handleStore(conn *connCtx, args []string) error {

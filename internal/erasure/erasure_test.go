@@ -309,7 +309,7 @@ func TestSplitJoinRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		return bytes.Equal(Join(blocks, len(data)), data)
+		return bytes.Equal(bytes.Join(blocks, nil)[:len(data)], data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -398,5 +398,83 @@ func TestXOREquivalentToRSWithOneParity(t *testing.T) {
 	}
 	if !bytes.Equal(got[1], data[1]) {
 		t.Fatal("RS(4,1) failed to recover")
+	}
+}
+
+// dirty returns n buffers of size bytes full of junk, as pooled buffers
+// come back.
+func dirty(n, size int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = bytes.Repeat([]byte{0xEE}, size)
+	}
+	return out
+}
+
+// TestIntoVariantsOverwriteDirtyBuffers: the in-place codecs write into
+// buffers that hold junk and give what the allocating ones give, and
+// SplitInto slices the blocks that lie wholly inside the data.
+func TestIntoVariantsOverwriteDirtyBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	data := make([]byte, 1000)
+	rng.Read(data)
+	const k, m = 3, 2
+	size := BlockSize(len(data), k)
+	want := Split(data, k)
+
+	blocks := make([][]byte, k)
+	blocks[k-1] = dirty(1, size)[0] // 3×334 > 1000: only the last block pads
+	SplitInto(blocks, data)
+	for i, b := range blocks {
+		if !bytes.Equal(b, want[i]) {
+			t.Fatalf("SplitInto block %d differs from Split", i)
+		}
+	}
+	if &blocks[0][0] != &data[0] || &blocks[1][0] != &data[size] {
+		t.Fatal("SplitInto copied a block that lies inside the data")
+	}
+
+	rs, err := NewRS(k, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantParity, err := rs.Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parity := dirty(m, size)
+	if err := rs.EncodeInto(parity, blocks); err != nil {
+		t.Fatal(err)
+	}
+	for p := range parity {
+		if !bytes.Equal(parity[p], wantParity[p]) {
+			t.Fatalf("EncodeInto parity %d differs from Encode", p)
+		}
+	}
+	out := dirty(k, size)
+	if err := rs.DecodeInto(out, [][]byte{nil, want[1], nil, parity[0], parity[1]}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		if !bytes.Equal(out[i], want[i]) {
+			t.Fatalf("DecodeInto data block %d mismatch", i)
+		}
+	}
+
+	xorParity := dirty(1, size)
+	if err := XORParityInto(xorParity, want); err != nil {
+		t.Fatal(err)
+	}
+	out = dirty(k, size)
+	if err := XORRecoverInto(out, [][]byte{want[0], nil, want[2], xorParity[0]}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		if !bytes.Equal(out[i], want[i]) {
+			t.Fatalf("XORRecoverInto data block %d mismatch", i)
+		}
+	}
+	if err := rs.EncodeInto(dirty(m, size+1), blocks); err == nil {
+		t.Fatal("EncodeInto took parity buffers of the wrong size")
 	}
 }

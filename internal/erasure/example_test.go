@@ -28,7 +28,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(bytes.Equal(erasure.Join(decoded, len(data)), data))
+	fmt.Println(bytes.Equal(bytes.Join(decoded, nil)[:len(data)], data))
 	// Output:
 	// true
 }

@@ -50,20 +50,50 @@ func (r *RS) ParityBlocks() int { return r.m }
 // Encode computes the m parity blocks for the k equal-length data blocks.
 // The returned slice holds newly allocated parity blocks.
 func (r *RS) Encode(data [][]byte) ([][]byte, error) {
-	if err := r.checkBlocks(data); err != nil {
+	parity := make([][]byte, r.m)
+	if err := r.EncodeInto(parity, data); err != nil {
 		return nil, err
 	}
+	return parity, nil
+}
+
+// EncodeInto is Encode writing parity block p into parity[p], which is
+// either a buffer of the data blocks' length, whose contents are
+// overwritten, or nil, for which one is allocated.
+func (r *RS) EncodeInto(parity, data [][]byte) error {
+	if err := r.checkBlocks(data); err != nil {
+		return err
+	}
+	if len(parity) != r.m {
+		return fmt.Errorf("erasure: encode wants %d parity blocks, got %d", r.m, len(parity))
+	}
 	size := len(data[0])
-	parity := make([][]byte, r.m)
-	for p := 0; p < r.m; p++ {
-		out := make([]byte, size)
+	for p := range parity {
+		out, err := block(parity[p], size)
+		if err != nil {
+			return fmt.Errorf("erasure: parity %w", err)
+		}
 		row := r.gen.row(r.k + p)
 		for d := 0; d < r.k; d++ {
 			mulSlice(out, data[d], row[d])
 		}
 		parity[p] = out
 	}
-	return parity, nil
+	return nil
+}
+
+// block returns a zeroed buffer of size bytes to accumulate a coded block
+// in: b itself when the caller supplied one of that length, a new one for
+// nil.
+func block(b []byte, size int) ([]byte, error) {
+	if b == nil {
+		return make([]byte, size), nil
+	}
+	if len(b) != size {
+		return nil, fmt.Errorf("block has size %d, want %d", len(b), size)
+	}
+	clear(b)
+	return b, nil
 }
 
 // ErrNotEnoughBlocks is returned when fewer than k blocks survive.
@@ -74,8 +104,24 @@ var ErrNotEnoughBlocks = errors.New("erasure: not enough surviving blocks to dec
 // 0..k-1 are data blocks, k..k+m-1 parity. It returns the data blocks,
 // reusing surviving data blocks where present.
 func (r *RS) Decode(blocks [][]byte) ([][]byte, error) {
+	data := make([][]byte, r.k)
+	if err := r.DecodeInto(data, blocks); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// DecodeInto is Decode writing into data, which has k entries. data[d] is
+// set to blocks[d] when data block d survived; otherwise the block is
+// rebuilt into data[d], which is a buffer of the block length, whose
+// contents are overwritten, or nil, for which one is allocated. A supplied
+// buffer must not overlap a surviving block.
+func (r *RS) DecodeInto(data, blocks [][]byte) error {
 	if len(blocks) != r.k+r.m {
-		return nil, fmt.Errorf("erasure: decode wants %d blocks, got %d", r.k+r.m, len(blocks))
+		return fmt.Errorf("erasure: decode wants %d blocks, got %d", r.k+r.m, len(blocks))
+	}
+	if len(data) != r.k {
+		return fmt.Errorf("erasure: decode wants %d data blocks, got %d", r.k, len(data))
 	}
 	// Collect surviving block indices and validate sizes.
 	var have []int
@@ -87,46 +133,40 @@ func (r *RS) Decode(blocks [][]byte) ([][]byte, error) {
 		if size == -1 {
 			size = len(b)
 		} else if len(b) != size {
-			return nil, fmt.Errorf("erasure: block %d has size %d, want %d", i, len(b), size)
+			return fmt.Errorf("erasure: block %d has size %d, want %d", i, len(b), size)
 		}
 		have = append(have, i)
 	}
 	if len(have) < r.k {
-		return nil, fmt.Errorf("%w: have %d of %d needed", ErrNotEnoughBlocks, len(have), r.k)
+		return fmt.Errorf("%w: have %d of %d needed", ErrNotEnoughBlocks, len(have), r.k)
 	}
 
-	// Fast path: all data blocks survive.
-	allData := true
-	for i := 0; i < r.k; i++ {
-		if blocks[i] == nil {
-			allData = false
-			break
+	// Pick the first k surviving blocks; when they are the data blocks
+	// there is nothing to rebuild. Otherwise invert the corresponding
+	// generator rows and multiply to recover the missing data.
+	rows := have[:r.k]
+	var dec matrix
+	if rows[r.k-1] >= r.k {
+		var err error
+		if dec, err = r.gen.subMatrix(rows).invert(); err != nil {
+			return err
 		}
 	}
-	if allData {
-		return blocks[:r.k], nil
-	}
-
-	// Pick the first k surviving blocks, invert the corresponding
-	// generator rows, and multiply to recover the data.
-	rows := have[:r.k]
-	dec, err := r.gen.subMatrix(rows).invert()
-	if err != nil {
-		return nil, err
-	}
-	data := make([][]byte, r.k)
 	for d := 0; d < r.k; d++ {
 		if blocks[d] != nil {
 			data[d] = blocks[d]
 			continue
 		}
-		out := make([]byte, size)
+		out, err := block(data[d], size)
+		if err != nil {
+			return fmt.Errorf("erasure: data %w", err)
+		}
 		for j, src := range rows {
 			mulSlice(out, blocks[src], dec.at(d, j))
 		}
 		data[d] = out
 	}
-	return data, nil
+	return nil
 }
 
 func (r *RS) checkBlocks(data [][]byte) error {
@@ -150,36 +190,39 @@ func seq(lo, hi int) []int {
 	return out
 }
 
-// Split partitions data into k equal blocks, zero-padding the tail. Block
-// size is ceil(len(data)/k).
+// BlockSize is the length of each of the k blocks an n-byte payload is
+// split into: ceil(n/k), and at least 1.
+func BlockSize(n, k int) int {
+	return max((n+k-1)/k, 1)
+}
+
+// Split partitions data into k newly allocated blocks of BlockSize bytes,
+// zero-padding the tail.
 func Split(data []byte, k int) [][]byte {
 	if k <= 0 {
 		panic("erasure: Split with k <= 0")
 	}
-	blockSize := (len(data) + k - 1) / k
-	if blockSize == 0 {
-		blockSize = 1
+	blocks := make([][]byte, k)
+	for i := range blocks {
+		blocks[i] = make([]byte, BlockSize(len(data), k))
 	}
-	out := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		b := make([]byte, blockSize)
-		lo := i * blockSize
-		if lo < len(data) {
-			copy(b, data[lo:])
-		}
-		out[i] = b
-	}
-	return out
+	SplitInto(blocks, data)
+	return blocks
 }
 
-// Join reassembles Split's blocks into the original data of length n.
-func Join(blocks [][]byte, n int) []byte {
-	out := make([]byte, 0, n)
-	for _, b := range blocks {
-		out = append(out, b...)
+// SplitInto is Split without the copies it can skip: block i is data's
+// BlockSize bytes from i*BlockSize. A nil entry of blocks becomes that
+// sub-slice of data itself, which only a block lying wholly inside data
+// may be; any other entry is a buffer of BlockSize bytes that the block's
+// bytes are copied into, zero-padded.
+func SplitInto(blocks [][]byte, data []byte) {
+	size := BlockSize(len(data), len(blocks))
+	for i, b := range blocks {
+		lo := min(i*size, len(data))
+		if b == nil {
+			blocks[i] = data[lo : lo+size : lo+size]
+			continue
+		}
+		clear(b[copy(b[:size], data[lo:]):])
 	}
-	if len(out) < n {
-		panic(fmt.Sprintf("erasure: Join has %d bytes, want %d", len(out), n))
-	}
-	return out[:n]
 }

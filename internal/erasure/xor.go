@@ -11,18 +11,36 @@ import (
 
 // XORParity returns the XOR of the equal-length data blocks.
 func XORParity(data [][]byte) ([]byte, error) {
+	parity := [][]byte{nil}
+	if err := XORParityInto(parity, data); err != nil {
+		return nil, err
+	}
+	return parity[0], nil
+}
+
+// XORParityInto is XORParity writing into parity[0], a buffer of the
+// blocks' length, whose contents are overwritten, or nil, for which one is
+// allocated. It takes RS.EncodeInto's arguments, with m = 1.
+func XORParityInto(parity, data [][]byte) error {
 	if len(data) == 0 {
-		return nil, errors.New("erasure: xor parity of zero blocks")
+		return errors.New("erasure: xor parity of zero blocks")
+	}
+	if len(parity) != 1 {
+		return fmt.Errorf("erasure: xor parity is 1 block, got %d", len(parity))
 	}
 	size := len(data[0])
-	out := make([]byte, size)
+	out, err := block(parity[0], size)
+	if err != nil {
+		return fmt.Errorf("erasure: parity %w", err)
+	}
 	for i, b := range data {
 		if len(b) != size {
-			return nil, fmt.Errorf("erasure: block %d has size %d, want %d", i, len(b), size)
+			return fmt.Errorf("erasure: block %d has size %d, want %d", i, len(b), size)
 		}
 		subtle.XORBytes(out, out, b)
 	}
-	return out, nil
+	parity[0] = out
+	return nil
 }
 
 // ErrTooManyMissing is returned when XOR recovery faces more than one
@@ -33,15 +51,29 @@ var ErrTooManyMissing = errors.New("erasure: xor parity recovers at most one mis
 // by the parity block) with at most one nil entry. It returns the k data
 // blocks, reusing survivors.
 func XORRecover(blocks [][]byte) ([][]byte, error) {
+	data := make([][]byte, max(len(blocks)-1, 0))
+	if err := XORRecoverInto(data, blocks); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// XORRecoverInto is XORRecover writing into data, which has k entries, on
+// RS.DecodeInto's terms: a surviving data block is set, and a missing one
+// is rebuilt into its buffer (allocated when nil).
+func XORRecoverInto(data, blocks [][]byte) error {
 	if len(blocks) < 2 {
-		return nil, errors.New("erasure: xor recover needs data plus parity")
+		return errors.New("erasure: xor recover needs data plus parity")
+	}
+	if len(data) != len(blocks)-1 {
+		return fmt.Errorf("erasure: xor recover wants %d data blocks, got %d", len(blocks)-1, len(data))
 	}
 	missing := -1
 	size := -1
 	for i, b := range blocks {
 		if b == nil {
 			if missing != -1 {
-				return nil, ErrTooManyMissing
+				return ErrTooManyMissing
 			}
 			missing = i
 			continue
@@ -49,21 +81,27 @@ func XORRecover(blocks [][]byte) ([][]byte, error) {
 		if size == -1 {
 			size = len(b)
 		} else if len(b) != size {
-			return nil, fmt.Errorf("erasure: block %d has size %d, want %d", i, len(b), size)
+			return fmt.Errorf("erasure: block %d has size %d, want %d", i, len(b), size)
 		}
 	}
-	k := len(blocks) - 1
-	if missing == -1 || missing == k {
-		// Nothing missing, or only parity missing: data is intact.
-		return blocks[:k], nil
+	for d := range data {
+		if blocks[d] != nil {
+			data[d] = blocks[d]
+		}
 	}
-	rec := make([]byte, size)
+	if missing == -1 || missing == len(data) {
+		// Nothing missing, or only parity missing: data is intact.
+		return nil
+	}
+	rec, err := block(data[missing], size)
+	if err != nil {
+		return fmt.Errorf("erasure: data %w", err)
+	}
 	for i, b := range blocks {
 		if i != missing {
 			subtle.XORBytes(rec, rec, b)
 		}
 	}
-	out := append([][]byte(nil), blocks[:k]...)
-	out[missing] = rec
-	return out, nil
+	data[missing] = rec
+	return nil
 }

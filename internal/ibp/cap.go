@@ -12,13 +12,17 @@
 package ibp
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"strings"
+	"sync"
+	"unicode"
 )
 
 // CapType distinguishes the three capabilities of an allocation.
@@ -99,7 +103,9 @@ func split(addr, keyType, tag string) (Cap, bool) {
 }
 
 func (c Cap) validate() error {
-	if c.Addr == "" || !strings.Contains(c.Addr, ":") {
+	// The wire splits a request line at white space, so an address holding
+	// any could not travel in one token.
+	if c.Addr == "" || !strings.Contains(c.Addr, ":") || strings.IndexFunc(c.Addr, unicode.IsSpace) >= 0 {
 		return fmt.Errorf("%w: bad depot address %q", ErrBadCap, c.Addr)
 	}
 	if !isHex(c.Key, KeyLen) {
@@ -158,34 +164,71 @@ func NewKey() (string, error) {
 // addr, tagged under secret. Depots mint capabilities; clients only carry
 // them.
 func MintCap(secret []byte, addr, key string, t CapType) Cap {
-	return Cap{Addr: addr, Key: key, Type: t, Tag: computeTag(secret, key, t)}
+	return NewTagger(secret).MintCap(addr, key, t)
 }
 
 // MintSet mints the full read/write/manage trio for one allocation.
 func MintSet(secret []byte, addr, key string) CapSet {
-	return CapSet{
-		Read:   MintCap(secret, addr, key, CapRead),
-		Write:  MintCap(secret, addr, key, CapWrite),
-		Manage: MintCap(secret, addr, key, CapManage),
-	}
+	return NewTagger(secret).MintSet(addr, key)
 }
 
 // VerifyCap reports whether the capability's tag is authentic under secret.
 // Verification is constant-time in the tag comparison.
 func VerifyCap(secret []byte, c Cap) bool {
+	return NewTagger(secret).VerifyCap(c)
+}
+
+// A Tagger mints and verifies capability tags under one secret, as
+// MintCap, MintSet and VerifyCap do. It keeps the keyed HMAC states in a
+// pool and resets one per tag, where keying a new HMAC costs two SHA-256
+// states and two padded key blocks. A depot holds one for its secret. Safe
+// for concurrent use.
+type Tagger struct {
+	macs sync.Pool // of hash.Hash, keyed with the secret
+}
+
+// NewTagger returns a Tagger for secret.
+func NewTagger(secret []byte) *Tagger {
+	secret = bytes.Clone(secret)
+	return &Tagger{macs: sync.Pool{New: func() any { return hmac.New(sha256.New, secret) }}}
+}
+
+// MintCap creates a capability of the given type for key on the depot at
+// addr.
+func (tg *Tagger) MintCap(addr, key string, t CapType) Cap {
+	return Cap{Addr: addr, Key: key, Type: t, Tag: tg.tag(key, t)}
+}
+
+// MintSet mints the full read/write/manage trio for one allocation.
+func (tg *Tagger) MintSet(addr, key string) CapSet {
+	return CapSet{
+		Read:   tg.MintCap(addr, key, CapRead),
+		Write:  tg.MintCap(addr, key, CapWrite),
+		Manage: tg.MintCap(addr, key, CapManage),
+	}
+}
+
+// VerifyCap reports whether the capability's tag is authentic.
+// Verification is constant-time in the tag comparison.
+func (tg *Tagger) VerifyCap(c Cap) bool {
 	if !c.Type.valid() {
 		return false
 	}
-	want := computeTag(secret, c.Key, c.Type)
+	want := tg.tag(c.Key, c.Type)
 	return hmac.Equal([]byte(want), []byte(c.Tag))
 }
 
-func computeTag(secret []byte, key string, t CapType) string {
-	mac := hmac.New(sha256.New, secret)
-	mac.Write([]byte(key))
-	mac.Write([]byte{0})
-	mac.Write([]byte(t))
-	return hex.EncodeToString(mac.Sum(nil)[:TagLen])
+// tag is the hex HMAC-SHA256 of key, a NUL and t, truncated to TagLen.
+func (tg *Tagger) tag(key string, t CapType) string {
+	mac := tg.macs.Get().(hash.Hash)
+	defer tg.macs.Put(mac)
+	mac.Reset()
+	var msg [2*KeyLen + 16]byte
+	mac.Write(append(append(append(msg[:0], key...), 0), t...))
+	var sum [sha256.Size]byte
+	var tag [2 * TagLen]byte
+	hex.Encode(tag[:], mac.Sum(sum[:0])[:TagLen])
+	return string(tag[:])
 }
 
 // Token renders the key/type/tag part of a capability as a single wire

@@ -50,33 +50,44 @@ func DeriveKey(passphrase string) []byte {
 	return h[:]
 }
 
-// Seal encrypts data in place semantics-free: it returns a new ciphertext
-// slice of the same length.
+// Seal returns the ciphertext of data in a new slice of the same length.
 func Seal(key, iv, data []byte) ([]byte, error) {
-	return xorKeyStreamAt(key, iv, data, 0)
+	return xorKeyStream(key, iv, data, 0)
 }
 
 // UnsealAt decrypts ciphertext that begins at the given byte offset of the
-// sealed file. Offset may be anywhere in the file; this is what lets range
-// downloads decrypt just the bytes they fetched.
+// sealed file into a new slice. Offset may be anywhere in the file; this is
+// what lets range downloads decrypt just the bytes they fetched.
 func UnsealAt(key, iv, ciphertext []byte, offset int64) ([]byte, error) {
-	return xorKeyStreamAt(key, iv, ciphertext, offset)
+	return xorKeyStream(key, iv, ciphertext, offset)
 }
 
-// xorKeyStreamAt applies the AES-CTR keystream starting at byte offset.
-func xorKeyStreamAt(key, iv, data []byte, offset int64) ([]byte, error) {
+// xorKeyStream is XORKeyStreamAt into a new slice.
+func xorKeyStream(key, iv, src []byte, offset int64) ([]byte, error) {
+	dst := make([]byte, len(src))
+	if err := XORKeyStreamAt(dst, src, key, iv, offset); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// XORKeyStreamAt writes src XOR the AES-CTR keystream, starting at byte
+// offset of the sealed file, into dst. In CTR mode that one operation both
+// seals and unseals. dst must be at least len(src) bytes and may be src
+// itself, so a caller can transform a buffer where it lies.
+func XORKeyStreamAt(dst, src, key, iv []byte, offset int64) error {
 	if len(key) != KeySize {
-		return nil, ErrBadKey
+		return ErrBadKey
 	}
 	if len(iv) != IVSize {
-		return nil, fmt.Errorf("sealing: iv must be %d bytes", IVSize)
+		return fmt.Errorf("sealing: iv must be %d bytes", IVSize)
 	}
 	if offset < 0 {
-		return nil, errors.New("sealing: negative offset")
+		return errors.New("sealing: negative offset")
 	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, fmt.Errorf("sealing: %w", err)
+		return fmt.Errorf("sealing: %w", err)
 	}
 	// Advance the CTR counter to the block containing offset, then skip
 	// the intra-block remainder by discarding keystream bytes.
@@ -87,9 +98,8 @@ func xorKeyStreamAt(key, iv, data []byte, offset int64) ([]byte, error) {
 		var pad [aes.BlockSize]byte
 		stream.XORKeyStream(pad[:skip], pad[:skip])
 	}
-	out := make([]byte, len(data))
-	stream.XORKeyStream(out, data)
-	return out, nil
+	stream.XORKeyStream(dst[:len(src)], src)
+	return nil
 }
 
 // addCounter returns iv + n interpreted as a big-endian 128-bit counter,

@@ -163,3 +163,31 @@ func TestCounterCarry(t *testing.T) {
 		t.Fatal("carry boundary mismatch")
 	}
 }
+
+// TestXORKeyStreamAtInPlace: sealing and unsealing a buffer where it lies
+// gives what the allocating Seal and UnsealAt give, at any offset.
+func TestXORKeyStreamAtInPlace(t *testing.T) {
+	key := testKey()
+	iv, _ := NewIV()
+	data := bytes.Repeat([]byte("transform bytes where they lie "), 300)
+	want, err := Seal(key, iv, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Clone(data)
+	if err := XORKeyStreamAt(buf, buf, key, iv, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("in-place seal differs from Seal")
+	}
+	for _, off := range []int64{0, 1, 15, 16, 17, 4099} {
+		part := bytes.Clone(buf[off:])
+		if err := XORKeyStreamAt(part, part, key, iv, off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(part, data[off:]) {
+			t.Fatalf("in-place unseal at offset %d mismatch", off)
+		}
+	}
+}

@@ -374,9 +374,11 @@ func (e *Engine) HedgeCtx(sc obs.SpanContext, addrs [2]string, run func(idx int,
 // caller for key runs fn, everyone else arriving before it finishes blocks
 // and shares the result. shared reports whether this caller reused another
 // caller's work. The returned slice is shared across callers and must be
-// treated as read-only.
-func (e *Engine) GroupDo(key string, fn func() ([]byte, error)) (data []byte, shared bool, err error) {
-	data, shared, err = e.sf.do(key, fn)
+// treated as read-only. fn returns a bufpool buffer (bufpool rule 4), and
+// the shared result is counted: each caller calls release exactly once when
+// it has copied what it needs, and the last release puts the buffer back.
+func (e *Engine) GroupDo(key string, fn func() ([]byte, error)) (data []byte, release func(), shared bool, err error) {
+	data, release, shared, err = e.sf.do(key, fn)
 	e.mu.Lock()
 	if shared {
 		e.c.SingleflightShared++
@@ -384,7 +386,7 @@ func (e *Engine) GroupDo(key string, fn func() ([]byte, error)) (data []byte, sh
 		e.c.SingleflightLeaders++
 	}
 	e.mu.Unlock()
-	return data, shared, err
+	return data, release, shared, err
 }
 
 // Counters returns a snapshot of the engine's activity counters.

@@ -1,6 +1,11 @@
 package transfer
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/bufpool"
+)
 
 // singleflight collapses concurrent calls with the same key into one
 // execution whose result every caller shares — the classic pattern, sized
@@ -14,9 +19,10 @@ type singleflight struct {
 }
 
 type sfCall struct {
-	wg  sync.WaitGroup
-	val []byte
-	err error
+	wg   sync.WaitGroup
+	val  []byte
+	err  error
+	refs atomic.Int32 // callers that have not released val yet
 }
 
 func newSingleflight() *singleflight {
@@ -25,23 +31,37 @@ func newSingleflight() *singleflight {
 
 // do executes fn under key, or waits for the in-flight execution and
 // shares its result. shared reports whether this caller reused another
-// caller's work. The returned slice is shared: treat it as read-only.
-func (g *singleflight) do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
+// caller's work. The returned slice is shared: treat it as read-only, and
+// call release once done with it. fn's result is a bufpool buffer, and
+// the last caller's release puts it back.
+func (g *singleflight) do(key string, fn func() ([]byte, error)) (val []byte, release func(), shared bool, err error) {
 	g.mu.Lock()
-	if c, ok := g.m[key]; ok {
+	c, shared := g.m[key]
+	if shared {
+		// Joining only while the call is in the map, under the lock, puts
+		// every caller's hold in place before the first release.
+		c.refs.Add(1)
 		g.mu.Unlock()
 		c.wg.Wait()
-		return c.val, true, c.err
-	}
-	c := &sfCall{}
-	c.wg.Add(1)
-	g.m[key] = c
-	g.mu.Unlock()
+	} else {
+		c = &sfCall{}
+		c.refs.Store(1)
+		c.wg.Add(1)
+		g.m[key] = c
+		g.mu.Unlock()
 
-	c.val, c.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	c.wg.Done()
-	return c.val, false, c.err
+		c.val, c.err = fn()
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		c.wg.Done()
+	}
+	return c.val, c.release, shared, c.err
+}
+
+// release drops one caller's hold on the shared result.
+func (c *sfCall) release() {
+	if c.refs.Add(-1) == 0 {
+		bufpool.Put(c.val)
+	}
 }

@@ -104,7 +104,7 @@ func TestSingleflightSharesOneDecode(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, wasShared, err := e.GroupDo("file.g0", func() ([]byte, error) {
+			val, _, wasShared, err := e.GroupDo("file.g0", func() ([]byte, error) {
 				atomic.AddInt64(&calls, 1)
 				<-gate
 				return []byte("decoded"), nil
@@ -132,7 +132,7 @@ func TestSingleflightSharesOneDecode(t *testing.T) {
 		t.Fatalf("counters = %+v", c)
 	}
 	// After the call drains, a new caller runs a fresh decode.
-	if _, wasShared, _ := e.GroupDo("file.g0", func() ([]byte, error) { return nil, nil }); wasShared {
+	if _, _, wasShared, _ := e.GroupDo("file.g0", func() ([]byte, error) { return nil, nil }); wasShared {
 		t.Fatal("post-drain call should lead, not share")
 	}
 }
@@ -140,7 +140,7 @@ func TestSingleflightSharesOneDecode(t *testing.T) {
 func TestSingleflightPropagatesError(t *testing.T) {
 	e := New(Config{})
 	boom := errors.New("boom")
-	if _, _, err := e.GroupDo("k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, _, err := e.GroupDo("k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestEngineRaceHammer(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			release := e.Acquire(depots[i%len(depots)])
-			_, _, _ = e.GroupDo("shared.g0", func() ([]byte, error) {
+			_, _, _, _ = e.GroupDo("shared.g0", func() ([]byte, error) {
 				return []byte{byte(i)}, nil
 			})
 			release()
