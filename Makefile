@@ -101,7 +101,11 @@ fuzz-smoke:
 # and the depot's wire grammar, twenty times on one P. The same line races
 # the depot's lent-segment LOADs against the DELETEs and STOREs that
 # recycle their storage, on mem, file and pack depots: a LOAD must send its
-# own bytes or fail before its OK. The next depot line reads METRICS right
+# own bytes or fail before its OK. It also checks pooled connections: a
+# parked connection's idle check through a wrapper, allocation-free; a
+# pooled client across a depot restart; a simulated kill reaching a parked
+# connection; third-party COPYs sharing the depot's parked connections.
+# The next depot line reads METRICS right
 # after a LOAD, two hundred times at the default GOMAXPROCS, where a count landing
 # after the reply would show. The Example line checks core's Example*
 # functions, whose // Output: must not depend on loopback ports, wall time,
@@ -117,7 +121,8 @@ placer-determinism:
 	for i in $$(seq 20); do GOMAXPROCS=1 go test -count=1 -run '^Example' repro/internal/core || exit 1; done
 	go test -race -count=5 -run $(DETERMINISM_RUN) repro/internal/core
 	GOMAXPROCS=1 go test -count=20 -run 'Quorum|Session|Repair|Majority|Snapshot|Restart' repro/internal/registry
-	GOMAXPROCS=1 go test -count=20 -run 'Batch|Cancel|Trace|Breaker|Reports|Agree|WireCompat|StreamedLoad' repro/internal/ibp repro/internal/depot
+	GOMAXPROCS=1 go test -count=20 -run 'Batch|Cancel|Trace|Breaker|Reports|Agree|WireCompat|StreamedLoad|Pooled|Idle' \
+		repro/internal/ibp repro/internal/depot repro/internal/wire repro/internal/faultnet
 	go test -count=200 -run 'TestMetricsCounters$$' repro/internal/depot
 	GOMAXPROCS=1 go test -count=20 -run 'TestBurn|TestWindowing|TestRecordSamples|TestSimIsReproducible' \
 		repro/internal/slo repro/internal/obsfleet repro/internal/stackmon

@@ -67,7 +67,9 @@ func main() {
 		dm.Fatal("metrics listener", err)
 	}
 	if *poll > 0 {
-		p := s.StartPoller(ibp.NewClient(), *poll)
+		client := ibp.NewClient()
+		defer client.Close()
+		p := s.StartPoller(client, *poll)
 		defer p.Stop()
 		logger.Info("polling depot capacities", "interval", *poll)
 	}

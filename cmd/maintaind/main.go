@@ -88,6 +88,7 @@ func run(dm *daemon.Daemon, args []string) error {
 		ibp.WithHealth(sb),
 		ibp.WithObserver(slo.ObserveIBP(sloEngine)),
 	)
+	defer client.Close()
 	qc := registry.NewQuorumClient(*lboneAddr,
 		registry.WithTimeouts(5*time.Second, *opTimeout),
 		registry.WithObserver(slo.ObserveRegistry(sloEngine)),

@@ -81,8 +81,10 @@ func cmdRun(args []string) error {
 	dm.Start()
 	logger := dm.Logger
 
+	client := ibp.NewClient(ibp.WithOpTimeout(*opTimeout))
+	defer client.Close()
 	cfg := stackmon.Config{
-		Client:   ibp.NewClient(ibp.WithOpTimeout(*opTimeout)),
+		Client:   client,
 		Interval: *interval, Payload: *payload, Duration: *allocFor,
 		Logger: logger,
 	}

@@ -128,6 +128,9 @@ func main() {
 	if quorum != nil {
 		quorum.Close()
 	}
+	if lastTools != nil {
+		lastTools.IBP.Close()
+	}
 	dumpTrace()
 	if err != nil {
 		cutPostmortem(err)

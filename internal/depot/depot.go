@@ -70,6 +70,7 @@ type Depot struct {
 	metrics Metrics
 	spansMu sync.Mutex
 	spans   *ring.Ring[ServerSpan]
+	out     *ibp.Client // third-party COPY's client; its parked connections close with the depot
 }
 
 type allocation struct {
@@ -123,6 +124,11 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 		allocs:  make(map[string]*allocation),
 		spans:   ring.New[ServerSpan](traceRing),
 	}
+	opts := []ibp.Option{ibp.WithClock(cfg.Clock)}
+	if cfg.Dialer != nil {
+		opts = append(opts, ibp.WithDialer(cfg.Dialer))
+	}
+	d.out = ibp.NewClient(opts...)
 	if pb, ok := cfg.Backend.(PersistentBackend); ok {
 		if err := d.restore(pb); err != nil {
 			ln.Close()
@@ -194,9 +200,14 @@ func (d *Depot) Addr() string { return d.srv.Addr() }
 // Advertised returns the address minted into capabilities.
 func (d *Depot) Advertised() string { return d.cfg.Advertised }
 
-// Close stops the listener, severs open client connections and waits for
-// the handler goroutines.
-func (d *Depot) Close() error { return d.srv.Close() }
+// Close stops the listener, severs open client connections, waits for
+// the handler goroutines, and closes the connections third-party COPYs
+// left parked at other depots.
+func (d *Depot) Close() error {
+	err := d.srv.Close()
+	d.out.Close()
+	return err
+}
 
 // admit is the depot's per-connection hook on the shared accept loop: it
 // waits for one of the maxConns slots and charges that wait to the
@@ -759,22 +770,13 @@ func (d *Depot) handleCopy(conn *connCtx, args []string) error {
 		return conn.remoteErr(rerr)
 	}
 	defer lease.Release() // Store is synchronous and does not retain seg
-	newLen, err := d.outbound().Store(dst, seg)
+	newLen, err := d.out.Store(dst, seg)
 	if err != nil {
 		return conn.WriteErr(wire.CodeUnavailable, "store to %s failed: %v", dst.Addr, err)
 	}
 	d.metrics.Loads.Add(1)
 	d.metrics.BytesOut.Add(n)
 	return conn.WriteOK(wire.Itoa(n), wire.Itoa(newLen))
-}
-
-// outbound returns the client this depot uses for third-party transfers.
-func (d *Depot) outbound() *ibp.Client {
-	opts := []ibp.Option{ibp.WithClock(d.clock)}
-	if d.cfg.Dialer != nil {
-		opts = append(opts, ibp.WithDialer(d.cfg.Dialer))
-	}
-	return ibp.NewClient(opts...)
 }
 
 func (d *Depot) handleStatus(conn *connCtx) error {

@@ -726,6 +726,34 @@ func TestSoftAllocationsEvictedUnderPressure(t *testing.T) {
 	}
 }
 
+// TestThirdPartyCopiesReusePooledConns: a depot keeps one client for its
+// third-party COPYs, so twenty of them to one target leave at most that
+// client's four parked connections open at it, not one per COPY.
+func TestThirdPartyCopiesReusePooledConns(t *testing.T) {
+	src, c := newDepot(t, Config{})
+	dst, _ := newDepot(t, Config{Secret: []byte("other-depot-secret")})
+	srcSet, err := c.Allocate(src.Addr(), 64, time.Hour, ibp.Hard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Store(srcSet.Write, bytes.Repeat([]byte{3}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	dstSet, err := c.Allocate(dst.Addr(), 1<<16, time.Hour, ibp.Hard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dst.Metrics().Snapshot().Connects
+	for i := 0; i < 20; i++ {
+		if _, err := c.Copy(srcSet.Read, 0, 64, dstSet.Write); err != nil {
+			t.Fatalf("copy %d: %v", i, err)
+		}
+	}
+	if n := dst.Metrics().Snapshot().Connects - before; n > 4 {
+		t.Fatalf("20 COPYs opened %d connections at the target, want at most 4", n)
+	}
+}
+
 func TestThirdPartyCopy(t *testing.T) {
 	src, c := newDepot(t, Config{})
 	dst, _ := newDepot(t, Config{Secret: []byte("other-depot-secret")})

@@ -157,13 +157,16 @@ func wireLinks(m *faultnet.Model, cfg TestbedConfig) {
 	link("UCSB", "UNC", 65*time.Millisecond, 2.0, nil)
 }
 
-// Tools builds a Logistical Tools client at the given site.
+// Tools builds a Logistical Tools client at the given site. It dials per
+// call, as the paper's 2002 library did, so every operation pays its
+// connection's RTT and draws its own bandwidth jitter.
 func (tb *Testbed) Tools(site geo.Site, useNWS bool) *core.Tools {
 	client := ibp.NewClient(
 		ibp.WithDialer(tb.Model.DialerFrom(site.Name)),
 		ibp.WithClock(tb.Clock),
 		ibp.WithDialTimeout(3*time.Second),
 		ibp.WithOpTimeout(90*time.Second),
+		ibp.WithPooling(0),
 	)
 	t := &core.Tools{
 		IBP:   client,

@@ -4,17 +4,23 @@ import (
 	"net"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 )
 
 // shapedConn wraps a real loopback connection and charges simulated WAN
 // time for everything that crosses it. It implements netx.VirtualDeadliner
 // so client operation timeouts are enforced in simulated time.
+//
+// It reads its depot's and its link's state from the model at every Read
+// and Write, not once at dial time, so a depot killed or a link cut after
+// the dial reaches connections already open, parked ones included: the
+// call fails before any byte crosses, as a reset when the depot is down
+// and as a timeout when the link is.
 type shapedConn struct {
 	net.Conn
 	model   *Model
-	link    Link
-	depot   DepotState
+	addr    string // the depot's address, its key in the model
 	jitter  float64
 	srcSite string
 	pacer   pacer
@@ -22,7 +28,7 @@ type shapedConn struct {
 	mu        sync.Mutex
 	vdeadline time.Time
 	lastWrite bool // last shaped op was a write (next read pays an RTT)
-	corrupted bool // one byte already flipped on this conn
+	corrupted bool // one byte of the current response already flipped
 }
 
 // SetVirtualDeadline implements netx.VirtualDeadliner.
@@ -33,9 +39,24 @@ func (c *shapedConn) SetVirtualDeadline(t time.Time) error {
 	return nil
 }
 
+// reach returns the depot's and the link's state now, or the error a call
+// on a connection to a depot that is down, or across a link that is, meets
+// before any byte crosses.
+func (c *shapedConn) reach(op string) (DepotState, Link, error) {
+	st, link := c.model.route(c.srcSite, c.addr)
+	now := c.model.clock.Now()
+	if !st.avail().UpAt(now) {
+		return st, link, &net.OpError{Op: op, Net: "tcp", Err: os.NewSyscallError(op, syscall.ECONNRESET)}
+	}
+	if !link.avail().UpAt(now) {
+		return st, link, &net.OpError{Op: op, Net: "tcp", Err: timeoutError{"link down"}}
+	}
+	return st, link, nil
+}
+
 // effectiveMbps applies per-connection jitter to the link bandwidth.
-func (c *shapedConn) effectiveMbps() float64 {
-	mbps := c.link.Mbps * c.jitter
+func (c *shapedConn) effectiveMbps(link Link) float64 {
+	mbps := link.Mbps * c.jitter
 	if mbps <= 0 {
 		mbps = 0.1
 	}
@@ -43,11 +64,11 @@ func (c *shapedConn) effectiveMbps() float64 {
 }
 
 // charge advances simulated time for n transferred bytes (plus an optional
-// RTT) and enforces outages and the virtual deadline.
-func (c *shapedConn) charge(n int, rtt bool) error {
-	d := time.Duration(float64(n*8) / (c.effectiveMbps() * 1e6) * float64(time.Second))
+// RTT) over link and enforces outages and the virtual deadline.
+func (c *shapedConn) charge(n int, rtt bool, st DepotState, link Link) error {
+	d := time.Duration(float64(n*8) / (c.effectiveMbps(link) * 1e6) * float64(time.Second))
 	if rtt {
-		d += c.link.RTT
+		d += link.RTT
 	}
 	c.model.advanceClock(d, &c.pacer)
 	now := c.model.clock.Now()
@@ -60,10 +81,10 @@ func (c *shapedConn) charge(n int, rtt bool) error {
 	}
 	// Mid-transfer failure: the depot or link went down while the bytes
 	// were in flight.
-	if !c.depot.avail().UpAt(now) {
+	if !st.avail().UpAt(now) {
 		return &net.OpError{Op: "read", Err: timeoutError{"depot failed mid-transfer"}}
 	}
-	if !c.link.avail().UpAt(now) {
+	if !link.avail().UpAt(now) {
 		return &net.OpError{Op: "read", Err: timeoutError{"link failed mid-transfer"}}
 	}
 	return nil
@@ -80,6 +101,10 @@ const shapeChunk = 4 << 10
 // Read shapes inbound data: bandwidth delay per byte, one RTT when this
 // read answers a preceding write (a request/response turn).
 func (c *shapedConn) Read(p []byte) (int, error) {
+	st, link, err := c.reach("read")
+	if err != nil {
+		return 0, err
+	}
 	if len(p) > shapeChunk {
 		p = p[:shapeChunk]
 	}
@@ -91,7 +116,7 @@ func (c *shapedConn) Read(p []byte) (int, error) {
 		// Corrupt only bulk chunks (≥256 bytes): protocol status lines are
 		// short, so the flip deterministically lands in payload bytes —
 		// modelling silent storage corruption rather than a framing error.
-		needCorrupt := c.depot.CorruptReads && !c.corrupted && n >= 256
+		needCorrupt := st.CorruptReads && !c.corrupted && n >= 256
 		if needCorrupt {
 			c.corrupted = true
 		}
@@ -99,7 +124,7 @@ func (c *shapedConn) Read(p []byte) (int, error) {
 		if needCorrupt {
 			p[n/2] ^= 0x55
 		}
-		if cerr := c.charge(n, turn); cerr != nil {
+		if cerr := c.charge(n, turn, st, link); cerr != nil {
 			return n, cerr
 		}
 	}
@@ -108,8 +133,13 @@ func (c *shapedConn) Read(p []byte) (int, error) {
 
 // Write shapes outbound data, charging per chunk so large uploads can be
 // interrupted mid-transfer. Unlike Read, Write must consume all of p, so
-// it loops instead of truncating.
+// it loops instead of truncating. A write starts a new request, so the
+// response to it may be corrupted afresh.
 func (c *shapedConn) Write(p []byte) (int, error) {
+	st, link, err := c.reach("write")
+	if err != nil {
+		return 0, err
+	}
 	total := 0
 	for len(p) > 0 {
 		chunk := p
@@ -120,9 +150,10 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 		if n > 0 {
 			c.mu.Lock()
 			c.lastWrite = true
+			c.corrupted = false
 			c.mu.Unlock()
 			total += n
-			if cerr := c.charge(n, false); cerr != nil {
+			if cerr := c.charge(n, false, st, link); cerr != nil {
 				return total, cerr
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/depot"
+	"repro/internal/health"
 	"repro/internal/ibp"
 	"repro/internal/vclock"
 )
@@ -269,12 +270,50 @@ func TestCorruptReads(t *testing.T) {
 	if _, err := client.Store(set.Write, payload); err != nil {
 		t.Fatal(err)
 	}
-	// Turn on corruption only for the download; each operation dials a
-	// fresh connection, which picks up the new depot state.
+	// Turn on corruption only for the download; a connection reads its
+	// depot's state at every call, so a pooled one picks it up too.
 	m.SetDepotCorruption(d.Addr(), true)
 	got, err := client.Load(set.Read, 0, int64(len(payload)))
 	if err == nil && bytes.Equal(got, payload) {
 		t.Fatal("corrupting depot returned pristine data")
+	}
+}
+
+// TestKillReachesPooledConn kills a depot in the model after a pooled
+// client has parked a connection to it. The real depot process stays up,
+// so the parked socket looks live; the next exchange must still fail, with
+// no request reaching the depot. A verb retried on a fresh dial reports
+// that dial's refusal, as a client dialing per call would.
+func TestKillReachesPooledConn(t *testing.T) {
+	clk := vclock.NewVirtual(t0)
+	m := NewModel(clk, 11)
+	d := simDepot(t, m, clk, "UTK", DepotState{})
+	client := ibp.NewClient(ibp.WithDialer(m.DialerFrom("UTK")), ibp.WithClock(clk), ibp.WithPooling(4))
+	defer client.Close()
+	kill := func() {
+		m.AddDepot(d.Addr(), DepotState{Site: "UTK", Avail: Windows{Down: []Window{{clk.Now(), clk.Now().Add(time.Hour)}}}})
+	}
+	set, err := client.Allocate(d.Addr(), 1<<16, time.Hour, ibp.Hard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill()
+	_, err = client.Probe(set.Manage)
+	if got := health.Classify(err); got != health.Refused {
+		t.Fatalf("probe after the kill: %v classified %v, want refused", err, got)
+	}
+
+	m.AddDepot(d.Addr(), DepotState{Site: "UTK"})
+	if _, err := client.Probe(set.Manage); err != nil {
+		t.Fatalf("probe after the revival: %v", err)
+	}
+	kill()
+	before := d.Metrics().Snapshot()
+	if _, err := client.Store(set.Write, bytes.Repeat([]byte{1}, 1<<10)); err == nil {
+		t.Fatal("store on a parked connection to a killed depot succeeded")
+	}
+	if after := d.Metrics().Snapshot(); after != before {
+		t.Fatalf("a request reached the killed depot: metrics %+v, were %+v", after, before)
 	}
 }
 
@@ -292,7 +331,8 @@ func TestJitterVariesBandwidthDeterministically(t *testing.T) {
 	m := NewModel(clk, 8)
 	m.SetLink("A", "B", Link{RTT: 10 * time.Millisecond, Mbps: 10, JitterFrac: 0.3})
 	d := simDepot(t, m, clk, "B", DepotState{})
-	client := ibp.NewClient(ibp.WithDialer(m.DialerFrom("A")), ibp.WithClock(clk))
+	// Jitter is drawn per connection: dial per call so each load draws.
+	client := ibp.NewClient(ibp.WithDialer(m.DialerFrom("A")), ibp.WithClock(clk), ibp.WithPooling(0))
 	set, err := client.Allocate(d.Addr(), 1<<20, time.Hour, ibp.Hard)
 	if err != nil {
 		t.Fatal(err)

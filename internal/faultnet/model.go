@@ -230,15 +230,27 @@ func (p *pacer) pace(d time.Duration) {
 	}
 }
 
+// route returns the depot at addr and the link to it from srcSite as the
+// model has them now.
+func (m *Model) route(srcSite, addr string) (DepotState, Link) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, link, _ := m.routeLocked(srcSite, addr)
+	return st, link
+}
+
+// routeLocked is route under m.mu, also saying whether the depot is known.
+func (m *Model) routeLocked(srcSite, addr string) (DepotState, Link, bool) {
+	st, known := m.depots[addr]
+	if !known {
+		return st, m.defaultLink, false
+	}
+	return st, m.linkFor(srcSite, st.Site), true
+}
+
 func (m *Model) dial(srcSite, network, addr string, timeout time.Duration) (net.Conn, error) {
 	m.mu.Lock()
-	st, known := m.depots[addr]
-	var link Link
-	if known {
-		link = m.linkFor(srcSite, st.Site)
-	} else {
-		link = m.defaultLink
-	}
+	st, link, known := m.routeLocked(srcSite, addr)
 	jitter := 1.0
 	if link.JitterFrac > 0 {
 		jitter = 1 - link.JitterFrac + 2*link.JitterFrac*m.rng.Float64()
@@ -266,8 +278,7 @@ func (m *Model) dial(srcSite, network, addr string, timeout time.Duration) (net.
 	c := &shapedConn{
 		Conn:    raw,
 		model:   m,
-		link:    link,
-		depot:   st,
+		addr:    addr,
 		jitter:  jitter,
 		srcSite: srcSite,
 	}

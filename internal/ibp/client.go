@@ -13,13 +13,15 @@ import (
 )
 
 // Client is the IBP client library. The zero value is not usable; call
-// NewClient. A Client is safe for concurrent use: each operation opens its
-// own connection, matching the original IBP library's per-call model.
+// NewClient. A Client is safe for concurrent use. It parks connections
+// between operations (see WithPooling); close it when done to release
+// them.
 type Client struct {
 	dialer      netx.Dialer
 	clock       vclock.Clock
 	dialTimeout time.Duration
 	opTimeout   time.Duration
+	maxIdle     int
 	pool        *wire.Pool
 	health      *health.Scoreboard
 	obs         obs.Observer
@@ -82,9 +84,13 @@ func NewClient(opts ...Option) *Client {
 		clock:       vclock.Real(),
 		dialTimeout: 5 * time.Second,
 		opTimeout:   30 * time.Second,
+		maxIdle:     defaultMaxIdle,
 	}
 	for _, o := range opts {
 		o(c)
+	}
+	if c.maxIdle > 0 {
+		c.pool = wire.NewPool(c.maxIdle)
 	}
 	return c
 }
@@ -263,9 +269,11 @@ func cancellable(op func(*wire.Conn) (int, error), cancel <-chan struct{}) func(
 // exchange runs op on a pooled or fresh connection, retrying once on a
 // fresh dial when retryable and a reused connection turns out stale. It
 // reports how many ops op answered, whether it ran on a pooled connection
-// and whether it was retried.
+// and whether it was retried. When that fresh dial fails, its error is the
+// one returned: the depot is refused or unreachable, as a client that
+// dialed per call would have found.
 func (c *Client) exchange(addr string, retryable bool, op func(*wire.Conn) (int, error)) (answered int, reused, retried bool, err error) {
-	conn, reused, err := c.acquire(addr)
+	conn, reused, err := c.acquire(addr, retryable)
 	if err != nil {
 		return 0, reused, false, err
 	}
@@ -274,7 +282,7 @@ func (c *Client) exchange(addr string, retryable bool, op func(*wire.Conn) (int,
 		conn.Close()
 		fresh, derr := c.dialFresh(addr)
 		if derr != nil {
-			return answered, reused, false, err
+			return answered, reused, false, derr
 		}
 		answered, err = op(fresh)
 		c.release(addr, fresh, err)

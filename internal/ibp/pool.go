@@ -9,24 +9,32 @@ import (
 )
 
 // The IBP wire protocol is request/response over a persistent connection,
-// so a client may reuse connections across operations instead of dialing
-// per call (the original library's model, and this client's default).
-// Pooling is opt-in via WithPooling: benchmarks show when the dial round
-// trip matters. The parking lot itself is wire.Pool, shared with the
-// registry's quorum client.
+// so a client parks a connection after a clean exchange and reuses it for
+// the next one instead of dialing per call: a dial costs a round trip and
+// a pair of bufio buffers at each end. The parking lot is wire.Pool,
+// shared with the registry's quorum client.
+//
+// A parked connection may outlive its depot's process. A verb that can be
+// re-sent (LOAD, PROBE, EXTEND) just runs, and a stale connection costs
+// one retry on a fresh dial. One that cannot (ALLOCATE mints, STORE
+// appends, DELETE decrements, COPY appends at a third depot) first checks
+// the parked connection with wire.CheckIdle and dials fresh when its peer
+// has gone: once such a request is written, nobody can say whether it was
+// applied, so it is never re-sent.
 
-// WithPooling enables connection reuse with up to maxIdle parked
-// connections per depot. Close the client when done to release them.
+// defaultMaxIdle is how many idle connections per depot a client parks
+// unless WithPooling says otherwise.
+const defaultMaxIdle = 4
+
+// WithPooling bounds the idle connections the client parks per depot
+// (default 4). maxIdle ≤ 0 turns pooling off: every operation dials its
+// own connection, as the original IBP library did.
 func WithPooling(maxIdle int) Option {
-	return func(c *Client) {
-		if maxIdle > 0 {
-			c.pool = wire.NewPool(maxIdle)
-		}
-	}
+	return func(c *Client) { c.maxIdle = maxIdle }
 }
 
-// Close releases pooled connections. A client without pooling needs no
-// Close.
+// Close releases the client's parked connections. Operations after Close
+// still work, but dial per call.
 func (c *Client) Close() error {
 	if c.pool != nil {
 		c.pool.Close()
@@ -34,12 +42,14 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// acquire returns a connection to addr — pooled if available, freshly
-// dialed otherwise — with the operation deadline applied.
-func (c *Client) acquire(addr string) (*wire.Conn, bool, error) {
+// acquire returns a connection to addr with the operation deadline
+// applied: a parked one if there is one, else a fresh dial. Unless the
+// operation is retryable, a parked connection must first pass the idle
+// check; one that fails it is closed and the next is tried.
+func (c *Client) acquire(addr string, retryable bool) (*wire.Conn, bool, error) {
 	if c.pool != nil {
-		if conn := c.pool.Get(addr); conn != nil {
-			if err := c.applyDeadline(conn); err == nil {
+		for conn := c.pool.Get(addr); conn != nil; conn = c.pool.Get(addr) {
+			if (retryable || conn.CheckIdle() == nil) && c.applyDeadline(conn) == nil {
 				return conn, true, nil
 			}
 			conn.Close()

@@ -42,7 +42,7 @@ func TestIsConnReuseError(t *testing.T) {
 }
 
 func TestClientCloseWithoutPoolIsNoop(t *testing.T) {
-	c := NewClient()
+	c := NewClient(WithPooling(0))
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

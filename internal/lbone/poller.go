@@ -16,6 +16,7 @@ type Poller struct {
 	reg      *Registry
 	regMu    sync.Locker // guards reg (the server's mutex, or a no-op)
 	client   *ibp.Client
+	owned    bool // client was built here, so Stop closes it
 	clock    vclock.Clock
 	interval time.Duration
 	stop     chan struct{}
@@ -30,7 +31,9 @@ func (noopLocker) Lock()   {}
 func (noopLocker) Unlock() {}
 
 // NewPoller creates a poller over reg. regMu must be the mutex guarding
-// reg, or nil when the caller serializes access itself.
+// reg, or nil when the caller serializes access itself. A nil client gets
+// a default one, which Stop closes; a caller's client is the caller's to
+// close.
 func NewPoller(reg *Registry, regMu sync.Locker, client *ibp.Client, clock vclock.Clock, interval time.Duration) *Poller {
 	if regMu == nil {
 		regMu = noopLocker{}
@@ -41,13 +44,15 @@ func NewPoller(reg *Registry, regMu sync.Locker, client *ibp.Client, clock vcloc
 	if interval <= 0 {
 		interval = time.Minute
 	}
-	if client == nil {
+	owned := client == nil
+	if owned {
 		client = ibp.NewClient()
 	}
 	return &Poller{
 		reg:      reg,
 		regMu:    regMu,
 		client:   client,
+		owned:    owned,
 		clock:    clock,
 		interval: interval,
 		stop:     make(chan struct{}),
@@ -97,8 +102,12 @@ func (p *Poller) Run() {
 	}
 }
 
-// Stop terminates Run and waits for it to exit.
+// Stop terminates Run, waits for it to exit, and closes a client the
+// poller built itself.
 func (p *Poller) Stop() {
 	p.once.Do(func() { close(p.stop) })
 	<-p.done
+	if p.owned {
+		p.client.Close()
+	}
 }

@@ -136,11 +136,14 @@ func RunSim(cfg SimConfig) (Study, map[string]string, *slo.Engine, error) {
 		addrOf[name] = tb.Infos[name].Addr
 		addrs[i] = addrOf[name]
 	}
+	// Dial per call, as the paper's library did: each probe pays its
+	// connection's RTT and draws its own bandwidth jitter.
 	client := ibp.NewClient(
 		ibp.WithDialer(tb.Model.DialerFrom("MON")),
 		ibp.WithClock(clk),
 		ibp.WithDialTimeout(3*time.Second),
 		ibp.WithOpTimeout(60*time.Second),
+		ibp.WithPooling(0),
 	)
 	var engine *slo.Engine
 	if len(cfg.Objectives) > 0 {

@@ -2,8 +2,6 @@
 
 package wire
 
-import "net"
-
-// checkIdleSocket has no descriptor-level form here; CheckIdle falls
-// back to the deadline read.
-func checkIdleSocket(net.Conn) (bool, error) { return false, nil }
+// readFunc has no descriptor-level form here; CheckIdle falls back to
+// the deadline read.
+func (p *idleProbe) readFunc() func(uintptr) bool { return nil }

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -79,8 +81,9 @@ func TestCheckIdle(t *testing.T) {
 		server.Close()
 		waitFor(t, "peer close", func() bool { return conn.CheckIdle() != nil })
 	})
-	// The deadline read sees a closed peer only where the transport
-	// reports it ahead of the deadline, as net.Pipe does (TCP does not).
+	// A connection with no socket underneath gets the deadline read, which
+	// sees a closed peer where the transport reports it ahead of the
+	// deadline, as net.Pipe does.
 	t.Run("pipe", func(t *testing.T) {
 		a, b := net.Pipe()
 		defer a.Close()
@@ -91,6 +94,55 @@ func TestCheckIdle(t *testing.T) {
 		b.Close()
 		if err := conn.CheckIdle(); err == nil {
 			t.Fatal("closed pipe passed the idle check")
+		}
+	})
+}
+
+// TestCheckIdleThroughWrapper checks a parked connection through a
+// struct{ net.Conn } wrapper, the shape of a dialer that overrides Close:
+// the check must find the socket under it, see a closed or reset peer,
+// pass a live one, and allocate nothing once the socket is found.
+func TestCheckIdleThroughWrapper(t *testing.T) {
+	t.Run("closed", func(t *testing.T) {
+		raw, server := tcpPair(t)
+		conn := NewConn(hidden{raw})
+		server.Close()
+		var err error
+		waitFor(t, "peer close", func() bool { err = conn.CheckIdle(); return err != nil })
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("closed peer: got %v, want io.EOF", err)
+		}
+	})
+	t.Run("reset", func(t *testing.T) {
+		raw, server := tcpPair(t)
+		conn := NewConn(hidden{raw})
+		server.(*net.TCPConn).SetLinger(0)
+		server.Close()
+		waitFor(t, "peer reset", func() bool { return conn.CheckIdle() != nil })
+	})
+	t.Run("live", func(t *testing.T) {
+		raw, _ := tcpPair(t)
+		conn := NewConn(hidden{raw})
+		if err := conn.CheckIdle(); err != nil {
+			t.Fatalf("idle live connection: %v", err)
+		}
+		if raceEnabled {
+			return // the race detector's own bookkeeping allocates
+		}
+		for i := 0; i < 100; i++ {
+			conn.CheckIdle()
+		}
+		const checks = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < checks; i++ {
+			if err := conn.CheckIdle(); err != nil {
+				t.Fatalf("check %d: %v", i, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("%d checks allocated %d times, want 0", checks, n)
 		}
 	})
 }

@@ -8,8 +8,9 @@ import (
 // Both protocols are request/response over a persistent connection, so a
 // client may park a connection after a clean exchange and reuse it for
 // the next one instead of dialing per call. Pool is that parking lot,
-// shared by the IBP client (opt-in, ibp.WithPooling) and the registry's
-// quorum client (always on).
+// shared by the IBP client (on by default; ibp.WithPooling bounds it) and
+// the registry's quorum client. Both check a parked connection with
+// Conn.CheckIdle before writing a request that must not be sent twice.
 
 // maxIdleAge is how long a parked connection stays reusable. A server
 // restart leaves every parked conn to it stale; without an age limit each

@@ -56,6 +56,8 @@ type Conn struct {
 	trailerFn     func() string
 	capturePrefix string
 	captured      string
+
+	idle idleProbe // CheckIdle's cached socket and read
 }
 
 // bufSize sizes each connection's bufio pair for protocol lines, not
