@@ -114,7 +114,10 @@ fuzz-smoke:
 # processes. The SLO line reruns the burn and
 # budget tests (one Burn over one history, the bucket-boundary window) and
 # the twice-run stackmon study, which must produce byte-equal output,
-# twenty times on one P.
+# twenty times on one P. The trace line reruns the span tests: a depot
+# records its span in its flight recorder after it has replied, so a
+# /trace/, /postmortem/ or /fleet/trace reader that races the record
+# would show here, twenty times on one P.
 DETERMINISM_RUN = 'Place|Upload|Coded|Augment|Maintain|Hedge|Rank|Slow|Decode|Verify|WholeReplica|Seal|Shared'
 placer-determinism:
 	GOMAXPROCS=1 go test -count=20 -run $(DETERMINISM_RUN) repro/internal/core
@@ -126,6 +129,7 @@ placer-determinism:
 	go test -count=200 -run 'TestMetricsCounters$$' repro/internal/depot
 	GOMAXPROCS=1 go test -count=20 -run 'TestBurn|TestWindowing|TestRecordSamples|TestSimIsReproducible' \
 		repro/internal/slo repro/internal/obsfleet repro/internal/stackmon
+	GOMAXPROCS=1 go test -count=20 -run 'Trace|SpanRing|Postmortem' repro/internal/obsfleet repro/internal/depot repro/internal/obs
 
 # Availability-study smoke: a 24h virtual-clock stackmon simulation over
 # faultnet (finishes in seconds of wall time) with two scripted outages,

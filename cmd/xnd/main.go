@@ -43,12 +43,13 @@ import (
 	"repro/internal/transfer"
 )
 
-// traceOn enables the global --trace flag: every IBP operation is recorded
-// by an obs.Collector and dumped (with per-transfer timelines) on exit.
-// Commands that support cross-layer tracing additionally mint rootSpan, and
-// every layer below — core extents, transfer hedges, IBP client ops, depot
-// server spans — hangs its events off it; dumpTrace then renders the joined
-// timeline.
+// traceOn enables the global --trace flag: every IBP operation is also
+// aggregated by an obs.Collector and dumped (with per-transfer timelines)
+// on exit. Commands that support cross-layer tracing additionally mint
+// rootSpan, and every layer below — core extents, transfer hedges, IBP
+// client ops with the depot's queue and backend time — hangs its events
+// off it; dumpTrace then renders the joined timeline from the flight
+// recorder, the same history /trace/ and postmortem bundles hold.
 var (
 	traceOn  bool
 	traceCol *obs.Collector
@@ -68,6 +69,9 @@ var (
 	sloEngine     *slo.Engine
 	logger        *slog.Logger
 	lastTools     *core.Tools
+	// observer is the IBP event stream of lastTools: the recorder, the SLO
+	// engine and, under --trace, traceCol.
+	observer obs.Observer
 	// quorum is the registry client of this invocation, if it built one;
 	// main hangs up its parked sessions on the way out.
 	quorum *registry.QuorumClient
@@ -218,7 +222,7 @@ func dumpTrace() {
 	}
 	if rootSpan.Valid() {
 		fmt.Fprintf(os.Stderr, "\n--- joined timeline (trace %s) ---\n", rootSpan.TraceID)
-		fmt.Fprint(os.Stderr, traceCol.RenderTrace(rootSpan.TraceID))
+		fmt.Fprint(os.Stderr, recorder.RenderTrace(rootSpan.TraceID))
 	}
 	fmt.Fprint(os.Stderr, "\n--- operation trace ---\n")
 	fmt.Fprint(os.Stderr, traceCol.RenderEvents(50))
@@ -317,7 +321,7 @@ func (c *commonFlags) tools() (*core.Tools, error) {
 		traceCol = obs.NewCollector(obs.DefaultRingSize)
 		tees = append(tees, traceCol)
 	}
-	observer := obs.Tee(tees...)
+	observer = obs.Tee(tees...)
 	opts = append(opts, ibp.WithObserver(observer))
 	t := &core.Tools{
 		IBP:      ibp.NewClient(opts...),
@@ -637,7 +641,7 @@ func cmdDownload(args []string) error {
 // recordRoot closes the trace's root span: one DOWNLOAD event spanning the
 // whole command, which every extent span names as its parent.
 func recordRoot(start time.Time, note string, bytes int64, err error) {
-	if traceCol == nil || !rootSpan.Valid() {
+	if !rootSpan.Valid() {
 		return
 	}
 	ev := obs.Event{
@@ -651,7 +655,7 @@ func recordRoot(start time.Time, note string, bytes int64, err error) {
 	} else {
 		ev.Bytes = bytes
 	}
-	traceCol.Record(ev)
+	observer.Record(ev)
 }
 
 // streamDownload copies a ranged download to its destination through the
@@ -1009,11 +1013,7 @@ func cmdMetrics(args []string) error {
 	if *prom {
 		ms := make([]obs.Metric, len(rows))
 		for i, r := range rows {
-			ms[i] = obs.Metric{
-				Name: "ibp_depot_" + r.name + "_total", Type: "counter",
-				Help:  "Depot counter " + r.name + " (fetched via METRICS).",
-				Value: float64(r.v),
-			}
+			ms[i] = obs.Counter("ibp_depot_"+r.name+"_total", "Depot counter "+r.name+" (fetched via METRICS).", r.v)
 		}
 		var sb strings.Builder
 		obs.WriteMetrics(&sb, ms)

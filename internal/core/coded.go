@@ -9,7 +9,6 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/erasure"
 	"repro/internal/exnode"
-	"repro/internal/ibp"
 	"repro/internal/lbone"
 	"repro/internal/obs"
 )
@@ -26,11 +25,11 @@ type CodedOptions struct {
 	// the data. For XOR parity m is forced to 1.
 	DataBlocks   int
 	ParityBlocks int
-	// Duration, Reliability, Depots, Checksum as in UploadOptions.
-	Duration    time.Duration
-	Reliability ibp.Reliability
-	Depots      []lbone.DepotInfo
-	Checksum    bool
+	// Duration, Depots, Checksum as in UploadOptions; blocks are stored
+	// hard.
+	Duration time.Duration
+	Depots   []lbone.DepotInfo
+	Checksum bool
 }
 
 // UploadRS stores data as one Reed-Solomon coding group of k data and m
@@ -93,7 +92,7 @@ func (t *Tools) uploadCodingGroup(name string, data []byte, encode func(parity, 
 		jobs[i].payload = all[i]
 	}
 	x.Mappings, err = t.placeAll(fmt.Sprintf("coded upload %q", name), jobs, nil, UploadOptions{
-		Duration: opts.Duration, Reliability: opts.Reliability, Checksum: opts.Checksum,
+		Duration: opts.Duration, Checksum: opts.Checksum,
 	})
 	for i, mp := range x.Mappings {
 		mp.Function = exnode.FuncRSData

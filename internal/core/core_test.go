@@ -168,7 +168,14 @@ func TestDownloadStrategyNWSPrefersFastDepot(t *testing.T) {
 	for _, name := range []string{"SD", "SB"} {
 		addr := e.Depots[name].Addr()
 		start := e.Clock.Now()
-		if _, err := tl.IBP.Load(x.MappingsByDepot(name)[0].Read, 0, 1024); err != nil {
+		var m *exnode.Mapping
+		for _, mm := range x.Mappings {
+			if mm.Depot == name {
+				m = mm
+				break
+			}
+		}
+		if _, err := tl.IBP.Load(m.Read, 0, 1024); err != nil {
 			t.Fatalf("prime %s: %v", name, err)
 		}
 		elapsed := e.Clock.Since(start)

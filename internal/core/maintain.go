@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/exnode"
-	"repro/internal/geo"
 	"repro/internal/lbone"
 	"repro/internal/wire"
 )
@@ -29,12 +28,8 @@ type MaintainOptions struct {
 	// RefreshTo is the new lifetime granted by the refresh (default
 	// DefaultDuration).
 	RefreshTo time.Duration
-	// Near places repair replicas (default: the client's location).
-	Near *geo.Point
 	// Depots bypasses discovery for repair uploads.
 	Depots []lbone.DepotInfo
-	// Download tunes the repair read path.
-	Download DownloadOptions
 }
 
 // MaintainReport says what a pass did.
@@ -124,11 +119,9 @@ func (t *Tools) Maintain(x *exnode.ExNode, opts MaintainOptions) (*exnode.ExNode
 		rep.event("repair", "coverage %d below floor %d: adding %d replica(s)", coverage, opts.MinCoverage, add)
 		aug, err := t.augment(out, AugmentOptions{
 			Replicas: add,
-			Near:     opts.Near,
 			Depots:   opts.Depots,
 			Duration: opts.RefreshTo,
 			Checksum: true,
-			Download: opts.Download,
 		}, upSet(out, up))
 		if err != nil {
 			return out, rep, fmt.Errorf("core: maintain: repair: %w", err)

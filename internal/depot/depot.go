@@ -13,7 +13,6 @@ import (
 	"repro/internal/ibp"
 	"repro/internal/netx"
 	"repro/internal/obs"
-	"repro/internal/ring"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -43,8 +42,11 @@ type Config struct {
 	// depot/verb/trace attrs (default: discard). Build it with
 	// obs.NewLogger to also retain records in a flight recorder.
 	Logger *slog.Logger
-	// Recorder, when set, retains depot log records and backs the
-	// /postmortem/<trace> endpoint; a handler panic cuts a bundle from it.
+	// Recorder is the depot's one record of its traced spans (KindSpan
+	// entries) and, with a Logger built by obs.NewLogger on it, of its log
+	// records. It backs /trace/<trace> and /postmortem/<trace>, and a
+	// handler panic cuts a bundle from it (default: a recorder of
+	// obs.DefaultRecorderSize entries).
 	Recorder *obs.FlightRecorder
 	// PostmortemDir, when non-empty, is where panic postmortem bundles are
 	// written as POSTMORTEM_<trace>.json files.
@@ -53,7 +55,7 @@ type Config struct {
 
 // maxConns bounds a depot's concurrent connections; the accept loop waits
 // for a free slot, and that wait is the accept-queue delay a traced
-// operation reports as ServerSpan.QueueWait.
+// operation reports as its span's queue time.
 const maxConns = 128
 
 // Depot is a running IBP depot daemon.
@@ -68,8 +70,6 @@ type Depot struct {
 	allocs  map[string]*allocation
 	used    int64
 	metrics Metrics
-	spansMu sync.Mutex
-	spans   *ring.Ring[ServerSpan]
 	out     *ibp.Client // third-party COPY's client; its parked connections close with the depot
 }
 
@@ -114,6 +114,9 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
+	if cfg.Recorder == nil {
+		cfg.Recorder = obs.NewFlightRecorder(0)
+	}
 	cfg.Logger = cfg.Logger.With(obs.KeyDepot, cfg.Advertised)
 	d := &Depot{
 		cfg:     cfg,
@@ -122,7 +125,6 @@ func Serve(addr string, cfg Config) (*Depot, error) {
 		started: cfg.Clock.Now(),
 		sem:     make(chan struct{}, maxConns),
 		allocs:  make(map[string]*allocation),
-		spans:   ring.New[ServerSpan](traceRing),
 	}
 	opts := []ibp.Option{ibp.WithClock(cfg.Clock)}
 	if cfg.Dialer != nil {
@@ -246,16 +248,13 @@ func (conn *connCtx) End(panicked any) {
 // to PostmortemDir when configured.
 func (d *Depot) panicPostmortem(conn *connCtx, r any) {
 	rec := d.cfg.Recorder
-	if rec == nil {
-		return
-	}
 	b := obs.Bundle{
 		Reason: "panic", Component: "ibp-depot", CreatedAt: d.clock.Now(),
 		Err: fmt.Sprint(r), Entries: rec.Recent(0),
 		RingDropped: rec.Dropped(),
 	}
 	if conn.span != nil {
-		b.Trace = conn.span.TraceID
+		b.Trace = conn.span.Trace
 	}
 	rec.StoreBundle(b)
 	if d.cfg.PostmortemDir != "" {
@@ -283,33 +282,32 @@ func (d *Depot) dispatch(conn *connCtx, toks []string) bool {
 	}
 	if p := conn.pending; p != nil {
 		// The previous exchange armed trace context: measure this operation
-		// as a server span and return the summary as a status-line trailer.
+		// as a server span, return the summary as a status-line trailer and
+		// keep the span in the recorder once the operation has answered.
 		conn.pending = nil
-		sp := &ServerSpan{
-			TraceID:   p.traceID,
-			SpanID:    obs.NewSpanID(),
-			Parent:    p.parent,
-			Verb:      op,
-			Start:     d.clock.Now(),
-			QueueWait: conn.queueWait,
+		sp := &obs.Entry{
+			Time: d.clock.Now(), Kind: obs.KindSpan, Trace: p.traceID,
+			Span: obs.NewSpanID(), Parent: p.parent, Depot: d.cfg.Advertised,
+			Verb: op, QueueNS: conn.queueWait.Nanoseconds(),
 		}
 		conn.queueWait = 0 // charged once per connection
 		conn.span = sp
 		conn.SetStatusTrailer(func() string {
-			sp.Total = d.clock.Since(sp.Start)
+			sp.LatencyNS = d.clock.Since(sp.Time).Nanoseconds()
 			return obs.WireSpan{
-				SpanID: sp.SpanID, Queue: sp.QueueWait, Backend: sp.Backend,
-				Total: sp.Total, Bytes: sp.Bytes, Violation: sp.Violation,
+				SpanID: sp.Span, Queue: time.Duration(sp.QueueNS), Backend: time.Duration(sp.BackendNS),
+				Total: time.Duration(sp.LatencyNS), Bytes: sp.Bytes, Violation: sp.Outcome == spanViolation,
 			}.EncodeTrailer()
 		})
 		defer func() {
 			conn.SetStatusTrailer(nil)
-			if sp.Total == 0 {
-				sp.Total = d.clock.Since(sp.Start)
+			if sp.LatencyNS == 0 {
+				sp.LatencyNS = d.clock.Since(sp.Time).Nanoseconds()
 			}
-			d.spansMu.Lock()
-			d.spans.Push(*sp)
-			d.spansMu.Unlock()
+			if sp.Outcome == "" {
+				sp.Outcome = "ok"
+			}
+			d.cfg.Recorder.Add(*sp)
 		}()
 	}
 	if op == ibp.OpQuit {
@@ -317,8 +315,8 @@ func (d *Depot) dispatch(conn *connCtx, toks []string) bool {
 	}
 	if err := d.serve(conn, op, args); err != nil {
 		l := d.cfg.Logger
-		if conn.span != nil && conn.span.TraceID != "" {
-			l = l.With(obs.KeyTrace, conn.span.TraceID)
+		if conn.span != nil {
+			l = l.With(obs.KeyTrace, conn.span.Trace)
 		}
 		l.Warn("operation failed", obs.KeyVerb, op, "err", err)
 		return false

@@ -1,10 +1,8 @@
 package depot
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -16,48 +14,39 @@ import (
 // gauges as Prometheus samples.
 func (d *Depot) PromMetrics() []obs.Metric {
 	s := d.metrics.Snapshot()
-	var ms []obs.Metric
-	counter := func(name, help string, v int64) {
-		ms = append(ms, obs.Metric{Name: name, Help: help, Type: "counter", Value: float64(v)})
+	opCount := func(verb string, v int64) obs.Metric {
+		return obs.Counter("ibp_depot_ops_total", "Operations served, by verb.", v, obs.Label{Name: "verb", Value: verb})
 	}
-	gauge := func(name, help string, v float64) {
-		ms = append(ms, obs.Metric{Name: name, Help: help, Type: "gauge", Value: v})
-	}
-	opCount := func(verb string, v int64) {
-		ms = append(ms, obs.Metric{
-			Name: "ibp_depot_ops_total", Help: "Operations served, by verb.", Type: "counter",
-			Value: float64(v), Labels: []obs.Label{{Name: "verb", Value: verb}},
-		})
-	}
-	opCount("allocate", s.Allocates)
-	opCount("store", s.Stores)
-	opCount("load", s.Loads)
-	opCount("probe", s.Probes)
-	opCount("extend", s.Extends)
-	opCount("delete", s.Deletes)
-	// BATCH stays off the fixed-width METRICS wire response (old clients
-	// parse 13 counters positionally), but scrapers should still see
-	// pipelining adoption.
-	opCount("batch", s.Batches)
-	counter("ibp_depot_bytes_in_total", "Payload bytes stored.", s.BytesIn)
-	counter("ibp_depot_bytes_out_total", "Payload bytes served.", s.BytesOut)
-	counter("ibp_depot_errors_total", "Requests answered with ERR.", s.Errors)
-	counter("ibp_depot_cap_violations_total", "Capability verification failures.", s.Violations)
-	counter("ibp_depot_reaped_total", "Allocations reclaimed by expiry.", s.Reaped)
-	counter("ibp_depot_connects_total", "Connections accepted.", s.Connects)
-	counter("ibp_depot_restores_total", "Allocations restored at startup.", s.Restores)
-
-	gauge("ibp_depot_allocations", "Live allocations.", float64(d.AllocationCount()))
-	gauge("ibp_depot_used_bytes", "Committed capacity in bytes.", float64(d.UsedBytes()))
-	gauge("ibp_depot_capacity_bytes", "Total capacity in bytes.", float64(d.Capacity()))
 	nextExpiry := 0.0
 	if exp, ok := d.NextExpiry(); ok {
 		if until := exp.Sub(d.clock.Now()); until > 0 {
 			nextExpiry = until.Seconds()
 		}
 	}
-	gauge("ibp_depot_next_expiry_seconds", "Seconds until the earliest allocation expires (0 = none pending).", nextExpiry)
-	return append(ms, obs.RingDropped("spans", d.spansDropped()))
+	return []obs.Metric{
+		opCount("allocate", s.Allocates),
+		opCount("store", s.Stores),
+		opCount("load", s.Loads),
+		opCount("probe", s.Probes),
+		opCount("extend", s.Extends),
+		opCount("delete", s.Deletes),
+		// BATCH stays off the fixed-width METRICS wire response (old clients
+		// parse 13 counters positionally), but scrapers should still see
+		// pipelining adoption.
+		opCount("batch", s.Batches),
+		obs.Counter("ibp_depot_bytes_in_total", "Payload bytes stored.", s.BytesIn),
+		obs.Counter("ibp_depot_bytes_out_total", "Payload bytes served.", s.BytesOut),
+		obs.Counter("ibp_depot_errors_total", "Requests answered with ERR.", s.Errors),
+		obs.Counter("ibp_depot_cap_violations_total", "Capability verification failures.", s.Violations),
+		obs.Counter("ibp_depot_reaped_total", "Allocations reclaimed by expiry.", s.Reaped),
+		obs.Counter("ibp_depot_connects_total", "Connections accepted.", s.Connects),
+		obs.Counter("ibp_depot_restores_total", "Allocations restored at startup.", s.Restores),
+
+		obs.Gauge("ibp_depot_allocations", "Live allocations.", d.AllocationCount()),
+		obs.Gauge("ibp_depot_used_bytes", "Committed capacity in bytes.", d.UsedBytes()),
+		obs.Gauge("ibp_depot_capacity_bytes", "Total capacity in bytes.", d.Capacity()),
+		obs.Gauge("ibp_depot_next_expiry_seconds", "Seconds until the earliest allocation expires (0 = none pending).", nextExpiry),
+	}
 }
 
 // healthy reports whether the depot is still serving.
@@ -69,13 +58,14 @@ func (d *Depot) healthy() error {
 }
 
 // Surface describes the depot's HTTP surface: /metrics, /healthz (503
-// once closed), /trace/<traceID> (retained server spans as JSON) and, with
-// a Recorder, /postmortem/<trace>.
+// once closed), and from its flight recorder /trace/<traceID> (the
+// retained entries of that trace as obs.Entry JSON, its server spans
+// among them) and /postmortem/<trace>.
 func (d *Depot) Surface() obs.Surface {
 	return obs.Surface{
 		Component: "ibp-depot", Now: d.clock.Now, Started: d.started,
 		Metrics: d.PromMetrics, Healthy: d.healthy, Recorder: d.cfg.Recorder,
-		Routes: map[string]http.Handler{"/trace/": http.HandlerFunc(d.serveTrace)},
+		Routes: map[string]http.Handler{"/trace/": obs.TraceJSONHandler(d.cfg.Recorder)},
 	}
 }
 
@@ -83,21 +73,3 @@ func (d *Depot) Surface() obs.Surface {
 //
 //	go http.ListenAndServe(metricsAddr, d.ObsMux())
 func (d *Depot) ObsMux() *http.ServeMux { return d.Surface().Mux() }
-
-// serveTrace answers /trace/<traceID> with the retained server spans of
-// that trace as a JSON array: 400 on anything that is not a well-formed
-// trace ID, 404 when the ID is well-formed but no spans are retained.
-func (d *Depot) serveTrace(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/trace/")
-	if !obs.ValidTraceID(id) {
-		http.Error(w, "want /trace/<traceID> (hex)", http.StatusBadRequest)
-		return
-	}
-	spans := d.SpansForTrace(id)
-	if len(spans) == 0 {
-		http.Error(w, "no spans retained for trace "+id, http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(spans)
-}

@@ -1,6 +1,7 @@
 package depot
 
 import (
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -126,7 +127,7 @@ func TestTraceAndPostmortemHandlers(t *testing.T) {
 		bodyHas    string
 	}{
 		{"trace known", "/trace/" + root.TraceID, 200, root.TraceID},
-		{"trace unknown", "/trace/abcdef0123456789", 404, "no spans retained"},
+		{"trace unknown", "/trace/abcdef0123456789", 404, "no entries retained"},
 		{"trace malformed", "/trace/NOT-A-TRACE", 400, "want /trace/<traceID>"},
 		{"trace empty", "/trace/", 400, "want /trace/<traceID>"},
 		{"trace overlong", "/trace/" + strings.Repeat("a", 65), 400, ""},
@@ -156,6 +157,72 @@ func TestTraceAndPostmortemHandlers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPostmortemCarriesServerSpans: a depot keeps its server spans in its
+// flight recorder — one built for it when the Config names none — so its
+// on-demand postmortem bundle of a trace holds the depot's own account of
+// each traced exchange, queue and parentage included.
+func TestPostmortemCarriesServerSpans(t *testing.T) {
+	d, c := newDepot(t, Config{})
+	defer c.Close()
+	set, err := c.Allocate(d.Addr(), 1024, time.Hour, ibp.Soft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Store(set.Write, []byte("spanned")); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh client dials a fresh connection, whose accept-queue wait the
+	// traced LOAD is charged.
+	root := obs.NewRootSpan()
+	col := obs.NewCollector(4)
+	tc := ibp.NewClient(ibp.WithObserver(col)).WithSpan(root)
+	defer tc.Close()
+	if _, err := tc.Load(set.Read, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	evs := col.Recent(0)
+	if len(evs) != 1 || evs[0].Span == "" {
+		t.Fatalf("client events = %+v, want one traced LOAD", evs)
+	}
+
+	srv := httptest.NewServer(d.ObsMux())
+	defer srv.Close()
+	// The depot records its span just after it has answered. The bundle is
+	// read by its JSON names, as obsd reads it.
+	var b struct {
+		Reason  string
+		Entries []struct {
+			Kind, Verb, Parent, Outcome string
+			QueueNS                     int64 `json:"queue_ns"`
+			Bytes                       int64
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get(srv.URL + "/postmortem/" + root.TraceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			if err := json.Unmarshal([]byte(body), &b); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET /postmortem/%s = %d %q, want the depot's bundle", root.TraceID, resp.StatusCode, body)
+		}
+	}
+	if b.Reason != "on-demand" || len(b.Entries) != 1 {
+		t.Fatalf("bundle = %+v, want one on-demand entry", b)
+	}
+	if e := b.Entries[0]; e.Kind != "server-span" || e.Verb != ibp.OpLoad || e.Parent != evs[0].Span ||
+		e.QueueNS <= 0 || e.Bytes != 7 || e.Outcome != "ok" {
+		t.Fatalf("bundle entry = %+v, want the LOAD's server span under client span %s with its queue wait", e, evs[0].Span)
 	}
 }
 

@@ -4,54 +4,16 @@ package depot
 // "TRACE <traceid> <parentspan> <flags>" on the same connection; the depot
 // acknowledges, measures the next operation (accept-queue wait, backend
 // time, bytes, capability violations), returns the summary as a status-line
-// trailer the client folds into its own event, and retains the full span in
-// a ring buffer served by /trace/<traceid> on the ObsMux.
+// trailer the client folds into its own event, and keeps the span as a
+// KindSpan entry in its flight recorder, which serves /trace/<traceid>.
 
 import (
 	"time"
 
 	"repro/internal/ibp"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
-
-// ServerSpan is one traced operation as measured inside the depot.
-type ServerSpan struct {
-	TraceID   string        `json:"trace"`
-	SpanID    string        `json:"span"`
-	Parent    string        `json:"parent"` // the client operation's span ID
-	Verb      string        `json:"verb"`
-	Start     time.Time     `json:"start"`
-	QueueWait time.Duration `json:"queue_wait_ns"` // accept-queue (connection bound) wait
-	Backend   time.Duration `json:"backend_ns"`    // time inside the storage backend
-	Total     time.Duration `json:"total_ns"`      // request-line read to status-line write
-	Bytes     int64         `json:"bytes"`
-	Violation bool          `json:"violation"` // capability verification failed
-	Code      string        `json:"code"`      // wire error code ("" on success)
-}
-
-// traceRing is how many server spans a depot retains.
-const traceRing = 256
-
-// spansDropped reports how many retained spans were overwritten.
-func (d *Depot) spansDropped() uint64 {
-	d.spansMu.Lock()
-	defer d.spansMu.Unlock()
-	return d.spans.Dropped()
-}
-
-// SpansForTrace returns the retained server spans recorded under traceID,
-// oldest first.
-func (d *Depot) SpansForTrace(traceID string) []ServerSpan {
-	d.spansMu.Lock()
-	defer d.spansMu.Unlock()
-	var out []ServerSpan
-	for i := 0; i < d.spans.Len(); i++ {
-		if s := d.spans.At(i); s.TraceID == traceID {
-			out = append(out, s)
-		}
-	}
-	return out
-}
 
 // pendingTrace is trace context received via TRACE, waiting for the
 // operation it describes.
@@ -68,14 +30,14 @@ type connCtx struct {
 	d         *Depot
 	queueWait time.Duration // accept-queue wait, charged to the first traced op
 	pending   *pendingTrace
-	span      *ServerSpan  // the traced op running, or the last one until the next request
+	span      *obs.Entry   // the traced op running, or the last one until the next request
 	minted    []ibp.CapSet // inside a BATCH: per sub-op so far, the set its ALLOCATE minted (else zero)
 }
 
 // noteBackend charges time spent in the storage backend to the active span.
 func (cc *connCtx) noteBackend(d time.Duration) {
 	if cc.span != nil {
-		cc.span.Backend += d
+		cc.span.BackendNS += d.Nanoseconds()
 	}
 }
 
@@ -86,13 +48,17 @@ func (cc *connCtx) noteBytes(n int64) {
 	}
 }
 
-// remoteErr reports a resolve failure to the client, recording the error
-// code — and, for DENIED, the capability violation — on the active span.
+// spanViolation is the outcome of a span whose capability failed
+// verification.
+const spanViolation = "violation"
+
+// remoteErr reports a resolve failure to the client, recording on the
+// active span its outcome: the error code, or "violation" for DENIED.
 func (cc *connCtx) remoteErr(rerr *wire.RemoteError) error {
 	if cc.span != nil {
-		cc.span.Code = rerr.Code
+		cc.span.Outcome = rerr.Code
 		if rerr.Code == wire.CodeDenied {
-			cc.span.Violation = true
+			cc.span.Outcome = spanViolation
 		}
 	}
 	return cc.WriteErr(rerr.Code, "%s", rerr.Message)

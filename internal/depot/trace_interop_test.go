@@ -44,12 +44,14 @@ func TestTraceUntracedClientNewDepot(t *testing.T) {
 
 // TestTraceEndToEndServerSpans drives a traced client against a real depot
 // and checks the whole correlation chain: the client op event carries the
-// depot's span summary (queue wait, backend time, bytes), and the depot
-// retains matching spans queryable by trace ID.
+// depot's span summary (queue wait, backend time, bytes), and the depot's
+// flight recorder retains matching server spans under the trace ID.
 func TestTraceEndToEndServerSpans(t *testing.T) {
+	rec := obs.NewFlightRecorder(0)
 	d, err := Serve("127.0.0.1:0", Config{
 		Secret:   []byte("e2e-test"),
 		Capacity: 1 << 20,
+		Recorder: rec,
 	})
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
@@ -106,10 +108,10 @@ func TestTraceEndToEndServerSpans(t *testing.T) {
 	// client op spans, measuring queue wait and backend time.
 	// (A handler retains its span after it has answered, so the last one
 	// lands a moment after the client's Load returns.)
-	spans := d.SpansForTrace(root.TraceID)
+	spans := rec.ForTrace(root.TraceID)
 	for deadline := time.Now().Add(5 * time.Second); len(spans) < 3 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
-		spans = d.SpansForTrace(root.TraceID)
+		spans = rec.ForTrace(root.TraceID)
 	}
 	if len(spans) != 3 {
 		t.Fatalf("depot retained %d spans, want 3: %+v", len(spans), spans)
@@ -119,24 +121,24 @@ func TestTraceEndToEndServerSpans(t *testing.T) {
 		parents[e.Verb] = e.Span
 	}
 	for _, sp := range spans {
-		if sp.TraceID != root.TraceID {
-			t.Errorf("span %s trace = %q, want %q", sp.SpanID, sp.TraceID, root.TraceID)
+		if sp.Kind != obs.KindSpan || sp.Trace != root.TraceID || sp.Depot != d.Advertised() {
+			t.Errorf("span %s = %+v, want a server span of trace %s at %s", sp.Span, sp, root.TraceID, d.Advertised())
 		}
 		if want := parents[sp.Verb]; sp.Parent != want {
 			t.Errorf("%s span parent = %q, want client op span %q", sp.Verb, sp.Parent, want)
 		}
-		if sp.QueueWait < 0 || sp.Backend < 0 || sp.Total <= 0 {
-			t.Errorf("%s span timings = queue %v backend %v total %v", sp.Verb, sp.QueueWait, sp.Backend, sp.Total)
+		if sp.QueueNS < 0 || sp.BackendNS < 0 || sp.LatencyNS <= 0 {
+			t.Errorf("%s span timings = queue %d backend %d total %d", sp.Verb, sp.QueueNS, sp.BackendNS, sp.LatencyNS)
 		}
-		if sp.Violation || sp.Code != "" {
+		if sp.Outcome != "ok" {
 			t.Errorf("%s span unexpectedly failed: %+v", sp.Verb, sp)
 		}
 	}
 	// Each op ran on its own connection, so the handlers retain their
 	// spans in whatever order they finish: look the LOAD up by verb.
 	for _, sp := range spans {
-		if sp.Verb == ibp.OpLoad && sp.SpanID != loadEv.Server.SpanID {
-			t.Errorf("depot LOAD span = %+v, want the one the client holds, %s", sp, loadEv.Server.SpanID)
+		if sp.Verb == ibp.OpLoad && (sp.Span != loadEv.Server.SpanID || sp.Bytes != 512) {
+			t.Errorf("depot LOAD span = %+v, want the one the client holds, %s, with 512 bytes", sp, loadEv.Server.SpanID)
 		}
 	}
 }

@@ -292,83 +292,6 @@ func (x *ExNode) CodingGroups() map[string][]*Mapping {
 	return out
 }
 
-// CoverageGaps returns the sub-ranges of [0,Size) not covered by any
-// replica mapping (ignoring coded mappings). A fully-replicated exNode
-// returns nil.
-func (x *ExNode) CoverageGaps() []Extent {
-	var gaps []Extent
-	for _, ext := range x.Boundaries(0, x.Size) {
-		if len(x.Candidates(ext)) == 0 {
-			gaps = append(gaps, ext)
-		}
-	}
-	// Merge adjacent gaps.
-	var merged []Extent
-	for _, g := range gaps {
-		if n := len(merged); n > 0 && merged[n-1].End == g.Start {
-			merged[n-1].End = g.End
-			continue
-		}
-		merged = append(merged, g)
-	}
-	return merged
-}
-
-// Merge combines two exNodes describing the same file into one: b's
-// replica mappings are renumbered past a's so both sets of copies remain
-// addressable (the primitive under Augment). It returns an error when the
-// two describe different files.
-func Merge(a, b *ExNode) (*ExNode, error) {
-	if a.Size != b.Size {
-		return nil, fmt.Errorf("exnode: merge: sizes differ (%d vs %d)", a.Size, b.Size)
-	}
-	if a.Cipher != b.Cipher || a.IV != b.IV {
-		return nil, fmt.Errorf("exnode: merge: cipher metadata differs")
-	}
-	out := a.Clone()
-	base := 0
-	for _, m := range out.Mappings {
-		if m.IsReplica() && m.Replica+1 > base {
-			base = m.Replica + 1
-		}
-	}
-	for _, m := range b.Mappings {
-		mm := *m
-		if mm.IsReplica() {
-			mm.Replica += base
-		}
-		out.Add(&mm)
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MappingsByDepot returns the mappings stored on the depot with the given
-// display name.
-func (x *ExNode) MappingsByDepot(depot string) []*Mapping {
-	var out []*Mapping
-	for _, m := range x.Mappings {
-		if m.Depot == depot {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// RemoveMapping deletes the mapping (by pointer identity); it reports
-// whether it was present.
-func (x *ExNode) RemoveMapping(target *Mapping) bool {
-	for i, m := range x.Mappings {
-		if m == target {
-			x.Mappings = append(x.Mappings[:i], x.Mappings[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // ErrNoCoverage is returned by tools when a requested range has no
 // available mapping.
 var ErrNoCoverage = errors.New("exnode: range not covered by any mapping")

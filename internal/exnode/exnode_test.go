@@ -152,52 +152,6 @@ func TestReplicasAndReplicaMappings(t *testing.T) {
 	}
 }
 
-func TestCoverageGaps(t *testing.T) {
-	x := paperFigure4Right(t)
-	if gaps := x.CoverageGaps(); gaps != nil {
-		t.Fatalf("full exnode has gaps: %v", gaps)
-	}
-	// Remove both mappings covering [300,400) from replica coverage of
-	// part of the file: drop C (replica 1, [300,400)). Replica 0's D
-	// still covers it, so no gap yet.
-	var cMap *Mapping
-	for _, m := range x.Mappings {
-		if m.Depot == "C" {
-			cMap = m
-		}
-	}
-	if !x.RemoveMapping(cMap) {
-		t.Fatal("remove C failed")
-	}
-	if gaps := x.CoverageGaps(); gaps != nil {
-		t.Fatalf("still covered by replica 0: %v", gaps)
-	}
-	// Now drop replica 0's D [200,600): gap [300,400) appears? No —
-	// replica 1 still has D[400:600) and B[0:300): gap is [300,400).
-	for _, m := range x.Mappings {
-		if m.Depot == "D" && m.Replica == 0 {
-			x.RemoveMapping(m)
-			break
-		}
-	}
-	gaps := x.CoverageGaps()
-	if len(gaps) != 1 || gaps[0] != (Extent{300, 400}) {
-		t.Fatalf("gaps = %v, want [{300 400}]", gaps)
-	}
-}
-
-func TestRemoveMappingIdentity(t *testing.T) {
-	x := paperFigure4Right(t)
-	n := len(x.Mappings)
-	other := mapping(t, "Z", 9, 0, 10)
-	if x.RemoveMapping(other) {
-		t.Fatal("removing foreign mapping should report false")
-	}
-	if x.RemoveMapping(x.Mappings[0]) != true || len(x.Mappings) != n-1 {
-		t.Fatal("removing own mapping failed")
-	}
-}
-
 func TestClone(t *testing.T) {
 	x := paperFigure4Right(t)
 	c := x.Clone()
@@ -379,16 +333,6 @@ func TestOverlapsAndEncrypted(t *testing.T) {
 	}
 }
 
-func TestMappingsByDepot(t *testing.T) {
-	x := paperFigure4Right(t)
-	if got := x.MappingsByDepot("D"); len(got) != 2 {
-		t.Fatalf("D mappings = %d, want 2", len(got))
-	}
-	if got := x.MappingsByDepot("nope"); got != nil {
-		t.Fatalf("unknown depot = %v", got)
-	}
-}
-
 func TestXMLRoundTripRandomProperty(t *testing.T) {
 	// Random valid exnodes must survive serialization exactly, and the
 	// codec must agree with the encoding/xml oracle on each: the same
@@ -495,45 +439,4 @@ func randomText(rng *rand.Rand) string {
 		b.WriteString(pieces[rng.Intn(len(pieces))])
 	}
 	return b.String()
-}
-
-func TestMerge(t *testing.T) {
-	a := paperFigure4Right(t)
-	b := New("fig4", 600)
-	b.Add(mapping(t, "E", 0, 0, 600))
-	merged, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Replicas() != 3 {
-		t.Fatalf("merged replicas = %d, want 3", merged.Replicas())
-	}
-	// b's copy was renumbered, not collided.
-	var eReplica int
-	for _, m := range merged.Mappings {
-		if m.Depot == "E" {
-			eReplica = m.Replica
-		}
-	}
-	if eReplica != 2 {
-		t.Fatalf("merged replica index = %d, want 2", eReplica)
-	}
-	// Inputs untouched.
-	if len(a.Mappings) != 5 || len(b.Mappings) != 1 {
-		t.Fatal("merge mutated inputs")
-	}
-	// Size mismatch rejected.
-	c := New("other", 10)
-	c.Add(mapping(t, "F", 0, 0, 10))
-	if _, err := Merge(a, c); err == nil {
-		t.Fatal("size mismatch should fail")
-	}
-	// Cipher mismatch rejected.
-	d := New("fig4", 600)
-	d.Cipher = "aes256-ctr"
-	d.IV = strings.Repeat("ab", 16)
-	d.Add(mapping(t, "G", 0, 0, 600))
-	if _, err := Merge(a, d); err == nil {
-		t.Fatal("cipher mismatch should fail")
-	}
 }

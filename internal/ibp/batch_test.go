@@ -80,14 +80,14 @@ func TestBatchEventsCarryTrace(t *testing.T) {
 		}
 	}
 
-	evs := col.TraceEvents(root.TraceID)
+	evs := col.Recent(0)
 	wantVerbs := []string{OpAllocate, OpStore, OpExtend, OpExtend, OpExtend}
 	if len(evs) != len(wantVerbs) {
 		t.Fatalf("trace holds %d events, want %d: %+v", len(evs), len(wantVerbs), col.Recent(0))
 	}
 	spans := map[string]bool{}
 	for i, e := range evs {
-		if e.Verb != wantVerbs[i] || !e.Batched || e.Parent != root.SpanID || e.Span == "" || e.Span == root.SpanID {
+		if e.Verb != wantVerbs[i] || !e.Batched || e.Trace != root.TraceID || e.Parent != root.SpanID || e.Span == "" || e.Span == root.SpanID {
 			t.Errorf("event %d = %+v, want a batched %s parented on %s with its own span", i, e, wantVerbs[i], root.SpanID)
 		}
 		if spans[e.Span] {

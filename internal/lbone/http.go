@@ -18,25 +18,20 @@ func (s *Server) PromMetrics() []obs.Metric {
 	controls := s.reg.ControlLen()
 	s.mu.Unlock()
 
-	var ms []obs.Metric
-	counter := func(name, help string, v int64) {
-		ms = append(ms, obs.Metric{Name: name, Help: help, Type: "counter", Value: float64(v)})
-	}
-	gauge := func(name, help string, v float64) {
-		ms = append(ms, obs.Metric{Name: name, Help: help, Type: "gauge", Value: v})
-	}
-	counter("lbone_connects_total", "Connections accepted.", st.Connects)
-	counter("lbone_registers_total", "REGISTER requests.", st.Registers)
-	counter("lbone_heartbeats_total", "HEARTBEAT requests.", st.Heartbeats)
-	counter("lbone_deregisters_total", "DEREGISTER requests.", st.Deregisters)
-	counter("lbone_queries_total", "QUERY and LIST resolutions.", st.Queries)
-	counter("lbone_depots_returned_total", "Depot entries served across all resolutions.", st.DepotsReturned)
-	counter("lbone_bad_requests_total", "Malformed or unknown requests.", st.BadRequests)
-	counter("lbone_control_ops_total", "Control-endpoint registry verbs served.", st.ControlOps)
+	ms := []obs.Metric{
+		obs.Counter("lbone_connects_total", "Connections accepted.", st.Connects),
+		obs.Counter("lbone_registers_total", "REGISTER requests.", st.Registers),
+		obs.Counter("lbone_heartbeats_total", "HEARTBEAT requests.", st.Heartbeats),
+		obs.Counter("lbone_deregisters_total", "DEREGISTER requests.", st.Deregisters),
+		obs.Counter("lbone_queries_total", "QUERY and LIST resolutions.", st.Queries),
+		obs.Counter("lbone_depots_returned_total", "Depot entries served across all resolutions.", st.DepotsReturned),
+		obs.Counter("lbone_bad_requests_total", "Malformed or unknown requests.", st.BadRequests),
+		obs.Counter("lbone_control_ops_total", "Control-endpoint registry verbs served.", st.ControlOps),
 
-	gauge("lbone_depots_registered", "Registered depots (live or not).", float64(total))
-	gauge("lbone_depots_live", "Depots inside their liveness window.", float64(live))
-	gauge("lbone_controls_registered", "Registered fleet control endpoints (live or not).", float64(controls))
+		obs.Gauge("lbone_depots_registered", "Registered depots (live or not).", total),
+		obs.Gauge("lbone_depots_live", "Depots inside their liveness window.", live),
+		obs.Gauge("lbone_controls_registered", "Registered fleet control endpoints (live or not).", controls),
+	}
 	if s.cfg.ExtraMetrics != nil {
 		ms = append(ms, s.cfg.ExtraMetrics()...)
 	}

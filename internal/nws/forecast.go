@@ -12,7 +12,6 @@
 package nws
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -21,8 +20,6 @@ import (
 
 // Forecaster predicts the next value of a series from its history.
 type Forecaster interface {
-	// Name identifies the forecaster in diagnostics.
-	Name() string
 	// Observe feeds one measurement, updating internal state.
 	Observe(v float64)
 	// Predict returns the forecast for the next measurement; ok is false
@@ -37,7 +34,6 @@ type lastValue struct {
 	set bool
 }
 
-func (f *lastValue) Name() string             { return "last" }
 func (f *lastValue) Observe(v float64)        { f.v, f.set = v, true }
 func (f *lastValue) Predict() (float64, bool) { return f.v, f.set }
 
@@ -46,7 +42,6 @@ type runningMean struct {
 	n   int
 }
 
-func (f *runningMean) Name() string { return "mean" }
 func (f *runningMean) Observe(v float64) {
 	f.sum += v
 	f.n++
@@ -60,14 +55,12 @@ func (f *runningMean) Predict() (float64, bool) {
 
 type slidingMean struct {
 	window *ring.Ring[float64]
-	k      int
 }
 
 func newSlidingMean(k int) *slidingMean {
-	return &slidingMean{window: ring.New[float64](k), k: k}
+	return &slidingMean{window: ring.New[float64](k)}
 }
 
-func (f *slidingMean) Name() string      { return fmt.Sprintf("mean%d", f.k) }
 func (f *slidingMean) Observe(v float64) { f.window.Push(v) }
 func (f *slidingMean) Predict() (float64, bool) {
 	n := f.window.Len()
@@ -83,14 +76,12 @@ func (f *slidingMean) Predict() (float64, bool) {
 
 type slidingMedian struct {
 	window *ring.Ring[float64]
-	k      int
 }
 
 func newSlidingMedian(k int) *slidingMedian {
-	return &slidingMedian{window: ring.New[float64](k), k: k}
+	return &slidingMedian{window: ring.New[float64](k)}
 }
 
-func (f *slidingMedian) Name() string      { return fmt.Sprintf("median%d", f.k) }
 func (f *slidingMedian) Observe(v float64) { f.window.Push(v) }
 func (f *slidingMedian) Predict() (float64, bool) {
 	n := f.window.Len()
@@ -111,7 +102,6 @@ type expSmoothing struct {
 	set   bool
 }
 
-func (f *expSmoothing) Name() string { return fmt.Sprintf("exp%.2f", f.alpha) }
 func (f *expSmoothing) Observe(v float64) {
 	if !f.set {
 		f.v, f.set = v, true
@@ -179,19 +169,7 @@ func (b *Battery) Observe(v float64) {
 
 // Forecast returns the prediction of the forecaster with the lowest mean
 // squared error so far. ok is false before any measurement has arrived.
-func (b *Battery) Forecast() (v float64, ok bool) {
-	v, _, ok = b.forecastDetail()
-	return v, ok
-}
-
-// BestForecaster reports which forecaster currently wins selection (for
-// diagnostics and tests).
-func (b *Battery) BestForecaster() (name string, ok bool) {
-	_, name, ok = b.forecastDetail()
-	return name, ok
-}
-
-func (b *Battery) forecastDetail() (float64, string, bool) {
+func (b *Battery) Forecast() (float64, bool) {
 	bestIdx := -1
 	var bestMSE float64
 	for i := range b.members {
@@ -213,10 +191,9 @@ func (b *Battery) forecastDetail() (float64, string, bool) {
 		}
 	}
 	if bestIdx == -1 {
-		return 0, "", false
+		return 0, false
 	}
-	p, _ := b.members[bestIdx].f.Predict()
-	return p, b.members[bestIdx].f.Name(), true
+	return b.members[bestIdx].f.Predict()
 }
 
 // Observations reports how many measurements the battery has seen.

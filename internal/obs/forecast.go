@@ -118,26 +118,15 @@ func (ft *ForecastTracker) Metrics() []Metric {
 	defer ft.mu.Unlock()
 	var out []Metric
 	for k, ps := range ft.pairs {
-		labels := []Label{{Name: "src", Value: k.src}, {Name: "dst", Value: k.dst}}
+		src, dst := Label{Name: "src", Value: k.src}, Label{Name: "dst", Value: k.dst}
 		out = append(out,
-			Metric{
-				Name: "nws_forecast_abs_error", Type: "gauge",
-				Help:   "Absolute error (Mbps) of the latest NWS bandwidth forecast vs the measured transfer, per depot pair.",
-				Value:  ps.last.AbsError,
-				Labels: labels,
-			},
-			Metric{
-				Name: "nws_forecast_abs_error_mean", Type: "gauge",
-				Help:   "Mean absolute forecast error (Mbps) over all samples for the depot pair.",
-				Value:  ps.sumAbs / float64(ps.count),
-				Labels: labels,
-			},
-			Metric{
-				Name: "nws_forecast_samples_total", Type: "counter",
-				Help:   "Forecast-vs-measured comparisons recorded per depot pair.",
-				Value:  float64(ps.count),
-				Labels: labels,
-			},
+			Gauge("nws_forecast_abs_error",
+				"Absolute error (Mbps) of the latest NWS bandwidth forecast vs the measured transfer, per depot pair.",
+				ps.last.AbsError, src, dst),
+			Gauge("nws_forecast_abs_error_mean", "Mean absolute forecast error (Mbps) over all samples for the depot pair.",
+				ps.sumAbs/float64(ps.count), src, dst),
+			Counter("nws_forecast_samples_total", "Forecast-vs-measured comparisons recorded per depot pair.",
+				ps.count, src, dst),
 		)
 	}
 	return out

@@ -36,8 +36,6 @@ type LogConfig struct {
 	// JSON switches from the human-readable text handler to one JSON
 	// object per line (the -log-json flag on every daemon).
 	JSON bool
-	// Level is the minimum level emitted (default Info).
-	Level slog.Leveler
 	// Component is bound to every record as component=<name>.
 	Component string
 	// Recorder, when set, additionally retains every record (regardless
@@ -51,12 +49,9 @@ func NewLogger(cfg LogConfig) *slog.Logger {
 	if w == nil {
 		w = os.Stderr
 	}
-	opts := &slog.HandlerOptions{Level: cfg.Level}
-	var h slog.Handler
+	var h slog.Handler = slog.NewTextHandler(w, nil)
 	if cfg.JSON {
-		h = slog.NewJSONHandler(w, opts)
-	} else {
-		h = slog.NewTextHandler(w, opts)
+		h = slog.NewJSONHandler(w, nil)
 	}
 	if cfg.Recorder != nil {
 		h = &teeHandler{inner: h, rec: cfg.Recorder}

@@ -202,20 +202,6 @@ func (c *Collector) Snapshot() []AggRow {
 	return out
 }
 
-// LatencyHistogram buckets the retained latency samples of one (depot,
-// verb) cell. Pass "" for either field to pool across it.
-func (c *Collector) LatencyHistogram(depot, verb string, buckets int) *stats.Histogram {
-	c.mu.Lock()
-	var xs []float64
-	for k, a := range c.agg {
-		if (depot == "" || k.Depot == depot) && (verb == "" || k.Verb == verb) {
-			xs = append(xs, a.lat.Values()...)
-		}
-	}
-	c.mu.Unlock()
-	return stats.NewHistogram(xs, buckets)
-}
-
 // Render prints the aggregate table: one row per (depot, verb) with
 // counts, error and reuse rates, bytes, and latency percentiles.
 func (c *Collector) Render() string {

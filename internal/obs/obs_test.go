@@ -70,10 +70,6 @@ func TestCollectorAggregates(t *testing.T) {
 		t.Fatalf("LOAD agg reuse = %d count = %d, want 1 and 2", ld.Reused, ld.Count)
 	}
 
-	h := c.LatencyHistogram("d1:1", "STORE", 5)
-	if h.N != 3 {
-		t.Fatalf("histogram N = %d, want 3", h.N)
-	}
 	if out := c.Render(); !strings.Contains(out, "d1:1") || !strings.Contains(out, "STORE") {
 		t.Fatalf("Render missing rows:\n%s", out)
 	}

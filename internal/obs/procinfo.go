@@ -60,16 +60,8 @@ func ProcessMetrics(component string, now func() time.Time, start time.Time) []M
 		}
 	}
 	return []Metric{
-		{
-			Name: "build_info",
-			Help: "Constant 1; build identity in the labels.",
-			Type: "gauge", Value: 1, Labels: labels,
-		},
-		{
-			Name: "process_uptime_seconds",
-			Help: "Seconds since the daemon started, on its own (possibly virtual) clock.",
-			Type: "gauge", Value: uptime,
-			Labels: []Label{{"component", component}},
-		},
+		Gauge("build_info", "Constant 1; build identity in the labels.", 1, labels...),
+		Gauge("process_uptime_seconds", "Seconds since the daemon started, on its own (possibly virtual) clock.",
+			uptime, Label{"component", component}),
 	}
 }

@@ -20,6 +20,21 @@ type Metric struct {
 	Hist   *HistData // set (with Type "histogram") for _bucket/_sum/_count series
 }
 
+// number is any type a sample's value is kept in before exposition.
+type number interface {
+	~int | ~int64 | ~uint64 | ~float64
+}
+
+// Counter is one counter sample.
+func Counter[N number](name, help string, v N, labels ...Label) Metric {
+	return Metric{Name: name, Help: help, Type: "counter", Value: float64(v), Labels: labels}
+}
+
+// Gauge is one gauge sample.
+func Gauge[N number](name, help string, v N, labels ...Label) Metric {
+	return Metric{Name: name, Help: help, Type: "gauge", Value: float64(v), Labels: labels}
+}
+
 // HistData carries one fixed-bound histogram sample: cumulative bucket
 // counts per upper bound (the +Inf bucket is implied by Count), the sum of
 // observations, and their number.
@@ -236,18 +251,15 @@ func HealthzHandler(check func() error) http.Handler {
 func (c *Collector) CollectorMetrics(prefix string) []Metric {
 	rows := c.Snapshot()
 	var ms []Metric
-	add := func(name, help, typ string, v float64, depot, verb string) {
-		ms = append(ms, Metric{
-			Name: prefix + name, Help: help, Type: typ, Value: v,
-			Labels: []Label{{"depot", depot}, {"verb", verb}},
-		})
-	}
 	for _, r := range rows {
-		add("ops_total", "IBP operations issued.", "counter", float64(r.Count), r.Depot, r.Verb)
-		add("op_errors_total", "IBP operations that failed.", "counter", float64(r.Errors), r.Depot, r.Verb)
-		add("op_bytes_total", "Payload bytes moved by successful operations.", "counter", float64(r.Bytes), r.Depot, r.Verb)
-		add("op_conn_reuse_total", "Operations served on a pooled connection.", "counter", float64(r.Reused), r.Depot, r.Verb)
-		add("op_latency_seconds_p95", "95th-percentile operation latency over the retained window.", "gauge", r.Latency.P95, r.Depot, r.Verb)
+		depot, verb := Label{"depot", r.Depot}, Label{"verb", r.Verb}
+		ms = append(ms,
+			Counter(prefix+"ops_total", "IBP operations issued.", r.Count, depot, verb),
+			Counter(prefix+"op_errors_total", "IBP operations that failed.", r.Errors, depot, verb),
+			Counter(prefix+"op_bytes_total", "Payload bytes moved by successful operations.", r.Bytes, depot, verb),
+			Counter(prefix+"op_conn_reuse_total", "Operations served on a pooled connection.", r.Reused, depot, verb),
+			Gauge(prefix+"op_latency_seconds_p95", "95th-percentile operation latency over the retained window.", r.Latency.P95, depot, verb),
+		)
 	}
 	for _, cell := range c.latencyCells() {
 		h := NewHistData(DefLatencyBounds, cell.lat)

@@ -2,15 +2,16 @@ package obs
 
 // The flight recorder: a bounded per-process ring retaining the recent
 // past across every signal source — log records, IBP op events, hedge
-// events, depot server spans, breaker-state transitions, forecast-error
-// samples — in one time-ordered stream keyed by trace ID. While everything
-// is healthy the ring just rotates; when a transfer fails, a tool exits
-// non-zero, or a depot handler panics, the retained window is cut into a
-// postmortem bundle (see postmortem.go) that tells the story of the
-// failure without anyone having had to watch it happen.
+// events, a depot's server spans, breaker-state transitions, forecast-error
+// samples — in one time-ordered stream keyed by trace ID. It is the one
+// record of a process's traced spans: /trace/<id>, postmortem bundles and
+// xnd's joined timeline all read it. While everything is healthy the ring
+// just rotates; when a transfer fails, a tool exits non-zero, or a depot
+// handler panics, the retained window is cut into a postmortem bundle (see
+// postmortem.go) that tells the story of the failure without anyone having
+// had to watch it happen.
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -22,22 +23,27 @@ type EntryKind string
 
 // Entry kinds.
 const (
-	KindLog      EntryKind = "log"      // a structured log record
-	KindEvent    EntryKind = "event"    // an IBP operation event
-	KindHedge    EntryKind = "hedge"    // a transfer-engine hedge event
-	KindSpan     EntryKind = "span"     // a depot-reported server span
-	KindBreaker  EntryKind = "breaker"  // a health-scoreboard state transition
-	KindForecast EntryKind = "forecast" // an NWS forecast-vs-measured sample
-	KindAlert    EntryKind = "alert"    // an SLO burn-rate alert transition
+	KindLog      EntryKind = "log"         // a structured log record
+	KindEvent    EntryKind = "event"       // an IBP operation event
+	KindHedge    EntryKind = "hedge"       // a transfer-engine hedge event
+	KindSpan     EntryKind = "server-span" // a depot's own span of one traced exchange
+	KindBreaker  EntryKind = "breaker"     // a health-scoreboard state transition
+	KindForecast EntryKind = "forecast"    // an NWS forecast-vs-measured sample
+	KindAlert    EntryKind = "alert"       // an SLO burn-rate alert transition
 )
 
 // Entry is one retained observation. Fields are populated per kind; the
-// JSON encoding is the line format inside postmortem bundles.
+// JSON encoding is the line format inside postmortem bundles and the
+// array /trace/<id> serves. QueueNS and BackendNS are the depot's numbers
+// for one exchange: on its KindSpan entry, and on the client's KindEvent
+// entry when the depot returned them on the status line.
 type Entry struct {
 	Seq       uint64    `json:"seq"`
 	Time      time.Time `json:"time"`
 	Kind      EntryKind `json:"kind"`
 	Trace     string    `json:"trace,omitempty"`
+	Span      string    `json:"span,omitempty"`
+	Parent    string    `json:"parent,omitempty"`
 	Depot     string    `json:"depot,omitempty"`
 	Verb      string    `json:"verb,omitempty"`
 	Level     string    `json:"level,omitempty"`
@@ -46,6 +52,8 @@ type Entry struct {
 	Err       string    `json:"err,omitempty"`
 	Bytes     int64     `json:"bytes,omitempty"`
 	LatencyNS int64     `json:"latency_ns,omitempty"`
+	QueueNS   int64     `json:"queue_ns,omitempty"`
+	BackendNS int64     `json:"backend_ns,omitempty"`
 	Attrs     []string  `json:"attrs,omitempty"`
 }
 
@@ -105,34 +113,27 @@ func (fr *FlightRecorder) RingMetrics() []Metric {
 // RingDropped is the obs_ring_dropped_total sample for one bounded ring:
 // how many entries it overwrote before they aged out.
 func RingDropped(ring string, n uint64) Metric {
-	return Metric{
-		Name: "obs_ring_dropped_total",
-		Help: "Entries overwritten before aging out, per bounded ring.",
-		Type: "counter", Value: float64(n),
-		Labels: []Label{{"ring", ring}},
-	}
+	return Counter("obs_ring_dropped_total", "Entries overwritten before aging out, per bounded ring.",
+		n, Label{"ring", ring})
 }
 
 // Record implements Observer: every IBP op event (and HEDGE event — the
-// transfer engine shares the stream) is retained, and a depot-returned
-// server span becomes its own entry so the bundle carries both sides.
+// transfer engine shares the stream) is retained as one entry, carrying
+// the queue and backend time a traced depot returned. The depot's span
+// itself lives in the depot's recorder, not here.
 func (fr *FlightRecorder) Record(ev Event) {
-	kind := KindEvent
-	if ev.Verb == "HEDGE" {
-		kind = KindHedge
-	}
-	fr.Add(Entry{
-		Time: ev.Time, Kind: kind, Trace: ev.Trace, Depot: ev.Depot,
-		Verb: ev.Verb, Outcome: ev.Outcome, Err: ev.Err, Bytes: ev.Bytes,
+	e := Entry{
+		Time: ev.Time, Kind: KindEvent, Trace: ev.Trace, Span: ev.Span, Parent: ev.Parent,
+		Depot: ev.Depot, Verb: ev.Verb, Outcome: ev.Outcome, Err: ev.Err, Bytes: ev.Bytes,
 		LatencyNS: ev.Latency.Nanoseconds(), Msg: ev.Note,
-	})
-	if ss := ev.Server; ss != nil {
-		fr.Add(Entry{
-			Time: ev.Time, Kind: KindSpan, Trace: ev.Trace, Depot: ev.Depot,
-			Verb: ev.Verb, Bytes: ss.Bytes, LatencyNS: ss.Total.Nanoseconds(),
-			Msg: fmt.Sprintf("server span %s: queue %s backend %s", ss.SpanID, ss.Queue, ss.Backend),
-		})
 	}
+	if ev.Verb == "HEDGE" {
+		e.Kind = KindHedge
+	}
+	if ss := ev.Server; ss != nil {
+		e.QueueNS, e.BackendNS = ss.Queue.Nanoseconds(), ss.Backend.Nanoseconds()
+	}
+	fr.Add(e)
 }
 
 // BreakerTransition retains one health-scoreboard state change. The health

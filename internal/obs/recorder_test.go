@@ -44,7 +44,7 @@ func TestFlightRecorderObserverAndTrace(t *testing.T) {
 	fr.Record(Event{Verb: "LOAD", Depot: "d1:6714", Trace: "abc123", Outcome: "ok", Bytes: 42})
 	fr.Record(Event{Verb: "HEDGE", Depot: "d2:6714", Trace: "abc123", Outcome: "ok"})
 	fr.Record(Event{
-		Verb: "LOAD", Depot: "d1:6714", Trace: "abc123", Outcome: "ok",
+		Verb: "LOAD", Depot: "d1:6714", Trace: "abc123", Span: "c2", Parent: "c1", Outcome: "ok",
 		Server: &WireSpan{SpanID: "sp01", Queue: time.Millisecond, Backend: 2 * time.Millisecond, Bytes: 42},
 	})
 	fr.Record(Event{Verb: "STORE", Depot: "d3:6714", Trace: "other0", Outcome: "error", Err: "boom"})
@@ -53,11 +53,18 @@ func TestFlightRecorderObserverAndTrace(t *testing.T) {
 	for _, e := range fr.Recent(0) {
 		kinds[e.Kind]++
 	}
-	if kinds[KindEvent] != 3 || kinds[KindHedge] != 1 || kinds[KindSpan] != 1 {
-		t.Fatalf("kind counts = %v, want 3 events, 1 hedge, 1 span", kinds)
+	// One entry per event: the depot's numbers ride on the client's
+	// event entry, and the depot's own span stays in the depot's recorder.
+	if kinds[KindEvent] != 3 || kinds[KindHedge] != 1 || kinds[KindSpan] != 0 {
+		t.Fatalf("kind counts = %v, want 3 events, 1 hedge, no span", kinds)
 	}
-	if got := fr.ForTrace("abc123"); len(got) != 4 {
-		t.Errorf("ForTrace(abc123) = %d entries, want 4 (2 loads + hedge + server span)", len(got))
+	got := fr.ForTrace("abc123")
+	if len(got) != 3 {
+		t.Fatalf("ForTrace(abc123) = %d entries, want 3 (2 loads + hedge)", len(got))
+	}
+	if e := got[2]; e.Span != "c2" || e.Parent != "c1" ||
+		e.QueueNS != int64(time.Millisecond) || e.BackendNS != int64(2*time.Millisecond) {
+		t.Errorf("traced LOAD entry = %+v, want span c2 under c1 with the depot's queue 1ms and backend 2ms", e)
 	}
 	if got := fr.ForTrace("missing"); len(got) != 0 {
 		t.Errorf("ForTrace(missing) = %d entries, want 0", len(got))

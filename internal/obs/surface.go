@@ -103,17 +103,11 @@ func RuntimeMetrics() []Metric {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return []Metric{
-		{Name: "go_goroutines", Help: "Live goroutines.", Type: "gauge",
-			Value: float64(runtime.NumGoroutine())},
-		{Name: "go_memstats_heap_alloc_bytes", Help: "Heap bytes allocated and in use.", Type: "gauge",
-			Value: float64(ms.HeapAlloc)},
-		{Name: "go_memstats_heap_sys_bytes", Help: "Heap bytes obtained from the OS.", Type: "gauge",
-			Value: float64(ms.HeapSys)},
-		{Name: "go_memstats_heap_objects", Help: "Live heap objects.", Type: "gauge",
-			Value: float64(ms.HeapObjects)},
-		{Name: "go_gc_cycles_total", Help: "Completed GC cycles.", Type: "counter",
-			Value: float64(ms.NumGC)},
-		{Name: "go_gc_pause_seconds_total", Help: "Cumulative GC stop-the-world pause time.", Type: "counter",
-			Value: float64(ms.PauseTotalNs) / 1e9},
+		Gauge("go_goroutines", "Live goroutines.", runtime.NumGoroutine()),
+		Gauge("go_memstats_heap_alloc_bytes", "Heap bytes allocated and in use.", ms.HeapAlloc),
+		Gauge("go_memstats_heap_sys_bytes", "Heap bytes obtained from the OS.", ms.HeapSys),
+		Gauge("go_memstats_heap_objects", "Live heap objects.", ms.HeapObjects),
+		Counter("go_gc_cycles_total", "Completed GC cycles.", uint64(ms.NumGC)),
+		Counter("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", float64(ms.PauseTotalNs)/1e9),
 	}
 }

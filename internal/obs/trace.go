@@ -4,8 +4,9 @@ package obs
 // tools mint a root span per operation, core derives one span per extent,
 // the transfer engine tags hedge attempts, the IBP client tags each wire
 // exchange, and the depot returns a server-side span summary on the status
-// line. Everything correlates by trace ID; the collector joins it back into
-// one cross-layer timeline (RenderTrace).
+// line and keeps the span in its flight recorder. Everything correlates by
+// trace ID; each process's recorder joins its part back into one
+// cross-layer timeline (RenderTrace), and obsd joins the fleet's.
 
 import (
 	"crypto/rand"
@@ -111,11 +112,10 @@ func ParseWireSpan(tok string) (WireSpan, bool) {
 }
 
 // TraceJSONHandler serves /trace/<traceID> from a flight recorder as a
-// JSON array of retained entries: 400 on a malformed ID, 404 when nothing
-// is retained for it. This is the generic daemon-side half of fleet trace
-// assembly — the depot serves its richer server spans from its own ring,
-// every other daemon serves whatever its recorder retained under the
-// trace, and obsd stitches both shapes into one timeline.
+// JSON array of the Entries retained under that trace: 400 on a malformed
+// ID, 404 when nothing is retained for it. Every daemon serves its
+// /trace/ this way — a depot's array holds its KindSpan entries — and obsd
+// joins the answers into one fleet timeline.
 func TraceJSONHandler(fr *FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/trace/")
@@ -134,87 +134,63 @@ func TraceJSONHandler(fr *FlightRecorder) http.Handler {
 	})
 }
 
-// TraceEvents returns the retained events belonging to traceID, in
-// recording order.
-func (c *Collector) TraceEvents(traceID string) []Event {
-	var out []Event
-	for _, e := range c.Recent(0) {
-		if e.Trace == traceID {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// RenderTrace joins every retained event of one trace into a cross-layer
-// timeline: tool root, core extents, transfer hedge attempts, IBP client
-// operations, and — when the depot cooperated — the depot's own server-side
-// span, indented by span parentage and timed relative to the trace start.
-func (c *Collector) RenderTrace(traceID string) string {
-	evs := c.TraceEvents(traceID)
-	if len(evs) == 0 {
+// RenderTrace joins every retained entry of one trace into a cross-layer
+// timeline: tool root, core extents, transfer hedge attempts and IBP
+// client operations — each with the depot's queue and backend time when
+// the depot cooperated — indented by span parentage and timed relative to
+// the trace start.
+func (fr *FlightRecorder) RenderTrace(traceID string) string {
+	es := fr.ForTrace(traceID)
+	if len(es) == 0 {
 		return fmt.Sprintf("trace %s: no recorded events\n", traceID)
 	}
-	// Depth by walking parent links; events whose parent was not retained
+	// Depth by walking parent links; entries whose parent was not retained
 	// render at the depth of the nearest known ancestor (or the root).
-	bySpan := make(map[string]Event, len(evs))
-	for _, e := range evs {
-		bySpan[e.Span] = e
+	parentOf := make(map[string]string, len(es))
+	for _, e := range es {
+		if e.Span != "" {
+			parentOf[e.Span] = e.Parent
+		}
 	}
-	depth := func(e Event) int {
+	depth := func(e Entry) int {
 		d := 0
-		for p := e.Parent; p != ""; {
-			pe, ok := bySpan[p]
+		for p := e.Parent; p != ""; d++ {
+			pp, ok := parentOf[p]
 			if !ok {
 				break
 			}
-			d++
-			p = pe.Parent
+			p = pp
 		}
 		return d
 	}
-	t0 := evs[0].Time
-	for _, e := range evs[1:] {
-		if e.Time.Before(t0) {
-			t0 = e.Time
-		}
-	}
-	sorted := append([]Event(nil), evs...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if !sorted[i].Time.Equal(sorted[j].Time) {
-			return sorted[i].Time.Before(sorted[j].Time)
-		}
-		return sorted[i].Seq < sorted[j].Seq
-	})
+	sort.SliceStable(es, func(i, j int) bool { return es[i].Time.Before(es[j].Time) })
+	t0 := es[0].Time
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s (%d events)\n", traceID, len(sorted))
-	for _, e := range sorted {
+	fmt.Fprintf(&b, "trace %s (%d events)\n", traceID, len(es))
+	for _, e := range es {
+		label := e.Verb
+		if label == "" {
+			label = string(e.Kind)
+		}
 		indent := strings.Repeat("  ", depth(e))
-		fmt.Fprintf(&b, "%9s %s%s", "+"+fmtSec(e.Time.Sub(t0).Seconds()), indent, e.Verb)
+		fmt.Fprintf(&b, "%9s %s%s", "+"+fmtSec(e.Time.Sub(t0).Seconds()), indent, label)
 		if e.Depot != "" {
 			fmt.Fprintf(&b, " %s", e.Depot)
 		}
 		if e.Bytes > 0 {
 			fmt.Fprintf(&b, " %dB", e.Bytes)
 		}
-		fmt.Fprintf(&b, " %s %s", fmtSec(e.Latency.Seconds()), e.Outcome)
-		if e.Note != "" {
-			fmt.Fprintf(&b, " %s", e.Note)
+		fmt.Fprintf(&b, " %s %s", fmtSec(time.Duration(e.LatencyNS).Seconds()), e.Outcome)
+		if e.Msg != "" {
+			fmt.Fprintf(&b, " %s", e.Msg)
 		}
 		if e.Err != "" {
 			fmt.Fprintf(&b, "  %s", e.Err)
 		}
 		b.WriteByte('\n')
-		if ss := e.Server; ss != nil {
-			fmt.Fprintf(&b, "%9s %s  └ depot span %s: queue %s backend %s total %s",
-				"", indent, ss.SpanID, ss.Queue, ss.Backend, ss.Total)
-			if ss.Bytes > 0 {
-				fmt.Fprintf(&b, " (%dB)", ss.Bytes)
-			}
-			if ss.Violation {
-				b.WriteString(" VIOLATION")
-			}
-			b.WriteByte('\n')
+		if e.QueueNS != 0 || e.BackendNS != 0 {
+			fmt.Fprintf(&b, "%9s %s  └ depot: queue %s backend %s\n",
+				"", indent, time.Duration(e.QueueNS), time.Duration(e.BackendNS))
 		}
 	}
 	return b.String()

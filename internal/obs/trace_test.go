@@ -56,26 +56,22 @@ func TestParseWireSpanRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestRenderTraceTree checks the joined-timeline rendering: depth from
-// parent links, time offsets from the earliest event, and the depot
-// server-span sub-line.
+// TestRenderTraceTree checks the joined-timeline rendering from a flight
+// recorder: depth from parent links, time offsets from the earliest
+// entry, and the depot's queue and backend time under its exchange.
 func TestRenderTraceTree(t *testing.T) {
-	col := NewCollector(16)
+	fr := NewFlightRecorder(16)
 	t0 := time.Unix(1000, 0)
 	root := NewRootSpan()
 	extent := root.Child()
 	op := extent.Child()
 
-	col.Record(Event{
-		Time: t0, Verb: "DOWNLOAD", Latency: 10 * time.Millisecond,
-		Trace: root.TraceID, Span: root.SpanID, Outcome: "ok", Note: "f.xnd [0,64)",
-	})
-	col.Record(Event{
+	fr.Record(Event{
 		Time: t0.Add(time.Millisecond), Verb: "EXTENT", Depot: "d:1", Bytes: 64,
 		Latency: 8 * time.Millisecond, Outcome: "success",
 		Trace: root.TraceID, Span: extent.SpanID, Parent: root.SpanID,
 	})
-	col.Record(Event{
+	fr.Record(Event{
 		Time: t0.Add(2 * time.Millisecond), Verb: "LOAD", Depot: "d:1", Bytes: 64,
 		Latency: 6 * time.Millisecond, Outcome: "success",
 		Trace: root.TraceID, Span: op.SpanID, Parent: extent.SpanID,
@@ -84,25 +80,30 @@ func TestRenderTraceTree(t *testing.T) {
 			Backend: 2 * time.Microsecond, Total: 5 * time.Microsecond, Bytes: 64,
 		},
 	})
-	// An event from some other trace must not leak in.
-	col.Record(Event{Time: t0, Verb: "PROBE", Trace: "other", Span: "zz"})
+	// The root closes last but started first: it renders first.
+	fr.Record(Event{
+		Time: t0, Verb: "DOWNLOAD", Latency: 10 * time.Millisecond,
+		Trace: root.TraceID, Span: root.SpanID, Outcome: "ok", Note: "f.xnd [0,64)",
+	})
+	// An entry from some other trace must not leak in.
+	fr.Record(Event{Time: t0, Verb: "PROBE", Trace: "other", Span: "zz"})
 
-	out := col.RenderTrace(root.TraceID)
+	out := fr.RenderTrace(root.TraceID)
 	for _, want := range []string{
 		"trace " + root.TraceID + " (3 events)",
-		"+0s DOWNLOAD",
+		"      +0s DOWNLOAD 10ms ok f.xnd [0,64)",
 		"  EXTENT d:1", // depth 1
 		"    LOAD d:1", // depth 2
-		"└ depot span feedf00d: queue 1µs backend 2µs total 5µs (64B)",
+		"└ depot: queue 1µs backend 2µs",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RenderTrace missing %q\n%s", want, out)
 		}
 	}
 	if strings.Contains(out, "PROBE") {
-		t.Errorf("foreign-trace event leaked into render:\n%s", out)
+		t.Errorf("foreign-trace entry leaked into render:\n%s", out)
 	}
-	if !strings.Contains(col.RenderTrace("missing"), "no recorded events") {
+	if !strings.Contains(fr.RenderTrace("missing"), "no recorded events") {
 		t.Error("unknown trace should render a placeholder")
 	}
 }

@@ -201,8 +201,6 @@ func decompose(ft FleetTrace) traceAttr {
 			default:
 				add("ibp", s.Time, s.DurationNS, s.Depot)
 			}
-		case "span":
-			add("core", s.Time, s.DurationNS, "")
 		}
 	}
 	if first.IsZero() || !last.After(first) {

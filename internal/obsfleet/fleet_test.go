@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/depot"
 	"repro/internal/lbone"
 	"repro/internal/obs"
 	"repro/internal/slo"
@@ -20,9 +19,9 @@ import (
 
 const testTrace = "feedc0de00112233"
 
-// newDepotMember serves the depot-side shapes: /metrics and /trace/<id>
-// with []depot.ServerSpan.
-func newDepotMember(t *testing.T, spans []depot.ServerSpan) *httptest.Server {
+// newDepotMember serves a depot's /metrics and its /trace/<id>: the
+// server spans, as []obs.Entry.
+func newDepotMember(t *testing.T, spans []obs.Entry) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric {
@@ -37,9 +36,9 @@ func newDepotMember(t *testing.T, spans []depot.ServerSpan) *httptest.Server {
 			http.Error(w, "bad id", http.StatusBadRequest)
 			return
 		}
-		var match []depot.ServerSpan
+		var match []obs.Entry
 		for _, s := range spans {
-			if s.TraceID == id {
+			if s.Trace == id {
 				match = append(match, s)
 			}
 		}
@@ -88,9 +87,9 @@ func ctrl(srv *httptest.Server, component, name string) lbone.ControlInfo {
 func newTestFleet(t *testing.T) (*Aggregator, string) {
 	t.Helper()
 	start := time.Date(2002, 1, 11, 15, 0, 0, 0, time.UTC)
-	depotSrv := newDepotMember(t, []depot.ServerSpan{{
-		TraceID: testTrace, SpanID: "d1", Parent: "c1", Verb: "LOAD",
-		Start: start.Add(10 * time.Millisecond), Total: 5 * time.Millisecond, Bytes: 4096,
+	depotSrv := newDepotMember(t, []obs.Entry{{
+		Kind: obs.KindSpan, Trace: testTrace, Span: "d1", Parent: "c1", Verb: "LOAD",
+		Time: start.Add(10 * time.Millisecond), LatencyNS: int64(5 * time.Millisecond), Bytes: 4096, Outcome: "ok",
 	}})
 	fr := obs.NewFlightRecorder(32)
 	fr.Add(obs.Entry{Kind: obs.KindEvent, Trace: testTrace, Verb: "DOWNLOAD",

@@ -373,27 +373,20 @@ func (a *Aggregator) SelfMetrics() []obs.Metric {
 	sort.Slice(members, func(i, j int) bool { return members[i].info.Addr < members[j].info.Addr })
 
 	ms := []obs.Metric{
-		{Name: "obsd_sweeps_total", Type: "counter", Help: "Completed fleet sweeps.", Value: float64(sweeps)},
-		{Name: "obsd_scrapes_total", Type: "counter", Help: "Member scrape attempts.", Value: float64(scrapes)},
-		{Name: "obsd_scrape_errors_total", Type: "counter", Help: "Member scrapes that failed.", Value: float64(scrapeErrs)},
-		{Name: "obsd_list_errors_total", Type: "counter", Help: "Control-table listings that failed.", Value: float64(listErrs)},
-		{Name: "obsd_members", Type: "gauge", Help: "Members in the current fleet view.", Value: float64(len(members))},
-		{Name: "obsd_profiles_captured_total", Type: "counter", Help: "Alert-triggered pprof captures.", Value: float64(profiles)},
+		obs.Counter("obsd_sweeps_total", "Completed fleet sweeps.", sweeps),
+		obs.Counter("obsd_scrapes_total", "Member scrape attempts.", scrapes),
+		obs.Counter("obsd_scrape_errors_total", "Member scrapes that failed.", scrapeErrs),
+		obs.Counter("obsd_list_errors_total", "Control-table listings that failed.", listErrs),
+		obs.Gauge("obsd_members", "Members in the current fleet view.", len(members)),
+		obs.Counter("obsd_profiles_captured_total", "Alert-triggered pprof captures.", profiles),
 	}
 	for _, m := range members {
-		up := 0.0
+		up := 0
 		if m.up {
-			up = 1.0
+			up = 1
 		}
-		ms = append(ms, obs.Metric{
-			Name: "obsd_member_up", Type: "gauge",
-			Help:  "1 while the member answered its most recent scrape.",
-			Value: up,
-			Labels: []obs.Label{
-				{Name: "member", Value: m.info.Addr},
-				{Name: "component", Value: m.info.Component},
-			},
-		})
+		ms = append(ms, obs.Gauge("obsd_member_up", "1 while the member answered its most recent scrape.", up,
+			obs.Label{Name: "member", Value: m.info.Addr}, obs.Label{Name: "component", Value: m.info.Component}))
 	}
 	addrs := make([]string, 0, len(restarts))
 	for addr := range restarts {
@@ -401,12 +394,9 @@ func (a *Aggregator) SelfMetrics() []obs.Metric {
 	}
 	sort.Strings(addrs)
 	for _, addr := range addrs {
-		ms = append(ms, obs.Metric{
-			Name: "fleet_member_restarts_total", Type: "counter",
-			Help:   "Member process restarts detected by the aggregator (process_uptime_seconds went backwards).",
-			Value:  float64(restarts[addr]),
-			Labels: []obs.Label{{Name: "member", Value: addr}},
-		})
+		ms = append(ms, obs.Counter("fleet_member_restarts_total",
+			"Member process restarts detected by the aggregator (process_uptime_seconds went backwards).",
+			restarts[addr], obs.Label{Name: "member", Value: addr}))
 	}
 	return ms
 }

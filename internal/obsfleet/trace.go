@@ -1,11 +1,13 @@
 package obsfleet
 
 // Cross-daemon trace assembly. One tool operation leaves fragments of
-// its trace all over the fleet: the client's flight recorder holds the
-// root span and per-extent events, each depot's span ring holds the
-// server-side view of every exchange, the maintenance daemons hold
-// repair spans, and a failed operation leaves a postmortem bundle. The
-// assembler fans the trace ID out to every member's /trace/<id> (and
+// its trace all over the fleet, each in its process's flight recorder:
+// the client's holds the root span and per-extent events, each depot's
+// its server span of every exchange, the maintenance daemons' their
+// repair spans, and a failed operation leaves a postmortem bundle. Every
+// member answers /trace/<id> with the same obs.Entry array, and a bundle
+// carries the same entries, so one conversion (timeline) serves both.
+// The assembler fans the trace ID out to every member's /trace/<id> (and
 // /postmortem/<trace> as a fallback when the live ring already aged the
 // entries out) and stitches the answers into one time-ordered timeline.
 //
@@ -25,13 +27,13 @@ import (
 	"repro/internal/obs"
 )
 
-// TimelineSpan is one normalized span or event in the joined timeline,
-// whichever daemon shape it came from.
+// TimelineSpan is one retained entry in the joined timeline, with the
+// member that served it.
 type TimelineSpan struct {
 	Member     string    `json:"member"`    // control address that served it
 	Component  string    `json:"component"` // "ibp-depot", "maintaind", "xnd", ...
 	Source     string    `json:"source"`    // "trace" or "postmortem"
-	Kind       string    `json:"kind"`      // entry kind, or "server-span" for depot rings
+	Kind       string    `json:"kind"`      // entry kind: "server-span" for a depot's own span
 	Trace      string    `json:"trace"`
 	Span       string    `json:"span,omitempty"`
 	Parent     string    `json:"parent,omitempty"`
@@ -64,75 +66,25 @@ type FleetTrace struct {
 	Spans   []TimelineSpan      `json:"spans"`
 }
 
-// flexSpan decodes both member trace shapes with one struct: the
-// depot's ServerSpan ("span", "start", "queue_wait_ns", ...) and the
-// generic flight-recorder Entry ("kind", "time", "latency_ns", ...).
-// The shared keys ("trace", "verb", "bytes") mean the same thing in
-// both.
-type flexSpan struct {
-	Trace  string `json:"trace"`
-	Verb   string `json:"verb"`
-	Bytes  int64  `json:"bytes"`
-	Parent string `json:"parent"`
-
-	// Depot server-span fields.
-	Span      string     `json:"span"`
-	Start     *time.Time `json:"start"`
-	QueueWait int64      `json:"queue_wait_ns"`
-	Backend   int64      `json:"backend_ns"`
-	TotalNS   int64      `json:"total_ns"`
-	Violation bool       `json:"violation"`
-	Code      string     `json:"code"`
-
-	// Flight-recorder entry fields.
-	Kind      string     `json:"kind"`
-	Time      *time.Time `json:"time"`
-	LatencyNS int64      `json:"latency_ns"`
-	Outcome   string     `json:"outcome"`
-	Err       string     `json:"err"`
-	Msg       string     `json:"msg"`
-	Depot     string     `json:"depot"`
-}
-
-// normalize converts a decoded span into the joined-timeline shape.
-func (f flexSpan) normalize(m *member, source, traceID string) TimelineSpan {
-	ts := TimelineSpan{
-		Member:    m.info.Addr,
-		Component: m.info.Component,
-		Source:    source,
-		Trace:     traceID,
-		Verb:      f.Verb,
-		Bytes:     f.Bytes,
-		Parent:    f.Parent,
-	}
-	if f.Start != nil { // depot server span
-		ts.Kind = "server-span"
-		ts.Span = f.Span
-		ts.Time = *f.Start
-		ts.DurationNS = f.TotalNS
-		ts.QueueNS = f.QueueWait
-		ts.BackendNS = f.Backend
-		ts.Depot = m.info.Name
-		switch {
-		case f.Violation:
-			ts.Outcome = "violation"
-		case f.Code != "":
-			ts.Outcome = f.Code
-		default:
-			ts.Outcome = "ok"
+// timeline places one member's entries — its /trace/ answer or its
+// bundle's — in the joined timeline. A depot's server span names the
+// depot by its member name.
+func timeline(m *member, source, traceID string, entries []obs.Entry) []TimelineSpan {
+	out := make([]TimelineSpan, 0, len(entries))
+	for _, e := range entries {
+		ts := TimelineSpan{
+			Member: m.info.Addr, Component: m.info.Component, Source: source,
+			Kind: string(e.Kind), Trace: traceID, Span: e.Span, Parent: e.Parent,
+			Verb: e.Verb, Depot: e.Depot, Time: e.Time, DurationNS: e.LatencyNS,
+			QueueNS: e.QueueNS, BackendNS: e.BackendNS, Bytes: e.Bytes,
+			Outcome: e.Outcome, Err: e.Err, Msg: e.Msg,
 		}
-		return ts
+		if e.Kind == obs.KindSpan {
+			ts.Depot = m.info.Name
+		}
+		out = append(out, ts)
 	}
-	ts.Kind = f.Kind
-	if f.Time != nil {
-		ts.Time = *f.Time
-	}
-	ts.DurationNS = f.LatencyNS
-	ts.Outcome = f.Outcome
-	ts.Err = f.Err
-	ts.Msg = f.Msg
-	ts.Depot = f.Depot
-	return ts
+	return out
 }
 
 // AssembleTrace fans traceID out to the current member set and joins
@@ -168,17 +120,9 @@ func (a *Aggregator) AssembleTrace(traceID string) FleetTrace {
 // a small ring long before the incident's bundle does). A 404 from
 // both is "no spans" (nil error); transport failures are unreachable.
 func (a *Aggregator) memberTrace(m *member, traceID string) ([]TimelineSpan, error) {
-	body, err := a.get(m.info.Addr, "/trace/"+traceID)
+	entries, err := getJSON[[]obs.Entry](a, m.info.Addr, "/trace/"+traceID)
 	if err == nil {
-		var raw []flexSpan
-		if jerr := json.Unmarshal(body, &raw); jerr != nil {
-			return nil, jerr
-		}
-		out := make([]TimelineSpan, 0, len(raw))
-		for _, f := range raw {
-			out = append(out, f.normalize(m, "trace", traceID))
-		}
-		return out, nil
+		return timeline(m, "trace", traceID, *entries), nil
 	}
 	var herr *httpStatusError
 	if !errors.As(err, &herr) {
@@ -198,26 +142,7 @@ func (a *Aggregator) memberTrace(m *member, traceID string) ([]TimelineSpan, err
 		}
 		return nil, err
 	}
-	out := make([]TimelineSpan, 0, len(bundle.Entries))
-	for _, e := range bundle.Entries {
-		t := e.Time
-		out = append(out, TimelineSpan{
-			Member:     m.info.Addr,
-			Component:  m.info.Component,
-			Source:     "postmortem",
-			Kind:       string(e.Kind),
-			Trace:      traceID,
-			Verb:       e.Verb,
-			Depot:      e.Depot,
-			Time:       t,
-			DurationNS: e.LatencyNS,
-			Bytes:      e.Bytes,
-			Outcome:    e.Outcome,
-			Err:        e.Err,
-			Msg:        e.Msg,
-		})
-	}
-	return out, nil
+	return timeline(m, "postmortem", traceID, bundle.Entries), nil
 }
 
 // FleetTraceHandler serves /fleet/trace/<id>: 400 on a malformed trace

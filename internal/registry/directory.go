@@ -56,18 +56,15 @@ func (d *Directory) ListExNodes() ([]DirEntry, error) { return d.Client.ListExNo
 
 // Metrics renders registry_client_* samples for a client-side scrape.
 func (c *QuorumClient) Metrics() []obs.Metric {
-	counter := func(name, help string, v int64) obs.Metric {
-		return obs.Metric{Name: name, Help: help, Type: "counter", Value: float64(v)}
-	}
 	return []obs.Metric{
-		counter("registry_client_ops_total", "Quorum operations attempted.", c.stats.Ops.Load()),
-		counter("registry_client_replica_failures_total", "Per-replica attempt failures.", c.stats.ReplicaFails.Load()),
-		counter("registry_client_failovers_total", "Ops that succeeded despite replica failures (tolerated).", c.stats.Failovers.Load()),
-		counter("registry_client_stale_retries_total", "Ops retried after a STALE_VIEW view refresh.", c.stats.StaleRetries.Load()),
-		counter("registry_client_majority_lost_total", "Ops failed fast on majority loss (detected).", c.stats.MajorityLost.Load()),
-		counter("registry_client_repairs_total", "Read-repair writes pushed to lagging replicas.", c.stats.Repairs.Load()),
-		counter("registry_client_dials_total", "Connections dialed to replicas, failed dials included.", c.stats.Dials.Load()),
-		counter("registry_client_conn_reused_total", "Replica exchanges that rode a parked session.", c.stats.Reused.Load()),
-		counter("registry_client_query_snapshot_hits_total", "Depot queries answered from the depot-table snapshot, no quorum operation.", c.stats.SnapshotHits.Load()),
+		obs.Counter("registry_client_ops_total", "Quorum operations attempted.", c.stats.Ops.Load()),
+		obs.Counter("registry_client_replica_failures_total", "Per-replica attempt failures.", c.stats.ReplicaFails.Load()),
+		obs.Counter("registry_client_failovers_total", "Ops that succeeded despite replica failures (tolerated).", c.stats.Failovers.Load()),
+		obs.Counter("registry_client_stale_retries_total", "Ops retried after a STALE_VIEW view refresh.", c.stats.StaleRetries.Load()),
+		obs.Counter("registry_client_majority_lost_total", "Ops failed fast on majority loss (detected).", c.stats.MajorityLost.Load()),
+		obs.Counter("registry_client_repairs_total", "Read-repair writes pushed to lagging replicas.", c.stats.Repairs.Load()),
+		obs.Counter("registry_client_dials_total", "Connections dialed to replicas, failed dials included.", c.stats.Dials.Load()),
+		obs.Counter("registry_client_conn_reused_total", "Replica exchanges that rode a parked session.", c.stats.Reused.Load()),
+		obs.Counter("registry_client_query_snapshot_hits_total", "Depot queries answered from the depot-table snapshot, no quorum operation.", c.stats.SnapshotHits.Load()),
 	}
 }

@@ -428,24 +428,18 @@ func (r *Replica) Metrics() []obs.Metric {
 	}
 	r.mu.Unlock()
 
-	var ms []obs.Metric
-	counter := func(name, help string, v int64) {
-		ms = append(ms, obs.Metric{Name: name, Help: help, Type: "counter", Value: float64(v)})
+	return []obs.Metric{
+		obs.Counter("registry_view_requests_total", "VIEW fetches served.", r.stats.ViewRequests.Load()),
+		obs.Counter("registry_quorum_writes_total", "View-stamped registry writes applied.", r.stats.QuorumWrites.Load()),
+		obs.Counter("registry_quorum_reads_total", "View-stamped registry reads served.", r.stats.QuorumReads.Load()),
+		obs.Counter("registry_dir_puts_total", "Directory entries written.", r.stats.DirPuts.Load()),
+		obs.Counter("registry_dir_gets_total", "Directory reads served.", r.stats.DirGets.Load()),
+		obs.Counter("registry_dir_lists_total", "Directory listings served.", r.stats.DirLists.Load()),
+		obs.Counter("registry_stale_views_total", "Requests rejected with STALE_VIEW.", r.stats.StaleViews.Load()),
+		obs.Counter("registry_dir_conflicts_total", "Directory writes rejected with CONFLICT.", r.stats.Conflicts.Load()),
+		obs.Gauge("registry_view_seq", "Installed view sequence number.", seq),
+		obs.Gauge("registry_view_members", "Members in the installed view.", members),
+		obs.Gauge("registry_dir_entries", "ExNode directory entries held.", entries),
+		obs.Gauge("registry_dir_log_len", "Replicated-log records across shards.", logLen),
 	}
-	gauge := func(name, help string, v float64) {
-		ms = append(ms, obs.Metric{Name: name, Help: help, Type: "gauge", Value: v})
-	}
-	counter("registry_view_requests_total", "VIEW fetches served.", r.stats.ViewRequests.Load())
-	counter("registry_quorum_writes_total", "View-stamped registry writes applied.", r.stats.QuorumWrites.Load())
-	counter("registry_quorum_reads_total", "View-stamped registry reads served.", r.stats.QuorumReads.Load())
-	counter("registry_dir_puts_total", "Directory entries written.", r.stats.DirPuts.Load())
-	counter("registry_dir_gets_total", "Directory reads served.", r.stats.DirGets.Load())
-	counter("registry_dir_lists_total", "Directory listings served.", r.stats.DirLists.Load())
-	counter("registry_stale_views_total", "Requests rejected with STALE_VIEW.", r.stats.StaleViews.Load())
-	counter("registry_dir_conflicts_total", "Directory writes rejected with CONFLICT.", r.stats.Conflicts.Load())
-	gauge("registry_view_seq", "Installed view sequence number.", float64(seq))
-	gauge("registry_view_members", "Members in the installed view.", float64(members))
-	gauge("registry_dir_entries", "ExNode directory entries held.", float64(entries))
-	gauge("registry_dir_log_len", "Replicated-log records across shards.", float64(logLen))
-	return ms
 }

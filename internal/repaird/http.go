@@ -14,31 +14,20 @@ import (
 // stays separable.
 func (d *Daemon) PromMetrics() []obs.Metric {
 	c := d.Counters()
-	labels := []obs.Label{{Name: "shard", Value: d.shardKey()}}
-	counter := func(name, help string, v int64) obs.Metric {
-		return obs.Metric{Name: name, Type: "counter", Help: help, Value: float64(v), Labels: labels}
-	}
+	shard := obs.Label{Name: "shard", Value: d.shardKey()}
 	ms := []obs.Metric{
-		counter("repair_sweeps_total", "Completed directory sweeps.", c.Sweeps),
-		counter("repair_files_scanned_total", "In-shard files scored across all sweeps.", c.Scanned),
-		counter("repair_files_queued_total", "Files enqueued for a maintenance pass.", c.Queued),
-		counter("repair_passes_total", "Maintain passes executed.", c.Passes),
-		counter("repair_pass_failures_total", "Maintain passes that returned an error.", c.PassFailures),
-		counter("repair_refreshed_total", "Allocations re-leased before expiry.", c.Refreshed),
-		counter("repair_trimmed_dead_total", "Dead mappings dropped from exNodes.", c.TrimmedDead),
-		counter("repair_replicas_added_total", "Repair copies uploaded.", c.ReplicasAdded),
-		counter("repair_republish_conflicts_total", "Directory puts lost to a version race.", c.Conflicts),
-		counter("repair_below_target_total", "Scans that found a file under its durability floor.", c.BelowTarget),
-		{
-			Name: "repair_queue_depth", Type: "gauge",
-			Help:  "Files waiting for a maintenance pass.",
-			Value: float64(d.q.depth()), Labels: labels,
-		},
-		{
-			Name: "repair_files_at_risk", Type: "gauge",
-			Help:  "Files below the durability target as of the last sweep.",
-			Value: float64(c.AtRisk), Labels: labels,
-		},
+		obs.Counter("repair_sweeps_total", "Completed directory sweeps.", c.Sweeps, shard),
+		obs.Counter("repair_files_scanned_total", "In-shard files scored across all sweeps.", c.Scanned, shard),
+		obs.Counter("repair_files_queued_total", "Files enqueued for a maintenance pass.", c.Queued, shard),
+		obs.Counter("repair_passes_total", "Maintain passes executed.", c.Passes, shard),
+		obs.Counter("repair_pass_failures_total", "Maintain passes that returned an error.", c.PassFailures, shard),
+		obs.Counter("repair_refreshed_total", "Allocations re-leased before expiry.", c.Refreshed, shard),
+		obs.Counter("repair_trimmed_dead_total", "Dead mappings dropped from exNodes.", c.TrimmedDead, shard),
+		obs.Counter("repair_replicas_added_total", "Repair copies uploaded.", c.ReplicasAdded, shard),
+		obs.Counter("repair_republish_conflicts_total", "Directory puts lost to a version race.", c.Conflicts, shard),
+		obs.Counter("repair_below_target_total", "Scans that found a file under its durability floor.", c.BelowTarget, shard),
+		obs.Gauge("repair_queue_depth", "Files waiting for a maintenance pass.", d.q.depth(), shard),
+		obs.Gauge("repair_files_at_risk", "Files below the durability target as of the last sweep.", c.AtRisk, shard),
 	}
 	return append(ms, d.lim.Metrics("repair_limiter_")...)
 }

@@ -76,12 +76,9 @@ type Config struct {
 	// RiskThreshold is the minimum score that queues a file (default
 	// 0.05: skip only files with nothing at all to report).
 	RiskThreshold float64
-	// Maintain tunes each pass (MinCoverage doubles as the durability
-	// target unless DurabilityTarget overrides it).
+	// Maintain tunes each pass; its MinCoverage (default 2) is also the
+	// effective-redundancy floor the durability SLI is judged against.
 	Maintain core.MaintainOptions
-	// DurabilityTarget is the effective-redundancy floor the durability
-	// SLI is judged against (default Maintain.MinCoverage, default 2).
-	DurabilityTarget int
 	// Avail feeds measured depot availability into risk scores (optional;
 	// typically a stackmon.Monitor).
 	Avail AvailabilitySource
@@ -179,9 +176,6 @@ func New(cfg Config) (*Daemon, error) {
 
 // target returns the durability floor verdicts are judged against.
 func (d *Daemon) target() int {
-	if d.cfg.DurabilityTarget > 0 {
-		return d.cfg.DurabilityTarget
-	}
 	if d.cfg.Maintain.MinCoverage > 0 {
 		return d.cfg.Maintain.MinCoverage
 	}

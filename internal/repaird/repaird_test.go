@@ -424,7 +424,13 @@ func TestDrainCountsVersionConflict(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(stored.MappingsByDepot("C")) != 1 {
+				onSpare := 0
+				for _, m := range stored.Mappings {
+					if m.Depot == "C" {
+						onSpare++
+					}
+				}
+				if onSpare != 1 {
 					t.Fatalf("the landed exNode does not name the spare depot's replica")
 				}
 			}

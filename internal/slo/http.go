@@ -27,38 +27,19 @@ func (e *Engine) Metrics() []obs.Metric {
 	now := e.cfg.Clock.Now()
 	var out []obs.Metric
 	for k, s := range e.series {
-		labels := []obs.Label{
-			{Name: "sli", Value: string(k.sli)},
-			{Name: "key", Value: k.key},
-		}
+		sli, key := obs.Label{Name: "sli", Value: string(k.sli)}, obs.Label{Name: "key", Value: k.key}
 		out = append(out,
-			obs.Metric{
-				Name: "slo_sli_good_total", Type: "counter",
-				Help:   "Good events recorded per SLI and key (lifetime).",
-				Value:  float64(s.totalGood),
-				Labels: labels,
-			},
-			obs.Metric{
-				Name: "slo_sli_bad_total", Type: "counter",
-				Help:   "Bad events recorded per SLI and key (lifetime).",
-				Value:  float64(s.totalBad),
-				Labels: labels,
-			},
+			obs.Counter("slo_sli_good_total", "Good events recorded per SLI and key (lifetime).", s.totalGood, sli, key),
+			obs.Counter("slo_sli_bad_total", "Bad events recorded per SLI and key (lifetime).", s.totalBad, sli, key),
 		)
 		if p50, p95, p99 := s.latQuantiles(); p50 > 0 || p95 > 0 {
 			for _, q := range []struct {
 				q string
 				v float64
 			}{{"0.5", p50}, {"0.95", p95}, {"0.99", p99}} {
-				out = append(out, obs.Metric{
-					Name: "slo_sli_latency_seconds", Type: "gauge",
-					Help:  "Latency quantiles over the retained sample window, per SLI and key.",
-					Value: q.v,
-					Labels: append([]obs.Label{
-						{Name: "sli", Value: string(k.sli)},
-						{Name: "key", Value: k.key},
-					}, obs.Label{Name: "quantile", Value: q.q}),
-				})
+				out = append(out, obs.Gauge("slo_sli_latency_seconds",
+					"Latency quantiles over the retained sample window, per SLI and key.",
+					q.v, sli, key, obs.Label{Name: "quantile", Value: q.q}))
 			}
 		}
 	}
@@ -68,40 +49,20 @@ func (e *Engine) Metrics() []obs.Metric {
 				continue
 			}
 			good, bad := s.window(e, now, o.Window)
-			out = append(out, obs.Metric{
-				Name: "slo_error_budget_remaining_ratio", Type: "gauge",
-				Help:  "Fraction of the objective's error budget left over its window (negative when overspent).",
-				Value: 1 - Burn(float64(good), float64(bad), o.Target),
-				Labels: []obs.Label{
-					{Name: "objective", Value: o.Name},
-					{Name: "key", Value: k.key},
-				},
-			})
+			out = append(out, obs.Gauge("slo_error_budget_remaining_ratio",
+				"Fraction of the objective's error budget left over its window (negative when overspent).",
+				1-Burn(float64(good), float64(bad), o.Target),
+				obs.Label{Name: "objective", Value: o.Name}, obs.Label{Name: "key", Value: k.key}))
 		}
 	}
 	for _, a := range alerts {
+		objective, rule, key := obs.Label{Name: "objective", Value: a.Objective},
+			obs.Label{Name: "rule", Value: a.Rule}, obs.Label{Name: "key", Value: a.Key}
 		out = append(out,
-			obs.Metric{
-				Name: "slo_alert_firing", Type: "gauge",
-				Help:  "1 while the burn-rate rule is firing for the key.",
-				Value: 1,
-				Labels: []obs.Label{
-					{Name: "objective", Value: a.Objective},
-					{Name: "rule", Value: a.Rule},
-					{Name: "key", Value: a.Key},
-					{Name: "severity", Value: a.Severity},
-				},
-			},
-			obs.Metric{
-				Name: "slo_burn_rate", Type: "gauge",
-				Help:  "Long-window burn rate for the firing rule (error ratio over budgeted ratio).",
-				Value: a.BurnLong,
-				Labels: []obs.Label{
-					{Name: "objective", Value: a.Objective},
-					{Name: "rule", Value: a.Rule},
-					{Name: "key", Value: a.Key},
-				},
-			},
+			obs.Gauge("slo_alert_firing", "1 while the burn-rate rule is firing for the key.", 1,
+				objective, rule, key, obs.Label{Name: "severity", Value: a.Severity}),
+			obs.Gauge("slo_burn_rate", "Long-window burn rate for the firing rule (error ratio over budgeted ratio).",
+				a.BurnLong, objective, rule, key),
 		)
 	}
 	return out

@@ -13,44 +13,22 @@ import (
 func (m *Monitor) PromMetrics() []obs.Metric {
 	st := m.Snapshot(false)
 	ms := []obs.Metric{
-		{
-			Name: "stackmon_sweeps_total", Type: "counter",
-			Help:  "Completed monitoring sweeps.",
-			Value: float64(st.Sweeps),
-		},
-		{
-			Name: "stackmon_depots", Type: "gauge",
-			Help:  "Depots under observation.",
-			Value: float64(len(st.Depots)),
-		},
+		obs.Counter("stackmon_sweeps_total", "Completed monitoring sweeps.", st.Sweeps),
+		obs.Gauge("stackmon_depots", "Depots under observation.", len(st.Depots)),
 	}
 	for _, d := range st.Depots {
-		labels := []obs.Label{{Name: "depot", Value: d.Addr}}
-		up := 0.0
+		depot := obs.Label{Name: "depot", Value: d.Addr}
+		up := 0
 		if d.LastUp {
-			up = 1.0
+			up = 1
 		}
 		ms = append(ms,
-			obs.Metric{
-				Name: "stackmon_depot_up", Type: "gauge",
-				Help:  "1 while the depot answered its most recent probe.",
-				Value: up, Labels: labels,
-			},
-			obs.Metric{
-				Name: "stackmon_depot_availability_ratio", Type: "gauge",
-				Help:  "Fraction of sweeps the depot answered, over the whole run.",
-				Value: d.Availability, Labels: labels,
-			},
-			obs.Metric{
-				Name: "stackmon_depot_download_success_ratio", Type: "gauge",
-				Help:  "Fraction of data rounds that stored, read back, and verified.",
-				Value: d.DownloadSuccess, Labels: labels,
-			},
-			obs.Metric{
-				Name: "stackmon_depot_sweeps_total", Type: "counter",
-				Help:  "Sweeps that included this depot.",
-				Value: float64(d.Sweeps), Labels: labels,
-			},
+			obs.Gauge("stackmon_depot_up", "1 while the depot answered its most recent probe.", up, depot),
+			obs.Gauge("stackmon_depot_availability_ratio", "Fraction of sweeps the depot answered, over the whole run.",
+				d.Availability, depot),
+			obs.Gauge("stackmon_depot_download_success_ratio", "Fraction of data rounds that stored, read back, and verified.",
+				d.DownloadSuccess, depot),
+			obs.Counter("stackmon_depot_sweeps_total", "Sweeps that included this depot.", d.Sweeps, depot),
 		)
 	}
 	return append(ms, m.latencyHistograms()...)

@@ -400,16 +400,13 @@ func (e *Engine) Counters() Counters {
 // /metrics endpoint, prefixed (e.g. "xnd_transfer_").
 func (e *Engine) Metrics(prefix string) []obs.Metric {
 	c := e.Counters()
-	counter := func(name, help string, v int64) obs.Metric {
-		return obs.Metric{Name: prefix + name, Help: help, Type: "counter", Value: float64(v)}
-	}
 	return []obs.Metric{
-		counter("hedges_total", "Backup (hedged) attempts launched.", c.HedgesLaunched),
-		counter("hedge_wins_total", "Hedged attempts that finished first with success.", c.HedgeWins),
-		counter("hedge_cancels_total", "Losing attempts cancelled after a sibling won.", c.HedgesCancelled),
-		counter("limit_acquires_total", "Per-depot concurrency slots acquired.", c.LimitAcquires),
-		counter("limit_waits_total", "Slot acquisitions that blocked on a full depot.", c.LimitWaits),
-		counter("singleflight_leader_total", "Coded-group decodes actually executed.", c.SingleflightLeaders),
-		counter("singleflight_shared_total", "Coded-group decodes served by another caller's work.", c.SingleflightShared),
+		obs.Counter(prefix+"hedges_total", "Backup (hedged) attempts launched.", c.HedgesLaunched),
+		obs.Counter(prefix+"hedge_wins_total", "Hedged attempts that finished first with success.", c.HedgeWins),
+		obs.Counter(prefix+"hedge_cancels_total", "Losing attempts cancelled after a sibling won.", c.HedgesCancelled),
+		obs.Counter(prefix+"limit_acquires_total", "Per-depot concurrency slots acquired.", c.LimitAcquires),
+		obs.Counter(prefix+"limit_waits_total", "Slot acquisitions that blocked on a full depot.", c.LimitWaits),
+		obs.Counter(prefix+"singleflight_leader_total", "Coded-group decodes actually executed.", c.SingleflightLeaders),
+		obs.Counter(prefix+"singleflight_shared_total", "Coded-group decodes served by another caller's work.", c.SingleflightShared),
 	}
 }
